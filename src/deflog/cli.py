@@ -250,11 +250,9 @@ def wfm_cmd(
     limits = _limits(max_atoms, max_completions)
     theory = _read_theory(theory_file)
     struct = _read_struct(structure_file, theory, limits)
-    name, rs = _pick("definition", theory.definitions, def_name)
+    _, rs = _pick("definition", theory.definitions, def_name)
     context = _definition_context(theory, struct, rs)
     wfm = well_founded_model(rs, context, limits)
-    if wfm is None:
-        _fail(EXIT_NO_MODEL, f"definition {name!r} has no well-founded model")
     if as_json:
         _echo_json(_struct_json(wfm))
     else:

@@ -14,10 +14,9 @@ partial interpretation by three conditions:
 Interpretations passing all three are partial stable; the well-founded
 model is the precision-least partial stable model for a context, and
 stable models are the exact partial stable ones.  The normative
-well-founded computation enumerates 3^n candidates; the default
-`well_founded_model` path runs the equivalent (test-checked)
-alternating fixpoint of true-derivation and greatest-unfounded-set
-steps.
+well-founded computation enumerates 3^n candidates; `well_founded_model`
+runs the equivalent (test-checked) alternating fixpoint of
+true-derivation and greatest-unfounded-set steps.
 """
 
 from __future__ import annotations
@@ -256,22 +255,6 @@ def is_partial_stable(
 # Model enumeration
 
 
-def _candidates(
-    i0: PartialInterpretation,
-    atoms: list[DomainAtom],
-    values: tuple,
-) -> Iterator[PartialInterpretation]:
-    for choice in itertools.product(values, repeat=len(atoms)):
-        grouped: dict[TV, list] = {}
-        for a, v in zip(atoms, choice):
-            grouped.setdefault(v, []).append(a)
-        cand = i0
-        for v, group in grouped.items():
-            if v is not U:
-                cand = cand.revise(group, v)
-        yield cand
-
-
 def partial_stable_models(
     d: RuleSet,
     o: PartialInterpretation,
@@ -287,7 +270,7 @@ def partial_stable_models(
             f"{len(atoms)} defined atoms exceed cap {limits.max_defined_atoms}"
         )
     out = []
-    for cand in _candidates(i0, atoms, (T, U, F)):
+    for cand in i0.refinements(atoms, (T, U, F)):
         if is_partial_stable(d, cand, limits, _ctx=_ctx).is_partial_stable:
             out.append(cand)
     return out
@@ -313,7 +296,7 @@ def stable_models(
             f"{len(atoms)} defined atoms exceed cap {limits.max_defined_atoms}"
         )
     out = []
-    for cand in _candidates(i0, atoms, (T, F)):
+    for cand in i0.refinements(atoms):
         if any(
             cand.atom_value(a) is not _supported_value(d, a, cand, ctx)
             for a in atoms
@@ -375,25 +358,12 @@ def well_founded_model(
     o: PartialInterpretation,
     limits: Limits = DEFAULT_LIMITS,
     carriers: Optional[Mapping[Symbol, Iterable[tuple]]] = None,
-    method: str = "fixpoint",
     _ctx: EvalContext | None = None,
-) -> PartialInterpretation | None:
-    """The precision-least partial stable model expanding context o.
-
-    method "fixpoint" runs the alternating fixpoint; "enumerate" takes
-    the least element of the enumerated partial stable models and
-    returns None when no least element exists.  Both agree on every
-    instance the test suite can afford to enumerate.
-    """
+) -> PartialInterpretation:
+    """The precision-least partial stable model expanding context o,
+    by the alternating fixpoint.  The tests check it against the least
+    of the enumerated partial stable models."""
     ctx = _ctx or EvalContext(limits=limits)
-    if method == "enumerate":
-        models = partial_stable_models(d, o, limits, carriers, _ctx=ctx)
-        for m in models:
-            if all(m.leq_prec(other) for other in models):
-                return m
-        return None
-    if method != "fixpoint":
-        raise EvaluationError(f"unknown well-founded method {method!r}")
     carrier_key = (
         None
         if carriers is None
@@ -424,11 +394,9 @@ def is_total(
     limits: Limits = DEFAULT_LIMITS,
     carriers: Optional[Mapping[Symbol, Iterable[tuple]]] = None,
 ) -> bool:
-    """Paradox-freeness: the well-founded model exists and is exact."""
+    """Paradox-freeness: the well-founded model is exact."""
     wfm = well_founded_model(d, o, limits, carriers)
-    return wfm is not None and all(
-        wfm.value(h).is_exact for h in d.defined_symbols
-    )
+    return all(wfm.value(h).is_exact for h in d.defined_symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +438,6 @@ def _exact_check(
     o = i.restrict(sorted(d.parameters, key=lambda s: s.name))
     if sem == "w":
         wfm = well_founded_model(d, o, limits, carriers, _ctx=ctx)
-        if wfm is None:
-            return F
         return TV.of(
             all(wfm.value(h).is_exact for h in defined)
             and all(wfm.value(h) == i.value(h) for h in defined)
@@ -509,14 +475,7 @@ def eval_definition(
             f"{len(unknown)} unknown atoms exceed cap {limits.max_unknowns}"
         )
     results = []
-    for choice in itertools.product((T, F), repeat=len(unknown)):
-        grouped: dict[TV, list] = {T: [], F: []}
-        for a, v in zip(unknown, choice):
-            grouped[v].append(a)
-        j = i
-        for v, group in grouped.items():
-            if group:
-                j = j.revise(group, v)
+    for j in i.refinements(unknown):
         results.append(_exact_check(d, j, sem, limits, ctx))
         if results[-1] is not results[0]:
             return U

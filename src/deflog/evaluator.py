@@ -189,7 +189,7 @@ def _let_value(e: Let, i: PartialInterpretation, ctx: EvalContext) -> TV:
     if i.exact_on(par_preds):
         context = i.restrict(pars) if pars else PartialInterpretation.empty(i.domain)
         wfm = definitions.well_founded_model(e.ruleset, context, ctx.limits)
-        if wfm is None or not wfm.is_exact:
+        if not wfm.is_exact:
             raise NonTotalDefinitionError(
                 "let-bound definition has no exact well-founded model"
             )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import CapExceeded, EvaluationError, ParseError, TypeError_
 from .limits import DEFAULT_LIMITS, Limits
@@ -207,10 +207,19 @@ class PartialInterpretation:
             raise CapExceeded(
                 f"{len(unknown)} unknown atoms exceed cap {limits.max_unknowns}"
             )
-        for choice in itertools.product((T, F), repeat=len(unknown)):
+        yield from self.refinements(unknown)
+
+    def refinements(
+        self, atoms: list[DomainAtom], values: tuple = (T, F)
+    ) -> Iterator["PartialInterpretation"]:
+        """This interpretation with each atom revised to one of `values`,
+        every combination in itertools.product order; u leaves an atom
+        as it is.  Callers check their own caps first."""
+        for choice in itertools.product(values, repeat=len(atoms)):
             by_pred: dict[Symbol, dict] = {}
-            for atom, v in zip(unknown, choice):
-                by_pred.setdefault(atom.predicate, {})[atom.args] = v
+            for atom, v in zip(atoms, choice):
+                if v is not U:
+                    by_pred.setdefault(atom.predicate, {})[atom.args] = v
             valuation = dict(self.assignments)
             for sym, updates in by_pred.items():
                 valuation[sym] = valuation[sym].with_values(updates)

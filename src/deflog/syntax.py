@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Union
 
-from .vocab import CONST, DOMAIN, Symbol, Type, pred
+from .vocab import CONST, DOMAIN, Symbol, Type
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -186,6 +185,43 @@ Expr = Union[
 ]
 
 _BINARY = {And: "&", Or: "|", Implies: "=>", Iff: "<=>"}
+_LEAVES = (Atom1, Atom2, Cmp)
+_QUANTIFIERS = (ForallFO, ExistsFO, ForallSO, ExistsSO)
+
+
+# ---------------------------------------------------------------------------
+# Structural traversal
+
+
+def map_bodies(rs: RuleSet, f) -> RuleSet:
+    """rs with f applied to every rule body; heads stay as they are."""
+    return RuleSet(tuple(Rule(r.head, r.head_vars, f(r.body)) for r in rs.rules))
+
+
+def map_children(e, f, rules=None):
+    """Rebuild e with f applied to each direct sub-formula.
+
+    Atoms and comparisons have none and come back unchanged.  The rule
+    set of a definition or let-block is rebuilt by `rules`, which
+    defaults to `map_bodies` with f.  Binders, aggregate bounds and
+    let-bound symbols are kept as they are, so a walker only writes
+    the cases where it does something other than recurse.
+    """
+    t = type(e)
+    if t in _LEAVES:
+        return e
+    if t is Not:
+        return Not(f(e.body))
+    if t in _BINARY:
+        return t(f(e.left), f(e.right))
+    if t in _QUANTIFIERS:
+        return t(e.var, f(e.body))
+    if t is Aggregate:
+        return Aggregate(e.agg, e.cmp, e.vars, f(e.body), e.bound)
+    if t is DefinitionExpr or t is Let:
+        rs = map_bodies(e.ruleset, f) if rules is None else rules(e.ruleset)
+        return DefinitionExpr(rs) if t is DefinitionExpr else Let(rs, f(e.body))
+    raise TypeError(f"not an expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +251,7 @@ def free_symbols(e) -> frozenset:
         return free_symbols(e.body)
     if type(e) in _BINARY:
         return free_symbols(e.left) | free_symbols(e.right)
-    if isinstance(e, (ForallFO, ExistsFO, ForallSO, ExistsSO)):
+    if isinstance(e, _QUANTIFIERS):
         return free_symbols(e.body) - {e.var}
     if isinstance(e, Aggregate):
         return (free_symbols(e.body) - set(e.vars)) | term_symbols(e.bound)
@@ -461,11 +497,7 @@ def substitute(e, mapping: dict, gen: NameGen | None = None):
         )
     if isinstance(e, Cmp):
         return Cmp(e.op, _subst_term(e.left, mapping), _subst_term(e.right, mapping))
-    if isinstance(e, Not):
-        return Not(substitute(e.body, mapping, gen))
-    if type(e) in _BINARY:
-        return type(e)(substitute(e.left, mapping, gen), substitute(e.right, mapping, gen))
-    if isinstance(e, (ForallFO, ExistsFO, ForallSO, ExistsSO)):
+    if isinstance(e, _QUANTIFIERS):
         (var,), inner = _enter_binders((e.var,), mapping, gen)
         return type(e)(var, substitute(e.body, inner, gen))
     if isinstance(e, Aggregate):
@@ -484,7 +516,7 @@ def substitute(e, mapping: dict, gen: NameGen | None = None):
             rs = subst_ruleset(rs, dict(zip(defined, renamed)), gen)
         rs = subst_ruleset(rs, {k: v for k, v in inner.items() if k not in renamed}, gen)
         return Let(rs, substitute(e.body, inner, gen))
-    raise TypeError(f"not an expression: {e!r}")
+    return map_children(e, lambda b: substitute(b, mapping, gen))
 
 
 def subst_ruleset(rs: RuleSet, mapping: dict, gen: NameGen | None = None) -> RuleSet:
@@ -507,122 +539,63 @@ FRAGMENT_ESO = "ESO(ID*)"
 FRAGMENT_ASO = "ASO(ID*)"
 FRAGMENT_SO = "SO(ID*)-only"
 
+# a fragment set is a bit set; FO(ID*) lies inside both SO fragments
+_FO, _ESO, _ASO = 1, 2, 4
+_ALL = _FO | _ESO | _ASO
 
-def desugar(e):
-    """Rewrite |, =>, <=> and first order forall into ~, & and exists.
 
-    Used for classification only; evaluation keeps the primitive nodes.
+def _dual(m: int) -> int:
+    """Fragments of ~e from those of e: negation swaps ESO and ASO."""
+    return (m & _FO) | (m & _ESO) << 1 | (m & _ASO) >> 1
+
+
+def _fragments(e) -> int:
+    """The set of fragments containing e, in one bottom-up pass.
+
+    Sugar is read through its definition: | as ~(~a & ~b), => as
+    ~(a & ~b), <=> as the conjunction of both implications, and the
+    first order forall as ~exists~.  Definitions and let-blocks stay in
+    the fragments only when every rule has a first order head and an
+    FO(ID*) body.
     """
-    if isinstance(e, (Atom1, Atom2, Cmp)):
-        return e
-    if isinstance(e, Not):
-        return Not(desugar(e.body))
-    if isinstance(e, And):
-        return And(desugar(e.left), desugar(e.right))
-    if isinstance(e, Or):
-        return Not(And(Not(desugar(e.left)), Not(desugar(e.right))))
-    if isinstance(e, Implies):
-        return Not(And(desugar(e.left), Not(desugar(e.right))))
-    if isinstance(e, Iff):
-        a, b = desugar(e.left), desugar(e.right)
-        return And(Not(And(a, Not(b))), Not(And(b, Not(a))))
-    if isinstance(e, ForallFO):
-        return Not(ExistsFO(e.var, Not(desugar(e.body))))
-    if isinstance(e, ExistsFO):
-        return ExistsFO(e.var, desugar(e.body))
-    if isinstance(e, (ForallSO, ExistsSO)):
-        return type(e)(e.var, desugar(e.body))
-    if isinstance(e, Aggregate):
-        return Aggregate(e.agg, e.cmp, e.vars, desugar(e.body), e.bound)
-    if isinstance(e, DefinitionExpr):
-        return DefinitionExpr(_desugar_rs(e.ruleset))
-    if isinstance(e, Let):
-        return Let(_desugar_rs(e.ruleset), desugar(e.body))
+    t = type(e)
+    if t is Atom1 or t is Cmp:
+        return _ALL
+    if t is Atom2:
+        return _ESO | _ASO
+    if t is Not:
+        return _dual(_fragments(e.body))
+    if t is And or t is Or:
+        return _fragments(e.left) & _fragments(e.right)
+    if t is Implies:
+        return _dual(_fragments(e.left)) & _fragments(e.right)
+    if t is Iff:
+        m = _fragments(e.left) & _fragments(e.right)
+        return m & _dual(m)
+    if t is ForallFO or t is ExistsFO or t is Aggregate:
+        return _fragments(e.body)
+    if t is ExistsSO:
+        return _fragments(e.body) & _ESO
+    if t is ForallSO:
+        return _fragments(e.body) & _ASO
+    if t is DefinitionExpr or t is Let:
+        if not all(
+            r.head.type.kind == "pred" and _fragments(r.body) & _FO
+            for r in e.ruleset.rules
+        ):
+            return 0
+        return _ALL if t is DefinitionExpr else _fragments(e.body)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _desugar_rs(rs: RuleSet) -> RuleSet:
-    return RuleSet(tuple(Rule(r.head, r.head_vars, desugar(r.body)) for r in rs.rules))
-
-
-@lru_cache(maxsize=None)
-def _fo_ruleset(rs: RuleSet) -> bool:
-    # rule and let bodies of first order definitions stay in FO(ID*)
-    return all(
-        r.head.type.kind == "pred" and _is_fo(r.body) for r in rs.rules
-    )
-
-
-@lru_cache(maxsize=None)
-def _is_fo(e) -> bool:
-    if isinstance(e, (Atom1, Cmp)):
-        return True
-    if isinstance(e, Not):
-        return _is_fo(e.body)
-    if isinstance(e, And):
-        return _is_fo(e.left) and _is_fo(e.right)
-    if isinstance(e, ExistsFO):
-        return _is_fo(e.body)
-    if isinstance(e, Aggregate):
-        return _is_fo(e.body)
-    if isinstance(e, DefinitionExpr):
-        return _fo_ruleset(e.ruleset)
-    if isinstance(e, Let):
-        return _fo_ruleset(e.ruleset) and _is_fo(e.body)
-    return False
-
-
-@lru_cache(maxsize=None)
-def _is_eso(e) -> bool:
-    if _is_fo(e):
-        return True
-    if isinstance(e, Atom2):
-        return True
-    if isinstance(e, Not):
-        return _is_aso(e.body)
-    if isinstance(e, And):
-        return _is_eso(e.left) and _is_eso(e.right)
-    if isinstance(e, (ExistsFO, ExistsSO)):
-        return _is_eso(e.body)
-    if isinstance(e, Aggregate):
-        return _is_eso(e.body)
-    if isinstance(e, Let):
-        return _fo_ruleset(e.ruleset) and _is_eso(e.body)
-    return False
-
-
-@lru_cache(maxsize=None)
-def _is_aso(e) -> bool:
-    if _is_fo(e):
-        return True
-    if isinstance(e, Atom2):
-        return True
-    if isinstance(e, Not):
-        return _is_eso(e.body)
-    if isinstance(e, And):
-        return _is_aso(e.left) and _is_aso(e.right)
-    if isinstance(e, ExistsFO):
-        return _is_aso(e.body)
-    if isinstance(e, ForallSO):
-        return _is_aso(e.body)
-    if isinstance(e, Aggregate):
-        return _is_aso(e.body)
-    if isinstance(e, Let):
-        return _fo_ruleset(e.ruleset) and _is_aso(e.body)
-    return False
 
 
 def classify(e) -> str:
     """The smallest fragment containing e (ESO preferred on ties)."""
     if isinstance(e, RuleSet):
         e = DefinitionExpr(e)
-    d = desugar(e)
-    if _is_fo(d):
-        return FRAGMENT_FO
-    if _is_eso(d):
-        return FRAGMENT_ESO
-    if _is_aso(d):
-        return FRAGMENT_ASO
+    m = _fragments(e)
+    for bit, name in ((_FO, FRAGMENT_FO), (_ESO, FRAGMENT_ESO), (_ASO, FRAGMENT_ASO)):
+        if m & bit:
+            return name
     return FRAGMENT_SO
 
 

@@ -28,11 +28,10 @@ from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (
     Aggregate, And, Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO, ExistsSO,
     ForallFO, ForallSO, Iff, Implies, Let, NameGen, Not, Or, Rule, RuleSet,
-    SymTerm, classify, FRAGMENT_ESO, FRAGMENT_FO, free_symbols, substitute,
-    term_symbols, unparse,
+    SymTerm, classify, FRAGMENT_FO, free_symbols, map_children, substitute,
 )
-from .truthvalues import F, T, TV, U, PartialSet, exact_set
-from .vocab import DOMAIN, Symbol, Type, arg_value_space, pred, predicate_carrier, so_pred
+from .truthvalues import T, exact_set
+from .vocab import DOMAIN, Symbol, pred, predicate_carrier, so_pred
 
 _BINARY = (And, Or, Implies, Iff)
 
@@ -195,7 +194,7 @@ def apply_library(
             }
         wfm = definitions.well_founded_model(t.ruleset, out, limits, carriers)
         defined = sorted(t.defined, key=lambda s: s.name)
-        if wfm is None or not all(wfm.value(d).is_exact for d in defined):
+        if not all(wfm.value(d).is_exact for d in defined):
             msg = f"template {t.name!r} is not total on this domain"
             if _report is not None:
                 _report.problems.append(msg)
@@ -223,35 +222,16 @@ def _extended_symbol(p: Symbol, opens: tuple) -> Symbol:
 
 def _extend_atoms(e, mapping: dict, opens: tuple):
     """Replace every atom P(t̄) with P ∈ mapping by P'(t̄, ō)."""
-    extra = tuple(SymTerm(o) for o in opens)
     if isinstance(e, (Atom1, Atom2)):
         p2 = mapping.get(e.predicate)
         if p2 is None:
             return e
-        return Atom2(p2, e.args + extra)
-    if isinstance(e, Cmp):
-        return e
-    if isinstance(e, Not):
-        return Not(_extend_atoms(e.body, mapping, opens))
-    if isinstance(e, _BINARY):
-        return type(e)(
-            _extend_atoms(e.left, mapping, opens),
-            _extend_atoms(e.right, mapping, opens),
-        )
-    if isinstance(e, (ForallFO, ExistsFO, ForallSO, ExistsSO)):
-        return type(e)(e.var, _extend_atoms(e.body, mapping, opens))
-    if isinstance(e, Aggregate):
-        return Aggregate(
-            e.agg, e.cmp, e.vars, _extend_atoms(e.body, mapping, opens), e.bound
-        )
-    if isinstance(e, DefinitionExpr):
-        return DefinitionExpr(_extend_ruleset(e.ruleset, mapping, opens))
-    if isinstance(e, Let):
-        return Let(
-            _extend_ruleset(e.ruleset, mapping, opens),
-            _extend_atoms(e.body, mapping, opens),
-        )
-    raise TypeError_(f"not an expression: {e!r}")
+        return Atom2(p2, e.args + tuple(SymTerm(o) for o in opens))
+    # nested rule sets may define mapped symbols too: their heads change
+    return map_children(
+        e, lambda b: _extend_atoms(b, mapping, opens),
+        rules=lambda rs: _extend_ruleset(rs, mapping, opens),
+    )
 
 
 def _extend_ruleset(rs: RuleSet, mapping: dict, opens: tuple) -> RuleSet:
@@ -329,10 +309,6 @@ def is_simple(t: Template) -> bool:
     return classify(rule.body) == FRAGMENT_FO
 
 
-def _template_atoms(e, template_syms: set) -> bool:
-    return any(s in template_syms for s in free_symbols(e))
-
-
 def macro_expand(phi, lib: TemplateLibrary, limits: Limits = DEFAULT_LIMITS):
     """Substitute template atoms by their defining bodies until none remain.
 
@@ -366,26 +342,7 @@ def macro_expand(phi, lib: TemplateLibrary, limits: Limits = DEFAULT_LIMITS):
                     isinstance(arg, SymTerm) and var.type.kind == "pred"
                 ) else arg
             return expand(substitute(rule.body, mapping, gen))
-        if isinstance(e, (Atom1, Atom2, Cmp)):
-            return e
-        if isinstance(e, Not):
-            return Not(expand(e.body))
-        if isinstance(e, _BINARY):
-            return type(e)(expand(e.left), expand(e.right))
-        if isinstance(e, (ForallFO, ExistsFO, ForallSO, ExistsSO)):
-            return type(e)(e.var, expand(e.body))
-        if isinstance(e, Aggregate):
-            return Aggregate(e.agg, e.cmp, e.vars, expand(e.body), e.bound)
-        if isinstance(e, DefinitionExpr):
-            return DefinitionExpr(expand_rs(e.ruleset))
-        if isinstance(e, Let):
-            return Let(expand_rs(e.ruleset), expand(e.body))
-        raise TypeError_(f"not an expression: {e!r}")
-
-    def expand_rs(rs: RuleSet) -> RuleSet:
-        return RuleSet(
-            tuple(Rule(r.head, r.head_vars, expand(r.body)) for r in rs.rules)
-        )
+        return map_children(e, expand)
 
     return expand(phi)
 
@@ -396,24 +353,13 @@ def macro_expand(phi, lib: TemplateLibrary, limits: Limits = DEFAULT_LIMITS):
 
 def _rewrite_connectives(e):
     """Remove => and <=> so negation push-down only sees ~ & |."""
-    if isinstance(e, (Atom1, Atom2, Cmp, DefinitionExpr)):
-        return e
-    if isinstance(e, Not):
-        return Not(_rewrite_connectives(e.body))
     if isinstance(e, Implies):
         return Or(Not(_rewrite_connectives(e.left)), _rewrite_connectives(e.right))
     if isinstance(e, Iff):
         a, b = _rewrite_connectives(e.left), _rewrite_connectives(e.right)
         return Or(And(a, b), And(Not(a), Not(b)))
-    if isinstance(e, (And, Or)):
-        return type(e)(_rewrite_connectives(e.left), _rewrite_connectives(e.right))
-    if isinstance(e, (ForallFO, ExistsFO, ForallSO, ExistsSO)):
-        return type(e)(e.var, _rewrite_connectives(e.body))
-    if isinstance(e, Aggregate):
-        return Aggregate(e.agg, e.cmp, e.vars, _rewrite_connectives(e.body), e.bound)
-    if isinstance(e, Let):
-        return Let(e.ruleset, _rewrite_connectives(e.body))
-    raise TypeError_(f"not an expression: {e!r}")
+    # rule sets stay as written: _nnf and _hoist treat them as atoms
+    return map_children(e, _rewrite_connectives, rules=lambda rs: rs)
 
 
 def _nnf(e, positive: bool = True):
@@ -459,32 +405,7 @@ def _switch_var(e, old: Symbol, new: Symbol, x: Symbol):
             node = Atom2 if new.type.kind == "so-pred" else Atom1
             return node(new, e.args + (SymTerm(x),))
         return e
-    if isinstance(e, Cmp):
-        return e
-    if isinstance(e, Not):
-        return Not(_switch_var(e.body, old, new, x))
-    if isinstance(e, _BINARY):
-        return type(e)(
-            _switch_var(e.left, old, new, x), _switch_var(e.right, old, new, x)
-        )
-    if isinstance(e, (ForallFO, ExistsFO, ForallSO, ExistsSO)):
-        return type(e)(e.var, _switch_var(e.body, old, new, x))
-    if isinstance(e, Aggregate):
-        return Aggregate(e.agg, e.cmp, e.vars, _switch_var(e.body, old, new, x), e.bound)
-    if isinstance(e, DefinitionExpr):
-        return DefinitionExpr(_switch_rs(e.ruleset, old, new, x))
-    if isinstance(e, Let):
-        return Let(_switch_rs(e.ruleset, old, new, x), _switch_var(e.body, old, new, x))
-    raise TypeError_(f"not an expression: {e!r}")
-
-
-def _switch_rs(rs: RuleSet, old: Symbol, new: Symbol, x: Symbol) -> RuleSet:
-    return RuleSet(
-        tuple(
-            Rule(r.head, r.head_vars, _switch_var(r.body, old, new, x))
-            for r in rs.rules
-        )
-    )
+    return map_children(e, lambda b: _switch_var(b, old, new, x))
 
 
 def _hoist(e, gen: NameGen):

@@ -10,7 +10,7 @@ partial inputs by its *ultimate approximation*: the greatest lower bound
 under <=p of F over all exact completions of the input.  The Kleene
 connectives, the three-valued quantifiers and the three-valued aggregate
 tests below all coincide with that construction; tests check this
-against an independent brute-force oracle.
+against an independent brute-force oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import CapExceeded, EvaluationError
 from .limits import DEFAULT_LIMITS, Limits
@@ -128,26 +128,6 @@ def iff(a: TV, b: TV) -> TV:
     return TV.of(a is b)
 
 
-_CONNECTIVES: dict[str, tuple[int, Callable[..., TV]]] = {
-    "~": (1, neg),
-    "&": (2, conj),
-    "|": (2, disj),
-    "=>": (2, implies),
-    "<=>": (2, iff),
-}
-
-
-def kleene_connective(c: str, args: Sequence[TV]) -> TV:
-    """Apply the Kleene table of connective c in {~, &, |, =>, <=>}."""
-    try:
-        arity, fn = _CONNECTIVES[c]
-    except KeyError:
-        raise EvaluationError(f"unknown connective {c!r}") from None
-    if len(args) != arity:
-        raise EvaluationError(f"connective {c!r} expects {arity} args, got {len(args)}")
-    return fn(*args)
-
-
 # ---------------------------------------------------------------------------
 # Partial sets
 
@@ -255,50 +235,6 @@ def exact_set(carrier: Iterable[Hashable], members: Iterable[Hashable]) -> Parti
     return PartialSet.from_map(
         {k: TV.of(k in member_set) for k in carrier}
     )
-
-
-# ---------------------------------------------------------------------------
-# Ultimate approximation of boolean functions
-
-
-@dataclass(frozen=True)
-class BoolFn:
-    """A two-valued function, total on exact inputs.
-
-    `fn` receives either a tuple of exact TVs or an exact PartialSet,
-    matching what gets passed to `ultimate_approx`.
-    """
-
-    name: str
-    fn: Callable[..., TV]
-
-    def __call__(self, x) -> TV:
-        out = self.fn(x)
-        if out is U:
-            raise EvaluationError(f"boolean function {self.name} returned u")
-        return out
-
-
-def ultimate_approx(fn: BoolFn, x, limits: Limits = DEFAULT_LIMITS) -> TV:
-    """glb under <=p of fn over all exact completions of x.
-
-    x is a tuple of TVs or a PartialSet.  Raises CapExceeded when the
-    completion count would exceed 2^limits.max_unknowns.
-    """
-    if isinstance(x, PartialSet):
-        return glb_prec(fn(c) for c in x.completions(limits))
-    unknown = [i for i, v in enumerate(x) if v is U]
-    if len(unknown) > limits.max_unknowns:
-        raise CapExceeded(
-            f"{len(unknown)} unknown positions exceed cap {limits.max_unknowns}"
-        )
-    results = []
-    for choice in itertools.product((T, F), repeat=len(unknown)):
-        args = list(x)
-        for i, v in zip(unknown, choice):
-            args[i] = v
-        results.append(fn(tuple(args)))
-    return glb_prec(results)
 
 
 # ---------------------------------------------------------------------------

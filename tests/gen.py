@@ -11,11 +11,12 @@ import random
 
 from deflog.interpretation import PartialInterpretation
 from deflog.syntax import (
-    And, Atom1, ExistsFO, ForallFO, Iff, Implies, Not, Or, Rule, RuleSet,
+    Aggregate, And, Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO, ExistsSO,
+    ForallFO, ForallSO, Iff, Implies, IntTerm, Let, Not, Or, Rule, RuleSet,
     SymTerm,
 )
 from deflog.truthvalues import F, T, U, PartialSet
-from deflog.vocab import CONST, Symbol, pred
+from deflog.vocab import CONST, Symbol, pred, so_pred
 
 # a small propositional-to-unary vocabulary for randomized suites
 P0 = Symbol("p", pred(0))
@@ -24,6 +25,10 @@ R0 = Symbol("r", pred(0))
 P1 = Symbol("s", pred(1))
 
 PROPS = (P0, Q0, R0)
+
+# a second order predicate over unary relations, and one defined by rules
+SO1 = Symbol("E", so_pred(pred(1)))
+SO_HEAD = Symbol("D", so_pred(pred(1)))
 
 
 def random_formula(rng: random.Random, depth: int, preds=PROPS, domain_vars=()):
@@ -106,3 +111,59 @@ def exact_prop_interpretations(symbols, domain=("a",)):
             domain,
             {s: PartialSet.from_map({(): v}) for s, v in zip(symbols, combo)},
         )
+
+
+TREE_KINDS = (
+    "not", "and", "or", "implies", "iff", "forall", "exists", "forall2",
+    "exists2", "aggregate", "definition", "let",
+)
+
+
+def random_tree(rng: random.Random, depth: int, fo_vars=(), so_vars=()):
+    """A random formula over every node kind: first and second order
+    atoms, comparisons, the connectives, both kinds of quantifier,
+    aggregates, definitions and let-blocks (rules with first or second
+    order heads).  Meant for syntactic walkers, not for evaluation."""
+    if depth == 0:
+        kind = rng.choice(("atom1", "atom2", "cmp"))
+        if kind == "atom1":
+            if fo_vars and rng.random() < 0.5:
+                return Atom1(P1, (SymTerm(rng.choice(fo_vars)),))
+            return Atom1(rng.choice(PROPS), ())
+        if kind == "atom2":
+            rel = rng.choice(so_vars) if so_vars else P1
+            return Atom2(SO1, (SymTerm(rel),))
+        left = SymTerm(rng.choice(fo_vars)) if fo_vars else IntTerm(1)
+        return Cmp(rng.choice("=<>"), left, IntTerm(rng.randint(0, 2)))
+
+    def sub(fo=fo_vars, so=so_vars):
+        return random_tree(rng, depth - 1, fo, so)
+
+    kind = rng.choice(TREE_KINDS)
+    if kind == "not":
+        return Not(sub())
+    if kind in ("and", "or", "implies", "iff"):
+        node = {"and": And, "or": Or, "implies": Implies, "iff": Iff}[kind]
+        return node(sub(), sub())
+    if kind in ("forall", "exists", "aggregate"):
+        var = Symbol(f"x{len(fo_vars)}", CONST)
+        if kind == "aggregate":
+            return Aggregate(
+                rng.choice(("card", "sum")), rng.choice("=<>"), (var,),
+                sub(fo_vars + (var,)), IntTerm(rng.randint(0, 2)),
+            )
+        node = ForallFO if kind == "forall" else ExistsFO
+        return node(var, sub(fo_vars + (var,)))
+    if kind in ("forall2", "exists2"):
+        var = Symbol(f"X{len(so_vars)}", pred(1))
+        node = ForallSO if kind == "forall2" else ExistsSO
+        return node(var, sub(so=so_vars + (var,)))
+    rules = []
+    for _ in range(rng.randint(1, 2)):
+        if rng.random() < 0.2:
+            y = Symbol("Y", pred(1))
+            rules.append(Rule(SO_HEAD, (y,), sub(so=so_vars + (y,))))
+        else:
+            rules.append(Rule(rng.choice(PROPS), (), sub()))
+    rs = RuleSet(tuple(rules))
+    return DefinitionExpr(rs) if kind == "definition" else Let(rs, sub())

@@ -1,0 +1,201 @@
+"""Reference implementations kept only as test oracles.
+
+* The fragment classifier as first written: `desugar` rewrites |, =>,
+  <=> and first order forall into ~, & and exists, then three mutually
+  recursive predicates decide membership of FO(ID*), ESO(ID*) and
+  ASO(ID*).  `deflog.syntax.classify` reads the sugar in one bottom-up
+  pass instead and must agree with `oracle_classify` everywhere.
+* The ultimate approximation of a two-valued function by brute force
+  over completions (`BoolFn`, `ultimate_approx`), and a dispatcher over
+  the Kleene connective tables (`kleene_connective`).
+"""
+
+import itertools
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+from deflog.errors import CapExceeded, EvaluationError
+from deflog.limits import DEFAULT_LIMITS, Limits
+from deflog.syntax import (
+    FRAGMENT_ASO, FRAGMENT_ESO, FRAGMENT_FO, FRAGMENT_SO, Aggregate, And,
+    Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO, ExistsSO, ForallFO,
+    ForallSO, Iff, Implies, Let, Not, Or, Rule, RuleSet,
+)
+from deflog.truthvalues import (
+    F, T, TV, U, PartialSet, conj, disj, glb_prec, iff, implies, neg,
+)
+
+# ---------------------------------------------------------------------------
+# Fragment classification by desugaring
+
+
+def desugar(e):
+    """Rewrite |, =>, <=> and first order forall into ~, & and exists."""
+    if isinstance(e, (Atom1, Atom2, Cmp)):
+        return e
+    if isinstance(e, Not):
+        return Not(desugar(e.body))
+    if isinstance(e, And):
+        return And(desugar(e.left), desugar(e.right))
+    if isinstance(e, Or):
+        return Not(And(Not(desugar(e.left)), Not(desugar(e.right))))
+    if isinstance(e, Implies):
+        return Not(And(desugar(e.left), Not(desugar(e.right))))
+    if isinstance(e, Iff):
+        a, b = desugar(e.left), desugar(e.right)
+        return And(Not(And(a, Not(b))), Not(And(b, Not(a))))
+    if isinstance(e, ForallFO):
+        return Not(ExistsFO(e.var, Not(desugar(e.body))))
+    if isinstance(e, ExistsFO):
+        return ExistsFO(e.var, desugar(e.body))
+    if isinstance(e, (ForallSO, ExistsSO)):
+        return type(e)(e.var, desugar(e.body))
+    if isinstance(e, Aggregate):
+        return Aggregate(e.agg, e.cmp, e.vars, desugar(e.body), e.bound)
+    if isinstance(e, DefinitionExpr):
+        return DefinitionExpr(_desugar_rs(e.ruleset))
+    if isinstance(e, Let):
+        return Let(_desugar_rs(e.ruleset), desugar(e.body))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _desugar_rs(rs: RuleSet) -> RuleSet:
+    return RuleSet(tuple(Rule(r.head, r.head_vars, desugar(r.body)) for r in rs.rules))
+
+
+def _fo_ruleset(rs: RuleSet) -> bool:
+    # rule and let bodies of first order definitions stay in FO(ID*)
+    return all(r.head.type.kind == "pred" and _is_fo(r.body) for r in rs.rules)
+
+
+def _is_fo(e) -> bool:
+    if isinstance(e, (Atom1, Cmp)):
+        return True
+    if isinstance(e, Not):
+        return _is_fo(e.body)
+    if isinstance(e, And):
+        return _is_fo(e.left) and _is_fo(e.right)
+    if isinstance(e, ExistsFO):
+        return _is_fo(e.body)
+    if isinstance(e, Aggregate):
+        return _is_fo(e.body)
+    if isinstance(e, DefinitionExpr):
+        return _fo_ruleset(e.ruleset)
+    if isinstance(e, Let):
+        return _fo_ruleset(e.ruleset) and _is_fo(e.body)
+    return False
+
+
+def _is_eso(e) -> bool:
+    if _is_fo(e):
+        return True
+    if isinstance(e, Atom2):
+        return True
+    if isinstance(e, Not):
+        return _is_aso(e.body)
+    if isinstance(e, And):
+        return _is_eso(e.left) and _is_eso(e.right)
+    if isinstance(e, (ExistsFO, ExistsSO)):
+        return _is_eso(e.body)
+    if isinstance(e, Aggregate):
+        return _is_eso(e.body)
+    if isinstance(e, Let):
+        return _fo_ruleset(e.ruleset) and _is_eso(e.body)
+    return False
+
+
+def _is_aso(e) -> bool:
+    if _is_fo(e):
+        return True
+    if isinstance(e, Atom2):
+        return True
+    if isinstance(e, Not):
+        return _is_eso(e.body)
+    if isinstance(e, And):
+        return _is_aso(e.left) and _is_aso(e.right)
+    if isinstance(e, ExistsFO):
+        return _is_aso(e.body)
+    if isinstance(e, ForallSO):
+        return _is_aso(e.body)
+    if isinstance(e, Aggregate):
+        return _is_aso(e.body)
+    if isinstance(e, Let):
+        return _fo_ruleset(e.ruleset) and _is_aso(e.body)
+    return False
+
+
+def oracle_classify(e) -> str:
+    """The smallest fragment containing e (ESO preferred on ties)."""
+    if isinstance(e, RuleSet):
+        e = DefinitionExpr(e)
+    d = desugar(e)
+    if _is_fo(d):
+        return FRAGMENT_FO
+    if _is_eso(d):
+        return FRAGMENT_ESO
+    if _is_aso(d):
+        return FRAGMENT_ASO
+    return FRAGMENT_SO
+
+
+# ---------------------------------------------------------------------------
+# Ultimate approximation by brute force
+
+_CONNECTIVES: dict[str, tuple[int, Callable[..., TV]]] = {
+    "~": (1, neg),
+    "&": (2, conj),
+    "|": (2, disj),
+    "=>": (2, implies),
+    "<=>": (2, iff),
+}
+
+
+def kleene_connective(c: str, args: Sequence[TV]) -> TV:
+    """Apply the Kleene table of connective c in {~, &, |, =>, <=>}."""
+    try:
+        arity, fn = _CONNECTIVES[c]
+    except KeyError:
+        raise EvaluationError(f"unknown connective {c!r}") from None
+    if len(args) != arity:
+        raise EvaluationError(f"connective {c!r} expects {arity} args, got {len(args)}")
+    return fn(*args)
+
+
+@dataclass(frozen=True)
+class BoolFn:
+    """A two-valued function, total on exact inputs.
+
+    `fn` receives either a tuple of exact TVs or an exact PartialSet,
+    matching what gets passed to `ultimate_approx`.
+    """
+
+    name: str
+    fn: Callable[..., TV]
+
+    def __call__(self, x) -> TV:
+        out = self.fn(x)
+        if out is U:
+            raise EvaluationError(f"boolean function {self.name} returned u")
+        return out
+
+
+def ultimate_approx(fn: BoolFn, x, limits: Limits = DEFAULT_LIMITS) -> TV:
+    """glb under <=p of fn over all exact completions of x.
+
+    x is a tuple of TVs or a PartialSet.  Raises CapExceeded when the
+    completion count would exceed 2^limits.max_unknowns.
+    """
+    if isinstance(x, PartialSet):
+        return glb_prec(fn(c) for c in x.completions(limits))
+    unknown = [i for i, v in enumerate(x) if v is U]
+    if len(unknown) > limits.max_unknowns:
+        raise CapExceeded(
+            f"{len(unknown)} unknown positions exceed cap {limits.max_unknowns}"
+        )
+    results = []
+    for choice in itertools.product((T, F), repeat=len(unknown)):
+        args = list(x)
+        for i, v in zip(unknown, choice):
+            args[i] = v
+        results.append(fn(tuple(args)))
+    return glb_prec(results)

@@ -1,6 +1,8 @@
 """AST utilities: parsing, unparsing, typing, classification, substitution."""
 
+import dataclasses
 import random
+import typing
 
 import pytest
 
@@ -8,12 +10,14 @@ from deflog.errors import ParseError
 from deflog.parser import parse_formula, parse_ruleset, parse_theory
 from deflog.syntax import (
     FRAGMENT_ASO, FRAGMENT_ESO, FRAGMENT_FO, FRAGMENT_SO, Atom1, ExistsFO,
-    ForallFO, NameGen, Not, RuleSet, classify, free_symbols, substitute,
-    typecheck, unparse, unparse_ruleset,
+    Expr, ForallFO, IntTerm, NameGen, Not, Rule, RuleSet, _fragments,
+    classify, free_symbols, map_children, substitute, typecheck, unparse,
+    unparse_ruleset,
 )
 from deflog.vocab import CONST, DOMAIN, Symbol, Vocabulary, pred, so_pred
 
-from gen import random_formula
+from gen import random_formula, random_tree
+from oracles import oracle_classify
 
 p2 = Symbol("p", pred(2))
 r1 = Symbol("r", pred(1))
@@ -166,6 +170,41 @@ class TestClassify:
             parse_ruleset("{q <- ?? X[pred/1]: X(c).}", VOCAB)
         ) == FRAGMENT_SO
 
+    def test_one_pass_classifier_matches_the_desugaring_oracle(self):
+        rng = random.Random(59)
+        seen = set()
+        for _ in range(3000):
+            e = random_tree(rng, rng.randint(0, 4))
+            expected = oracle_classify(e)
+            assert classify(e) == expected, unparse(e)
+            if hasattr(e, "ruleset"):
+                assert classify(e.ruleset) == oracle_classify(e.ruleset)
+            seen.add(expected)
+        assert seen == {FRAGMENT_FO, FRAGMENT_ESO, FRAGMENT_ASO, FRAGMENT_SO}
+
+
+class TestStructure:
+    # one sample value per field annotation of the expression classes
+    SAMPLES = {
+        "Expr": Atom1(q0, ()),
+        "Term": IntTerm(1),
+        "Symbol": cc,
+        "tuple": (),
+        "str": "=",
+        "RuleSet": RuleSet((Rule(q0, (), Atom1(q0, ())),)),
+    }
+
+    def test_every_node_kind_is_known_to_the_primitives(self):
+        # a new node kind fails here until map_children and the
+        # classifier handle it
+        for cls in typing.get_args(Expr):
+            kinds = [f.type.strip("'\"") for f in dataclasses.fields(cls)]
+            e = cls(*(self.SAMPLES[k] for k in kinds))
+            visited = []
+            assert map_children(e, lambda x: visited.append(x) or x) == e
+            assert len(visited) == kinds.count("Expr") + kinds.count("RuleSet")
+            _fragments(e)
+
 
 class TestSubstitution:
     def test_capture_avoiding(self):
@@ -184,6 +223,14 @@ class TestSubstitution:
         s1 = Symbol("s1", pred(1))
         out = substitute(e, {r1: s1})
         assert out.predicate == s1
+
+    def test_let_binder_is_renamed_apart(self):
+        ell, kay, d = Symbol("L", pred(0)), Symbol("K", pred(0)), Symbol("d", CONST)
+        vocab = Vocabulary.of([*VOCAB, ell, kay, d])
+        e = parse_formula("let {L <- r(c).} in L & K & r(c)", vocab)
+        out = substitute(e, {kay: ell, cc: d})
+        # the free L substituted for K must not be captured by the let
+        assert unparse(out) == "let {L_1 <- r(d).} in ((L_1 & L) & r(d))"
 
     def test_ruleset_canonical_order_and_dedup(self):
         a = parse_ruleset("{q <- r(c). q <- q.}", VOCAB)

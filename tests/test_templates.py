@@ -305,6 +305,23 @@ class TestTemplify:
         wrong = context.expand(rch, exact_set([("a",)], []))  # Rch should be {a}
         assert not check_correspondence(d, dt, mapping, wrong, it, self.opens())
 
+    def test_atoms_extend_inside_let_definitions_and_aggregates(self):
+        vocab = Vocabulary.of([
+            *self.VOCAB, Symbol("L", pred(1)), Symbol("K", pred(0)),
+        ])
+        d = parse_ruleset(
+            "{Rch(x) <- B(x) | (let {L(y) <- E(x, y) & Rch(y).} in "
+            "#{z: L(z) & Rch(z)} > 0) | {K <- Rch(x) & x = x.}.}",
+            vocab,
+        )
+        opens = tuple(vocab.get(n) for n in ("B", "E", "K"))
+        dt, _ = templify(d, opens)
+        assert unparse(dt) == (
+            "{Rch'(x, B, E, K) <- ((B(x) | let {L(y) <- (E(x, y) & "
+            "Rch'(y, B, E, K)).} in #{z : (L(z) & Rch'(z, B, E, K))} > 0) | "
+            "{K <- (Rch'(x, B, E, K) & x = x).}).}"
+        )
+
 
 class TestMacroExpansion:
     def test_simple_template_recognition(self):
@@ -334,6 +351,23 @@ class TestMacroExpansion:
             )
             expected = is_equivalence(p_rel, domain) and is_equivalence(q_rel, domain)
             assert (evaluate_exact(out, i) is T) == expected, (p_rel, q_rel)
+
+    def test_expansion_under_let_aggregate_and_definition(self):
+        th = parse_theory(
+            "vocab { isEqRelation: template so-pred(pred/2); P: pred/2; "
+            "Q: pred/2; L: pred/0; K: pred/0; }\n"
+            "template eq { isEqRelation(F) <- (!a: F(a, a)) "
+            "& (!a: !b: F(a, b) => F(b, a)). }\n"
+            "formula f { (let {L <- isEqRelation(P).} in "
+            "L & #{x: isEqRelation(Q) & x = x} > 0) & {K <- isEqRelation(P).} }\n"
+        )
+        out = macro_expand(th.formulas["f"], library(th))
+        assert unparse(out) == (
+            "((let {L <- ((!a: P(a, a)) & !a: !b: (P(a, b) => P(b, a))).} in "
+            "(L & #{x : (((!a: Q(a, a)) & !a: !b: (Q(a, b) => Q(b, a))) "
+            "& x = x)} > 0)) & {K <- ((!a: P(a, a)) & !a: !b: "
+            "(P(a, b) => P(b, a))).})"
+        )
 
     def test_recursive_templates_are_rejected(self):
         th = load("range.theory")
@@ -374,6 +408,44 @@ class TestEliminateSO:
             matrix, _ = eliminate_so(phi)
             sigma = sorted(free_symbols(phi), key=lambda s: s.name)
             assert sigma_equivalent(phi, matrix, sigma, domain), text
+
+    def test_let_and_definition_rule_sets_are_left_as_written(self):
+        vocab = Vocabulary.of([
+            *self.VOCAB, Symbol("L", pred(0)), Symbol("K", pred(0)),
+        ])
+        phi = parse_formula(
+            "let {L <- ?x: R(x) => K.} in L & {K <- L => (?x: R(x)).}", vocab
+        )
+        matrix, skolems = eliminate_so(phi)
+        assert skolems == ()
+        assert matrix == phi
+        phi = parse_formula(
+            "?? S[pred/1]: (!x: S(x) => R(x)) & (let {L <- ?x: R(x) <=> K.} "
+            "in L & {K <- L => (?x: S(x)).})",
+            vocab,
+        )
+        matrix, skolems = eliminate_so(phi)
+        assert [s.name for s in skolems] == ["S"]
+        assert unparse(matrix) == (
+            "((!x: (~S(x) | R(x))) & let {L <- ?x: (R(x) <=> K).} in "
+            "(L & {K <- (L => ?x: S(x)).}))"
+        )
+
+    def test_switching_reaches_let_aggregate_and_definition_bodies(self):
+        vocab = Vocabulary.of([
+            *self.VOCAB, Symbol("L", pred(0)), Symbol("K", pred(0)),
+        ])
+        phi = parse_formula(
+            "!x: ?? S[pred/1]: S(x) & x = x & #{y: S(y) & R(y)} > 0 "
+            "& (let {L <- ?y: S(y) => R(y).} in L) & {K <- S(x).}",
+            vocab,
+        )
+        matrix, skolems = eliminate_so(phi)
+        assert [(s.name, s.type.arity) for s in skolems] == [("S_1", 2)]
+        assert unparse(matrix) == (
+            "!x: ((((S_1(x, x) & x = x) & #{y : (S_1(y, x) & R(y))} > 0) & "
+            "let {L <- ?y: (S_1(y, x) => R(y)).} in L) & {K <- S_1(x, x).})"
+        )
 
     def test_negated_so_quantifier_is_rejected(self):
         with pytest.raises(EvaluationError, match="second order"):

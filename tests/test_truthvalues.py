@@ -11,11 +11,12 @@ import pytest
 from deflog.errors import CapExceeded, EvaluationError
 from deflog.limits import Limits
 from deflog.truthvalues import (
-    F, T, TV, U, BoolFn, PartialSet, approx_aggregate, approx_quantifier,
-    canon_order, conj, disj, exact_set, glb_prec, iff, implies,
-    kleene_connective, leq_prec, leq_truth, max_truth, min_truth, neg,
-    ultimate_approx,
+    F, T, TV, U, PartialSet, approx_aggregate, approx_quantifier,
+    canon_order, conj, disj, exact_set, glb_prec, iff, implies, leq_prec,
+    leq_truth, max_truth, min_truth, neg,
 )
+
+from oracles import BoolFn, kleene_connective, ultimate_approx
 
 THREE = (T, U, F)
 
