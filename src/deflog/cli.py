@@ -20,7 +20,9 @@ from .errors import (
     CapExceeded, DeflogError, EvaluationError, NonTotalDefinitionError,
     ParseError, TypeError_,
 )
-from .evaluator import KLEENE, SUPERVALUATION, evaluate, evaluate_exact
+from .evaluator import (
+    KLEENE, SUPERVALUATION, EvalContext, _kv, _probe_safe, evaluate, evaluate_exact,
+)
 from .interpretation import (
     PartialInterpretation, _fmt_elem, _fmt_key, read_structure,
     write_structure,
@@ -32,7 +34,7 @@ from .templates import (
     Template, TemplateLibrary, apply_library, eliminate_so, macro_expand,
     sigma_equivalent, validate_library,
 )
-from .truthvalues import T
+from .truthvalues import F, T
 
 EXIT_NO_MODEL = 1
 EXIT_INPUT = 2
@@ -309,8 +311,18 @@ def _mx_models(theory: Theory, struct: PartialInterpretation, limits: Limits):
         ),
         key=lambda s: s.name,
     )
+    # a Kleene f refutes a subtree; no probes while constants are unassigned
+    probes = [] if consts else [phi for phi in constraints if _probe_safe(phi)]
+
+    def refuted(j: PartialInterpretation) -> bool:
+        ctx = EvalContext(limits=limits)
+        try:
+            return any(_kv(phi, j, ctx) is F for phi in probes)
+        except EvaluationError:
+            return False  # the leaves report it, in constraint order
+
     preds = struct.predicate_symbols()
-    for base in struct.completions(preds, limits):
+    for base in struct.completions(preds, limits, refuted if probes else None):
         stack = [base]
         for c in consts:
             stack = [j.expand(c, d) for j in stack for d in base.domain]

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import CapExceeded, EvaluationError
-from .evaluator import EvalContext, _kv, _relation_to_set
+from .evaluator import EvalContext, _kv, _probe_safe, _relation_cached
 from .interpretation import PartialInterpretation
 from .limits import DEFAULT_LIMITS, Limits
 from .syntax import RuleSet
-from .truthvalues import F, T, TV, U, canon_order, glb_prec, max_truth
+from .truthvalues import F, T, TV, U, canon_order, glb_prec, max_truth, neg
 from .vocab import DomainAtom, Symbol, predicate_carrier
 
 
@@ -51,7 +51,7 @@ def _bind_head(rule, key: tuple, i: PartialInterpretation) -> PartialInterpretat
     j = i
     for var, val in zip(rule.head_vars, key):
         if isinstance(val, frozenset):
-            val = _relation_to_set(val, var, i.domain)
+            val = _relation_cached(val, var.type.arity, i.domain)
         j = j._expand(var, val)
     return j
 
@@ -295,8 +295,23 @@ def stable_models(
         raise CapExceeded(
             f"{len(atoms)} defined atoms exceed cap {limits.max_defined_atoms}"
         )
+
+    def unsupported(j: PartialInterpretation) -> bool:
+        # an assigned atom whose Kleene supported value is already exact
+        # and different stays unsupported in every candidate below j
+        probe = EvalContext(limits=limits)
+        try:
+            return any(
+                j.atom_value(a) is not U
+                and _supported_value(d, a, j, probe) is neg(j.atom_value(a))
+                for a in atoms
+            )
+        except EvaluationError:
+            return False  # the candidates report it, in atom order
+
+    safe = all(_probe_safe(r.body) for r in d.rules)
     out = []
-    for cand in i0.refinements(atoms):
+    for cand in i0.refinements(atoms, cut=unsupported if safe else None):
         if any(
             cand.atom_value(a) is not _supported_value(d, a, cand, ctx)
             for a in atoms

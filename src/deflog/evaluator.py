@@ -6,8 +6,9 @@ Two modes:
   connective tables, Min/Max quantifiers, three-valued aggregate tests,
   and the three-valued well-founded assignment for definition nodes;
 * supervaluation: the ultimate approximation of the induced two-valued
-  assignment, computed as a glb over all exact completions of the free
-  predicate symbols.
+  assignment, a glb over all exact completions of the free predicate
+  symbols, searched depth first and cut below each node where the
+  Kleene value of a probe-safe formula is already exact.
 
 Both satisfy locality, exactness on exact interpretations, and
 precision monotonicity; supervaluation is at least as precise as
@@ -49,29 +50,19 @@ class EvalContext:
 _BINOPS = {And: conj, Or: disj, Implies: implies, Iff: iff}
 
 
-def _term_value(t, i: PartialInterpretation):
-    """Ground value of a term, or None when outside the domain."""
-    if isinstance(t, IntTerm):
-        return t.value if t.value in i.domain else None
+def _term_value(t, i: PartialInterpretation, raw: bool = False):
+    """Ground value of a term, or None when outside the domain; `raw`
+    keeps out-of-domain integers (for comparisons and bounds)."""
     if isinstance(t, SymTerm):
         return i.value(t.symbol)
-    left, right = _term_value(t.left, i), _term_value(t.right, i)
-    if isinstance(left, int) and isinstance(right, int):
-        total = left + right
-        return total if total in i.domain else None
-    return None
-
-
-def _raw_term_value(t, i: PartialInterpretation):
-    """Like _term_value but keeps out-of-domain integers (for comparisons)."""
     if isinstance(t, IntTerm):
-        return t.value
-    if isinstance(t, SymTerm):
-        return i.value(t.symbol)
-    left, right = _raw_term_value(t.left, i), _raw_term_value(t.right, i)
-    if isinstance(left, int) and isinstance(right, int):
-        return left + right
-    return None
+        v = t.value
+    else:
+        left, right = _term_value(t.left, i, raw), _term_value(t.right, i, raw)
+        if not (isinstance(left, int) and isinstance(right, int)):
+            return None
+        v = left + right
+    return v if raw or v in i.domain else None
 
 
 def _lookup(sym: Symbol, key: tuple, i: PartialInterpretation, ctx: EvalContext) -> TV:
@@ -102,10 +93,6 @@ def _relation_cached(rel: frozenset, arity: int, domain: tuple) -> PartialSet:
     return PartialSet.from_map({k: TV.of(k in rel) for k in carrier})
 
 
-def _relation_to_set(rel: frozenset, var: Symbol, domain: tuple) -> PartialSet:
-    return _relation_cached(rel, var.type.arity, domain)
-
-
 def _kv(e, i: PartialInterpretation, ctx: EvalContext) -> TV:
     if isinstance(e, Atom1):
         args = tuple(_term_value(a, i) for a in e.args)
@@ -133,8 +120,8 @@ def _kv(e, i: PartialInterpretation, ctx: EvalContext) -> TV:
         ]
         return glb_prec(results)
     if isinstance(e, Cmp):
-        left = _raw_term_value(e.left, i)
-        right = _raw_term_value(e.right, i)
+        left = _term_value(e.left, i, raw=True)
+        right = _term_value(e.right, i, raw=True)
         if left is None or right is None:
             return F
         if e.op == "=":
@@ -157,7 +144,7 @@ def _kv(e, i: PartialInterpretation, ctx: EvalContext) -> TV:
     if isinstance(e, (ForallSO, ExistsSO)):
         rels = arg_value_space(e.var.type, i.domain, ctx.limits)
         vals = [
-            _kv(e.body, i._expand(e.var, _relation_to_set(r, e.var, i.domain)), ctx)
+            _kv(e.body, i._expand(e.var, _relation_cached(r, e.var.type.arity, i.domain)), ctx)
             for r in rels
         ]
         return min_truth(vals, empty=T) if isinstance(e, ForallSO) else max_truth(vals, empty=F)
@@ -168,7 +155,7 @@ def _kv(e, i: PartialInterpretation, ctx: EvalContext) -> TV:
             for v, d in zip(e.vars, tup):
                 j = j._expand(v, d)
             entries[tup] = _kv(e.body, j, ctx)
-        bound = _raw_term_value(e.bound, i)
+        bound = _term_value(e.bound, i, raw=True)
         if not isinstance(bound, int):
             raise EvaluationError("aggregate bound must be an integer")
         return approx_aggregate(e.agg, e.cmp, PartialSet.from_map(entries), bound, ctx.limits)
@@ -205,6 +192,24 @@ def _let_value(e: Let, i: PartialInterpretation, ctx: EvalContext) -> TV:
     )
 
 
+def _probe_safe(e) -> bool:
+    """Whether searches may Kleene-evaluate e at inner nodes: only atoms,
+    comparisons, connectives, FO quantifiers and card aggregates, as the
+    other nodes enumerate (and cap) completions or value spaces."""
+    t = type(e)
+    if t is Atom1 or t is Cmp:
+        return True
+    if t is Not or t is ForallFO or t is ExistsFO:
+        return _probe_safe(e.body)
+    if t in _BINOPS:
+        return _probe_safe(e.left) and _probe_safe(e.right)
+    if t is Aggregate:
+        return e.agg == "card" and _probe_safe(e.body)
+    if t in (Atom2, ForallSO, ExistsSO, DefinitionExpr, Let):
+        return False
+    raise EvaluationError(f"not an expression: {e!r}")
+
+
 def evaluate(
     e,
     i: PartialInterpretation,
@@ -221,9 +226,23 @@ def evaluate(
     if mode != SUPERVALUATION:
         raise EvaluationError(f"unknown evaluation mode {mode!r}")
     preds = [s for s in free_symbols(e) if s.type.is_predicate]
-    return glb_prec(
-        _kv(e, j, ctx) for j in i.completions(preds, ctx.limits)
-    )
+    seen: set = set()  # values of the subtrees decided so far
+
+    def decided(j: PartialInterpretation) -> bool:
+        # an exact Kleene value at j is the value of every completion
+        # below it; after a disagreement the answer is u and all is cut
+        if len(seen) > 1:
+            return True
+        v = _kv(e, j, EvalContext(limits=ctx.limits))
+        if v is not U:
+            seen.add(v)
+        return v is not U
+
+    for j in i.completions(preds, ctx.limits, decided if _probe_safe(e) else None):
+        seen.add(_kv(e, j, ctx))
+        if len(seen) > 1:
+            return U
+    return seen.pop() if len(seen) == 1 else U
 
 
 def evaluate_exact(e, i: PartialInterpretation, limits: Limits = DEFAULT_LIMITS) -> TV:

@@ -9,7 +9,6 @@ pure and return new interpretations.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -177,17 +176,6 @@ class PartialInterpretation:
 
     # -- atoms -------------------------------------------------------------
 
-    def atoms_with_value(
-        self, preds: Iterable[Symbol], v: TV
-    ) -> set[DomainAtom]:
-        out = set()
-        for p in preds:
-            if not p.type.is_predicate:
-                continue
-            for key in self.value(p).keys_with(v):
-                out.add(DomainAtom(p, key))
-        return out
-
     def u_atoms(self, preds: Iterable[Symbol]) -> list[DomainAtom]:
         out = []
         for p in sorted(set(preds), key=lambda s: s.name):
@@ -198,32 +186,39 @@ class PartialInterpretation:
         return out
 
     def completions(
-        self, over: Iterable[Symbol], limits: Limits = DEFAULT_LIMITS
+        self, over: Iterable[Symbol], limits: Limits = DEFAULT_LIMITS, cut=None
     ) -> Iterator["PartialInterpretation"]:
         """All interpretations exact on `over`, refining this one, identical
-        elsewhere; 2^u of them for u unknown atoms over those symbols."""
+        elsewhere: 2^u for u unknown atoms over those symbols, less any `cut` drops."""
         unknown = self.u_atoms(over)
         if len(unknown) > limits.max_unknowns:
             raise CapExceeded(
                 f"{len(unknown)} unknown atoms exceed cap {limits.max_unknowns}"
             )
-        yield from self.refinements(unknown)
+        yield from self.refinements(unknown, cut=cut)
 
     def refinements(
-        self, atoms: list[DomainAtom], values: tuple = (T, F)
+        self, atoms: list[DomainAtom], values: tuple = (T, F), cut=None
     ) -> Iterator["PartialInterpretation"]:
         """This interpretation with each atom revised to one of `values`,
-        every combination in itertools.product order; u leaves an atom
-        as it is.  Callers check their own caps first."""
-        for choice in itertools.product(values, repeat=len(atoms)):
-            by_pred: dict[Symbol, dict] = {}
-            for atom, v in zip(atoms, choice):
-                if v is not U:
-                    by_pred.setdefault(atom.predicate, {})[atom.args] = v
-            valuation = dict(self.assignments)
-            for sym, updates in by_pred.items():
-                valuation[sym] = valuation[sym].with_values(updates)
-            yield PartialInterpretation._unchecked(self.domain, valuation)
+        every combination in itertools.product order (first atom outermost);
+        u leaves an atom as it is.  Depth first: `cut` sees the refinement
+        of each prefix of `atoms`, the empty one included, and a true
+        answer drops every combination below it.  Callers check caps first."""
+        yield from self._refine(atoms, 0, values, cut)
+
+    def _refine(self, atoms, depth: int, values: tuple, cut):
+        if cut is not None and cut(self):
+            return
+        if depth == len(atoms):
+            yield self
+            return
+        sym, key = atoms[depth].predicate, atoms[depth].args
+        for v in values:
+            j = self if v is U else self._expand(
+                sym, self._by_symbol[sym].with_values({key: v})
+            )
+            yield from j._refine(atoms, depth + 1, values, cut)
 
 
 # ---------------------------------------------------------------------------

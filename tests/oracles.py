@@ -8,6 +8,10 @@
 * The ultimate approximation of a two-valued function by brute force
   over completions (`BoolFn`, `ultimate_approx`), and a dispatcher over
   the Kleene connective tables (`kleene_connective`).
+* A classical two-valued evaluator for the generator fragment
+  (`classical_eval`) and the supervaluation as a plain loop over every
+  completion (`super_oracle`), sharing nothing with the pruned
+  depth-first search of `PartialInterpretation.refinements`.
 """
 
 import itertools
@@ -19,7 +23,7 @@ from deflog.limits import DEFAULT_LIMITS, Limits
 from deflog.syntax import (
     FRAGMENT_ASO, FRAGMENT_ESO, FRAGMENT_FO, FRAGMENT_SO, Aggregate, And,
     Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO, ExistsSO, ForallFO,
-    ForallSO, Iff, Implies, Let, Not, Or, Rule, RuleSet,
+    ForallSO, Iff, Implies, Let, Not, Or, Rule, RuleSet, free_symbols,
 )
 from deflog.truthvalues import (
     F, T, TV, U, PartialSet, conj, disj, glb_prec, iff, implies, neg,
@@ -199,3 +203,57 @@ def ultimate_approx(fn: BoolFn, x, limits: Limits = DEFAULT_LIMITS) -> TV:
             args[i] = v
         results.append(fn(tuple(args)))
     return glb_prec(results)
+
+
+# ---------------------------------------------------------------------------
+# Classical evaluation and the supervaluation by brute force
+
+
+def classical_eval(e, i) -> bool:
+    """Independent two-valued evaluator for the generator fragment."""
+    if isinstance(e, Atom1):
+        key = tuple(i.value(a.symbol) for a in e.args)
+        return i.value(e.predicate).value(key) is T
+    if isinstance(e, Not):
+        return not classical_eval(e.body, i)
+    if isinstance(e, And):
+        return classical_eval(e.left, i) and classical_eval(e.right, i)
+    if isinstance(e, Or):
+        return classical_eval(e.left, i) or classical_eval(e.right, i)
+    if isinstance(e, Implies):
+        return not classical_eval(e.left, i) or classical_eval(e.right, i)
+    if isinstance(e, Iff):
+        return classical_eval(e.left, i) == classical_eval(e.right, i)
+    if isinstance(e, (ForallFO, ExistsFO)):
+        results = (classical_eval(e.body, i._expand(e.var, d)) for d in i.domain)
+        return all(results) if isinstance(e, ForallFO) else any(results)
+    raise AssertionError(f"oracle cannot handle {e!r}")
+
+
+def exact_completions(i, preds):
+    """Every interpretation exact on `preds` that refines i, by one flat
+    itertools.product loop over the unknown atoms (first atom outermost,
+    t before f)."""
+    unknown = [
+        (p, key)
+        for p in sorted(set(preds), key=lambda s: s.name)
+        for key, v in i.value(p).items()
+        if v is U
+    ]
+    for choice in itertools.product((T, F), repeat=len(unknown)):
+        j = i
+        for (p, key), v in zip(unknown, choice):
+            j = j._expand(p, j.value(p).with_values({key: v}))
+        yield j
+
+
+def super_oracle(e, i, holds=classical_eval) -> TV:
+    """glb under <=p of e's classical value over all completions of its
+    free predicate symbols; `holds(e, j)` decides e at an exact j."""
+    preds = [s for s in free_symbols(e) if s.type.is_predicate]
+    results = {holds(e, j) for j in exact_completions(i, preds)}
+    if results == {True}:
+        return T
+    if results == {False}:
+        return F
+    return U

@@ -18,11 +18,11 @@ from deflog.cli import main as cli_main
 from deflog.definitions import partial_stable_models, stable_models, well_founded_model
 from deflog.evaluator import KLEENE, SUPERVALUATION, evaluate, evaluate_exact
 from deflog.interpretation import PartialInterpretation, read_structure
-from deflog.parser import parse_formula, parse_ruleset, parse_theory
+from deflog.parser import parse_formula, parse_ruleset
 from deflog.syntax import And, Atom1, Not, Or, Rule, RuleSet, free_symbols, unparse
 from deflog.templates import (
-    Template, TemplateLibrary, apply_library, check_correspondence,
-    eliminate_so, macro_expand, sigma_equivalent, templify,
+    apply_library, check_correspondence, eliminate_so, macro_expand,
+    sigma_equivalent, templify,
 )
 from deflog.truthvalues import (
     F, T, TV, U, PartialSet, approx_aggregate, approx_quantifier, conj, disj,
@@ -30,11 +30,11 @@ from deflog.truthvalues import (
 )
 from deflog.vocab import Symbol, Vocabulary, pred
 
-from conftest import DATA, GOLDEN
+from conftest import GOLDEN
 from gen import PROPS, random_formula, random_interpretation, random_ruleset
+from oracles import classical_eval, super_oracle
 from test_cli import CASES as CLI_CASES
 from test_definitions import as_interpretation, gamma, oracle_wfm
-from test_evaluator import classical_eval, super_oracle
 from test_templates import (
     backward_induction, exact_relations, is_equivalence, library, load, warshall,
 )

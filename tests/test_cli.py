@@ -4,15 +4,27 @@ exit codes for every verb.
 Regenerate the golden files with DEFLOG_UPDATE_GOLDEN=1 after an
 intentional output change."""
 
+import itertools
 import json
 import os
+import random
 
 import pytest
 from click.testing import CliRunner
 
-from deflog.cli import main
+from deflog.cli import _mx_models, main
+from deflog.errors import CapExceeded
+from deflog.evaluator import KLEENE, evaluate, evaluate_exact
+from deflog.interpretation import read_structure
+from deflog.limits import DEFAULT_LIMITS, Limits
+from deflog.parser import Theory, parse_formula, parse_theory
+from deflog.syntax import Atom1, DefinitionExpr, Or, SymTerm
+from deflog.truthvalues import T
+from deflog.vocab import CONST, Symbol, Vocabulary, pred
 
 from conftest import DATA, GOLDEN
+from gen import P0, P1, PROPS, random_formula, random_interpretation, random_ruleset
+from oracles import exact_completions
 
 UPDATE = os.environ.get("DEFLOG_UPDATE_GOLDEN") == "1"
 
@@ -162,3 +174,91 @@ class TestPresentation:
             main, ["eval", d("props.theory"), d("props_unknown.struct")]
         )
         assert "\x1b[" not in r.output
+
+
+def test_supervaluation_cap_exhaustion(tmp_path):
+    theory = tmp_path / "t.theory"
+    theory.write_text(
+        "vocab { p: pred/0; q: pred/0; r: pred/0; s: pred/0; }\n"
+        "formula f { p | q | r | s }\n"
+    )
+    struct = tmp_path / "s.struct"
+    # s is true: the Kleene value is t before any atom is completed
+    struct.write_text("domain = {a}\ns = {(): t}\n")
+    argv = ["eval", "-m", "super", str(theory), str(struct)]
+    assert CliRunner().invoke(main, argv).output == "f: t\n"
+    r = CliRunner().invoke(main, [*argv[:3], "--max-completions", "2", *argv[3:]])
+    assert r.exit_code == 3
+    assert r.stderr == "error: 3 unknown atoms exceed cap 2\n"
+
+
+class TestModelExpansionSearch:
+    """mx prunes where a constraint is f under Kleene; the oracle filters
+    every completion (and every constant choice) in a flat loop."""
+
+    C = Symbol("c", CONST)
+    T1 = Symbol("t", pred(1))
+
+    def oracle(self, theory, struct):
+        constraints = [phi for _, phi in sorted(theory.formulas.items())]
+        constraints += [DefinitionExpr(rs) for _, rs in sorted(theory.definitions.items())]
+        consts = [s for s in [self.C] if s in theory.vocabulary and not struct.interprets(s)]
+        out = []
+        for base in exact_completions(struct, struct.predicate_symbols()):
+            for elems in itertools.product(struct.domain, repeat=len(consts)):
+                j = base
+                for c, e in zip(consts, elems):
+                    j = j.expand(c, e)
+                if all(evaluate_exact(phi, j) is T for phi in constraints):
+                    out.append(j)
+        return out
+
+    def theory(self, rng, with_const: bool, with_definition: bool):
+        symbols = [*PROPS, P1] + ([self.C] if with_const else [])
+        formulas = {
+            f"f{n}": random_formula(rng, rng.randint(1, 3))
+            for n in range(rng.randint(1, 3))
+        }
+        if with_const:
+            formulas["fc"] = Or(Atom1(P1, (SymTerm(self.C),)), random_formula(rng, 1))
+        definitions = {"d": random_ruleset(rng)} if with_definition else {}
+        return Theory(Vocabulary.of(symbols), formulas, definitions)
+
+    @pytest.mark.parametrize("with_const", [False, True])
+    @pytest.mark.parametrize("with_definition", [False, True])
+    def test_pruned_models_equal_the_flat_filter(self, with_const, with_definition):
+        rng = random.Random(83 + 2 * with_const + with_definition)
+        total = 0
+        for _ in range(60):
+            theory = self.theory(rng, with_const, with_definition)
+            struct = random_interpretation(rng, domain=("a", "b"))
+            got = list(_mx_models(theory, struct, DEFAULT_LIMITS))
+            assert got == self.oracle(theory, struct)
+            total += len(got)
+        assert total > 0
+
+    def test_probe_errors_are_left_to_the_leaves(self):
+        # no completion satisfies a, so no leaf evaluates b, whose bound
+        # is not an integer; a probe must not report b's error either
+        theory = parse_theory(
+            "vocab { p: pred/0; s: pred/1; k: const; }\n"
+            "formula a { p & ~p }\nformula b { #{x: s(x)} > k }\n"
+        )
+        struct = read_structure("domain = {x1}\nk = x1\n", theory.vocabulary)
+        assert list(_mx_models(theory, struct, DEFAULT_LIMITS)) == []
+
+    def test_sum_constraint_is_only_checked_at_the_leaves(self):
+        # 6 unknown atoms but 9 unknown aggregate entries: a Kleene probe
+        # would exceed cap 8, the leaves do not
+        vocab = Vocabulary.of([P0, P1, self.T1])
+        theory = Theory(vocab, {
+            "big": parse_formula("sum{x, y: s(x) & t(y)} > 8", vocab),
+            "no_p": parse_formula("~p", vocab),
+        })
+        struct = read_structure("domain = {1..3}\np = {(): f}\n", vocab)
+        limits = Limits(max_unknowns=8)
+        with pytest.raises(CapExceeded):
+            evaluate(theory.formulas["big"], struct, KLEENE, limits)
+        got = list(_mx_models(theory, struct, limits))
+        assert got == self.oracle(theory, struct)
+        assert len(got) == 11

@@ -22,7 +22,7 @@ from deflog.limits import Limits
 from deflog.parser import parse_ruleset
 from deflog.syntax import And, Atom1, Not, Or
 from deflog.truthvalues import F, T, U, PartialSet
-from deflog.vocab import DomainAtom, Symbol, Vocabulary, pred
+from deflog.vocab import CONST, DomainAtom, Symbol, Vocabulary, pred
 
 from gen import PROPS, random_ruleset
 
@@ -185,6 +185,20 @@ class TestAgainstStableOperatorOracle:
             assert fix == expected, f"{d}"
             assert enum == expected, f"{d}"
 
+    def test_stable_models_match_in_candidate_order(self):
+        # the supportedness cut drops candidate subtrees; what is left
+        # must be the oracle's exact models, t before f per atom
+        rng = random.Random(41)
+        o = PartialInterpretation.empty(DOMAIN)
+        for _ in range(self.N):
+            d = random_ruleset(rng, max_rules=6)
+            atoms = sorted(d.defined_symbols, key=lambda s: s.name)
+            expected = sorted(
+                (as_interpretation(d, i, j) for i, j in oracle_partial_stable(d) if i == j),
+                key=lambda m: [m.value(a).value(()) is F for a in atoms],
+            )
+            assert stable_models(d, o) == expected, f"{d}"
+
     def test_exact_wfm_is_the_unique_stable_model(self):
         rng = random.Random(31)
         o = PartialInterpretation.empty(DOMAIN)
@@ -196,6 +210,20 @@ class TestAgainstStableOperatorOracle:
                 assert models == [wfm], f"{d}"
             else:
                 assert wfm not in models
+
+
+class TestSupportednessCut:
+    def test_cut_leaves_body_errors_to_the_candidates(self):
+        # a is unsupported in every candidate, so no candidate evaluates
+        # b's body (its bound is not an integer); with a = f and c still
+        # open, a's supported value is u and the cut reaches b's body
+        s, k = Symbol("s", pred(1)), Symbol("k", CONST)
+        vocab = Vocabulary.of([s, k] + [Symbol(n, pred(0)) for n in "abc"])
+        d = parse_ruleset("{a <- (c | ~c) & ~a. b <- #{x: s(x)} > k. c <- c.}", vocab)
+        o = PartialInterpretation.make(
+            ("x1",), {s: PartialSet.from_map({("x1",): T}), k: "x1"}
+        )
+        assert stable_models(d, o) == []
 
 
 class TestMonotoneRuleSets:

@@ -1,58 +1,33 @@
 """Three-valued evaluation: Kleene mode, supervaluation mode, and the
 truth-assignment axioms (locality, exactness, precision monotonicity).
 
-Oracles: a tiny independent classical evaluator for the generator
-fragment; the supervaluation oracle is its glb over completions."""
+Oracles (in oracles.py): a tiny independent classical evaluator for the
+generator fragment; the supervaluation oracle is its glb over completions."""
 
-import itertools
 import random
 
 import pytest
 
-from deflog.errors import EvaluationError, NonTotalDefinitionError
-from deflog.evaluator import KLEENE, SUPERVALUATION, evaluate, evaluate_exact
-from deflog.interpretation import PartialInterpretation, read_structure
-from deflog.parser import parse_formula, parse_theory
-from deflog.syntax import (
-    And, Atom1, ExistsFO, ForallFO, Iff, Implies, Not, Or, free_symbols,
+from deflog.errors import (
+    CapExceeded, DeflogError, EvaluationError, NonTotalDefinitionError,
 )
-from deflog.truthvalues import F, T, U, PartialSet, glb_prec, leq_prec
-from deflog.vocab import Vocabulary
+from deflog.evaluator import (
+    KLEENE, SUPERVALUATION, _probe_safe, evaluate, evaluate_exact,
+)
+from deflog.interpretation import PartialInterpretation, read_structure
+from deflog.limits import Limits
+from deflog.parser import parse_formula, parse_theory
+from deflog.syntax import Aggregate, free_symbols, map_children, unparse
+from deflog.truthvalues import F, T, U, PartialSet, leq_prec
+from deflog.vocab import Symbol, Vocabulary, pred, predicate_carrier
 
-from gen import P0, P1, Q0, random_formula, random_interpretation
+from gen import (
+    P0, P1, PROPS, Q0, SO1, SO_HEAD, random_formula, random_interpretation,
+    random_tree,
+)
+from oracles import classical_eval, super_oracle
 
 SAMPLES = 500
-
-
-def classical_eval(e, i) -> bool:
-    """Independent two-valued evaluator for the generator fragment."""
-    if isinstance(e, Atom1):
-        key = tuple(i.value(a.symbol) for a in e.args)
-        return i.value(e.predicate).value(key) is T
-    if isinstance(e, Not):
-        return not classical_eval(e.body, i)
-    if isinstance(e, And):
-        return classical_eval(e.left, i) and classical_eval(e.right, i)
-    if isinstance(e, Or):
-        return classical_eval(e.left, i) or classical_eval(e.right, i)
-    if isinstance(e, Implies):
-        return not classical_eval(e.left, i) or classical_eval(e.right, i)
-    if isinstance(e, Iff):
-        return classical_eval(e.left, i) == classical_eval(e.right, i)
-    if isinstance(e, (ForallFO, ExistsFO)):
-        results = (classical_eval(e.body, i._expand(e.var, d)) for d in i.domain)
-        return all(results) if isinstance(e, ForallFO) else any(results)
-    raise AssertionError(f"oracle cannot handle {e!r}")
-
-
-def super_oracle(e, i):
-    preds = [s for s in free_symbols(e) if s.type.is_predicate]
-    results = {classical_eval(e, j) for j in i.completions(preds)}
-    if results == {True}:
-        return T
-    if results == {False}:
-        return F
-    return U
 
 
 def parse(text, names="p q s"):
@@ -214,3 +189,89 @@ class TestSecondOrderAtoms:
         partial = exact.expand(s, PartialSet.from_map({("a",): U}))
         # s may complete to {} (E false) or {a} (E true): unknown
         assert evaluate(th.formulas["f"], partial) is U
+
+
+def random_partial(rng, symbols, domain, p_unknown=0.3):
+    """A partial interpretation of first and second order predicates,
+    each atom unknown with probability p_unknown."""
+    valuation = {}
+    for sym in symbols:
+        valuation[sym] = PartialSet.from_map({
+            key: U if rng.random() < p_unknown else rng.choice((T, F))
+            for key in predicate_carrier(sym.type, domain)
+        })
+    return PartialInterpretation.make(domain, valuation)
+
+
+def exact_holds(e, j) -> bool:
+    return evaluate_exact(e, j) is T
+
+
+def node_kinds(e) -> set:
+    """Class names of the nodes of e (aggregates by their function),
+    rule bodies included."""
+    kinds = {e.agg if type(e) is Aggregate else type(e).__name__}
+    children = []
+    map_children(e, lambda x: children.append(x) or x)
+    for c in children:
+        kinds |= node_kinds(c)
+    return kinds
+
+
+class TestPrunedSupervaluation:
+    """The supervaluation searches depth first and stops below any node
+    where a probe-safe formula's Kleene value is exact; the oracle is a
+    flat loop over every completion."""
+
+    def test_every_node_kind_matches_the_flat_oracle(self):
+        rng = random.Random(71)
+        symbols = (*PROPS, P1, SO1, SO_HEAD)
+        kinds, values, probed = set(), set(), set()
+        for _ in range(400):
+            e = random_tree(rng, rng.randint(0, 3))
+            i = random_partial(rng, symbols, (1,))
+            try:
+                want = super_oracle(e, i, exact_holds)
+            except DeflogError:
+                continue  # e.g. a let-bound definition with no exact model
+            assert evaluate(e, i, SUPERVALUATION) is want, unparse(e)
+            kinds |= node_kinds(e)
+            values.add(want)
+            probed.add(_probe_safe(e))
+        assert values == {T, U, F}
+        assert probed == {True, False}
+        assert {"Atom2", "ForallSO", "ExistsSO", "sum", "DefinitionExpr", "Let"} <= kinds
+
+    def test_cap_is_checked_before_the_search(self):
+        vocab = Vocabulary.of([*PROPS, P1])
+        i = read_structure("domain = {a}\ns = {(a): t}\n", vocab)
+        # s(a) is true: the Kleene value at the root is already t
+        e = parse_formula("p | q | r | ?x: s(x)", vocab)
+        assert evaluate(e, i, SUPERVALUATION) is T
+        with pytest.raises(CapExceeded, match="^3 unknown atoms exceed cap 2$"):
+            evaluate(e, i, SUPERVALUATION, Limits(max_unknowns=2))
+
+    def test_sum_aggregate_is_only_evaluated_at_the_leaves(self):
+        # 6 unknown atoms, but 9 unknown entries in the aggregate set:
+        # the Kleene value raises at cap 8 where every completion is fine
+        t1 = Symbol("t", pred(1))
+        vocab = Vocabulary.of([P0, P1, t1])
+        i = read_structure("domain = {1..3}\np = {(): u}\n", vocab)
+        i = i.revise(i.u_atoms([P0]), T)
+        e = parse_formula("p & (sum{x, y: s(x) & t(y)} > 3)", vocab)
+        limits = Limits(max_unknowns=8)
+        with pytest.raises(CapExceeded):
+            evaluate(e, i, KLEENE, limits)
+        want = super_oracle(e, i, exact_holds)
+        assert want is U
+        assert evaluate(e, i, SUPERVALUATION, limits) is want
+
+    def test_definition_is_only_evaluated_at_the_leaves(self):
+        vocab = Vocabulary.of([P0, P1])
+        i = read_structure("domain = {1..3}\n", vocab)
+        e = parse_formula("{p <- ?x: s(x).} | ~{p <- ?x: s(x).}", vocab)
+        assert evaluate(e, i, KLEENE) is U
+        want = super_oracle(e, i, exact_holds)
+        assert want is T
+        assert evaluate(e, i, SUPERVALUATION, Limits(max_unknowns=4)) is want
+

@@ -98,6 +98,22 @@ class TestAlgebra:
                 .completions([P], Limits(max_unknowns=4))
             )
 
+    def test_refinements_search_depth_first_and_cut_subtrees(self):
+        i = PartialInterpretation.empty(("a", "b", "c")).expand_unknown([P])
+        atoms = i.u_atoms([P])
+        seen = []
+
+        def cut(j):
+            seen.append(j.value(P).values)
+            return j.value(P).values[:2] == (T, T)  # drop a and b both true
+
+        got = [j.value(P).values for j in i.refinements(atoms, (T, U, F), cut)]
+        product = [j.value(P).values for j in i.refinements(atoms, (T, U, F))]
+        assert got == [v for v in product if v[:2] != (T, T)]
+        # the root, the prefixes and the leaves, but nothing below a cut
+        assert len(seen) == 1 + 3 + 9 + 27 - 3
+        assert seen[0] == (U, U, U)
+
 
 STRUCT_TEXT = """\
 // comment lines are ignored

@@ -7,14 +7,14 @@ import typing
 import pytest
 
 from deflog.errors import ParseError
+from deflog.evaluator import _probe_safe
 from deflog.parser import parse_formula, parse_ruleset, parse_theory
 from deflog.syntax import (
-    FRAGMENT_ASO, FRAGMENT_ESO, FRAGMENT_FO, FRAGMENT_SO, Atom1, ExistsFO,
-    Expr, ForallFO, IntTerm, NameGen, Not, Rule, RuleSet, _fragments,
-    classify, free_symbols, map_children, substitute, typecheck, unparse,
-    unparse_ruleset,
+    FRAGMENT_ASO, FRAGMENT_ESO, FRAGMENT_FO, FRAGMENT_SO, Atom1, Expr,
+    ForallFO, IntTerm, NameGen, Not, Rule, RuleSet, _fragments, classify,
+    free_symbols, map_children, substitute, typecheck, unparse,
 )
-from deflog.vocab import CONST, DOMAIN, Symbol, Vocabulary, pred, so_pred
+from deflog.vocab import CONST, Symbol, Vocabulary, pred, so_pred
 
 from gen import random_formula, random_tree
 from oracles import oracle_classify
@@ -194,9 +194,13 @@ class TestStructure:
         "RuleSet": RuleSet((Rule(q0, (), Atom1(q0, ())),)),
     }
 
+    # node kinds whose Kleene value a search may compute at inner nodes
+    # (aggregates only for card, and the sample aggregate is not one)
+    PROBE_SAFE = {"Atom1", "Cmp", "Not", "And", "Or", "Implies", "Iff", "ForallFO", "ExistsFO"}
+
     def test_every_node_kind_is_known_to_the_primitives(self):
-        # a new node kind fails here until map_children and the
-        # classifier handle it
+        # a new node kind fails here until map_children, the classifier
+        # and the probe-safety predicate handle it
         for cls in typing.get_args(Expr):
             kinds = [f.type.strip("'\"") for f in dataclasses.fields(cls)]
             e = cls(*(self.SAMPLES[k] for k in kinds))
@@ -204,6 +208,10 @@ class TestStructure:
             assert map_children(e, lambda x: visited.append(x) or x) == e
             assert len(visited) == kinds.count("Expr") + kinds.count("RuleSet")
             _fragments(e)
+            assert _probe_safe(e) is (cls.__name__ in self.PROBE_SAFE)
+        count = parse("#{x: r(x)} > 0")
+        assert _probe_safe(count)
+        assert not _probe_safe(dataclasses.replace(count, agg="sum"))
 
 
 class TestSubstitution:

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from deflog.definitions import well_founded_model
-from deflog.errors import EvaluationError, NonTotalDefinitionError, TypeError_
+from deflog.errors import EvaluationError, TypeError_
 from deflog.evaluator import evaluate_exact
 from deflog.interpretation import PartialInterpretation
 from deflog.parser import parse_formula, parse_ruleset, parse_theory
@@ -22,7 +22,7 @@ from deflog.templates import (
     validate_library,
 )
 from deflog.truthvalues import T, exact_set
-from deflog.vocab import Symbol, Vocabulary, pred, so_pred
+from deflog.vocab import Symbol, Vocabulary, pred
 
 from conftest import DATA
 
