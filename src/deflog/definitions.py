@@ -30,7 +30,7 @@ from .evaluator import EvalContext, _kv, _probe_safe, _relation_cached
 from .interpretation import PartialInterpretation
 from .limits import DEFAULT_LIMITS, Limits
 from .syntax import RuleSet
-from .truthvalues import F, T, TV, U, canon_order, glb_prec, max_truth, neg
+from .truthvalues import F, T, TV, U, PartialSet, canon_order, glb_prec, max_truth, neg
 from .vocab import DomainAtom, Symbol, predicate_carrier
 
 
@@ -90,14 +90,10 @@ def expand_context(
             raise EvaluationError(f"context already interprets defined {h.name}")
     if carriers is None:
         return o.expand_unknown(sorted(d.defined_symbols, key=lambda s: s.name), limits)
-    from .truthvalues import PartialSet
-
     i = o
     for h in sorted(d.defined_symbols, key=lambda s: s.name):
-        if h in carriers:
-            i = i.expand(h, PartialSet.constant(carriers[h], U))
-        else:
-            i = i.expand(h, PartialSet.constant(predicate_carrier(h.type, o.domain, limits), U))
+        c = carriers[h] if h in carriers else predicate_carrier(h.type, o.domain, limits)
+        i = i.expand(h, PartialSet.constant(c, U))
     return i
 
 
@@ -363,9 +359,17 @@ def _wfm_fixpoint(
         return i
 
 
-# memo for the (pure, deterministic) fixpoint path; keyed by the rule
-# set, the context assignment and the carrier restriction
+# memo for the (pure, deterministic) fixpoint path, keyed by the rule set, the
+# context's domain and assignments (callers pass `parameter_context`), the carrier
+# restriction and the limits; at most _WFM_CACHE_MAX entries, oldest evicted first
 _WFM_CACHE: dict = {}
+_WFM_CACHE_MAX = 10_000
+
+
+def parameter_context(d: RuleSet, i: PartialInterpretation) -> PartialInterpretation:
+    """i restricted to the parameters of d it interprets: by locality all
+    that d's well-founded model depends on, so all that its memo key holds."""
+    return i.restrict([p for p in d.parameters if i.interprets(p)])
 
 
 def well_founded_model(
@@ -388,18 +392,15 @@ def well_founded_model(
         )
     )
     key = (d, o.domain, o.assignments, carrier_key, limits)
-    try:
-        cached = _WFM_CACHE.get(key)
-    except TypeError:  # unhashable key component; compute uncached
-        cached = None
-        key = None
+    cached = _WFM_CACHE.get(key)
     if cached is not None:
         return cached
     i0 = expand_context(d, o, limits, carriers)
     atoms = _defined_atoms(d, i0)
     out = _wfm_fixpoint(d, i0, atoms, limits, ctx)
-    if key is not None:
-        _WFM_CACHE[key] = out
+    if len(_WFM_CACHE) >= _WFM_CACHE_MAX:
+        del _WFM_CACHE[next(iter(_WFM_CACHE))]
+    _WFM_CACHE[key] = out
     return out
 
 
@@ -450,9 +451,8 @@ def _exact_check(
     free predicate symbols."""
     defined = sorted(d.defined_symbols, key=lambda s: s.name)
     carriers = {h: i.value(h).carrier for h in defined}
-    o = i.restrict(sorted(d.parameters, key=lambda s: s.name))
     if sem == "w":
-        wfm = well_founded_model(d, o, limits, carriers, _ctx=ctx)
+        wfm = well_founded_model(d, parameter_context(d, i), limits, carriers, _ctx=ctx)
         return TV.of(
             all(wfm.value(h).is_exact for h in defined)
             and all(wfm.value(h) == i.value(h) for h in defined)

@@ -174,7 +174,7 @@ def _let_value(e: Let, i: PartialInterpretation, ctx: EvalContext) -> TV:
     pars = sorted(e.ruleset.parameters, key=lambda s: s.name)
     par_preds = [p for p in pars if p.type.is_predicate]
     if i.exact_on(par_preds):
-        context = i.restrict(pars) if pars else PartialInterpretation.empty(i.domain)
+        context = definitions.parameter_context(e.ruleset, i)
         wfm = definitions.well_founded_model(e.ruleset, context, ctx.limits)
         if not wfm.is_exact:
             raise NonTotalDefinitionError(

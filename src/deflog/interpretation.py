@@ -10,6 +10,7 @@ pure and return new interpretations.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -47,28 +48,27 @@ def _check_value(sym: Symbol, value, domain: tuple) -> None:
                     )
 
 
+def _name(kv) -> str:
+    return kv[0].name
+
+
 @dataclass(frozen=True)
 class PartialInterpretation:
     domain: tuple
-    assignments: tuple  # sorted tuple of (Symbol, value)
-    _by_symbol: dict = field(init=False, repr=False, compare=False, hash=False)
+    assignments: tuple  # tuple of (Symbol, value), stably sorted by name
+    _by_symbol: dict = field(default=None, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_symbol", dict(self.assignments))
+        if self._by_symbol is None:
+            object.__setattr__(self, "_by_symbol", dict(self.assignments))
 
     @staticmethod
     def make(domain: Iterable, valuation: dict) -> "PartialInterpretation":
         dom = tuple(sorted(set(domain), key=canon_order))
         for sym, value in valuation.items():
             _check_value(sym, value, dom)
-        items = tuple(sorted(valuation.items(), key=lambda kv: kv[0].name))
+        items = tuple(sorted(valuation.items(), key=_name))
         return PartialInterpretation(dom, items)
-
-    @staticmethod
-    def _unchecked(domain: tuple, valuation: dict) -> "PartialInterpretation":
-        # for internal revisions that cannot introduce ill-typed values
-        items = tuple(sorted(valuation.items(), key=lambda kv: kv[0].name))
-        return PartialInterpretation(domain, items)
 
     @staticmethod
     def empty(domain: Iterable) -> "PartialInterpretation":
@@ -102,8 +102,8 @@ class PartialInterpretation:
         for s in syms:
             if s not in self._by_symbol:
                 raise EvaluationError(f"cannot restrict to uninterpreted {s.name}")
-        return PartialInterpretation._unchecked(
-            self.domain, {s: v for s, v in self.assignments if s in syms}
+        return PartialInterpretation(
+            self.domain, tuple(kv for kv in self.assignments if kv[0] in syms)
         )
 
     def expand(self, sym: Symbol, value) -> "PartialInterpretation":
@@ -111,10 +111,18 @@ class PartialInterpretation:
         return self._expand(sym, value)
 
     def _expand(self, sym: Symbol, value) -> "PartialInterpretation":
-        # unvalidated variant for evaluator-internal variable binding
-        valuation = dict(self.assignments)
-        valuation[sym] = value
-        return PartialInterpretation._unchecked(self.domain, valuation)
+        # unvalidated, sort-free variable binding: a bound symbol keeps its
+        # slot (list.index tries identity before the dataclass __eq__), a new
+        # one goes after every entry whose name sorts at or below its own
+        items = list(self.assignments)
+        by_symbol = self._by_symbol.copy()
+        if sym in by_symbol:
+            k = items.index((sym, by_symbol[sym]))
+            items[k] = (items[k][0], value)
+        else:
+            items.insert(bisect_right(items, sym.name, key=_name), (sym, value))
+        by_symbol[sym] = value
+        return PartialInterpretation(self.domain, tuple(items), by_symbol)
 
     def expand_unknown(
         self, syms: Iterable[Symbol], limits: Limits = DEFAULT_LIMITS
@@ -132,19 +140,18 @@ class PartialInterpretation:
             if a.predicate not in self._by_symbol:
                 raise EvaluationError(f"unknown predicate {a.predicate.name}")
             by_pred.setdefault(a.predicate, {})[a.args] = v
-        valuation = dict(self.assignments)
+        j = self
         for sym, updates in by_pred.items():
-            valuation[sym] = valuation[sym].with_values(updates)
-        return PartialInterpretation._unchecked(self.domain, valuation)
+            j = j._expand(sym, j._by_symbol[sym].with_values(updates))
+        return j
 
     # -- orders ------------------------------------------------------------
 
     def _pointwise(self, other: "PartialInterpretation", rel) -> bool:
         if self.domain != other.domain:
             return False
-        mine = dict(self.assignments)
-        theirs = dict(other.assignments)
-        if set(mine) != set(theirs):
+        mine, theirs = self._by_symbol, other._by_symbol
+        if mine.keys() != theirs.keys():
             return False
         for sym, v in mine.items():
             w = theirs[sym]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 from .vocab import CONST, DOMAIN, Symbol, Type
@@ -147,12 +148,16 @@ class RuleSet:
         # a rule set is a set: canonicalize order, drop duplicates
         unique = tuple(dict.fromkeys(self.rules))
         object.__setattr__(self, "rules", tuple(sorted(unique, key=repr)))
+        object.__setattr__(self, "_hash", hash(self.rules))
+
+    def __hash__(self) -> int:  # cached: rule sets key the WFM memo
+        return self._hash
 
     @property
     def defined_symbols(self) -> frozenset:
         return frozenset(r.head for r in self.rules)
 
-    @property
+    @cached_property  # every memoised WFM lookup restricts its context to these
     def parameters(self) -> frozenset:
         occurring = set()
         for r in self.rules:

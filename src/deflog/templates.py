@@ -173,11 +173,13 @@ def apply_library(
     """The unique exact expansion of i with every template symbol's value.
 
     Template symbols are filled in by induction on the stratification
-    order, each receiving the well-founded model of its template in the
-    already-expanded interpretation.  `so_instances` optionally
-    restricts a template symbol's carrier to the listed argument
-    tuples, for instances whose full second order argument space is out
-    of cap range.
+    order, each receiving the well-founded model of its template.  By
+    locality that model depends only on the template's parameters, so
+    its context is the already-expanded interpretation restricted to
+    them, and one fixpoint serves every i that agrees there.
+    `so_instances` optionally restricts a template symbol's carrier to
+    the listed argument tuples, for instances whose full second order
+    argument space is out of cap range.
     """
     for s in lib.template_symbols():
         if i.interprets(s):
@@ -192,7 +194,8 @@ def apply_library(
             carriers = {
                 d: tuple(so_instances[d]) for d in t.defined if d in so_instances
             }
-        wfm = definitions.well_founded_model(t.ruleset, out, limits, carriers)
+        context = definitions.parameter_context(t.ruleset, out)
+        wfm = definitions.well_founded_model(t.ruleset, context, limits, carriers)
         defined = sorted(t.defined, key=lambda s: s.name)
         if not all(wfm.value(d).is_exact for d in defined):
             msg = f"template {t.name!r} is not total on this domain"

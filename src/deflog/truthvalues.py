@@ -174,6 +174,11 @@ class PartialSet:
         keys = tuple(sorted(carrier, key=canon_order))
         return PartialSet(keys, (v,) * len(keys))
 
+    def __hash__(self) -> int:  # cached on first use: most are never hashed
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.carrier, self.values)))
+        return self._hash
+
     def value(self, key: Hashable) -> TV:
         try:
             return self.values[self._index[key]]

@@ -12,6 +12,11 @@
   (`classical_eval`) and the supervaluation as a plain loop over every
   completion (`super_oracle`), sharing nothing with the pruned
   depth-first search of `PartialInterpretation.refinements`.
+* Variable binding as first written (`rebuild_expand`, `rebuild_revise`,
+  `rebuild_restrict`): copy the assignments into a dict, change it, sort
+  the items by name (stable) and construct afresh.  The sort-free
+  `PartialInterpretation._expand`, `revise` and `restrict` must give the
+  very same `assignments` tuple.
 """
 
 import itertools
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from deflog.errors import CapExceeded, EvaluationError
+from deflog.interpretation import PartialInterpretation
 from deflog.limits import DEFAULT_LIMITS, Limits
 from deflog.syntax import (
     FRAGMENT_ASO, FRAGMENT_ESO, FRAGMENT_FO, FRAGMENT_SO, Aggregate, And,
@@ -257,3 +263,33 @@ def super_oracle(e, i, holds=classical_eval) -> TV:
     if results == {False}:
         return F
     return U
+
+
+# ---------------------------------------------------------------------------
+# Variable binding by dict, stable sort and reconstruction
+
+
+def _rebuild(domain: tuple, valuation: dict):
+    items = tuple(sorted(valuation.items(), key=lambda kv: kv[0].name))
+    return PartialInterpretation(domain, items)
+
+
+def rebuild_expand(i, sym, value):
+    valuation = dict(i.assignments)
+    valuation[sym] = value
+    return _rebuild(i.domain, valuation)
+
+
+def rebuild_revise(i, atoms, v):
+    by_pred: dict = {}
+    for a in atoms:
+        by_pred.setdefault(a.predicate, {})[a.args] = v
+    valuation = dict(i.assignments)
+    for sym, updates in by_pred.items():
+        valuation[sym] = valuation[sym].with_values(updates)
+    return _rebuild(i.domain, valuation)
+
+
+def rebuild_restrict(i, sub):
+    syms = set(sub)
+    return _rebuild(i.domain, {s: v for s, v in i.assignments if s in syms})

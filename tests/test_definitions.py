@@ -11,12 +11,14 @@ import random
 
 import pytest
 
+from deflog import definitions
 from deflog.definitions import (
     eval_definition, expand_context, greatest_unfounded_set,
     is_partial_stable, is_total, is_unfounded, partial_stable_models,
     stable_models, well_founded_model,
 )
 from deflog.errors import CapExceeded, EvaluationError
+from deflog.evaluator import EvalContext
 from deflog.interpretation import PartialInterpretation
 from deflog.limits import Limits
 from deflog.parser import parse_ruleset
@@ -298,6 +300,33 @@ class TestEvalDefinition:
         d = rs("{p <- p.}")
         with pytest.raises(EvaluationError):
             eval_definition(d, ctx(p="f"), "classical")
+
+
+class TestMemo:
+    def test_wfm_memo_is_bounded_and_evicts_the_oldest(self, monkeypatch):
+        bound = 16
+        monkeypatch.setattr(definitions, "_WFM_CACHE", {})
+        monkeypatch.setattr(definitions, "_WFM_CACHE_MAX", bound)
+        rng = random.Random(59)
+        o = PartialInterpretation.empty(DOMAIN)
+        order: list = []  # distinct rule sets, in first-computed order
+        while len(order) < 3 * bound:
+            d = random_ruleset(rng)
+            if d not in order:
+                order.append(d)
+        fifo: list = []  # what a first-in first-out memo of `bound` holds
+        for d in order + order[::-3]:  # the second pass mixes hits and recomputations
+            if d not in fifo:
+                fifo = (fifo + [d])[-bound:]
+            got = well_founded_model(d, o)
+            assert len(definitions._WFM_CACHE) <= bound
+            assert [k[0] for k in definitions._WFM_CACHE] == fifo
+            i0 = expand_context(d, o)
+            fresh = definitions._wfm_fixpoint(
+                d, i0, definitions._defined_atoms(d, i0), Limits(), EvalContext()
+            )
+            assert got == fresh, f"{d}"
+        assert len(definitions._WFM_CACHE) == bound
 
 
 class TestCaps:

@@ -1,5 +1,7 @@
 """Partial interpretations and the structure text format."""
 
+import random
+
 import pytest
 
 from deflog.errors import CapExceeded, EvaluationError, ParseError, TypeError_
@@ -9,6 +11,8 @@ from deflog.interpretation import (
 from deflog.limits import Limits
 from deflog.truthvalues import F, T, U, PartialSet, exact_set
 from deflog.vocab import CONST, DOMAIN, DomainAtom, Symbol, Vocabulary, pred, so_pred
+
+from oracles import rebuild_expand, rebuild_restrict, rebuild_revise
 
 P = Symbol("P", pred(1))
 Q = Symbol("Q", pred(2))
@@ -114,6 +118,78 @@ class TestAlgebra:
         assert len(seen) == 1 + 3 + 9 + 27 - 3
         assert seen[0] == (U, U, U)
 
+
+class TestSortFreeBinding:
+    """`_expand`, `revise` and `restrict` edit the name-sorted assignments in
+    place of the dict, sort and rebuild they once did; the oracle keeps the
+    rebuild, and both must give the same tuple in the same order."""
+
+    DOMAIN = ("a", "b")
+    # two symbols named m (a constant and a predicate), names sorting
+    # before, between and after the others
+    POOL = (
+        Symbol("a0", pred(1)), Symbol("c", CONST), Symbol("m", CONST),
+        Symbol("m", pred(1)), Symbol("p", pred(1)), Symbol("x", CONST),
+        Symbol("zz", pred(1)),
+    )
+
+    def value(self, rng, sym):
+        if sym.type.kind == "const":
+            return rng.choice(self.DOMAIN)
+        return PartialSet.from_map({(d,): rng.choice((T, U, F)) for d in self.DOMAIN})
+
+    def test_matches_the_rebuild_on_random_sequences(self):
+        rng = random.Random(61)
+        seen = set()
+        for _ in range(300):
+            start = rng.sample(self.POOL, rng.randint(0, 3))
+            i = PartialInterpretation.make(
+                self.DOMAIN, {s: self.value(rng, s) for s in start}
+            )
+            for _ in range(8):
+                op = rng.choice(("expand", "expand", "revise", "restrict"))
+                if op == "expand":
+                    sym = rng.choice(self.POOL)
+                    v = self.value(rng, sym)
+                    got, want = i._expand(sym, v), rebuild_expand(i, sym, v)
+                    if i.interprets(sym):
+                        seen.add("rebind")
+                    else:
+                        pos = [s for s, _ in got.assignments].index(sym)
+                        seen.add("front" if pos == 0 else
+                                 "end" if pos == len(got.assignments) - 1 else "middle")
+                        if any(s.name == sym.name for s, _ in i.assignments):
+                            seen.add("same name")
+                else:
+                    preds = i.predicate_symbols()
+                    if op == "revise" and preds:
+                        atoms = [DomainAtom(s, (d,)) for s in preds for d in self.DOMAIN]
+                        atoms = rng.sample(atoms, rng.randint(1, len(atoms)))
+                        v = rng.choice((T, U, F))
+                        got, want = i.revise(atoms, v), rebuild_revise(i, atoms, v)
+                    else:
+                        syms = [s for s, _ in i.assignments]
+                        sub = rng.sample(syms, rng.randint(0, len(syms)))
+                        got, want = i.restrict(sub), rebuild_restrict(i, sub)
+                assert got.assignments == want.assignments
+                assert [s for s, _ in got.assignments] == [s for s, _ in want.assignments]
+                assert got == want and hash(got) == hash(want)
+                assert got._by_symbol == want._by_symbol
+                i = got
+        assert seen == {"rebind", "front", "middle", "end", "same name"}
+
+    def test_new_symbol_goes_after_every_name_at_or_below_its_own(self):
+        m_const, m_pred = Symbol("m", CONST), Symbol("m", pred(1))
+        i = PartialInterpretation.make(("a",), {P: PartialSet.constant([("a",)], T)})
+        j = i._expand(m_pred, PartialSet.constant([("a",)], F))._expand(m_const, "a")
+        j = j._expand(Symbol("A", CONST), "a")._expand(Symbol("z", CONST), "a")
+        names = [(s.name, s.type.kind) for s, _ in j.assignments]
+        assert names == [("A", "const"), ("P", "pred"), ("m", "pred"),
+                         ("m", "const"), ("z", "const")]
+        # rebinding keeps the slot, even against a same-named neighbour
+        k = j._expand(m_pred, PartialSet.constant([("a",)], T))
+        assert [s for s, _ in k.assignments] == [s for s, _ in j.assignments]
+        assert k.value(m_pred).value(("a",)) is T and k.value(m_const) == "a"
 
 STRUCT_TEXT = """\
 // comment lines are ignored

@@ -80,6 +80,19 @@ class TestParsing:
         assert len(by_head["r"].head_vars) == 1
         assert by_head["q"].head_vars == ()
 
+    def test_rule_sets_hash_by_content_whatever_the_rule_order(self):
+        texts = ["{q <- r(c). p(x, y) <- r(x) & ~q. q <- q.}",
+                 "{q <- q. q <- r(c). p(x, y) <- r(x) & ~q.}",
+                 "{p(x, y) <- r(x) & ~q. q <- q. q <- r(c). q <- q.}"]
+        sets = [parse_ruleset(t, VOCAB) for t in texts]
+        assert all(rs == sets[0] for rs in sets)
+        before = [hash(rs) for rs in sets]
+        assert len(set(before)) == 1
+        memo = {rs: n for n, rs in enumerate(sets)}
+        assert memo == {sets[0]: 2}
+        assert [hash(rs) for rs in sets] == before
+        assert hash(RuleSet(tuple(reversed(sets[0].rules)))) == before[0]
+
     def test_parse_errors_carry_positions(self):
         with pytest.raises(ParseError) as exc:
             parse("q & |")

@@ -9,20 +9,24 @@ import itertools
 import random
 
 import pytest
+from click.testing import CliRunner
 
+from deflog import definitions
+from deflog.cli import main
 from deflog.definitions import well_founded_model
 from deflog.errors import EvaluationError, TypeError_
 from deflog.evaluator import evaluate_exact
 from deflog.interpretation import PartialInterpretation
+from deflog.limits import DEFAULT_LIMITS
 from deflog.parser import parse_formula, parse_ruleset, parse_theory
 from deflog.syntax import FRAGMENT_FO, classify, free_symbols, unparse
 from deflog.templates import (
-    Template, TemplateLibrary, apply_library, check_correspondence,
+    Template, TemplateLibrary, _stratify, apply_library, check_correspondence,
     eliminate_so, is_simple, macro_expand, sigma_equivalent, templify,
     validate_library,
 )
 from deflog.truthvalues import T, exact_set
-from deflog.vocab import Symbol, Vocabulary, pred
+from deflog.vocab import CONST, Symbol, Vocabulary, pred
 
 from conftest import DATA
 
@@ -240,6 +244,92 @@ class TestApplyLibrary:
         )
         with pytest.raises(EvaluationError):
             apply_library(base, library(th))
+
+
+# two templates, the second reading the first's symbol: its parameter
+# context holds isRefl, the first's holds nothing
+LAYERED = """
+vocab {
+  isRefl: template so-pred(pred/2);
+  isEquiv: template so-pred(pred/2);
+  P: pred/2;
+}
+template refl { isRefl(F) <- !a: F(a, a). }
+template equiv {
+  isEquiv(F) <- isRefl(F) & (!a: !b: F(a, b) => F(b, a))
+    & (!a: !b: !c: F(a, b) & F(b, c) => F(a, c)).
+}
+"""
+
+
+def _game_instances(th, nodes):
+    win_s, lose_s = th.vocabulary.get("win"), th.vocabulary.get("lose")
+    moves = frozenset({(nodes[0], nodes[1]), (nodes[1], nodes[2]), (nodes[2], nodes[1])})
+    won = frozenset({(nodes[2],)})
+    return {s: [(n, moves, won) for n in nodes] for s in (win_s, lose_s)}
+
+
+class TestLocality:
+    """A template's well-founded model depends only on its parameters, so
+    `apply_library` gives the same template values whatever else the
+    structure interprets, and runs one fixpoint per parameter context."""
+
+    EXTRA = (Symbol("k", CONST), Symbol("extra", pred(1)), Symbol("E2", pred(2)))
+
+    def with_extras(self, th, domain, rng):
+        user = [s for s in th.vocabulary if s.kind == "user"]
+        valuation = {}
+        for s in [*user, *self.EXTRA]:
+            if s.type.kind == "const":
+                valuation[s] = rng.choice(domain)
+            else:
+                keys = list(itertools.product(domain, repeat=s.type.arity))
+                valuation[s] = exact_set(keys, [k for k in keys if rng.random() < 0.5])
+        return PartialInterpretation.make(domain, valuation)
+
+    @pytest.mark.parametrize("source, domain", [
+        ("eq.theory", ("a", "b")), ("tc.theory", ("a", "b")),
+        ("game.theory", (1, 2, 3)), ("range.theory", (1, 2)), (LAYERED, ("a", "b")),
+    ])
+    def test_extra_symbols_leave_template_values_alone(self, monkeypatch, source, domain):
+        th = load(source) if source.endswith(".theory") else parse_theory(source)
+        lib = library(th)
+        so = _game_instances(th, domain) if source == "game.theory" else None
+        rng = random.Random(67)
+        monkeypatch.setattr(definitions, "_WFM_CACHE", {})
+        alone = apply_library(PartialInterpretation.empty(domain), lib, so_instances=so)
+        for _ in range(3):
+            monkeypatch.setattr(definitions, "_WFM_CACHE", {})
+            base = self.with_extras(th, domain, rng)
+            out = apply_library(base, lib, so_instances=so)
+            for s in lib.template_symbols():
+                assert out.value(s) == alone.value(s), s.name
+            for s, v in base.assignments:
+                assert out.value(s) is v
+        # the whole structure as context gives the same model, stratum by stratum
+        context = base
+        for t in _stratify(lib)[0]:
+            carriers = so and {d: so[d] for d in t.defined}
+            wfm = well_founded_model(t.ruleset, context, DEFAULT_LIMITS, carriers)
+            for d in t.defined:
+                assert wfm.value(d) == alone.value(d), d.name
+                context = context.expand(d, wfm.value(d))
+
+    def test_expand_check_equiv_runs_one_fixpoint_per_test_domain(self, monkeypatch):
+        # 260 exact interpretations of the unrelated P and Q over |D| <= 2,
+        # one template context per domain
+        calls = []
+        fixpoint = definitions._wfm_fixpoint
+
+        def counting(*args):
+            calls.append(args[1].domain)
+            return fixpoint(*args)
+
+        monkeypatch.setattr(definitions, "_WFM_CACHE", {})
+        monkeypatch.setattr(definitions, "_wfm_fixpoint", counting)
+        r = CliRunner().invoke(main, ["expand", str(DATA / "eq.theory"), "--check-equiv"])
+        assert r.exit_code == 0 and r.output.endswith("equiv: pass\n")
+        assert calls == [("a",), ("a", "b")]
 
 
 class TestTemplify:

@@ -127,6 +127,26 @@ class TestPartialSet:
         with pytest.raises(EvaluationError):
             s.with_values({2: T})
 
+    def test_equal_sets_hash_equal_and_keep_their_hash(self):
+        # the hash is cached on first use, whichever way the set was built
+        built = [
+            PartialSet.from_map({("b",): T, ("a",): U}),
+            PartialSet.constant([("b",), ("a",)], U).with_values({("b",): T}),
+            PartialSet.constant([("a",), ("b",)], T).with_values({("a",): U}),
+            PartialSet.from_map({("a",): F, ("b",): F}).with_values(
+                {("a",): U, ("b",): T}
+            ),
+        ]
+        assert all(s == built[0] for s in built)
+        memo = {built[0]: "hit"}
+        before = [hash(s) for s in built]
+        assert len(set(before)) == 1
+        assert all(memo[s] == "hit" for s in built)
+        memo.update({s: "again" for s in built})
+        assert [hash(s) for s in built] == before and len(memo) == 1
+        other = built[0].with_values({("a",): T})
+        assert other != built[0] and hash(other) == hash(PartialSet.constant([("a",), ("b",)], T))
+
     def test_completions_count_and_precision(self):
         s = PartialSet.from_map({1: T, 2: U, 3: U})
         comps = list(s.completions())
