@@ -21,7 +21,7 @@ from .errors import (
     ParseError, TypeError_,
 )
 from .evaluator import (
-    KLEENE, SUPERVALUATION, EvalContext, _kv, _probe_safe, evaluate, evaluate_exact,
+    KLEENE, SUPERVALUATION, EvalContext, _compiled, _probe_safe, evaluate, evaluate_exact,
 )
 from .interpretation import (
     PartialInterpretation, _fmt_elem, _fmt_key, read_structure,
@@ -312,12 +312,12 @@ def _mx_models(theory: Theory, struct: PartialInterpretation, limits: Limits):
         key=lambda s: s.name,
     )
     # a Kleene f refutes a subtree; no probes while constants are unassigned
-    probes = [] if consts else [phi for phi in constraints if _probe_safe(phi)]
+    probes = [] if consts else [_compiled(phi) for phi in constraints if _probe_safe(phi)]
 
     def refuted(j: PartialInterpretation) -> bool:
         ctx = EvalContext(limits=limits)
         try:
-            return any(_kv(phi, j, ctx) is F for phi in probes)
+            return any(fn(j, {}, ctx) is F for fn in probes)
         except EvaluationError:
             return False  # the leaves report it, in constraint order
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import CapExceeded, EvaluationError
-from .evaluator import EvalContext, _kv, _probe_safe, _relation_cached
+from .evaluator import EvalContext, _compiled, _probe_safe, _relation_cached
 from .interpretation import PartialInterpretation
 from .limits import DEFAULT_LIMITS, Limits
 from .syntax import RuleSet
@@ -47,23 +47,18 @@ def _defined_atoms(d: RuleSet, i: PartialInterpretation) -> list[DomainAtom]:
     return out
 
 
-def _bind_head(rule, key: tuple, i: PartialInterpretation) -> PartialInterpretation:
-    j = i
-    for var, val in zip(rule.head_vars, key):
-        if isinstance(val, frozenset):
-            val = _relation_cached(val, var.type.arity, i.domain)
-        j = j._expand(var, val)
-    return j
-
-
 def _body_values(
     d: RuleSet, atom: DomainAtom, i: PartialInterpretation, ctx: EvalContext
 ) -> list[TV]:
-    return [
-        _kv(r.body, _bind_head(r, atom.args, i), ctx)
-        for r in d.rules
-        if r.head == atom.predicate
-    ]
+    """atom's rule bodies, valued with its arguments bound to the head variables."""
+    out = []
+    for r in d.rules:
+        if r.head == atom.predicate:
+            env = {var: _relation_cached(val, var.type.arity, i.domain)
+                   if isinstance(val, frozenset) else val
+                   for var, val in zip(r.head_vars, atom.args)}
+            out.append(_compiled(r.body)(i, env, ctx))
+    return out
 
 
 def _supported_value(

@@ -1,5 +1,13 @@
 """The compositional three-valued truth assignment.
 
+Each expression node is compiled once, on first use, into a closure
+fn(i, env, ctx) -> TV kept on the node: the node's semantical rule over
+the closures of its sub-formulas.  `env` maps the bound variables in
+scope to their values in binding order; a quantifier or aggregate binds
+its variables in a copy of it, and a rule body starts from its head
+arguments.  Only definitions and let-blocks read an interpretation with
+the bound variables in it, built by binding env's entries in order.
+
 Two modes:
 
 * kleene: truth-functional structural recursion using the Kleene
@@ -27,11 +35,10 @@ from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (
     Aggregate, And, Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO,
     ExistsSO, ForallFO, ForallSO, Iff, Implies, IntTerm, Let, Not, Or,
-    RuleSet, SymTerm, free_symbols,
+    RuleSet, SymTerm, free_symbols, map_children,
 )
 from .truthvalues import (
-    F, T, TV, U, PartialSet, conj, disj, glb_prec, iff, implies,
-    approx_aggregate, approx_quantifier, max_truth, min_truth, neg,
+    F, T, TV, U, PartialSet, approx_aggregate, conj, disj, glb_prec, iff, implies, neg,
 )
 from .vocab import DomainAtom, Symbol, arg_value_space
 
@@ -47,125 +54,193 @@ class EvalContext:
     record: set = field(default_factory=set)
 
 
-_BINOPS = {And: conj, Or: disj, Implies: implies, Iff: iff}
+def _term(t, raw: bool = False):
+    """Compile a term into fn(i, env): its ground value, or None outside
+    the domain; `raw` keeps out-of-domain integers (comparisons, bounds)."""
+    if type(t) is SymTerm:
+        s = t.symbol
+        return lambda i, env: env[s] if s in env else i.value(s)
+    if type(t) is IntTerm:
+        n = t.value
+        return lambda i, env: n if raw or n in i.domain else None
+    left, right = _term(t.left, raw), _term(t.right, raw)
+
+    def add(i, env):
+        a, b = left(i, env), right(i, env)
+        ok = isinstance(a, int) and isinstance(b, int) and (raw or a + b in i.domain)
+        return a + b if ok else None
+
+    return add
 
 
-def _term_value(t, i: PartialInterpretation, raw: bool = False):
-    """Ground value of a term, or None when outside the domain; `raw`
-    keeps out-of-domain integers (for comparisons and bounds)."""
-    if isinstance(t, SymTerm):
-        return i.value(t.symbol)
-    if isinstance(t, IntTerm):
-        v = t.value
-    else:
-        left, right = _term_value(t.left, i, raw), _term_value(t.right, i, raw)
-        if not (isinstance(left, int) and isinstance(right, int)):
-            return None
-        v = left + right
-    return v if raw or v in i.domain else None
-
-
-def _lookup(sym: Symbol, key: tuple, i: PartialInterpretation, ctx: EvalContext) -> TV:
-    ps = i.value(sym)
-    if key not in ps:
-        raise EvaluationError(
-            f"domain atom {sym.name}{key!r} outside the populated carrier"
-        )
-    v = ps.value(key)
+def _read(sym: Symbol, ps: PartialSet, key: tuple, ctx: EvalContext) -> TV:
+    k = ps._index.get(key)
+    if k is None:
+        raise EvaluationError(f"domain atom {sym.name}{key!r} outside the populated carrier")
+    v = ps.values[k]
     if v is U:
         ctx.record.add(DomainAtom(sym, key))
     return v
 
 
-def _so_arg_values(sym: Symbol, i: PartialInterpretation, ctx: EvalContext):
-    """Exact relation values an interpreted predicate argument can take."""
-    ps = i.value(sym)
-    if ps.is_exact:
-        return [ps.true_keys()]
-    for key in ps.keys_with(U):
-        ctx.record.add(DomainAtom(sym, key))
-    return [c.true_keys() for c in ps.completions(ctx.limits)]
+_RELATION_CACHE_MAX = 4_096  # a whole templates round stores about 770
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RELATION_CACHE_MAX)
 def _relation_cached(rel: frozenset, arity: int, domain: tuple) -> PartialSet:
-    carrier = itertools.product(domain, repeat=arity)
-    return PartialSet.from_map({k: TV.of(k in rel) for k in carrier})
+    return PartialSet.from_map(
+        {k: TV.of(k in rel) for k in itertools.product(domain, repeat=arity)})
 
 
-def _kv(e, i: PartialInterpretation, ctx: EvalContext) -> TV:
-    if isinstance(e, Atom1):
-        args = tuple(_term_value(a, i) for a in e.args)
-        if any(a is None for a in args):
-            return F
-        return _lookup(e.predicate, args, i, ctx)
-    if isinstance(e, Atom2):
-        so_type = e.predicate.type
-        fixed: list = []
-        choices: list[list] = []
-        for a, at in zip(e.args, so_type.args):
-            if at.kind == "domain":
-                v = _term_value(a, i)
+def _atom1(e):
+    p, args = e.predicate, [_term(a) for a in e.args]
+    # bound-variable arguments are read from env in one pass, others as terms
+    syms = tuple(a.symbol if type(a) is SymTerm else None for a in e.args)
+
+    def atom1(i, env, ctx):
+        key = tuple(map(env.get, syms))
+        if None in key:
+            key = tuple([f(i, env) for f in args])
+            if None in key:
+                return F
+        return _read(p, env[p] if p in env else i.value(p), key, ctx)
+
+    return atom1
+
+
+def _atom2(e):
+    p = e.predicate
+    # per argument: a domain term, or the symbol of a predicate argument
+    parts = [(_term(a), None) if at.kind == "domain"
+             else (None, a.symbol if type(a) is SymTerm else None)
+             for a, at in zip(e.args, p.type.args)]
+
+    def atom2(i, env, ctx):
+        choices = []
+        for term, sym in parts:
+            if term is not None:
+                v = term(i, env)
                 if v is None:
                     return F
-                fixed.append(v)
-                choices.append([v])
-            else:
-                if not isinstance(a, SymTerm):
-                    raise EvaluationError("predicate argument must be a symbol")
-                choices.append(_so_arg_values(a.symbol, i, ctx))
-        results = [
-            _lookup(e.predicate, key, i, ctx)
-            for key in itertools.product(*choices)
-        ]
-        return glb_prec(results)
-    if isinstance(e, Cmp):
-        left = _term_value(e.left, i, raw=True)
-        right = _term_value(e.right, i, raw=True)
-        if left is None or right is None:
-            return F
-        if e.op == "=":
-            return TV.of(left == right)
-        if not (isinstance(left, int) and isinstance(right, int)):
-            return F
-        return TV.of(left < right if e.op == "<" else left > right)
-    if isinstance(e, Not):
-        return neg(_kv(e.body, i, ctx))
-    op = _BINOPS.get(type(e))
-    if op is not None:
-        # no short-circuit: recording must see both operands
-        return op(_kv(e.left, i, ctx), _kv(e.right, i, ctx))
-    if isinstance(e, (ForallFO, ExistsFO)):
-        values = {
-            d: _kv(e.body, i._expand(e.var, d), ctx) for d in i.domain
-        }
-        q = "forall" if isinstance(e, ForallFO) else "exists"
-        return approx_quantifier(q, PartialSet.from_map(values))
-    if isinstance(e, (ForallSO, ExistsSO)):
-        rels = arg_value_space(e.var.type, i.domain, ctx.limits)
-        vals = [
-            _kv(e.body, i._expand(e.var, _relation_cached(r, e.var.type.arity, i.domain)), ctx)
-            for r in rels
-        ]
-        return min_truth(vals, empty=T) if isinstance(e, ForallSO) else max_truth(vals, empty=F)
-    if isinstance(e, Aggregate):
-        entries = {}
-        for tup in itertools.product(i.domain, repeat=len(e.vars)):
-            j = i
-            for v, d in zip(e.vars, tup):
-                j = j._expand(v, d)
-            entries[tup] = _kv(e.body, j, ctx)
-        bound = _term_value(e.bound, i, raw=True)
-        if not isinstance(bound, int):
-            raise EvaluationError("aggregate bound must be an integer")
-        return approx_aggregate(e.agg, e.cmp, PartialSet.from_map(entries), bound, ctx.limits)
-    if isinstance(e, DefinitionExpr):
-        from . import definitions
+                choices.append((v,))
+                continue
+            if sym is None:
+                raise EvaluationError("predicate argument must be a symbol")
+            ps = env[sym] if sym in env else i.value(sym)
+            ctx.record.update(DomainAtom(sym, key) for key in ps.keys_with(U))
+            exact = [ps] if ps.is_exact else ps.completions(ctx.limits)
+            choices.append([c.true_keys() for c in exact])
+        ps = env[p] if p in env else i.value(p)
+        return glb_prec([_read(p, ps, key, ctx) for key in itertools.product(*choices)])
 
+    return atom2
+
+
+def _cmp(e):
+    left, right, op = _term(e.left, raw=True), _term(e.right, raw=True), e.op
+
+    def cmp(i, env, ctx):
+        a, b = left(i, env), right(i, env)
+        if a is None or b is None or op != "=" and not (
+                isinstance(a, int) and isinstance(b, int)):
+            return F
+        return T if (a == b if op == "=" else a < b if op == "<" else a > b) else F
+
+    return cmp
+
+
+_CONNECTIVES = {And: conj, Or: disj, Implies: implies, Iff: iff}
+
+
+def _connective(e):
+    # the Kleene tables; every operand is evaluated, so recording sees
+    # every atom that either consults
+    if type(e) is Not:
+        body = e.body._fn
+        return lambda i, env, ctx: neg(body(i, env, ctx))
+    left, right, op = e.left._fn, e.right._fn, _CONNECTIVES[type(e)]
+    return lambda i, env, ctx: op(left(i, env, ctx), right(i, env, ctx))
+
+
+def _quantifier(e):
+    """Min (forall) or Max (exists) in the truth order of the body over
+    every value of the variable, bound in a copy of env."""
+    var, body, unit = e.var, e.body._fn, T if type(e) in (ForallFO, ForallSO) else F
+    zero, arity, so = F if unit is T else T, var.type.arity, type(e) in (ForallSO, ExistsSO)
+
+    def quantifier(i, env, ctx):
+        values = i.domain if not so else [
+            _relation_cached(r, arity, i.domain)
+            for r in arg_value_space(var.type, i.domain, ctx.limits)
+        ]
+        out, env = unit, dict(env)
+        for d in values:
+            env[var] = d
+            v = body(i, env, ctx)
+            if v is not unit and out is not zero:
+                out = v
+        return out
+
+    return quantifier
+
+
+def _aggregate(e):
+    xs, body, bound = e.vars, e.body._fn, _term(e.bound, raw=True)
+
+    def aggregate(i, env, ctx):
+        inner, entries = dict(env), {}
+        for tup in itertools.product(i.domain, repeat=len(xs)):
+            inner.update(zip(xs, tup))
+            entries[tup] = body(i, inner, ctx)
+        n = bound(i, env)
+        if not isinstance(n, int):
+            raise EvaluationError("aggregate bound must be an integer")
+        return approx_aggregate(e.agg, e.cmp, PartialSet.from_map(entries), n, ctx.limits)
+
+    return aggregate
+
+
+def _definition(e):
+    from . import definitions
+
+    def definition(i, env, ctx):
+        for var, v in env.items():  # bound one by one, in binding order
+            i = i._expand(var, v)
+        if type(e) is Let:
+            return _let_value(e, i, ctx)
         return definitions.eval_definition(e.ruleset, i, "w", ctx.limits, _ctx=ctx)
-    if isinstance(e, Let):
-        return _let_value(e, i, ctx)
-    raise EvaluationError(f"not an expression: {e!r}")
+
+    return definition
+
+
+# one compile case per node kind, each given a node whose sub-formulas
+# are compiled already
+_COMPILERS = {
+    Atom1: _atom1, Atom2: _atom2, Cmp: _cmp, Not: _connective,
+    And: _connective, Or: _connective, Implies: _connective, Iff: _connective,
+    ForallFO: _quantifier, ExistsFO: _quantifier, ForallSO: _quantifier,
+    ExistsSO: _quantifier, Aggregate: _aggregate, DefinitionExpr: _definition, Let: _definition,
+}
+
+
+def _compiled(e):
+    """The closure fn(i, env, ctx) -> TV of expression e, kept on the
+    node.  Nodes not yet compiled are compiled children first, from an
+    explicit stack, so compiling takes no Python frame per level."""
+    # (node, whether its sub-formulas are compiled)
+    stack = [] if "_fn" in getattr(e, "__dict__", ()) else [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if "_fn" in getattr(node, "__dict__", ()):
+            continue
+        if type(node) not in _COMPILERS:
+            raise EvaluationError(f"not an expression: {node!r}")
+        if ready:
+            object.__setattr__(node, "_fn", _COMPILERS[type(node)](node))
+            continue
+        stack.append((node, True))
+        map_children(node, lambda c: stack.append((c, False)) or c, rules=lambda rs: rs)
+    return e._fn
 
 
 def _let_value(e: Let, i: PartialInterpretation, ctx: EvalContext) -> TV:
@@ -177,13 +252,11 @@ def _let_value(e: Let, i: PartialInterpretation, ctx: EvalContext) -> TV:
         context = definitions.parameter_context(e.ruleset, i)
         wfm = definitions.well_founded_model(e.ruleset, context, ctx.limits)
         if not wfm.is_exact:
-            raise NonTotalDefinitionError(
-                "let-bound definition has no exact well-founded model"
-            )
+            raise NonTotalDefinitionError("let-bound definition has no exact well-founded model")
         j = i
         for d in e.ruleset.defined_symbols:
             j = j.expand(d, wfm.value(d))
-        return _kv(e.body, j, ctx)
+        return _compiled(e.body)(j, {}, ctx)
     for p in par_preds:
         for key in i.value(p).keys_with(U):
             ctx.record.add(DomainAtom(p, key))
@@ -197,17 +270,13 @@ def _probe_safe(e) -> bool:
     comparisons, connectives, FO quantifiers and card aggregates, as the
     other nodes enumerate (and cap) completions or value spaces."""
     t = type(e)
-    if t is Atom1 or t is Cmp:
-        return True
-    if t is Not or t is ForallFO or t is ExistsFO:
-        return _probe_safe(e.body)
-    if t in _BINOPS:
-        return _probe_safe(e.left) and _probe_safe(e.right)
-    if t is Aggregate:
-        return e.agg == "card" and _probe_safe(e.body)
-    if t in (Atom2, ForallSO, ExistsSO, DefinitionExpr, Let):
+    if t not in _COMPILERS:
+        raise EvaluationError(f"not an expression: {e!r}")
+    if t in (Atom2, ForallSO, ExistsSO, DefinitionExpr, Let) or t is Aggregate and e.agg != "card":
         return False
-    raise EvaluationError(f"not an expression: {e!r}")
+    subs = []
+    map_children(e, lambda c: subs.append(c) or c)
+    return all(map(_probe_safe, subs))
 
 
 def evaluate(
@@ -222,10 +291,11 @@ def evaluate(
     if isinstance(e, RuleSet):
         e = DefinitionExpr(e)
     if mode == KLEENE:
-        return _kv(e, i, ctx)
+        return _compiled(e)(i, {}, ctx)
     if mode != SUPERVALUATION:
         raise EvaluationError(f"unknown evaluation mode {mode!r}")
     preds = [s for s in free_symbols(e) if s.type.is_predicate]
+    fn = _compiled(e)
     seen: set = set()  # values of the subtrees decided so far
 
     def decided(j: PartialInterpretation) -> bool:
@@ -233,13 +303,13 @@ def evaluate(
         # below it; after a disagreement the answer is u and all is cut
         if len(seen) > 1:
             return True
-        v = _kv(e, j, EvalContext(limits=ctx.limits))
+        v = fn(j, {}, EvalContext(limits=ctx.limits))
         if v is not U:
             seen.add(v)
         return v is not U
 
     for j in i.completions(preds, ctx.limits, decided if _probe_safe(e) else None):
-        seen.add(_kv(e, j, ctx))
+        seen.add(fn(j, {}, ctx))
         if len(seen) > 1:
             return U
     return seen.pop() if len(seen) == 1 else U
@@ -250,7 +320,7 @@ def evaluate_exact(e, i: PartialInterpretation, limits: Limits = DEFAULT_LIMITS)
     preds = [s for s in free_symbols(e) if s.type.is_predicate]
     if not i.exact_on(preds):
         raise EvaluationError("evaluate_exact needs an exact interpretation")
-    v = _kv(e, i, EvalContext(limits=limits))
+    v = _compiled(e)(i, {}, EvalContext(limits=limits))
     if v is U:
         raise EvaluationError("exact evaluation produced u")  # pragma: no cover
     return v

@@ -48,13 +48,9 @@ class TV(enum.Enum):
 
 T, U, F = TV.TRUE, TV.UNKNOWN, TV.FALSE
 
-# rank in the truth order f < u < t
-_TRUTH_RANK = {F: 0, U: 1, T: 2}
-
-
 def leq_truth(a: TV, b: TV) -> bool:
     """True iff a <= b in the truth order f <= u <= t."""
-    return _TRUTH_RANK[a] <= _TRUTH_RANK[b]
+    return a is b or a is F or b is T
 
 
 def leq_prec(a: TV, b: TV) -> bool:
@@ -63,22 +59,24 @@ def leq_prec(a: TV, b: TV) -> bool:
 
 
 def min_truth(values: Iterable[TV], empty: TV = T) -> TV:
-    """Minimum under the truth order; `empty` for an empty iterable."""
-    out = empty
-    first = True
-    for v in values:
-        out = v if first or _TRUTH_RANK[v] < _TRUTH_RANK[out] else out
-        first = False
+    """Minimum under the truth order; `empty` for an empty iterable.
+    Every value is read (no early exit), so lazy callers record alike."""
+    it = iter(values)
+    out = next(it, empty)
+    for v in it:
+        if v is F or v is U and out is T:
+            out = v
     return out
 
 
 def max_truth(values: Iterable[TV], empty: TV = F) -> TV:
-    """Maximum under the truth order; `empty` for an empty iterable."""
-    out = empty
-    first = True
-    for v in values:
-        out = v if first or _TRUTH_RANK[v] > _TRUTH_RANK[out] else out
-        first = False
+    """Maximum under the truth order; `empty` for an empty iterable.
+    Every value is read (no early exit), so lazy callers record alike."""
+    it = iter(values)
+    out = next(it, empty)
+    for v in it:
+        if v is T or v is U and out is F:
+            out = v
     return out
 
 
@@ -99,33 +97,30 @@ def glb_prec(values: Iterable[TV]) -> TV:
 
 
 # ---------------------------------------------------------------------------
-# Connectives
+# Connectives: the Kleene tables, on identity (the evaluator calls them
+# once per node, with both operands already evaluated)
 
 
 def neg(a: TV) -> TV:
-    if a is U:
-        return U
-    return T if a is F else F
+    return U if a is U else F if a is T else T
 
 
 def conj(a: TV, b: TV) -> TV:
-    return min_truth((a, b))
+    return F if a is F or b is F else U if a is U or b is U else T
 
 
 def disj(a: TV, b: TV) -> TV:
-    return max_truth((a, b))
+    return T if a is T or b is T else U if a is U or b is U else F
 
 
 def implies(a: TV, b: TV) -> TV:
     # Kleene material implication; equals the ultimate approximation of
     # the classical table (u => u is u, not t).
-    return max_truth((neg(a), b))
+    return T if a is F or b is T else U if a is U or b is U else F
 
 
 def iff(a: TV, b: TV) -> TV:
-    if a is U or b is U:
-        return U
-    return TV.of(a is b)
+    return U if a is U or b is U else T if a is b else F
 
 
 # ---------------------------------------------------------------------------

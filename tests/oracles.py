@@ -17,23 +17,35 @@
   the items by name (stable) and construct afresh.  The sort-free
   `PartialInterpretation._expand`, `revise` and `restrict` must give the
   very same `assignments` tuple.
+* The truth order by rank table (`rank_min_truth`, `rank_max_truth`,
+  `rank_leq_truth`), as `truthvalues` first computed it.
+* The Kleene evaluator as first written (`oracle_kv`): an `isinstance`
+  walker that binds every quantified, aggregate and rule-head variable
+  by expanding the interpretation (`bind_head` for rule heads), with
+  the connectives and quantifiers on the rank table.  The compiled
+  closures of `deflog.evaluator` must give the same value, the same
+  recorded atoms and the same exception.
 """
 
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from deflog.errors import CapExceeded, EvaluationError
+from deflog import definitions
+from deflog.errors import CapExceeded, EvaluationError, NonTotalDefinitionError
 from deflog.interpretation import PartialInterpretation
 from deflog.limits import DEFAULT_LIMITS, Limits
 from deflog.syntax import (
     FRAGMENT_ASO, FRAGMENT_ESO, FRAGMENT_FO, FRAGMENT_SO, Aggregate, And,
     Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO, ExistsSO, ForallFO,
-    ForallSO, Iff, Implies, Let, Not, Or, Rule, RuleSet, free_symbols,
+    ForallSO, Iff, Implies, IntTerm, Let, Not, Or, Rule, RuleSet, SymTerm,
+    free_symbols,
 )
 from deflog.truthvalues import (
-    F, T, TV, U, PartialSet, conj, disj, glb_prec, iff, implies, neg,
+    F, T, TV, U, PartialSet, approx_aggregate, conj, disj, glb_prec, iff,
+    implies, neg,
 )
+from deflog.vocab import DomainAtom, arg_value_space
 
 # ---------------------------------------------------------------------------
 # Fragment classification by desugaring
@@ -293,3 +305,186 @@ def rebuild_revise(i, atoms, v):
 def rebuild_restrict(i, sub):
     syms = set(sub)
     return _rebuild(i.domain, {s: v for s, v in i.assignments if s in syms})
+
+
+# ---------------------------------------------------------------------------
+# The truth order by rank table
+
+_TRUTH_RANK = {F: 0, U: 1, T: 2}
+
+
+def rank_leq_truth(a, b) -> bool:
+    return _TRUTH_RANK[a] <= _TRUTH_RANK[b]
+
+
+def rank_min_truth(values, empty=T):
+    out = empty
+    first = True
+    for v in values:
+        out = v if first or _TRUTH_RANK[v] < _TRUTH_RANK[out] else out
+        first = False
+    return out
+
+
+def rank_max_truth(values, empty=F):
+    out = empty
+    first = True
+    for v in values:
+        out = v if first or _TRUTH_RANK[v] > _TRUTH_RANK[out] else out
+        first = False
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The Kleene evaluator as an isinstance walker over expanded interpretations
+
+_BINOPS = {
+    And: lambda a, b: rank_min_truth((a, b)),
+    Or: lambda a, b: rank_max_truth((a, b)),
+    Implies: lambda a, b: rank_max_truth((neg(a), b)),
+    Iff: iff,
+}
+
+
+def relation(rel: frozenset, arity: int, domain: tuple) -> PartialSet:
+    """The exact partial set of a relation value."""
+    carrier = itertools.product(domain, repeat=arity)
+    return PartialSet.from_map({k: TV.of(k in rel) for k in carrier})
+
+
+def bind_head(rule, key: tuple, i):
+    """i with the rule's head variables bound to key, one by one."""
+    j = i
+    for var, val in zip(rule.head_vars, key):
+        if isinstance(val, frozenset):
+            val = relation(val, var.type.arity, i.domain)
+        j = j._expand(var, val)
+    return j
+
+
+def _term_value(t, i, raw: bool = False):
+    if isinstance(t, SymTerm):
+        return i.value(t.symbol)
+    if isinstance(t, IntTerm):
+        v = t.value
+    else:
+        left, right = _term_value(t.left, i, raw), _term_value(t.right, i, raw)
+        if not (isinstance(left, int) and isinstance(right, int)):
+            return None
+        v = left + right
+    return v if raw or v in i.domain else None
+
+
+def _lookup(sym, key: tuple, i, ctx) -> TV:
+    ps = i.value(sym)
+    if key not in ps:
+        raise EvaluationError(
+            f"domain atom {sym.name}{key!r} outside the populated carrier"
+        )
+    v = ps.value(key)
+    if v is U:
+        ctx.record.add(DomainAtom(sym, key))
+    return v
+
+
+def _so_arg_values(sym, i, ctx):
+    ps = i.value(sym)
+    if ps.is_exact:
+        return [ps.true_keys()]
+    for key in ps.keys_with(U):
+        ctx.record.add(DomainAtom(sym, key))
+    return [c.true_keys() for c in ps.completions(ctx.limits)]
+
+
+def oracle_kv(e, i, ctx) -> TV:
+    """Kleene value of e in i, recording consulted u-atoms in ctx."""
+    if isinstance(e, Atom1):
+        args = tuple(_term_value(a, i) for a in e.args)
+        if any(a is None for a in args):
+            return F
+        return _lookup(e.predicate, args, i, ctx)
+    if isinstance(e, Atom2):
+        choices: list = []
+        for a, at in zip(e.args, e.predicate.type.args):
+            if at.kind == "domain":
+                v = _term_value(a, i)
+                if v is None:
+                    return F
+                choices.append([v])
+            else:
+                if not isinstance(a, SymTerm):
+                    raise EvaluationError("predicate argument must be a symbol")
+                choices.append(_so_arg_values(a.symbol, i, ctx))
+        results = [
+            _lookup(e.predicate, key, i, ctx) for key in itertools.product(*choices)
+        ]
+        return glb_prec(results)
+    if isinstance(e, Cmp):
+        left = _term_value(e.left, i, raw=True)
+        right = _term_value(e.right, i, raw=True)
+        if left is None or right is None:
+            return F
+        if e.op == "=":
+            return TV.of(left == right)
+        if not (isinstance(left, int) and isinstance(right, int)):
+            return F
+        return TV.of(left < right if e.op == "<" else left > right)
+    if isinstance(e, Not):
+        return neg(oracle_kv(e.body, i, ctx))
+    op = _BINOPS.get(type(e))
+    if op is not None:
+        return op(oracle_kv(e.left, i, ctx), oracle_kv(e.right, i, ctx))
+    if isinstance(e, (ForallFO, ExistsFO)):
+        values = [oracle_kv(e.body, i._expand(e.var, d), ctx) for d in i.domain]
+        if isinstance(e, ForallFO):
+            return rank_min_truth(values, empty=T)
+        return rank_max_truth(values, empty=F)
+    if isinstance(e, (ForallSO, ExistsSO)):
+        rels = arg_value_space(e.var.type, i.domain, ctx.limits)
+        vals = [
+            oracle_kv(e.body, i._expand(e.var, relation(r, e.var.type.arity, i.domain)), ctx)
+            for r in rels
+        ]
+        if isinstance(e, ForallSO):
+            return rank_min_truth(vals, empty=T)
+        return rank_max_truth(vals, empty=F)
+    if isinstance(e, Aggregate):
+        entries = {}
+        for tup in itertools.product(i.domain, repeat=len(e.vars)):
+            j = i
+            for v, d in zip(e.vars, tup):
+                j = j._expand(v, d)
+            entries[tup] = oracle_kv(e.body, j, ctx)
+        bound = _term_value(e.bound, i, raw=True)
+        if not isinstance(bound, int):
+            raise EvaluationError("aggregate bound must be an integer")
+        return approx_aggregate(
+            e.agg, e.cmp, PartialSet.from_map(entries), bound, ctx.limits
+        )
+    if isinstance(e, DefinitionExpr):
+        return definitions.eval_definition(e.ruleset, i, "w", ctx.limits, _ctx=ctx)
+    if isinstance(e, Let):
+        return _let_value(e, i, ctx)
+    raise EvaluationError(f"not an expression: {e!r}")
+
+
+def _let_value(e, i, ctx) -> TV:
+    pars = sorted(e.ruleset.parameters, key=lambda s: s.name)
+    par_preds = [p for p in pars if p.type.is_predicate]
+    if i.exact_on(par_preds):
+        context = definitions.parameter_context(e.ruleset, i)
+        wfm = definitions.well_founded_model(e.ruleset, context, ctx.limits)
+        if not wfm.is_exact:
+            raise NonTotalDefinitionError(
+                "let-bound definition has no exact well-founded model"
+            )
+        j = i
+        for d in e.ruleset.defined_symbols:
+            j = j.expand(d, wfm.value(d))
+        return oracle_kv(e.body, j, ctx)
+    for p in par_preds:
+        for key in i.value(p).keys_with(U):
+            ctx.record.add(DomainAtom(p, key))
+    return glb_prec(
+        _let_value(e, j, ctx) for j in i.completions(par_preds, ctx.limits)
+    )

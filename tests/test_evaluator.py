@@ -2,30 +2,38 @@
 truth-assignment axioms (locality, exactness, precision monotonicity).
 
 Oracles (in oracles.py): a tiny independent classical evaluator for the
-generator fragment; the supervaluation oracle is its glb over completions."""
+generator fragment; the supervaluation oracle is its glb over completions;
+the Kleene evaluator as first written (an isinstance walker binding each
+variable by expanding the interpretation) for the compiled closures."""
 
+import functools
 import random
 
 import pytest
 
+from deflog import definitions, evaluator
 from deflog.errors import (
     CapExceeded, DeflogError, EvaluationError, NonTotalDefinitionError,
 )
 from deflog.evaluator import (
-    KLEENE, SUPERVALUATION, _probe_safe, evaluate, evaluate_exact,
+    KLEENE, SUPERVALUATION, EvalContext, _probe_safe, evaluate, evaluate_exact,
 )
 from deflog.interpretation import PartialInterpretation, read_structure
 from deflog.limits import Limits
 from deflog.parser import parse_formula, parse_theory
-from deflog.syntax import Aggregate, free_symbols, map_children, unparse
+from deflog.syntax import (
+    Aggregate, And, Atom1, DefinitionExpr, ExistsFO, ExistsSO, ForallFO,
+    IntTerm, Let, Not, Rule, RuleSet, SymTerm, free_symbols, map_children,
+    unparse,
+)
 from deflog.truthvalues import F, T, U, PartialSet, leq_prec
-from deflog.vocab import Symbol, Vocabulary, pred, predicate_carrier
+from deflog.vocab import CONST, Symbol, Vocabulary, pred, predicate_carrier
 
 from gen import (
-    P0, P1, PROPS, Q0, SO1, SO_HEAD, random_formula, random_interpretation,
+    P0, P1, PROPS, Q0, R0, SO1, SO_HEAD, random_formula, random_interpretation,
     random_tree,
 )
-from oracles import classical_eval, super_oracle
+from oracles import bind_head, classical_eval, oracle_kv, super_oracle
 
 SAMPLES = 500
 
@@ -275,3 +283,174 @@ class TestPrunedSupervaluation:
         assert want is T
         assert evaluate(e, i, SUPERVALUATION, Limits(max_unknowns=4)) is want
 
+
+
+def outcome(run, limits=Limits()):
+    """run(ctx) on a fresh context and an empty WFM memo: its value (or
+    exception type and message), the atoms it recorded and the memo keys
+    it created (a memo hit would skip the recording of a fixpoint)."""
+    definitions._WFM_CACHE.clear()
+    ctx = EvalContext(limits=limits)
+    try:
+        value, error = run(ctx), None
+    except Exception as exc:  # compared, whatever its type
+        value, error = None, (type(exc), str(exc))
+    return value, error, ctx.record, list(definitions._WFM_CACHE)
+
+
+def compiled_and_walker(e, i, limits=Limits()):
+    got = outcome(lambda ctx: evaluate(e, i, KLEENE, _ctx=ctx), limits)
+    want = outcome(lambda ctx: oracle_kv(e, i, ctx), limits)
+    assert got == want, unparse(e)
+    return want
+
+
+def bodies_and_walker(d, atom, i, limits=Limits()):
+    got = outcome(lambda ctx: definitions._body_values(d, atom, i, ctx), limits)
+    want = outcome(lambda ctx: [
+        oracle_kv(r.body, bind_head(r, atom.args, i), ctx)
+        for r in d.rules if r.head == atom.predicate
+    ], limits)
+    assert got == want, (unparse(d), atom)
+    return want
+
+
+def atom(p, *vars_):
+    return Atom1(p, tuple(SymTerm(v) for v in vars_))
+
+
+class TestCompiledAgainstWalker:
+    """Each node is compiled once into a closure over a variable
+    environment; the seed's walker expands the interpretation per bound
+    variable instead.  Both must give the same value, recorded atoms,
+    exception and WFM memo keys (definitions and let-blocks build the
+    interpretation from the environment in binding order)."""
+
+    SYMBOLS = (*PROPS, P1, SO1, SO_HEAD)
+    DOMAINS = ((), (1,), (1, 2), ("a",), ("a", 2))
+
+    def test_every_node_kind_matches_the_walker(self):
+        rng = random.Random(83)
+        kinds, values, errors, keyed = set(), set(), set(), 0
+        for _ in range(600):
+            e = random_tree(rng, rng.randint(0, 3))
+            present = [s for s in self.SYMBOLS if rng.random() < 0.95]
+            i = random_partial(rng, present, rng.choice(self.DOMAINS))
+            value, error, _, keys = compiled_and_walker(
+                e, i, Limits(max_unknowns=rng.choice((3, 20))))
+            kinds |= node_kinds(e)
+            values.add(value)
+            errors.add(error and error[0])
+            keyed += bool(keys)
+        assert {T, U, F, None} <= values
+        assert {None, EvaluationError, CapExceeded, NonTotalDefinitionError} <= errors
+        assert {"Atom1", "Atom2", "Cmp", "Not", "And", "Or", "Implies", "Iff",
+                "ForallFO", "ExistsFO", "ForallSO", "ExistsSO", "card", "sum",
+                "DefinitionExpr", "Let"} <= kinds
+        assert keyed > 50
+
+    def test_rule_bodies_match_bind_head_and_the_walker(self):
+        # first order (s(x)), second order (D(Y)) and propositional heads
+        rng = random.Random(89)
+        x, y = Symbol("x0", CONST), Symbol("Y", pred(1))
+        heads, values = set(), set()
+        for _ in range(200):
+            rules = [
+                Rule(P1, (x,), random_tree(rng, rng.randint(0, 2), fo_vars=(x,))),
+                Rule(SO_HEAD, (y,), random_tree(rng, rng.randint(0, 2), so_vars=(y,))),
+                Rule(rng.choice(PROPS), (), random_tree(rng, rng.randint(0, 2))),
+            ]
+            d = RuleSet(tuple(rng.sample(rules, rng.randint(1, 3))))
+            i = random_partial(rng, self.SYMBOLS, rng.choice(self.DOMAINS[1:]))
+            for a in definitions._defined_atoms(d, i):
+                value, error, _, _ = bodies_and_walker(d, a, i)
+                heads.add(a.predicate)
+                values.update(value or [error and error[0]])
+        assert heads == {P0, Q0, R0, P1, SO_HEAD}
+        assert {T, U, F} <= values
+
+    def test_quantifiers_over_an_empty_domain(self):
+        x, big_x = Symbol("x", CONST), Symbol("X", pred(1))
+        i = random_partial(random.Random(5), self.SYMBOLS, ())
+        sx = atom(P1, x)
+        cases = {
+            ForallFO(x, sx): T,
+            ExistsFO(x, sx): F,
+            Aggregate("card", "=", (x,), sx, IntTerm(0)): T,
+            And(ExistsFO(x, sx), Not(ForallFO(x, sx))): F,
+        }
+        for e, want in cases.items():
+            assert compiled_and_walker(e, i)[0] is want
+        # after a binder over no values, a definition and a rule body see
+        # the variables bound around it, and only those
+        inner = And(ExistsFO(x, atom(big_x, x)), DefinitionExpr(RuleSet((
+            Rule(P0, (), And(ExistsFO(x, sx), Atom1(Q0, ()))),))))
+        compiled_and_walker(ExistsSO(big_x, inner), i)
+        y = Symbol("Y", pred(1))
+        d = RuleSet((Rule(SO_HEAD, (y,), And(ForallFO(x, atom(y, x)), Let(
+            RuleSet((Rule(R0, (), ExistsFO(x, atom(y, x))),)), Atom1(R0, ())))),))
+        for a in definitions._defined_atoms(d, i):
+            assert bodies_and_walker(d, a, i)[1] is None
+
+    def test_rebound_variable_is_restored(self):
+        # !x: p(x) & (?x: q(x)) & r(x): r must read the outer x again
+        vocab = Vocabulary.of([*(Symbol(n, pred(1)) for n in "pqr"), Symbol("w", pred(0))])
+        i = read_structure("domain = {1, 2}\np = {*: t}\nq = {(2): t, *: f}\n"
+                           "r = {(1): f, (2): t}\nw = {(): f}\n", vocab)
+        e = parse_formula("!x: p(x) & (?x: q(x)) & r(x)", vocab)
+        assert compiled_and_walker(e, i)[0] is F
+        e = parse_formula("?x: p(x) & (?x: q(x)) & {w <- r(x).}", vocab)
+        value, _, _, keys = compiled_and_walker(e, i)
+        assert value is T and len(keys) == 2
+
+    def test_same_name_bound_symbols_keep_binding_order(self):
+        # a constant x and a predicate x bound together: the memo key of a
+        # definition reading both lists them in the order they were bound
+        xc, xp = Symbol("x", CONST), Symbol("x", pred(1))
+        d = DefinitionExpr(RuleSet((
+            Rule(P0, (), And(atom(xp, xc), atom(P1, xc))),)))
+        i = random_partial(random.Random(7), self.SYMBOLS, (1, 2))
+        for e, order in (
+            (ForallFO(xc, ExistsSO(xp, And(atom(xp, xc), d))), [CONST, pred(1)]),
+            (ExistsSO(xp, ForallFO(xc, And(atom(xp, xc), d))), [pred(1), CONST]),
+        ):
+            _, _, _, keys = compiled_and_walker(e, i)
+            assert keys
+            for key in keys:
+                assert [s.type for s, _ in key[2] if s.name == "x"] == order
+
+    def test_definition_and_let_under_a_quantifier_read_the_bound_variable(self):
+        vocab = Vocabulary.of([P0, P1])
+        i = read_structure("domain = {1, 2, 3}\ns = {(1): t, (2): f, (3): u}\n", vocab)
+        for text in ("!x: {p <- s(x).}", "?x: let {p <- s(x).} in p",
+                     "#{x: {p <- s(x).}} = 1"):
+            e = parse_formula(text, vocab)
+            _, _, _, keys = compiled_and_walker(e, i)
+            x = e.vars[0] if type(e) is Aggregate else e.var
+            assert {dict(key[2])[x] for key in keys} == {1, 2, 3}, text
+
+    def test_deep_formulas_keep_one_frame_per_level(self):
+        i = read_structure("domain = {a}\np = {(): t}\n", Vocabulary.of([P0]))
+        negations = Atom1(P0, ())
+        for _ in range(900):
+            negations = Not(negations)
+        chain = Atom1(P0, ())
+        for _ in range(899):
+            chain = And(chain, Atom1(P0, ()))
+        assert evaluate(negations, i) is T
+        assert evaluate(chain, i) is T
+
+    def test_relation_memo_stays_within_its_bound(self, monkeypatch):
+        assert evaluator._relation_cached.cache_info().maxsize == evaluator._RELATION_CACHE_MAX
+        small = functools.lru_cache(maxsize=4)(evaluator._relation_cached.__wrapped__)
+        monkeypatch.setattr(evaluator, "_relation_cached", small)
+        monkeypatch.setattr(definitions, "_relation_cached", small)
+        vocab = Vocabulary.of([P0, P1, SO_HEAD])
+        texts = ("?? X[pred/1]: (?x: X(x) & s(x))", "!! X[pred/1]: (!x: X(x) => s(x))",
+                 "{D(Y) <- ?x: Y(x) & s(x). p <- ?? X[pred/1]: D(X).}")
+        for domain in ((1,), (1, 2), ("a", "b"), (1, 2, 3)):
+            i = random_partial(random.Random(len(domain)), (P0, P1, SO_HEAD), domain)
+            for text in texts:
+                compiled_and_walker(parse_formula(text, vocab), i)
+                assert small.cache_info().currsize <= 4
+        assert small.cache_info().misses > 4

@@ -7,7 +7,8 @@ import typing
 import pytest
 
 from deflog.errors import ParseError
-from deflog.evaluator import _probe_safe
+from deflog.evaluator import EvalContext, _probe_safe, evaluate
+from deflog.interpretation import read_structure
 from deflog.parser import parse_formula, parse_ruleset, parse_theory
 from deflog.syntax import (
     FRAGMENT_ASO, FRAGMENT_ESO, FRAGMENT_FO, FRAGMENT_SO, Atom1, Expr,
@@ -17,7 +18,7 @@ from deflog.syntax import (
 from deflog.vocab import CONST, Symbol, Vocabulary, pred, so_pred
 
 from gen import random_formula, random_tree
-from oracles import oracle_classify
+from oracles import oracle_classify, oracle_kv
 
 p2 = Symbol("p", pred(2))
 r1 = Symbol("r", pred(1))
@@ -211,10 +212,25 @@ class TestStructure:
     # (aggregates only for card, and the sample aggregate is not one)
     PROBE_SAFE = {"Atom1", "Cmp", "Not", "And", "Or", "Implies", "Iff", "ForallFO", "ExistsFO"}
 
+    # one well-typed formula per node kind, for compiling and evaluating
+    TYPED = {
+        "Atom1": "r(c)", "Atom2": "E(p)", "Cmp": "c + 1 < 3", "Not": "~q",
+        "And": "q & r(c)", "Or": "q | r(c)", "Implies": "q => r(c)",
+        "Iff": "q <=> r(c)", "ForallFO": "!x: r(x)", "ExistsFO": "?x: r(x)",
+        "ForallSO": "!! X[pred/1]: X(c)", "ExistsSO": "?? X[pred/1]: X(c)",
+        "Aggregate": "#{x: r(x)} > 0", "DefinitionExpr": "{q <- r(c).}",
+        "Let": "let {q <- ~r(c).} in q",
+    }
+
     def test_every_node_kind_is_known_to_the_primitives(self):
-        # a new node kind fails here until map_children, the classifier
-        # and the probe-safety predicate handle it
+        # a new node kind fails here until map_children, the classifier,
+        # the probe-safety predicate and the evaluator's compiler handle it
+        i = read_structure("domain = {1, 2}\nc = 1\nr = {(1): t, (2): f}\nq = {(): u}\n", VOCAB)
         for cls in typing.get_args(Expr):
+            typed = parse(self.TYPED[cls.__name__])
+            assert type(typed) is cls
+            assert evaluate(typed, i) is oracle_kv(typed, i, EvalContext())
+            assert "_fn" in vars(typed)  # compiled once, kept on the node
             kinds = [f.type.strip("'\"") for f in dataclasses.fields(cls)]
             e = cls(*(self.SAMPLES[k] for k in kinds))
             visited = []

@@ -16,7 +16,10 @@ from deflog.truthvalues import (
     leq_truth, max_truth, min_truth, neg,
 )
 
-from oracles import BoolFn, kleene_connective, ultimate_approx
+from oracles import (
+    BoolFn, kleene_connective, rank_leq_truth, rank_max_truth, rank_min_truth,
+    ultimate_approx,
+)
 
 THREE = (T, U, F)
 
@@ -60,6 +63,21 @@ class TestOrders:
         assert max_truth([T, U, F]) is T
         assert min_truth([], empty=T) is T
         assert max_truth([], empty=F) is F
+
+    def test_truth_order_matches_the_rank_table(self):
+        # identity comparisons against the rank table they replaced, on
+        # every sequence up to length 4, reading every value (no early
+        # exit: lazy callers must record the same atoms)
+        for a, b in itertools.product(THREE, repeat=2):
+            assert leq_truth(a, b) is rank_leq_truth(a, b)
+        for n in range(5):
+            for values in itertools.product(THREE, repeat=n):
+                for empty in (T, F):
+                    for fn, oracle in ((min_truth, rank_min_truth), (max_truth, rank_max_truth)):
+                        read = []
+                        got = fn((read.append(v) or v for v in values), empty)
+                        assert got is oracle(values, empty), (fn.__name__, values, empty)
+                        assert read == list(values)
 
     def test_glb_prec_matches_oracle(self):
         for n in (1, 2, 3):
