@@ -7,8 +7,8 @@ expansion and templification, and second order quantifier elimination.
 
 from .definitions import (
     StableReport, eval_definition, expand_context, greatest_unfounded_set,
-    is_partial_stable, is_total, is_unfounded, partial_stable_models,
-    stable_models, well_founded_model,
+    is_partial_stable, is_total, partial_stable_models, stable_models,
+    well_founded_model,
 )
 from .errors import (
     CapExceeded, DeflogError, EvaluationError, NonTotalDefinitionError,
@@ -45,7 +45,7 @@ __all__ = [
     "check_correspondence", "classify", "eliminate_so", "eval_definition",
     "evaluate", "evaluate_exact", "expand_context", "free_symbols",
     "glb_prec", "greatest_unfounded_set", "is_partial_stable", "is_simple",
-    "is_total", "is_unfounded", "leq_prec", "leq_truth", "macro_expand",
+    "is_total", "leq_prec", "leq_truth", "macro_expand",
     "parse_formula", "parse_ruleset", "parse_theory",
     "partial_stable_models", "pred", "read_structure", "sigma_equivalent",
     "so_pred", "stable_models", "templify", "typecheck", "unparse",

@@ -15,8 +15,13 @@ Interpretations passing all three are partial stable; the well-founded
 model is the precision-least partial stable model for a context, and
 stable models are the exact partial stable ones.  The normative
 well-founded computation enumerates 3^n candidates; `well_founded_model`
-runs the equivalent (test-checked) alternating fixpoint of
-true-derivation and greatest-unfounded-set steps.
+runs the equivalent (test-checked) alternating fixpoint on the rule set
+ground once per context into a residual program over atom ids: constants
+for what reads no defined symbol, Kleene-simplified connectives, expanded
+first order quantifiers, and opaque leaves (second order quantifiers,
+aggregates, nested definitions) valued at the current interpretation.
+Its rounds and unfounded-set passes go through the interpretations of the
+plain fixpoint, valuing only the heads that read an atom just changed.
 """
 
 from __future__ import annotations
@@ -26,10 +31,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import CapExceeded, EvaluationError
-from .evaluator import EvalContext, _compiled, _probe_safe, _relation_cached
+from .evaluator import EvalContext, _compiled, _probe_safe, _read, _relation_cached
 from .interpretation import PartialInterpretation
 from .limits import DEFAULT_LIMITS, Limits
-from .syntax import RuleSet
+from .syntax import (
+    And, Atom1, Atom2, ExistsFO, ForallFO, Iff, Implies, Not, Or, RuleSet, free_symbols,
+)
 from .truthvalues import F, T, TV, U, PartialSet, canon_order, glb_prec, max_truth, neg
 from .vocab import DomainAtom, Symbol, predicate_carrier
 
@@ -40,32 +47,22 @@ def _atom_key(a: DomainAtom):
 
 def _defined_atoms(d: RuleSet, i: PartialInterpretation) -> list[DomainAtom]:
     """All defined domain atoms, over the carriers i assigns."""
-    out = []
-    for h in sorted(d.defined_symbols, key=lambda s: s.name):
-        for key in i.value(h).carrier:
-            out.append(DomainAtom(h, key))
-    return out
+    return [DomainAtom(h, key) for h in sorted(d.defined_symbols, key=lambda s: s.name)
+            for key in i.value(h).carrier]
+
+
+def _head_env(r, args: tuple, domain: tuple) -> dict:
+    """The rule's head variables bound to a defined atom's arguments."""
+    return {var: _relation_cached(val, var.type.arity, domain)
+            if isinstance(val, frozenset) else val for var, val in zip(r.head_vars, args)}
 
 
 def _body_values(
     d: RuleSet, atom: DomainAtom, i: PartialInterpretation, ctx: EvalContext
 ) -> list[TV]:
     """atom's rule bodies, valued with its arguments bound to the head variables."""
-    out = []
-    for r in d.rules:
-        if r.head == atom.predicate:
-            env = {var: _relation_cached(val, var.type.arity, i.domain)
-                   if isinstance(val, frozenset) else val
-                   for var, val in zip(r.head_vars, atom.args)}
-            out.append(_compiled(r.body)(i, env, ctx))
-    return out
-
-
-def _supported_value(
-    d: RuleSet, atom: DomainAtom, i: PartialInterpretation, ctx: EvalContext
-) -> TV:
-    # Max over no applicable rules is f
-    return max_truth(_body_values(d, atom, i, ctx), empty=F)
+    return [_compiled(r.body)(i, _head_env(r, atom.args, i.domain) if r.head_vars else {}, ctx)
+            for r in d.rules if r.head == atom.predicate]  # most rules bind no variable
 
 
 def expand_context(
@@ -80,14 +77,11 @@ def expand_context(
     listed argument tuples (useful when the full second order argument
     space is out of reach).
     """
-    for h in d.defined_symbols:
-        if o.interprets(h):
-            raise EvaluationError(f"context already interprets defined {h.name}")
-    if carriers is None:
-        return o.expand_unknown(sorted(d.defined_symbols, key=lambda s: s.name), limits)
     i = o
     for h in sorted(d.defined_symbols, key=lambda s: s.name):
-        c = carriers[h] if h in carriers else predicate_carrier(h.type, o.domain, limits)
+        if o.interprets(h):
+            raise EvaluationError(f"context already interprets defined {h.name}")
+        c = carriers[h] if h in (carriers or ()) else predicate_carrier(h.type, o.domain, limits)
         i = i.expand(h, PartialSet.constant(c, U))
     return i
 
@@ -112,53 +106,25 @@ def is_closed(
     return True
 
 
-def is_unfounded(
-    d: RuleSet,
-    i: PartialInterpretation,
-    u_set: Iterable[DomainAtom],
-    limits: Limits = DEFAULT_LIMITS,
-    _ctx: EvalContext | None = None,
-) -> bool:
-    """u_set is a u-set whose bodies are all f once the set is assumed f."""
-    ctx = _ctx or EvalContext(limits=limits)
-    atoms = sorted(set(u_set), key=_atom_key)
-    defined = d.defined_symbols
-    for a in atoms:
-        if a.predicate not in defined:
-            raise EvaluationError(f"{a.predicate.name} is not defined by the rule set")
-        if i.atom_value(a) is not U:
-            return False
-    j = i.revise(atoms, F)
-    return all(
-        all(v is F for v in _body_values(d, a, j, ctx)) for a in atoms
-    )
-
-
 def greatest_unfounded_set(
     d: RuleSet,
     i: PartialInterpretation,
     limits: Limits = DEFAULT_LIMITS,
     _ctx: EvalContext | None = None,
 ) -> frozenset:
-    """Largest unfounded set, by downward iteration from all u-atoms.
+    """Largest unfounded set, by downward passes from all u-atoms.
 
     Unfounded sets are closed under union (falsity is preserved under
     precision refinement), so the greatest one exists and braveness
     reduces to its emptiness.
     """
     ctx = _ctx or EvalContext(limits=limits)
-    candidates = [a for a in _defined_atoms(d, i) if i.atom_value(a) is U]
-    while candidates:
-        j = i.revise(candidates, F)
-        kept = [
-            a
-            for a in candidates
-            if all(v is F for v in _body_values(d, a, j, ctx))
-        ]
-        if len(kept) == len(candidates):
-            break
-        candidates = kept
-    return frozenset(candidates)
+    atoms = _defined_atoms(d, i)
+    cands = [h for h, a in enumerate(atoms) if i.atom_value(a) is U]
+    g = _Ground(d, i.revise([atoms[h] for h in cands], F), ctx.limits, cands)
+    gus = frozenset(atoms[h] for h in g.unfounded(cands))
+    ctx.record.update(g.consulted())
+    return gus
 
 
 @dataclass
@@ -173,7 +139,6 @@ class StableReport:
     unsupported_atoms: tuple = ()
     demotion_witness: tuple | None = None  # (t_set, u_set) defeating prudence
     unfounded_witness: frozenset | None = None
-    is_wfm: bool | None = None  # filled in by well_founded_model when known
 
     @property
     def is_partial_stable(self) -> bool:
@@ -201,9 +166,8 @@ def is_partial_stable(
     atoms = _defined_atoms(d, i)
 
     unsupported = tuple(
-        a for a in atoms if i.atom_value(a) is not _supported_value(d, a, i, ctx)
+        a for a in atoms if i.atom_value(a) is not max_truth(_body_values(d, a, i, ctx), empty=F)
     )
-    supported = not unsupported
 
     t_atoms = [a for a in atoms if i.atom_value(a) is T]
     u_atoms = [a for a in atoms if i.atom_value(a) is U]
@@ -228,14 +192,12 @@ def is_partial_stable(
                 break
 
     gus = greatest_unfounded_set(d, i, limits, _ctx=ctx)
-    brave = not gus
-
     return StableReport(
         interpretation=i,
         defined_symbols=tuple(sorted(d.defined_symbols, key=lambda s: s.name)),
-        supported=supported,
+        supported=not unsupported,
         prudent=prudent,
-        brave=brave,
+        brave=not gus,
         unsupported_atoms=unsupported,
         demotion_witness=demotion,
         unfounded_witness=gus or None,
@@ -260,11 +222,8 @@ def partial_stable_models(
         raise CapExceeded(
             f"{len(atoms)} defined atoms exceed cap {limits.max_defined_atoms}"
         )
-    out = []
-    for cand in i0.refinements(atoms, (T, U, F)):
-        if is_partial_stable(d, cand, limits, _ctx=_ctx).is_partial_stable:
-            out.append(cand)
-    return out
+    return [cand for cand in i0.refinements(atoms, (T, U, F))
+            if is_partial_stable(d, cand, limits, _ctx=_ctx).is_partial_stable]
 
 
 def stable_models(
@@ -294,7 +253,7 @@ def stable_models(
         try:
             return any(
                 j.atom_value(a) is not U
-                and _supported_value(d, a, j, probe) is neg(j.atom_value(a))
+                and max_truth(_body_values(d, a, j, probe), empty=F) is neg(j.atom_value(a))
                 for a in atoms
             )
         except EvaluationError:
@@ -304,7 +263,7 @@ def stable_models(
     out = []
     for cand in i0.refinements(atoms, cut=unsupported if safe else None):
         if any(
-            cand.atom_value(a) is not _supported_value(d, a, cand, ctx)
+            cand.atom_value(a) is not max_truth(_body_values(d, a, cand, ctx), empty=F)
             for a in atoms
         ):
             continue
@@ -314,44 +273,185 @@ def stable_models(
                 f"stability check over {len(t_atoms)} true atoms exceeds cap "
                 f"{limits.max_subset_atoms}"
             )
-        stable = True
-        for t_sub in _subsets(t_atoms):
-            if t_sub and is_closed(d, cand.revise(t_sub, U), limits, _ctx=ctx):
-                stable = False
-                break
-        if stable:
+        if not any(t_sub and is_closed(d, cand.revise(t_sub, U), limits, _ctx=ctx)
+                   for t_sub in _subsets(t_atoms)):
             out.append(cand)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Well-founded model
+# Well-founded model.  Truth values are coded f = 0, u = 1, t = 2; a residual
+# node is an index into the value list (the constants, then the defined atoms
+# in _defined_atoms order, then the opaque leaves) or a pair (_AND, nodes),
+# (_OR, nodes) or (_NOT, node).
+
+_AND, _OR, _NOT = range(3)
+_ATOMS = 3  # value index of the first defined atom
 
 
-def _wfm_fixpoint(
-    d: RuleSet,
-    i0: PartialInterpretation,
-    atoms: list[DomainAtom],
-    limits: Limits,
-    ctx: EvalContext,
-) -> PartialInterpretation:
-    """Alternating fixpoint: derive true atoms, then drop the greatest
-    unfounded set to false, until neither step moves."""
-    i = i0
-    while True:
-        derived = [
-            a
-            for a in atoms
-            if i.atom_value(a) is U and _supported_value(d, a, i, ctx) is T
-        ]
-        if derived:
-            i = i.revise(derived, T)
-            continue
-        gus = greatest_unfounded_set(d, i, limits, _ctx=ctx)
-        if gus:
-            i = i.revise(sorted(gus, key=_atom_key), F)
-            continue
+def _code(v: TV) -> int:
+    return 2 if v is T else 0 if v is F else 1
+
+
+def _value(n, val: list) -> int:
+    op, x = n
+    if op == _NOT:
+        return 2 - (val[x] if type(x) is int else _value(x, val))
+    out, stop = (2, 0) if op == _AND else (0, 2)
+    for y in x:
+        v = val[y] if type(y) is int else _value(y, val)
+        if v == stop:
+            return stop
+        if v == 1:
+            out = 1
+    return out
+
+
+def _negate(n):
+    if type(n) is int and n < _ATOMS:
+        return 2 - n
+    return n[1] if type(n) is tuple and n[0] == _NOT else (_NOT, n)
+
+
+def _connect(op: int, kids: list):
+    """kids under & (_AND) or | (_OR), flattened: the zero absorbs, the unit drops."""
+    zero, unit, out = (0, 2, []) if op == _AND else (2, 0, [])
+    for k in kids:
+        if type(k) is tuple and k[0] == op:
+            out.extend(k[1])
+        elif k == zero:
+            return zero
+        elif k != unit:
+            out.append(k)
+    return unit if not out else out[0] if len(out) == 1 else (op, out)
+
+
+class _Ground:
+    """Rule set d ground at `at` for the defined atoms `heads` (indices
+    into _defined_atoms, all by default): per head a residual node and the
+    opaque leaves (closure and env) it values first, per atom the heads
+    reading it.  An atom over a defined symbol, second order ones at exact
+    arguments, is its index.  Grounding values, in closure order, all that
+    one round of body evaluations at `at` would, so it raises the same."""
+
+    def __init__(self, d: RuleSet, at: PartialInterpretation, limits: Limits, heads=None):
+        self.at, self.defined, self.ctx = at, d.defined_symbols, EvalContext(limits=limits)
+        self.index, self.keys, self.val, self.live = {}, [], [0, 1, 2], {}
+        for h in sorted(self.defined, key=lambda s: s.name):
+            ps = at.value(h)
+            self.index[h] = (len(self.val), ps._index)
+            self.keys += [(h, key) for key in ps.carrier]
+            self.val += [_code(v) for v in ps.values]
+        n = len(self.keys)  # per head its node and leaves, per atom its readers
+        self.node, self.leaves, self.deps = [0] * n, [()] * n, [[] for _ in range(n)]
+        self.opaque = []  # the heads with opaque leaves
+        for h in range(n) if heads is None else heads:
+            sym, args = self.keys[h]
+            self.reads, self.leaf = set(), []
+            self.node[h] = _connect(_OR, [
+                self.ground(r.body, _head_env(r, args, at.domain), _compiled(r.body))
+                for r in d.rules if r.head == sym])
+            for x in self.reads:
+                self.deps[x - _ATOMS].append(h)
+            if self.leaf:
+                self.leaves[h] = self.leaf
+                self.opaque.append(h)
+
+    def ground(self, e, env: dict, fn):
+        live = self.live.get(id(e))  # the defined symbols free in e
+        if live is None:
+            live = self.live[id(e)] = free_symbols(e) & self.defined
+        t = type(e)
+        if not live or live <= env.keys():
+            return _code(fn(self.at, env, self.ctx))
+        if t is Not:
+            return _negate(self.ground(e.body, env, e.body._fn))
+        if t is And or t is Or or t is Implies or t is Iff:
+            a, b = self.ground(e.left, env, e.left._fn), self.ground(e.right, env, e.right._fn)
+            if t is Iff:  # (a & b) | (~a & ~b) under Kleene
+                return _connect(_OR, [_connect(_AND, [a, b]),
+                                      _connect(_AND, [_negate(a), _negate(b)])])
+            return _connect(_AND if t is And else _OR, [_negate(a) if t is Implies else a, b])
+        if t is ForallFO or t is ExistsFO:
+            inner, kids = dict(env), []
+            for v in self.at.domain:
+                inner[e.var] = v
+                kids.append(self.ground(e.body, inner, e.body._fn))
+            return _connect(_AND if t is ForallFO else _OR, kids)
+        keys = fn.keys(self.at, env, self.ctx) if t is Atom1 or (
+            t is Atom2 and live == {e.predicate}) else ()
+        if keys is None:
+            return 0
+        if len(keys) == 1:
+            base, index = self.index[e.predicate]
+            k = index.get(keys[0])
+            if k is None:  # _read raises the evaluator's out-of-carrier error
+                _read(e.predicate, self.at.value(e.predicate), keys[0], self.ctx)
+            self.reads.add(base + k)
+            return base + k
+        self.val.append(_code(fn(self.at, env, self.ctx)))
+        self.leaf.append((len(self.val) - 1, fn, dict(env)))
+        return len(self.val) - 1
+
+    def values(self, hs, refresh: bool = True) -> list:
+        """The value of each head in hs, its opaque leaves valued first."""
+        val, i, out = self.val, None, []
+        for h in hs:
+            if refresh and self.leaves[h]:
+                i = i or self.interpretation()
+                for slot, fn, env in self.leaves[h]:
+                    val[slot] = _code(fn(i, env, self.ctx))
+            n = self.node[h]
+            out.append(val[n] if type(n) is int else _value(n, val))
+        return out
+
+    def touched(self, changed) -> list:
+        """The heads reading an atom in `changed` or an opaque leaf."""
+        return sorted(set(self.opaque).union(*[self.deps[h] for h in changed]))
+
+    def unfounded(self, cands: list) -> list:
+        """The greatest unfounded set within the u-atoms `cands`, left f:
+        set all f, release to u each atom with a body not f, re-check the
+        atoms reading a released one, until none is released."""
+        val, kept, hs = self.val, set(cands), cands
+        for h in cands:
+            val[_ATOMS + h] = 0
+        while hs:
+            drop = [h for h, v in zip(hs, self.values(hs)) if v]
+            kept.difference_update(drop)
+            for h in drop:
+                val[_ATOMS + h] = 1
+            hs = [h for h in self.touched(drop) if h in kept] if drop else []
+        return sorted(kept)
+
+    def consulted(self) -> tuple:
+        """The u-valued parameter atoms read, as a tuple: memo entries share ()."""
+        return tuple(a for a in self.ctx.record if a.predicate not in self.defined)
+
+    def interpretation(self) -> PartialInterpretation:
+        i = self.at
+        for sym, (k, index) in self.index.items():
+            i = i._expand(sym, PartialSet(i.value(sym).carrier, tuple(
+                [(F, U, T)[v] for v in self.val[k:k + len(index)]])))
         return i
+
+
+def _residual_wfm(d: RuleSet, i0: PartialInterpretation, limits: Limits) -> tuple:
+    """The well-founded model expanding i0 (defined atoms all u) and the
+    u-valued parameter atoms read: set every atom a round derives true at
+    once, else the greatest unfounded set false, until neither moves."""
+    g = _Ground(d, i0, limits)
+    val, n = g.val, len(g.keys)  # the leaves hold round one
+    changed = [h for h, v in enumerate(g.values(range(n), refresh=False)) if v == 2]
+    while True:
+        for h in changed:
+            val[_ATOMS + h] = 2
+        if not changed:
+            changed = g.unfounded([h for h in range(n) if val[_ATOMS + h] == 1])
+            if not changed:
+                return g.interpretation(), g.consulted()
+        hs = [h for h in g.touched(changed) if val[_ATOMS + h] == 1]
+        changed = [h for h, v in zip(hs, g.values(hs)) if v == 2]
 
 
 # memo for the (pure, deterministic) fixpoint path, keyed by the rule set, the
@@ -378,25 +478,17 @@ def well_founded_model(
     by the alternating fixpoint.  The tests check it against the least
     of the enumerated partial stable models."""
     ctx = _ctx or EvalContext(limits=limits)
-    carrier_key = (
-        None
-        if carriers is None
-        else tuple(
-            sorted(((s, tuple(c)) for s, c in carriers.items()),
-                   key=lambda kv: kv[0].name)
-        )
-    )
+    carrier_key = None if carriers is None else tuple(
+        sorted(((s, tuple(c)) for s, c in carriers.items()), key=lambda kv: kv[0].name))
     key = (d, o.domain, o.assignments, carrier_key, limits)
-    cached = _WFM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    i0 = expand_context(d, o, limits, carriers)
-    atoms = _defined_atoms(d, i0)
-    out = _wfm_fixpoint(d, i0, atoms, limits, ctx)
-    if len(_WFM_CACHE) >= _WFM_CACHE_MAX:
-        del _WFM_CACHE[next(iter(_WFM_CACHE))]
-    _WFM_CACHE[key] = out
-    return out
+    hit = _WFM_CACHE.get(key)
+    if hit is None:
+        hit = _residual_wfm(d, expand_context(d, o, limits, carriers), ctx.limits)
+        if len(_WFM_CACHE) >= _WFM_CACHE_MAX:
+            del _WFM_CACHE[next(iter(_WFM_CACHE))]
+        _WFM_CACHE[key] = hit
+    ctx.record.update(hit[1])  # a hit records what the miss did
+    return hit[0]
 
 
 def is_total(
@@ -420,21 +512,13 @@ def _relevant_u_atoms(
     """Unknown atoms the membership test can depend on.
 
     All unknown defined atoms matter.  For parameters we take the atoms
-    consulted while evaluating every rule body at the state where all
-    defined atoms are unknown: evaluation never short-circuits, and
-    consulted sets only shrink as interpretations get more precise, so
-    this is a sound over-approximation for every completion.
+    consulted while grounding d (valuing every rule body) at the state
+    where all defined atoms are unknown: evaluation never short-circuits,
+    and consulted sets only shrink as interpretations get more precise,
+    so this is a sound over-approximation for every completion.
     """
-    defined = sorted(d.defined_symbols, key=lambda s: s.name)
     atoms = _defined_atoms(d, i)
-    scan_ctx = EvalContext(limits=limits)
-    scan = i.revise(atoms, U)
-    for a in atoms:
-        _body_values(d, a, scan, scan_ctx)
-    defined_set = set(defined)
-    # recording only fires on u-valued lookups, and parameters keep their
-    # values from i in the scan state
-    consulted = {a for a in scan_ctx.record if a.predicate not in defined_set}
+    consulted = set(_Ground(d, i.revise(atoms, U), limits).consulted())
     consulted.update(a for a in atoms if i.atom_value(a) is U)
     return sorted(consulted, key=_atom_key)
 
@@ -446,15 +530,11 @@ def _exact_check(
     free predicate symbols."""
     defined = sorted(d.defined_symbols, key=lambda s: s.name)
     carriers = {h: i.value(h).carrier for h in defined}
-    if sem == "w":
+    if sem == "w":  # i is exact on the defined symbols, so the model must be
         wfm = well_founded_model(d, parameter_context(d, i), limits, carriers, _ctx=ctx)
-        return TV.of(
-            all(wfm.value(h).is_exact for h in defined)
-            and all(wfm.value(h) == i.value(h) for h in defined)
-        )
+        return TV.of(all(wfm.value(h) == i.value(h) for h in defined))
     if sem == "st":
-        rep = is_partial_stable(d, i, limits, _ctx=ctx)
-        return TV.of(rep.is_partial_stable)
+        return TV.of(is_partial_stable(d, i, limits, _ctx=ctx).is_partial_stable)
     raise EvaluationError(f"unknown rule-set semantics {sem!r}")
 
 
@@ -474,9 +554,7 @@ def eval_definition(
     """
     ctx = _ctx or EvalContext(limits=limits)
     preds = sorted((s for s in d.free if s.type.is_predicate), key=lambda s: s.name)
-    if not i.u_atoms(preds):
-        return _exact_check(d, i, sem, limits, ctx)
-    unknown = _relevant_u_atoms(d, i, limits)
+    unknown = _relevant_u_atoms(d, i, limits) if i.u_atoms(preds) else []
     if not unknown:
         return _exact_check(d, i, sem, limits, ctx)
     ctx.record.update(unknown)

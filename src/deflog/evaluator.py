@@ -105,6 +105,12 @@ def _atom1(e):
                 return F
         return _read(p, env[p] if p in env else i.value(p), key, ctx)
 
+    def keys(i, env, ctx):  # for definitions' grounder: [the key], or None
+        key = tuple(map(env.get, syms))
+        key = tuple([f(i, env) for f in args]) if None in key else key
+        return None if None in key else [key]
+
+    atom1.keys = keys
     return atom1
 
 
@@ -115,13 +121,13 @@ def _atom2(e):
              else (None, a.symbol if type(a) is SymTerm else None)
              for a, at in zip(e.args, p.type.args)]
 
-    def atom2(i, env, ctx):
+    def keys(i, env, ctx):  # the keys to read, or None outside the domain
         choices = []
         for term, sym in parts:
             if term is not None:
                 v = term(i, env)
                 if v is None:
-                    return F
+                    return None
                 choices.append((v,))
                 continue
             if sym is None:
@@ -130,9 +136,16 @@ def _atom2(e):
             ctx.record.update(DomainAtom(sym, key) for key in ps.keys_with(U))
             exact = [ps] if ps.is_exact else ps.completions(ctx.limits)
             choices.append([c.true_keys() for c in exact])
-        ps = env[p] if p in env else i.value(p)
-        return glb_prec([_read(p, ps, key, ctx) for key in itertools.product(*choices)])
+        return list(itertools.product(*choices))
 
+    def atom2(i, env, ctx):
+        ks = keys(i, env, ctx)
+        if ks is None:
+            return F
+        ps = env[p] if p in env else i.value(p)
+        return glb_prec([_read(p, ps, key, ctx) for key in ks])
+
+    atom2.keys = keys
     return atom2
 
 

@@ -25,6 +25,11 @@
   the connectives and quantifiers on the rank table.  The compiled
   closures of `deflog.evaluator` must give the same value, the same
   recorded atoms and the same exception.
+* The well-founded fixpoint as first written (`oracle_wfm_fixpoint`,
+  `oracle_unfounded_set`, `is_unfounded`): every derivation round and
+  unfounded-set pass re-evaluates whole rule bodies on an interpretation
+  revised for it.  The fixpoint of `deflog.definitions` over the ground
+  residual program must give the same model, unfounded set or exception.
 """
 
 import itertools
@@ -33,6 +38,7 @@ from typing import Callable, Sequence
 
 from deflog import definitions
 from deflog.errors import CapExceeded, EvaluationError, NonTotalDefinitionError
+from deflog.evaluator import EvalContext
 from deflog.interpretation import PartialInterpretation
 from deflog.limits import DEFAULT_LIMITS, Limits
 from deflog.syntax import (
@@ -488,3 +494,61 @@ def _let_value(e, i, ctx) -> TV:
     return glb_prec(
         _let_value(e, j, ctx) for j in i.completions(par_preds, ctx.limits)
     )
+
+
+# ---------------------------------------------------------------------------
+# The well-founded model as first computed: every derivation round and every
+# unfounded-set pass re-evaluates the whole rule bodies of every candidate
+# atom on a revised interpretation
+
+
+def is_unfounded(d, i, u_set, limits=DEFAULT_LIMITS, _ctx=None) -> bool:
+    """u_set is a u-set whose bodies are all f once the set is assumed f."""
+    ctx = _ctx or EvalContext(limits=limits)
+    atoms = sorted(set(u_set), key=definitions._atom_key)
+    for a in atoms:
+        if a.predicate not in d.defined_symbols:
+            raise EvaluationError(f"{a.predicate.name} is not defined by the rule set")
+        if i.atom_value(a) is not U:
+            return False
+    j = i.revise(atoms, F)
+    return all(
+        all(v is F for v in definitions._body_values(d, a, j, ctx)) for a in atoms
+    )
+
+
+def oracle_unfounded_set(d, i, limits=DEFAULT_LIMITS, _ctx=None) -> frozenset:
+    """Largest unfounded set, by downward iteration from all u-atoms."""
+    ctx = _ctx or EvalContext(limits=limits)
+    candidates = [a for a in definitions._defined_atoms(d, i) if i.atom_value(a) is U]
+    while candidates:
+        j = i.revise(candidates, F)
+        kept = [
+            a
+            for a in candidates
+            if all(v is F for v in definitions._body_values(d, a, j, ctx))
+        ]
+        if len(kept) == len(candidates):
+            break
+        candidates = kept
+    return frozenset(candidates)
+
+
+def oracle_wfm_fixpoint(d, i0, atoms, limits, ctx):
+    """Alternating fixpoint: derive true atoms, then drop the greatest
+    unfounded set to false, until neither step moves."""
+    i = i0
+    while True:
+        derived = [
+            a
+            for a in atoms
+            if i.atom_value(a) is U and T in definitions._body_values(d, a, i, ctx)
+        ]
+        if derived:
+            i = i.revise(derived, T)
+            continue
+        gus = oracle_unfounded_set(d, i, limits, _ctx=ctx)
+        if gus:
+            i = i.revise(sorted(gus, key=definitions._atom_key), F)
+            continue
+        return i

@@ -14,19 +14,21 @@ import pytest
 from deflog import definitions
 from deflog.definitions import (
     eval_definition, expand_context, greatest_unfounded_set,
-    is_partial_stable, is_total, is_unfounded, partial_stable_models,
-    stable_models, well_founded_model,
+    is_partial_stable, is_total, partial_stable_models, stable_models,
+    well_founded_model,
 )
 from deflog.errors import CapExceeded, EvaluationError
 from deflog.evaluator import EvalContext
 from deflog.interpretation import PartialInterpretation
 from deflog.limits import Limits
 from deflog.parser import parse_ruleset
-from deflog.syntax import And, Atom1, Not, Or
+from deflog.syntax import And, Atom1, Atom2, ExistsSO, Not, Or, Rule, RuleSet, SymTerm
 from deflog.truthvalues import F, T, U, PartialSet
 from deflog.vocab import CONST, DomainAtom, Symbol, Vocabulary, pred
 
-from gen import PROPS, random_ruleset
+from gen import P1, PROPS, SO1, SO_HEAD, random_ruleset, random_tree
+from oracles import is_unfounded, oracle_unfounded_set, oracle_wfm_fixpoint
+from test_evaluator import node_kinds, random_partial
 
 p, q, r = PROPS
 VOCAB = Vocabulary.of(PROPS)
@@ -322,11 +324,188 @@ class TestMemo:
             assert len(definitions._WFM_CACHE) <= bound
             assert [k[0] for k in definitions._WFM_CACHE] == fifo
             i0 = expand_context(d, o)
-            fresh = definitions._wfm_fixpoint(
+            fresh = oracle_wfm_fixpoint(
                 d, i0, definitions._defined_atoms(d, i0), Limits(), EvalContext()
             )
             assert got == fresh, f"{d}"
         assert len(definitions._WFM_CACHE) == bound
+
+
+def run_fixpoint(run, defined, limits):
+    """run(ctx) on a fresh context and an empty WFM memo: its result (or
+    exception type and message), the parameter atoms it recorded (when
+    it returned) and the memo keys its opaque leaves created, in order."""
+    definitions._WFM_CACHE.clear()
+    ctx = EvalContext(limits=limits)
+    try:
+        value, error = run(ctx), None
+    except Exception as exc:  # compared, whatever its type
+        value, error = None, (type(exc), str(exc))
+    record = error or {a for a in ctx.record if a.predicate not in defined}
+    return value, error, record, list(definitions._WFM_CACHE)
+
+
+def residual_and_oracle(d, o, limits=Limits()):
+    """The fixpoint over the ground residual program against the seed's
+    alternating fixpoint, on d's context o."""
+    i0 = expand_context(d, o, limits)
+
+    def residual(ctx):
+        model, record = definitions._residual_wfm(d, i0, limits)
+        ctx.record.update(record)
+        return model
+
+    got = run_fixpoint(residual, d.defined_symbols, limits)
+    want = run_fixpoint(lambda ctx: oracle_wfm_fixpoint(
+        d, i0, definitions._defined_atoms(d, i0), limits, ctx), d.defined_symbols, limits)
+    assert got == want, f"{d}"
+    return want
+
+
+def unfounded_and_oracle(d, i, limits=Limits()):
+    got = run_fixpoint(lambda ctx: greatest_unfounded_set(d, i, limits, _ctx=ctx),
+                       d.defined_symbols, limits)
+    want = run_fixpoint(lambda ctx: oracle_unfounded_set(d, i, limits, _ctx=ctx),
+                        d.defined_symbols, limits)
+    assert got == want, f"{d}"
+    return want
+
+
+X0, Y = Symbol("x0", CONST), Symbol("Y", pred(1))
+SYMBOLS = (*PROPS, P1, SO1, SO_HEAD)
+
+
+def random_tree_rules(rng) -> RuleSet:
+    """Rules with first order (s(x0)), second order (D(Y)) and
+    propositional heads whose bodies are random trees of every node
+    kind, some reading D at the head variable or at s."""
+    def tree(**kw):
+        return random_tree(rng, rng.randint(0, 3), **kw)
+
+    d_at_y, d_at_s = Atom2(SO_HEAD, (SymTerm(Y),)), Atom2(SO_HEAD, (SymTerm(P1),))
+    x = Symbol("X", pred(1))
+    rules = [
+        Rule(P1, (X0,), tree(fo_vars=(X0,))),
+        Rule(SO_HEAD, (Y,), tree(so_vars=(Y,))),
+        Rule(SO_HEAD, (Y,), rng.choice((And, Or))(tree(so_vars=(Y,)), Not(d_at_y))),
+        Rule(rng.choice(PROPS), (), tree()),
+        Rule(rng.choice(PROPS), (), rng.choice((And, Or))(d_at_s, tree())),
+        Rule(rng.choice(PROPS), (), ExistsSO(x, And(Atom2(SO_HEAD, (SymTerm(x),)), tree()))),
+    ]
+    return RuleSet(tuple(rng.sample(rules, rng.randint(1, 4))))
+
+
+def random_defined_values(rng, d, i):
+    """i with every defined atom set to a random truth value."""
+    atoms = definitions._defined_atoms(d, i)
+    for v in (T, U, F):
+        i = i.revise([a for a in atoms if rng.random() < 0.4], v)
+    return i
+
+
+class TestResidualAgainstOracle:
+    """The alternating fixpoint runs on each rule set ground once per
+    context.  It must give the seed's model or exception, record the
+    same parameter atoms and create the same nested memo keys in the same
+    order, since its rounds and passes go through the seed's
+    interpretations."""
+
+    def test_propositional_rule_sets(self):
+        rng = random.Random(61)
+        o = PartialInterpretation.empty(DOMAIN)
+        models = set()
+        for _ in range(3000):
+            d = random_ruleset(rng, depth=rng.randint(1, 3))
+            model, _, _, _ = residual_and_oracle(d, o)
+            models.add(values_of(model))
+        assert any("u" in m for m in models) and any("u" not in m for m in models)
+
+    def test_rule_bodies_of_every_node_kind(self):
+        rng = random.Random(67)
+        kinds, errors, models, keyed = set(), set(), 0, 0
+        for _ in range(700):
+            d = random_tree_rules(rng)
+            present = [s for s in SYMBOLS if s not in d.defined_symbols and rng.random() < 0.95]
+            o = random_partial(rng, present, rng.choice(((1,), (1, 2), ("a",), ("a", 2))))
+            model, error, _, keys = residual_and_oracle(
+                d, o, Limits(max_unknowns=rng.choice((3, 20))))
+            for r in d.rules:
+                kinds |= node_kinds(r.body)
+            errors.add(error and error[0])
+            models += model is not None and not model.is_exact
+            keyed += bool(keys)
+        assert {None, EvaluationError, CapExceeded} <= errors
+        assert {"Atom1", "Atom2", "Cmp", "Not", "And", "Or", "Implies", "Iff",
+                "ForallFO", "ExistsFO", "ForallSO", "ExistsSO", "card", "sum",
+                "DefinitionExpr", "Let"} <= kinds
+        assert models > 20 and keyed > 50
+
+    def test_a_round_applies_its_derived_atoms_together(self):
+        # round 2 derives b(2), which q's inner definition reads; a memo key
+        # of round 2 holds b(2) = u, as no atom of a round sees another's
+        vocab = Vocabulary.of([Symbol(n, pred(1)) for n in "ab"]
+                              + [Symbol(n, pred(0)) for n in "cqw"])
+        d = parse_ruleset("{a(x) <- c & x = 1. b(x) <- a(1) & x = 2."
+                          " q <- {w <- b(1) | a(2 + 2).}. w <- w.}", vocab)
+        c = vocab.get("c")
+        o = PartialInterpretation.make((1, 2), {c: PartialSet.from_map({(): T})})
+        _, _, _, keys = residual_and_oracle(d, o)
+        assert [tuple(v.values) for _, v in keys[1][2]] == [(T, U), (T, U)]
+
+    def test_unfounded_sets_on_random_partial_interpretations(self):
+        rng = random.Random(71)
+        sizes = set()
+        for n in range(2000):
+            if n % 2:
+                d = random_ruleset(rng, depth=rng.randint(1, 3))
+                o = PartialInterpretation.empty(DOMAIN)
+            else:
+                d = random_tree_rules(rng)
+                present = [s for s in SYMBOLS if s not in d.defined_symbols]
+                o = random_partial(rng, present, rng.choice(((1,), (1, 2))))
+            i = random_defined_values(rng, d, expand_context(d, o))
+            gus, _, _, _ = unfounded_and_oracle(d, i, Limits(max_unknowns=rng.choice((3, 20))))
+            sizes.add(None if gus is None else len(gus))
+        assert {None, 0, 1, 2, 3} <= sizes
+
+
+class TestDeepBodies:
+    def test_deep_rule_bodies_keep_one_frame_per_level(self):
+        # the grounder takes one frame per level, as evaluate does, and the
+        # residual program flattens & chains and cancels double negations.
+        # RuleSet hashes and sorts its rules through about three frames per
+        # level, so the deep bodies go in once it is built
+        negations, chain = Atom1(q, ()), Atom1(r, ())
+        for _ in range(900):
+            negations = Not(negations)
+        for _ in range(899):
+            chain = And(chain, Atom1(r, ()))
+        o = PartialInterpretation.empty(DOMAIN)
+        for body, want in ((negations, "fft"), (chain, "tft"), (Not(chain), "fft")):
+            d = rs("{p <- q. q <- q. r <- ~q.}")  # p's body is replaced
+            rules = tuple(x if x.head != p else Rule(p, (), body) for x in d.rules)
+            object.__setattr__(d, "rules", rules)
+            assert values_of(well_founded_model(d, o)) == want
+
+
+class TestMemoRecord:
+    def test_a_hit_records_what_its_miss_recorded(self):
+        rng = random.Random(73)
+        recorded = 0
+        for _ in range(600):
+            d = random_tree_rules(rng)
+            present = [s for s in SYMBOLS if s not in d.defined_symbols]
+            o = random_partial(rng, present, rng.choice(((1,), (1, 2))))
+            limits = Limits(max_unknowns=rng.choice((3, 20)))
+            cold, _, record, _ = run_fixpoint(
+                lambda ctx: well_founded_model(d, o, limits, _ctx=ctx), (), limits)
+            warm = EvalContext(limits=limits)
+            if cold is not None:
+                assert well_founded_model(d, o, limits, _ctx=warm) is cold
+                assert warm.record == record and not record & set(
+                    definitions._defined_atoms(d, cold)), f"{d}"
+                recorded += bool(record)
+        assert recorded > 100
 
 
 class TestCaps:

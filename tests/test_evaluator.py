@@ -429,6 +429,35 @@ class TestCompiledAgainstWalker:
             x = e.vars[0] if type(e) is Aggregate else e.var
             assert {dict(key[2])[x] for key in keys} == {1, 2, 3}, text
 
+    def test_record_and_value_do_not_depend_on_the_memo(self):
+        # a memo hit records the parameter atoms its miss recorded, and no
+        # fixpoint records the atoms it defines (they are local to it)
+        rng = random.Random(83)
+        for _ in range(600):
+            e = random_tree(rng, rng.randint(0, 3))
+            present = [s for s in self.SYMBOLS if rng.random() < 0.95]
+            i = random_partial(rng, present, rng.choice(self.DOMAINS))
+            limits = Limits(max_unknowns=rng.choice((3, 20)))
+            value, error, cold, _ = outcome(lambda ctx: evaluate(e, i, KLEENE, _ctx=ctx), limits)
+            warm = EvalContext(limits=limits)
+            try:
+                assert evaluate(e, i, KLEENE, _ctx=warm) is value, unparse(e)
+            except DeflogError as exc:
+                assert (type(exc), str(exc)) == error, unparse(e)
+            assert warm.record == cold, unparse(e)
+
+    def test_inner_fixpoint_leaves_no_defined_atoms_in_the_record(self):
+        # with r = t the inner definition holds; its fixpoint's own u-valued
+        # r must not become an unknown of the outer one
+        p, q, r, s = (Symbol(n, pred(0)) for n in "pqrs")
+        vocab = Vocabulary.of([p, q, r, s])
+        i = read_structure("domain = {a}\np = {(): t}\nq = {(): t}\nr = {(): t}\n"
+                           "s = {(): u}\n", vocab)
+        e = parse_formula("{q <- {r <- p | r.} | (s & ~s).}", vocab)
+        definitions._WFM_CACHE.clear()
+        assert [evaluate(e, i, KLEENE) for _ in range(2)] == [T, T]  # cold, warm
+        assert evaluate(e, i, SUPERVALUATION) is T
+
     def test_deep_formulas_keep_one_frame_per_level(self):
         i = read_structure("domain = {a}\np = {(): t}\n", Vocabulary.of([P0]))
         negations = Atom1(P0, ())

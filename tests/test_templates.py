@@ -319,14 +319,14 @@ class TestLocality:
         # 260 exact interpretations of the unrelated P and Q over |D| <= 2,
         # one template context per domain
         calls = []
-        fixpoint = definitions._wfm_fixpoint
+        fixpoint = definitions._residual_wfm
 
         def counting(*args):
             calls.append(args[1].domain)
             return fixpoint(*args)
 
         monkeypatch.setattr(definitions, "_WFM_CACHE", {})
-        monkeypatch.setattr(definitions, "_wfm_fixpoint", counting)
+        monkeypatch.setattr(definitions, "_residual_wfm", counting)
         r = CliRunner().invoke(main, ["expand", str(DATA / "eq.theory"), "--check-equiv"])
         assert r.exit_code == 0 and r.output.endswith("equiv: pass\n")
         assert calls == [("a",), ("a", "b")]
