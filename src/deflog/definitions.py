@@ -22,6 +22,11 @@ first order quantifiers, and opaque leaves (second order quantifiers,
 aggregates, nested definitions) valued at the current interpretation.
 Its rounds and unfounded-set passes go through the interpretations of the
 plain fixpoint, valuing only the heads that read an atom just changed.
+
+A rule set used as a formula is the glb over the exact completions of
+the unknown atoms it reads, searched depth first.  The well-founded model
+is precision-monotone in its context, so the three-valued one at a node
+holds below it and may already decide the subtree (`_agreement`).
 """
 
 from __future__ import annotations
@@ -30,14 +35,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .errors import CapExceeded, EvaluationError
+from .errors import CapExceeded, DeflogError, EvaluationError
 from .evaluator import EvalContext, _compiled, _probe_safe, _read, _relation_cached
 from .interpretation import PartialInterpretation
 from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (
     And, Atom1, Atom2, ExistsFO, ForallFO, Iff, Implies, Not, Or, RuleSet, free_symbols,
 )
-from .truthvalues import F, T, TV, U, PartialSet, canon_order, glb_prec, max_truth, neg
+from .truthvalues import F, T, TV, U, PartialSet, canon_order, max_truth, neg
 from .vocab import DomainAtom, Symbol, predicate_carrier
 
 
@@ -506,36 +511,13 @@ def is_total(
 # Rule sets as formulas
 
 
-def _relevant_u_atoms(
-    d: RuleSet, i: PartialInterpretation, limits: Limits
-) -> list[DomainAtom]:
-    """Unknown atoms the membership test can depend on.
-
-    All unknown defined atoms matter.  For parameters we take the atoms
-    consulted while grounding d (valuing every rule body) at the state
-    where all defined atoms are unknown: evaluation never short-circuits,
-    and consulted sets only shrink as interpretations get more precise,
-    so this is a sound over-approximation for every completion.
-    """
-    atoms = _defined_atoms(d, i)
-    consulted = set(_Ground(d, i.revise(atoms, U), limits).consulted())
-    consulted.update(a for a in atoms if i.atom_value(a) is U)
-    return sorted(consulted, key=_atom_key)
-
-
-def _exact_check(
-    d: RuleSet, i: PartialInterpretation, sem: str, limits: Limits, ctx: EvalContext
-) -> TV:
-    """Two-valued membership test on an interpretation exact over d's
-    free predicate symbols."""
-    defined = sorted(d.defined_symbols, key=lambda s: s.name)
-    carriers = {h: i.value(h).carrier for h in defined}
-    if sem == "w":  # i is exact on the defined symbols, so the model must be
-        wfm = well_founded_model(d, parameter_context(d, i), limits, carriers, _ctx=ctx)
-        return TV.of(all(wfm.value(h) == i.value(h) for h in defined))
-    if sem == "st":
-        return TV.of(is_partial_stable(d, i, limits, _ctx=ctx).is_partial_stable)
-    raise EvaluationError(f"unknown rule-set semantics {sem!r}")
+def _agreement(d: RuleSet, j: PartialInterpretation, limits: Limits, ctx: EvalContext) -> TV:
+    """t if j's defined atoms are all exact and the same in d's well-founded
+    model at j's context and carriers, f if one exact in both differs, else u."""
+    carriers = {h: j.value(h).carrier for h in d.defined_symbols}
+    wfm = well_founded_model(d, parameter_context(d, j), limits, carriers, _ctx=ctx)
+    pairs = {p for h in carriers for p in zip(wfm.value(h).values, j.value(h).values)}
+    return F if pairs & {(T, F), (F, T)} else T if pairs <= {(T, T), (F, F)} else U
 
 
 def eval_definition(
@@ -550,21 +532,35 @@ def eval_definition(
     On interpretations exact over the rule set's free predicate
     symbols: t iff i is an exact well-founded ("w") respectively stable
     ("st") interpretation of d.  Otherwise the ultimate approximation:
-    glb over all exact completions of the unknown atoms.
+    glb over the exact completions of i's unknown defined atoms and the
+    u-valued parameter atoms d's well-founded model at i reads, for "w"
+    cut wherever the model decides a subtree.
     """
     ctx = _ctx or EvalContext(limits=limits)
-    preds = sorted((s for s in d.free if s.type.is_predicate), key=lambda s: s.name)
-    unknown = _relevant_u_atoms(d, i, limits) if i.u_atoms(preds) else []
+
+    def exact(j: PartialInterpretation) -> TV:  # j exact over d's free predicates
+        if sem == "w":
+            return TV.of(_agreement(d, j, limits, ctx) is T)
+        if sem == "st":
+            return TV.of(is_partial_stable(d, j, limits, _ctx=ctx).is_partial_stable)
+        raise EvaluationError(f"unknown rule-set semantics {sem!r}")
+
+    if not i.u_atoms(s for s in d.free if s.type.is_predicate):
+        return exact(i)
+    atoms, root = _defined_atoms(d, i), EvalContext(limits=limits)
+    try:
+        _agreement(d, i, limits, root)  # records the parameter atoms read
+    except DeflogError:  # from a later round: grounding alone reads as much
+        root.record.update(_Ground(d, i.revise(atoms, U), limits).consulted())
+    unknown = sorted(root.record.union(a for a in atoms if i.atom_value(a) is U), key=_atom_key)
     if not unknown:
-        return _exact_check(d, i, sem, limits, ctx)
+        return exact(i)
     ctx.record.update(unknown)
-    if len(unknown) > limits.max_unknowns:
-        raise CapExceeded(
-            f"{len(unknown)} unknown atoms exceed cap {limits.max_unknowns}"
-        )
-    results = []
-    for j in i.refinements(unknown):
-        results.append(_exact_check(d, j, sem, limits, ctx))
-        if results[-1] is not results[0]:
+
+    def probe(j: PartialInterpretation) -> TV:  # a model that raises decides nothing
+        try:
+            return _agreement(d, j, limits, EvalContext(limits=limits))
+        except DeflogError:
             return U
-    return glb_prec(results)
+
+    return i.glb(unknown, limits, exact, probe if sem == "w" else None)

@@ -56,14 +56,15 @@ class EvalContext:
 
 def _term(t, raw: bool = False):
     """Compile a term into fn(i, env): its ground value, or None outside
-    the domain; `raw` keeps out-of-domain integers (comparisons, bounds)."""
+    the domain; `raw` keeps out-of-domain integers (comparisons, bounds).
+    The operands of + are raw: only the sum must be a domain element."""
     if type(t) is SymTerm:
         s = t.symbol
         return lambda i, env: env[s] if s in env else i.value(s)
     if type(t) is IntTerm:
         n = t.value
         return lambda i, env: n if raw or n in i.domain else None
-    left, right = _term(t.left, raw), _term(t.right, raw)
+    left, right = _term(t.left, True), _term(t.right, True)
 
     def add(i, env):
         a, b = left(i, env), right(i, env)
@@ -273,9 +274,7 @@ def _let_value(e: Let, i: PartialInterpretation, ctx: EvalContext) -> TV:
     for p in par_preds:
         for key in i.value(p).keys_with(U):
             ctx.record.add(DomainAtom(p, key))
-    return glb_prec(
-        _let_value(e, j, ctx) for j in i.completions(par_preds, ctx.limits)
-    )
+    return i.glb(i.u_atoms(par_preds), ctx.limits, lambda j: _let_value(e, j, ctx))
 
 
 def _probe_safe(e) -> bool:
@@ -307,25 +306,10 @@ def evaluate(
         return _compiled(e)(i, {}, ctx)
     if mode != SUPERVALUATION:
         raise EvaluationError(f"unknown evaluation mode {mode!r}")
-    preds = [s for s in free_symbols(e) if s.type.is_predicate]
-    fn = _compiled(e)
-    seen: set = set()  # values of the subtrees decided so far
-
-    def decided(j: PartialInterpretation) -> bool:
-        # an exact Kleene value at j is the value of every completion
-        # below it; after a disagreement the answer is u and all is cut
-        if len(seen) > 1:
-            return True
-        v = fn(j, {}, EvalContext(limits=ctx.limits))
-        if v is not U:
-            seen.add(v)
-        return v is not U
-
-    for j in i.completions(preds, ctx.limits, decided if _probe_safe(e) else None):
-        seen.add(fn(j, {}, ctx))
-        if len(seen) > 1:
-            return U
-    return seen.pop() if len(seen) == 1 else U
+    unknown = i.u_atoms(s for s in free_symbols(e) if s.type.is_predicate)
+    fn = _compiled(e)  # an exact Kleene value at a node holds in every completion below
+    probe = (lambda j: fn(j, {}, EvalContext(limits=ctx.limits))) if _probe_safe(e) else None
+    return i.glb(unknown, ctx.limits, lambda j: fn(j, {}, ctx), probe)
 
 
 def evaluate_exact(e, i: PartialInterpretation, limits: Limits = DEFAULT_LIMITS) -> TV:

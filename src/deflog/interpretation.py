@@ -204,6 +204,26 @@ class PartialInterpretation:
             )
         yield from self.refinements(unknown, cut=cut)
 
+    def glb(self, atoms: list[DomainAtom], limits: Limits, leaf, probe=None) -> TV:
+        """The glb of leaf(j) over the refinements j of `atoms` to t and f,
+        depth first.  An exact probe(j) is the value of all below j, which
+        is cut; once t and f are both seen the glb is u and all is cut."""
+        if len(atoms) > limits.max_unknowns:
+            raise CapExceeded(f"{len(atoms)} unknown atoms exceed cap {limits.max_unknowns}")
+        seen: set = set()  # values of the subtrees decided so far
+
+        def decided(j: PartialInterpretation) -> bool:
+            if len(seen) > 1:
+                return True
+            v = probe(j) if probe else U
+            if v is not U:
+                seen.add(v)
+            return v is not U
+
+        for j in self.refinements(atoms, cut=decided):
+            seen.add(leaf(j))
+        return U if len(seen) > 1 else seen.pop()
+
     def refinements(
         self, atoms: list[DomainAtom], values: tuple = (T, F), cut=None
     ) -> Iterator["PartialInterpretation"]:

@@ -30,6 +30,13 @@
   unfounded-set pass re-evaluates whole rule bodies on an interpretation
   revised for it.  The fixpoint of `deflog.definitions` over the ground
   residual program must give the same model, unfounded set or exception.
+* A rule set used as a formula as first valued (`oracle_eval_definition`,
+  `relevant_u_atoms`): a flat loop over every exact completion of the
+  atoms a grounding at the all-u state consults, each checked against
+  its own well-founded model or by the partial stable test, glb of the
+  results.  `deflog.definitions.eval_definition` prunes that search with
+  the three-valued well-founded model and must give the same value,
+  exception and recorded atoms.
 """
 
 import itertools
@@ -374,7 +381,7 @@ def _term_value(t, i, raw: bool = False):
     if isinstance(t, IntTerm):
         v = t.value
     else:
-        left, right = _term_value(t.left, i, raw), _term_value(t.right, i, raw)
+        left, right = _term_value(t.left, i, True), _term_value(t.right, i, True)
         if not (isinstance(left, int) and isinstance(right, int)):
             return None
         v = left + right
@@ -552,3 +559,58 @@ def oracle_wfm_fixpoint(d, i0, atoms, limits, ctx):
             i = i.revise(sorted(gus, key=definitions._atom_key), F)
             continue
         return i
+
+
+# ---------------------------------------------------------------------------
+# A rule set as a formula, as first valued: the glb over every exact
+# completion of the relevant unknown atoms, in a flat loop
+
+
+def relevant_u_atoms(d, i, limits):
+    """Unknown atoms the membership test can depend on.
+
+    All unknown defined atoms matter.  For parameters we take the atoms
+    consulted while grounding d (valuing every rule body) at the state
+    where all defined atoms are unknown: evaluation never short-circuits,
+    and consulted sets only shrink as interpretations get more precise,
+    so this is a sound over-approximation for every completion.
+    """
+    atoms = definitions._defined_atoms(d, i)
+    consulted = set(definitions._Ground(d, i.revise(atoms, U), limits).consulted())
+    consulted.update(a for a in atoms if i.atom_value(a) is U)
+    return sorted(consulted, key=definitions._atom_key)
+
+
+def oracle_exact_check(d, i, sem, limits, ctx) -> TV:
+    """Two-valued membership test on an interpretation exact over d's
+    free predicate symbols."""
+    defined = sorted(d.defined_symbols, key=lambda s: s.name)
+    carriers = {h: i.value(h).carrier for h in defined}
+    if sem == "w":
+        context = definitions.parameter_context(d, i)
+        wfm = definitions.well_founded_model(d, context, limits, carriers, _ctx=ctx)
+        return TV.of(all(wfm.value(h) == i.value(h) for h in defined))
+    if sem == "st":
+        return TV.of(definitions.is_partial_stable(d, i, limits, _ctx=ctx).is_partial_stable)
+    raise EvaluationError(f"unknown rule-set semantics {sem!r}")
+
+
+def oracle_eval_definition(d, i, sem="w", limits=DEFAULT_LIMITS, _ctx=None) -> TV:
+    """Truth value of a rule set used as a formula: the exact check on
+    interpretations exact over its free predicate symbols, else the glb
+    over every exact completion of the relevant unknown atoms, u at the
+    first disagreement."""
+    ctx = _ctx or EvalContext(limits=limits)
+    preds = sorted((s for s in d.free if s.type.is_predicate), key=lambda s: s.name)
+    unknown = relevant_u_atoms(d, i, limits) if i.u_atoms(preds) else []
+    if not unknown:
+        return oracle_exact_check(d, i, sem, limits, ctx)
+    ctx.record.update(unknown)
+    if len(unknown) > limits.max_unknowns:
+        raise CapExceeded(f"{len(unknown)} unknown atoms exceed cap {limits.max_unknowns}")
+    results = []
+    for j in i.refinements(unknown):
+        results.append(oracle_exact_check(d, j, sem, limits, ctx))
+        if results[-1] is not results[0]:
+            return U
+    return glb_prec(results)

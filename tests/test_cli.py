@@ -192,6 +192,22 @@ def test_supervaluation_cap_exhaustion(tmp_path):
     assert r.stderr == "error: 3 unknown atoms exceed cap 2\n"
 
 
+def test_definition_cap_holds_where_the_root_model_decides(tmp_path):
+    theory = tmp_path / "t.theory"
+    theory.write_text(
+        "vocab { p: pred/0; q: pred/0; r: pred/0; }\n"
+        "formula f { {q <- q & p & r.} }\n"
+    )
+    struct = tmp_path / "s.struct"
+    # q is unfounded whatever p and r are, but the definition reads both
+    struct.write_text("domain = {a}\np = {(): u}\nq = {(): t}\nr = {(): u}\n")
+    argv = ["eval", str(theory), str(struct)]
+    assert CliRunner().invoke(main, argv).output == "f: f\n"
+    r = CliRunner().invoke(main, [*argv[:1], "--max-completions", "1", *argv[1:]])
+    assert r.exit_code == 3
+    assert r.stderr == "error: 2 unknown atoms exceed cap 1\n"
+
+
 class TestModelExpansionSearch:
     """mx prunes where a constraint is f under Kleene; the oracle filters
     every completion (and every constant choice) in a flat loop."""

@@ -17,7 +17,7 @@ from deflog.definitions import (
     is_partial_stable, is_total, partial_stable_models, stable_models,
     well_founded_model,
 )
-from deflog.errors import CapExceeded, EvaluationError
+from deflog.errors import CapExceeded, DeflogError, EvaluationError, NonTotalDefinitionError
 from deflog.evaluator import EvalContext
 from deflog.interpretation import PartialInterpretation
 from deflog.limits import Limits
@@ -27,7 +27,9 @@ from deflog.truthvalues import F, T, U, PartialSet
 from deflog.vocab import CONST, DomainAtom, Symbol, Vocabulary, pred
 
 from gen import P1, PROPS, SO1, SO_HEAD, random_ruleset, random_tree
-from oracles import is_unfounded, oracle_unfounded_set, oracle_wfm_fixpoint
+from oracles import (
+    is_unfounded, oracle_eval_definition, oracle_unfounded_set, oracle_wfm_fixpoint,
+)
 from test_evaluator import node_kinds, random_partial
 
 p, q, r = PROPS
@@ -441,8 +443,9 @@ class TestResidualAgainstOracle:
         assert models > 20 and keyed > 50
 
     def test_a_round_applies_its_derived_atoms_together(self):
-        # round 2 derives b(2), which q's inner definition reads; a memo key
-        # of round 2 holds b(2) = u, as no atom of a round sees another's
+        # round 2 derives b(2), which q's inner definition reads; its memo
+        # keys of round 2, the first where a(1) is t, hold b(2) = u, as no
+        # atom of a round sees another's
         vocab = Vocabulary.of([Symbol(n, pred(1)) for n in "ab"]
                               + [Symbol(n, pred(0)) for n in "cqw"])
         d = parse_ruleset("{a(x) <- c & x = 1. b(x) <- a(1) & x = 2."
@@ -450,7 +453,12 @@ class TestResidualAgainstOracle:
         c = vocab.get("c")
         o = PartialInterpretation.make((1, 2), {c: PartialSet.from_map({(): T})})
         _, _, _, keys = residual_and_oracle(d, o)
-        assert [tuple(v.values) for _, v in keys[1][2]] == [(T, U), (T, U)]
+
+        def values(key, name):
+            return next(v.values for s, v in key[2] if s.name == name)
+
+        first = next(key for key in keys if values(key, "a")[0] is T)
+        assert values(first, "b")[1] is U
 
     def test_unfounded_sets_on_random_partial_interpretations(self):
         rng = random.Random(71)
@@ -506,6 +514,139 @@ class TestMemoRecord:
                     definitions._defined_atoms(d, cold)), f"{d}"
                 recorded += bool(record)
         assert recorded > 100
+
+
+def definition_run(value_of, d, i, sem, limits):
+    """value_of(d, i, sem, limits, _ctx=...) on a fresh context: its value
+    or exception type and message, and the atoms it recorded."""
+    ctx = EvalContext(limits=limits)
+    try:
+        return value_of(d, i, sem, limits, _ctx=ctx), None, ctx.record
+    except Exception as exc:  # compared, whatever its type
+        return None, (type(exc), str(exc)), ctx.record
+
+
+def pruned_and_oracle(d, i, sem="w", limits=Limits()):
+    """The pruned search against the flat loop over every completion, on
+    a cold memo and again on the memo both left behind."""
+    definitions._WFM_CACHE.clear()
+    cold = definition_run(eval_definition, d, i, sem, limits)
+    definitions._WFM_CACHE.clear()
+    want = definition_run(oracle_eval_definition, d, i, sem, limits)
+    assert cold == want, f"{d} {i}"
+    assert definition_run(eval_definition, d, i, sem, limits) == want, f"warm {d} {i}"
+    return want
+
+
+def random_parameter_ruleset(rng) -> RuleSet:
+    """A propositional rule set; the rules of one symbol are dropped, so
+    that symbol may be a parameter."""
+    rules = random_ruleset(rng, depth=rng.randint(1, 3)).rules
+    dropped = rng.choice(PROPS)
+    return RuleSet(tuple(x for x in rules if x.head != dropped) or rules)
+
+
+class TestPrunedDefinitionSearch:
+    """A rule set as a formula: the completion search is cut where the
+    three-valued well-founded model decides a subtree; the oracle is the
+    flat loop over every completion of the relevant unknown atoms."""
+
+    def test_random_definitions_match_the_flat_oracle(self):
+        rng = random.Random(79)
+        outcomes, errors = set(), set()
+        for n in range(3000):
+            if n % 5:
+                d = random_parameter_ruleset(rng)
+                i = random_partial(rng, PROPS, DOMAIN, p_unknown=0.5)
+                sem = "st" if n % 5 == 1 else "w"
+                limits = Limits(max_unknowns=rng.choice((2, 20)))
+            else:
+                d = random_tree_rules(rng)
+                i = random_partial(rng, SYMBOLS, rng.choice(((1,), (1, 2), ("a", 2))))
+                sem, limits = "w", Limits(max_unknowns=rng.choice((3, 5)))
+            value, error, _ = pruned_and_oracle(d, i, sem, limits)
+            outcomes.add((sem, value))
+            errors.add(error and error[0])
+        assert {(sem, v) for sem in ("w", "st") for v in (T, U, F)} <= outcomes
+        assert {None, EvaluationError, CapExceeded} <= errors
+
+    def test_stable_semantics_checks_every_completion(self):
+        # the model decides both completions of r, but the prudence test of
+        # the first one, p = r = t, is over the subset-atom cap
+        d, i = rs("{p <- r.}"), ctx(p="t", r="u")
+        limits = Limits(max_subset_atoms=0)
+        _, error, _ = pruned_and_oracle(d, i, "st", limits)
+        assert error == (CapExceeded, "prudence check over 1 + 0 atoms exceeds cap 0")
+        assert pruned_and_oracle(d, i, "w", limits)[0] is U
+
+    def test_the_search_stops_at_the_first_disagreement(self, monkeypatch):
+        # a = t makes q t, a = f and b = t make it f: below a = f, b = f
+        # no model is needed
+        a, b, c = (Symbol(n, pred(0)) for n in "abc")
+        d = parse_ruleset("{q <- a | (~b & c).}", Vocabulary.of([a, b, c, q]))
+        i = PartialInterpretation.make(DOMAIN, {
+            s: PartialSet.from_map({(): v}) for s, v in ((a, U), (b, U), (c, U), (q, T))})
+        seen = []
+
+        def model(d, o, *args, **kw):
+            seen.append(values_of(o, (a, b, c)))
+            return well_founded_model(d, o, *args, **kw)
+
+        monkeypatch.setattr(definitions, "well_founded_model", model)
+        assert pruned_and_oracle(d, i)[0] is U
+        assert "tuu" in seen and "ftu" in seen and not any(
+            v.startswith("ff") for v in seen)
+
+    def test_a_model_that_raises_decides_nothing(self):
+        # once q is unfounded, the let-block needs b exact: with b = u its
+        # completion b = f has no total model, so the model at the root
+        # raises, while every completion of b and c has one
+        b, c, w, z = (Symbol(n, pred(0)) for n in "bcwz")
+        d = parse_ruleset("{q <- q. w <- c & let {z <- ~z & ~q & ~b.} in b.}",
+                          Vocabulary.of([b, c, q, w, z]))
+
+        def context(values):
+            return PartialInterpretation.make(DOMAIN, {
+                s: PartialSet.from_map({(): v}) for s, v in values.items()})
+
+        with pytest.raises(NonTotalDefinitionError):
+            well_founded_model(d, context({b: U, c: U}))
+        # c = t makes w t, c = f makes it f
+        assert pruned_and_oracle(d, context({b: U, c: U, q: F, w: T}))[:2] == (U, None)
+
+    def test_the_cap_holds_where_the_root_model_decides(self):
+        # q is unfounded at every completion of p and r, but both are read
+        d, i = rs("{q <- q & p & r.}"), ctx(p="u", q="t", r="u")
+        assert eval_definition(d, i) is F
+        _, error, record = pruned_and_oracle(d, i, "w", Limits(max_unknowns=1))
+        assert error == (CapExceeded, "2 unknown atoms exceed cap 1")
+        assert record == {DomainAtom(p, ()), DomainAtom(r, ())}
+
+    def test_the_model_is_precision_monotone_in_its_context(self):
+        # the premise of the cut: o <=p o' gives WFM(o) <=p WFM(o')
+        rng = random.Random(83)
+        pairs = 0
+        for n in range(1000):
+            if n % 2:
+                d = random_parameter_ruleset(rng)
+                o = random_partial(rng, [s for s in PROPS if s not in d.defined_symbols],
+                                   DOMAIN, p_unknown=0.6)
+            else:
+                d = random_tree_rules(rng)
+                present = [s for s in SYMBOLS if s not in d.defined_symbols]
+                o = random_partial(rng, present, rng.choice(((1,), (1, 2))), p_unknown=0.6)
+            refined = o
+            for sym, ps in o.assignments:
+                refined = refined.revise([DomainAtom(sym, k) for k in ps.keys_with(U)
+                                          if rng.random() < 0.5], rng.choice((T, F)))
+            limits = Limits(max_unknowns=6)
+            try:
+                low, high = well_founded_model(d, o, limits), well_founded_model(d, refined, limits)
+            except DeflogError:
+                continue
+            assert low.leq_prec(high), f"{d} {o} {refined}"
+            pairs += low != high
+        assert pairs > 300
 
 
 class TestCaps:

@@ -132,6 +132,17 @@ class TestConstructs:
         # out-of-domain sums make atoms false, not errors
         assert evaluate(parse("?x: s(x + 3)"), i) is F
 
+    def test_sum_operands_need_not_be_domain_elements(self):
+        # only the value of a + 1 must be a domain element, not the 1
+        a = Symbol("a", CONST)
+        vocab = Vocabulary.of([P1, a])
+        i = read_structure("domain = {68..70}\ns = {(69): t, *: f}\na = 68\n", vocab)
+        assert evaluate(parse_formula("s(a + 1)", vocab), i) is T
+        assert evaluate(parse_formula("?x: x = 68 & s(x + 1)", vocab), i) is T
+        # an integer or sum outside the domain still names no element
+        assert evaluate(parse_formula("s(1)", vocab), i) is F
+        assert evaluate(parse_formula("s(1 + 1)", vocab), i) is F
+
     def test_equality_on_non_integer_elements(self):
         i = struct("domain = {a, b}\n")
         assert evaluate(parse("?x: ?y: x = y"), i) is T

@@ -186,17 +186,20 @@ class TestApplyLibrary:
             assert (value.value((p_rel, q_rel)) is T) == expected, (p_rel, q_rel)
 
     def test_recursive_range_template(self):
+        # all 2^n * n^2 instances: on {1..4} the completion search over the
+        # inner definition must be pruned to finish, and on {68..70} a + 1
+        # must have a value where the integer 1 is not a domain element
         th = load("range.theory")
         sym = th.vocabulary.get("range")
-        domain = (1, 2)
-        out = apply_library(PartialInterpretation.empty(domain), library(th))
-        value = out.value(sym)
-        for rel in exact_relations(domain, 1):
-            for a in domain:
-                for b in domain:
-                    want = {(x,) for x in range(a, b + 1)} or {(a,)}
-                    expected = rel == frozenset(want)
-                    assert (value.value((rel, a, b)) is T) == expected, (rel, a, b)
+        for domain in ((1, 2), (1, 2, 3, 4), (68, 69, 70)):
+            out = apply_library(PartialInterpretation.empty(domain), library(th))
+            value = out.value(sym)
+            for rel in exact_relations(domain, 1):
+                for a in domain:
+                    for b in domain:
+                        want = {(x,) for x in range(a, b + 1)} or {(a,)}
+                        expected = rel == frozenset(want)
+                        assert (value.value((rel, a, b)) is T) == expected, (rel, a, b)
 
     def test_game_template_matches_backward_induction_on_dags(self):
         th = load("game.theory")
