@@ -15,14 +15,12 @@ import sys
 
 import click
 
-from .definitions import stable_models, well_founded_model
+from .definitions import _refuter, stable_models, well_founded_model
 from .errors import (
     CapExceeded, DeflogError, EvaluationError, NonTotalDefinitionError,
     ParseError, TypeError_,
 )
-from .evaluator import (
-    KLEENE, SUPERVALUATION, EvalContext, _compiled, _probe_safe, evaluate, evaluate_exact,
-)
+from .evaluator import KLEENE, SUPERVALUATION, evaluate, evaluate_exact
 from .interpretation import (
     PartialInterpretation, _fmt_elem, _fmt_key, read_structure,
     write_structure,
@@ -34,7 +32,7 @@ from .templates import (
     Template, TemplateLibrary, apply_library, eliminate_so, macro_expand,
     sigma_equivalent, validate_library,
 )
-from .truthvalues import F, T
+from .truthvalues import T
 
 EXIT_NO_MODEL = 1
 EXIT_INPUT = 2
@@ -311,18 +309,9 @@ def _mx_models(theory: Theory, struct: PartialInterpretation, limits: Limits):
         ),
         key=lambda s: s.name,
     )
-    # a Kleene f refutes a subtree; no probes while constants are unassigned
-    probes = [] if consts else [_compiled(phi) for phi in constraints if _probe_safe(phi)]
-
-    def refuted(j: PartialInterpretation) -> bool:
-        ctx = EvalContext(limits=limits)
-        try:
-            return any(fn(j, {}, ctx) is F for fn in probes)
-        except EvaluationError:
-            return False  # the leaves report it, in constraint order
-
-    preds = struct.predicate_symbols()
-    for base in struct.completions(preds, limits, refuted if probes else None):
+    # a residual f refutes a subtree; no grounding while constants are unassigned
+    refuted = None if consts else _refuter(constraints, struct, limits)
+    for base in struct.completions(struct.predicate_symbols(), limits, refuted):
         stack = [base]
         for c in consts:
             stack = [j.expand(c, d) for j in stack for d in base.domain]

@@ -42,7 +42,7 @@ from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (
     And, Atom1, Atom2, ExistsFO, ForallFO, Iff, Implies, Not, Or, RuleSet, free_symbols,
 )
-from .truthvalues import F, T, TV, U, PartialSet, canon_order, max_truth, neg
+from .truthvalues import F, T, TV, U, PartialSet, canon_order, max_truth
 from .vocab import DomainAtom, Symbol, predicate_carrier
 
 
@@ -67,7 +67,7 @@ def _body_values(
 ) -> list[TV]:
     """atom's rule bodies, valued with its arguments bound to the head variables."""
     return [_compiled(r.body)(i, _head_env(r, atom.args, i.domain) if r.head_vars else {}, ctx)
-            for r in d.rules if r.head == atom.predicate]  # most rules bind no variable
+            for r in d.by_head[atom.predicate]]  # most rules bind no variable
 
 
 def expand_context(
@@ -80,14 +80,16 @@ def expand_context(
 
     `carriers` optionally restricts a defined symbol's carrier to the
     listed argument tuples (useful when the full second order argument
-    space is out of reach).
+    space is out of reach), or to a partial set's carrier, which is in
+    canonical order already.
     """
     i = o
     for h in sorted(d.defined_symbols, key=lambda s: s.name):
         if o.interprets(h):
             raise EvaluationError(f"context already interprets defined {h.name}")
         c = carriers[h] if h in (carriers or ()) else predicate_carrier(h.type, o.domain, limits)
-        i = i.expand(h, PartialSet.constant(c, U))
+        i = i.expand(h, PartialSet(c.carrier, (U,) * len(c.values))
+                     if isinstance(c, PartialSet) else PartialSet.constant(c, U))
     return i
 
 
@@ -251,22 +253,22 @@ def stable_models(
             f"{len(atoms)} defined atoms exceed cap {limits.max_defined_atoms}"
         )
 
-    def unsupported(j: PartialInterpretation) -> bool:
-        # an assigned atom whose Kleene supported value is already exact
-        # and different stays unsupported in every candidate below j
-        probe = EvalContext(limits=limits)
+    g = None  # d ground once at i0, for the supported values at each node
+    if all(_probe_safe(r.body) for r in d.rules):
         try:
-            return any(
-                j.atom_value(a) is not U
-                and max_truth(_body_values(d, a, j, probe), empty=F) is neg(j.atom_value(a))
-                for a in atoms
-            )
+            g = _Ground(d, i0, limits)
         except EvaluationError:
-            return False  # the candidates report it, in atom order
+            pass  # the candidates report it, in atom order
 
-    safe = all(_probe_safe(r.body) for r in d.rules)
+    def unsupported(j: PartialInterpretation) -> bool:
+        # an assigned atom whose supported value is already exact and
+        # different stays unsupported in every candidate below j
+        g.read(j)
+        return any(v != 1 and w == 2 - v
+                   for v, w in zip(g.val[_ATOMS:], g.values(range(len(atoms)))))
+
     out = []
-    for cand in i0.refinements(atoms, cut=unsupported if safe else None):
+    for cand in i0.refinements(atoms, cut=None if g is None else unsupported):
         if any(
             cand.atom_value(a) is not max_truth(_body_values(d, a, cand, ctx), empty=F)
             for a in atoms
@@ -336,11 +338,15 @@ class _Ground:
     into _defined_atoms, all by default): per head a residual node and the
     opaque leaves (closure and env) it values first, per atom the heads
     reading it.  An atom over a defined symbol, second order ones at exact
-    arguments, is its index.  Grounding values, in closure order, all that
-    one round of body evaluations at `at` would, so it raises the same."""
+    arguments, is its index.  With d None, the atoms are those of `symbols`
+    and `ground` folds the exact ones and collects opaque leaves in `leaf`.
+    Grounding values, in closure order, all that one round of body
+    evaluations at `at` would, so it raises the same."""
 
-    def __init__(self, d: RuleSet, at: PartialInterpretation, limits: Limits, heads=None):
-        self.at, self.defined, self.ctx = at, d.defined_symbols, EvalContext(limits=limits)
+    def __init__(self, d: RuleSet | None, at: PartialInterpretation, limits: Limits,
+                 heads=None, symbols=()):
+        self.at, self.fold, self.ctx = at, d is None, EvalContext(limits=limits)
+        self.defined = symbols if d is None else d.defined_symbols
         self.index, self.keys, self.val, self.live = {}, [], [0, 1, 2], {}
         for h in sorted(self.defined, key=lambda s: s.name):
             ps = at.value(h)
@@ -349,13 +355,13 @@ class _Ground:
             self.val += [_code(v) for v in ps.values]
         n = len(self.keys)  # per head its node and leaves, per atom its readers
         self.node, self.leaves, self.deps = [0] * n, [()] * n, [[] for _ in range(n)]
-        self.opaque = []  # the heads with opaque leaves
-        for h in range(n) if heads is None else heads:
+        self.opaque, self.reads, self.leaf = [], set(), []  # opaque: the heads with leaves
+        for h in () if d is None else range(n) if heads is None else heads:
             sym, args = self.keys[h]
             self.reads, self.leaf = set(), []
             self.node[h] = _connect(_OR, [
                 self.ground(r.body, _head_env(r, args, at.domain), _compiled(r.body))
-                for r in d.rules if r.head == sym])
+                for r in d.by_head[sym]])
             for x in self.reads:
                 self.deps[x - _ATOMS].append(h)
             if self.leaf:
@@ -392,6 +398,8 @@ class _Ground:
             k = index.get(keys[0])
             if k is None:  # _read raises the evaluator's out-of-carrier error
                 _read(e.predicate, self.at.value(e.predicate), keys[0], self.ctx)
+            if self.fold and self.val[base + k] != 1:
+                return self.val[base + k]
             self.reads.add(base + k)
             return base + k
         self.val.append(_code(fn(self.at, env, self.ctx)))
@@ -433,12 +441,105 @@ class _Ground:
         """The u-valued parameter atoms read, as a tuple: memo entries share ()."""
         return tuple(a for a in self.ctx.record if a.predicate not in self.defined)
 
+    def read(self, j: PartialInterpretation) -> None:
+        """j's values of the atoms, into val."""
+        for sym, (k, index) in self.index.items():
+            self.val[k:k + len(index)] = map(_code, j.value(sym).values)
+
     def interpretation(self) -> PartialInterpretation:
         i = self.at
         for sym, (k, index) in self.index.items():
             i = i._expand(sym, PartialSet(i.value(sym).carrier, tuple(
                 [(F, U, T)[v] for v in self.val[k:k + len(index)]])))
         return i
+
+
+# ---------------------------------------------------------------------------
+# A formula ground at i with `fold` reads only the u atoms to complete; a
+# residual of u atoms and u leaves is u under Kleene, so it is a constant
+# exactly where the formula's Kleene value is exact.
+
+
+def _substitute(n, x: int, c: int, memo: dict):
+    """Residual n with value index x set to the code c, re-simplified; memo
+    holds the result per node, as a ground iff shares its sides."""
+    if type(n) is int:
+        return c if n == x else n
+    if id(n) not in memo:
+        memo[id(n)] = _negate(_substitute(n[1], x, c, memo)) if n[0] == _NOT else _connect(
+            n[0], [_substitute(k, x, c, memo) for k in n[1]])
+    return memo[id(n)]
+
+
+def _indices(n) -> set:
+    """The value indices residual n reads."""
+    out, seen, stack = set(), set(), [n]
+    while stack:
+        n = stack.pop()
+        if type(n) is int:
+            out.add(n)
+        elif id(n) not in seen:
+            seen.add(id(n))
+            if n[0] == _NOT:
+                stack.append(n[1])
+            else:
+                stack.extend(n[1])
+    return out
+
+
+def _search(g: _Ground, n, seen: set) -> None:
+    """Add to `seen` residual n's values over the refinements of its u atoms
+    to t then f, depth first, until it holds both.  n's opaque leaves are
+    valued at the node, an exact one for good.  A constant n is decided;
+    else it branches on the first atom it reads (one it does not read has
+    two equal subtrees) or, while it holds a leaf, on the first unassigned."""
+    if len(seen) > 1:
+        return
+    reads, j = _indices(n), None
+    for slot, fn, env in g.leaf:
+        if slot in reads:
+            j = j or g.interpretation()
+            v = _code(fn(j, env, g.ctx))
+            n = n if v == 1 else _substitute(n, slot, v, {})
+    reads = _indices(n) if j else reads
+    if type(n) is int and n < _ATOMS:
+        return seen.add(n)
+    held = g.leaf and max(reads) >= g.leaf[0][0]
+    x = next(a for a in range(_ATOMS, g.leaf[0][0]) if g.val[a] == 1) if held else min(reads)
+    for c in (2, 0):
+        g.val[x] = c
+        _search(g, _substitute(n, x, c, {}), seen)
+    g.val[x] = 1
+
+
+def _residual_glb(e, i: PartialInterpretation, atoms: list, limits: Limits) -> TV:
+    """The glb of probe-safe e over the refinements of its u atoms `atoms`."""
+    if len(atoms) > limits.max_unknowns:
+        raise CapExceeded(f"{len(atoms)} unknown atoms exceed cap {limits.max_unknowns}")
+    g, seen = _Ground(None, i, limits, symbols={a.predicate for a in atoms}), set()
+    _search(g, g.ground(e, {}, _compiled(e)), seen)
+    return U if len(seen) > 1 else (F, U, T)[seen.pop()]
+
+
+def _refuter(constraints: list, i: PartialInterpretation, limits: Limits):
+    """A cut for the refinements of i's u atoms, true where some probe-safe
+    constraint's residual at i is f.  Those ground before the first that
+    raises still cut; the leaves report its error, in constraint order."""
+    g = _Ground(None, i, limits, symbols={a.predicate for a in i.u_atoms(i.predicate_symbols())})
+    nodes = []
+    try:
+        for phi in filter(_probe_safe, constraints):
+            nodes.append(g.ground(phi, {}, _compiled(phi)))
+    except EvaluationError:
+        pass
+
+    def refuted(j: PartialInterpretation) -> bool:
+        g.read(j)
+        for slot, fn, env in g.leaf:
+            g.val[slot] = _code(fn(j, env, g.ctx))
+        return any((g.val[n] if type(n) is int else _value(n, g.val)) == 0 for n in nodes)
+
+    return refuted if nodes else None
 
 
 def _residual_wfm(d: RuleSet, i0: PartialInterpretation, limits: Limits) -> tuple:
@@ -484,7 +585,8 @@ def well_founded_model(
     of the enumerated partial stable models."""
     ctx = _ctx or EvalContext(limits=limits)
     carrier_key = None if carriers is None else tuple(
-        sorted(((s, tuple(c)) for s, c in carriers.items()), key=lambda kv: kv[0].name))
+        sorted(((s, tuple(getattr(c, "carrier", c))) for s, c in carriers.items()),
+               key=lambda kv: kv[0].name))
     key = (d, o.domain, o.assignments, carrier_key, limits)
     hit = _WFM_CACHE.get(key)
     if hit is None:
@@ -514,9 +616,9 @@ def is_total(
 def _agreement(d: RuleSet, j: PartialInterpretation, limits: Limits, ctx: EvalContext) -> TV:
     """t if j's defined atoms are all exact and the same in d's well-founded
     model at j's context and carriers, f if one exact in both differs, else u."""
-    carriers = {h: j.value(h).carrier for h in d.defined_symbols}
+    carriers = {h: j.value(h) for h in d.defined_symbols}
     wfm = well_founded_model(d, parameter_context(d, j), limits, carriers, _ctx=ctx)
-    pairs = {p for h in carriers for p in zip(wfm.value(h).values, j.value(h).values)}
+    pairs = {p for h, ps in carriers.items() for p in zip(wfm.value(h).values, ps.values)}
     return F if pairs & {(T, F), (F, T)} else T if pairs <= {(T, T), (F, F)} else U
 
 

@@ -15,8 +15,10 @@ Two modes:
   and the three-valued well-founded assignment for definition nodes;
 * supervaluation: the ultimate approximation of the induced two-valued
   assignment, a glb over all exact completions of the free predicate
-  symbols, searched depth first and cut below each node where the
-  Kleene value of a probe-safe formula is already exact.
+  symbols.  A probe-safe formula is ground once into a residual over its
+  u atoms and searched depth first on that residual, which decides a
+  subtree once it is constant and never branches on an atom it no
+  longer reads; other formulas are evaluated at the leaves only.
 
 Both satisfy locality, exactness on exact interpretations, and
 precision monotonicity; supervaluation is at least as precise as
@@ -306,10 +308,13 @@ def evaluate(
         return _compiled(e)(i, {}, ctx)
     if mode != SUPERVALUATION:
         raise EvaluationError(f"unknown evaluation mode {mode!r}")
+    from . import definitions
+
     unknown = i.u_atoms(s for s in free_symbols(e) if s.type.is_predicate)
-    fn = _compiled(e)  # an exact Kleene value at a node holds in every completion below
-    probe = (lambda j: fn(j, {}, EvalContext(limits=ctx.limits))) if _probe_safe(e) else None
-    return i.glb(unknown, ctx.limits, lambda j: fn(j, {}, ctx), probe)
+    fn = _compiled(e)
+    if not _probe_safe(e):
+        return i.glb(unknown, ctx.limits, lambda j: fn(j, {}, ctx))
+    return definitions._residual_glb(e, i, unknown, ctx.limits)
 
 
 def evaluate_exact(e, i: PartialInterpretation, limits: Limits = DEFAULT_LIMITS) -> TV:

@@ -164,6 +164,13 @@ class RuleSet:
             occurring |= free_symbols(r.body) - set(r.head_vars)
         return frozenset(occurring - self.defined_symbols)
 
+    @cached_property  # each defined atom reads only the rules of its symbol
+    def by_head(self) -> dict:
+        out: dict = {}
+        for r in self.rules:
+            out.setdefault(r.head, []).append(r)
+        return out
+
     @property
     def free(self) -> frozenset:
         return self.defined_symbols | self.parameters

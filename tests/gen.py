@@ -11,7 +11,7 @@ import random
 
 from deflog.interpretation import PartialInterpretation
 from deflog.syntax import (
-    Aggregate, And, Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO, ExistsSO,
+    AddTerm, Aggregate, And, Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO, ExistsSO,
     ForallFO, ForallSO, Iff, Implies, IntTerm, Let, Not, Or, Rule, RuleSet,
     SymTerm,
 )
@@ -119,13 +119,26 @@ TREE_KINDS = (
 )
 
 
-def random_tree(rng: random.Random, depth: int, fo_vars=(), so_vars=()):
+def random_term(rng: random.Random, fo_vars, consts):
+    """A bound variable, a constant, an integer or one of them plus 1."""
+    t = rng.choice([SymTerm(v) for v in fo_vars + consts] + [IntTerm(rng.randint(0, 3))])
+    return AddTerm(t, IntTerm(1)) if rng.random() < 0.25 else t
+
+
+def random_tree(rng: random.Random, depth: int, fo_vars=(), so_vars=(), consts=()):
     """A random formula over every node kind: first and second order
     atoms, comparisons, the connectives, both kinds of quantifier,
     aggregates, definitions and let-blocks (rules with first or second
-    order heads).  Meant for syntactic walkers, not for evaluation."""
+    order heads).  Meant for syntactic walkers, not for evaluation.
+    With `consts`, unary atoms and comparisons also read those constant
+    symbols, integers and sums (`random_term`), over integer domains."""
     if depth == 0:
         kind = rng.choice(("atom1", "atom2", "cmp"))
+        if consts and kind != "atom2":
+            args = [random_term(rng, fo_vars, consts) for _ in range(2)]
+            if kind == "cmp":
+                return Cmp(rng.choice("=<>"), *args)
+            return Atom1(P1, (args[0],)) if rng.random() < 0.7 else Atom1(rng.choice(PROPS), ())
         if kind == "atom1":
             if fo_vars and rng.random() < 0.5:
                 return Atom1(P1, (SymTerm(rng.choice(fo_vars)),))
@@ -137,7 +150,7 @@ def random_tree(rng: random.Random, depth: int, fo_vars=(), so_vars=()):
         return Cmp(rng.choice("=<>"), left, IntTerm(rng.randint(0, 2)))
 
     def sub(fo=fo_vars, so=so_vars):
-        return random_tree(rng, depth - 1, fo, so)
+        return random_tree(rng, depth - 1, fo, so, consts)
 
     kind = rng.choice(TREE_KINDS)
     if kind == "not":

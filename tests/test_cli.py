@@ -12,13 +12,15 @@ import random
 import pytest
 from click.testing import CliRunner
 
+from deflog import cli
 from deflog.cli import _mx_models, main
-from deflog.errors import CapExceeded
+from deflog.definitions import _refuter
+from deflog.errors import CapExceeded, EvaluationError
 from deflog.evaluator import KLEENE, evaluate, evaluate_exact
 from deflog.interpretation import read_structure
 from deflog.limits import DEFAULT_LIMITS, Limits
 from deflog.parser import Theory, parse_formula, parse_theory
-from deflog.syntax import Atom1, DefinitionExpr, Or, SymTerm
+from deflog.syntax import Aggregate, Atom1, DefinitionExpr, IntTerm, Or, SymTerm
 from deflog.truthvalues import T
 from deflog.vocab import CONST, Symbol, Vocabulary, pred
 
@@ -252,6 +254,61 @@ class TestModelExpansionSearch:
             assert got == self.oracle(theory, struct)
             total += len(got)
         assert total > 0
+
+    @pytest.mark.parametrize("const", ["none", "assigned", "unassigned"])
+    def test_quantifier_and_card_constraints_equal_the_flat_filter(self, const):
+        rng = random.Random(89 + len(const))
+        x = Symbol("x0", CONST)
+        total = 0
+        for _ in range(60):
+            formulas = {f"f{n}": random_formula(rng, rng.randint(1, 3))
+                        for n in range(rng.randint(0, 2))}
+            formulas["card"] = Aggregate(
+                "card", rng.choice("=<>"), (x,),
+                random_formula(rng, rng.randint(0, 2), domain_vars=(x,)),
+                IntTerm(rng.randint(0, 2)))
+            symbols = [*PROPS, P1]
+            if const != "none":
+                symbols.append(self.C)
+                formulas["fc"] = Or(Atom1(P1, (SymTerm(self.C),)), random_formula(rng, 1))
+            theory = Theory(Vocabulary.of(symbols), formulas)
+            struct = random_interpretation(rng, domain=("a", "b"))
+            if const == "assigned":
+                struct = struct.expand(self.C, rng.choice(("a", "b")))
+            got = list(_mx_models(theory, struct, DEFAULT_LIMITS))
+            assert got == self.oracle(theory, struct)
+            total += len(got)
+        assert total > 0
+
+    def test_a_card_constraint_cuts_where_its_leaf_turns_f(self, monkeypatch):
+        # only the all-f completion of s satisfies c: valued at each node,
+        # the card leaf turns f as soon as one s atom is t
+        theory = parse_theory("vocab { s: pred/1; }\nformula c { #{x: s(x)} < 1 }\n")
+        struct = read_structure("domain = {1..3}\n", theory.vocabulary)
+        leaves = []
+        monkeypatch.setattr(
+            cli, "evaluate_exact", lambda *a: leaves.append(1) or evaluate_exact(*a))
+        assert len(list(_mx_models(theory, struct, DEFAULT_LIMITS))) == 1
+        assert len(leaves) == 1
+
+    @pytest.mark.parametrize("first", ["bound", "uninterpreted"])
+    def test_a_grounding_error_cuts_nothing_and_the_leaves_report_it(self, first):
+        # z is f everywhere but comes after the constraint whose grounding
+        # raises, so nothing cuts and the first leaf reports that error
+        names = {"bound": "a", "uninterpreted": "b"} if first == "bound" else \
+            {"bound": "b", "uninterpreted": "a"}
+        theory = parse_theory(
+            "vocab { p: pred/0; s: pred/1; t: pred/1; k: const; }\n"
+            f"formula {names['bound']} {{ #{{x: s(x)}} > k }}\n"
+            f"formula {names['uninterpreted']} {{ t(k) }}\nformula z {{ p & ~p }}\n")
+        struct = read_structure("domain = {x1}\nk = x1\n", theory.vocabulary)
+        struct = struct.restrict([s for s, _ in struct.assignments if s.name != "t"])
+        constraints = [phi for _, phi in sorted(theory.formulas.items())]
+        assert _refuter(constraints, struct, DEFAULT_LIMITS) is None
+        message = {"bound": "aggregate bound must be an integer",
+                   "uninterpreted": "symbol t not interpreted"}[first]
+        with pytest.raises(EvaluationError, match=f"^{message}$"):
+            list(_mx_models(theory, struct, DEFAULT_LIMITS))
 
     def test_probe_errors_are_left_to_the_leaves(self):
         # no completion satisfies a, so no leaf evaluates b, whose bound

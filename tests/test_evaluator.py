@@ -7,6 +7,7 @@ the Kleene evaluator as first written (an isinstance walker binding each
 variable by expanding the interpretation) for the compiled closures."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from deflog.limits import Limits
 from deflog.parser import parse_formula, parse_theory
 from deflog.syntax import (
     Aggregate, And, Atom1, DefinitionExpr, ExistsFO, ExistsSO, ForallFO,
-    IntTerm, Let, Not, Rule, RuleSet, SymTerm, free_symbols, map_children,
+    IntTerm, Let, Not, Or, Rule, RuleSet, SymTerm, free_symbols, map_children,
     unparse,
 )
 from deflog.truthvalues import F, T, U, PartialSet, leq_prec
@@ -294,6 +295,116 @@ class TestPrunedSupervaluation:
         assert want is T
         assert evaluate(e, i, SUPERVALUATION, Limits(max_unknowns=4)) is want
 
+
+
+C = Symbol("c", CONST)
+
+
+def value_or_error(run):
+    try:
+        return run(), None
+    except DeflogError as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestResidualSearch:
+    """A probe-safe formula is ground once at the root and its residual is
+    searched, branching only on atoms the residual still reads; oracles
+    are the flat loop over every completion and the probe search it
+    replaced (`PartialInterpretation.glb` with a Kleene probe)."""
+
+    def cases(self, n, seed):
+        """n probe-safe `random_tree` formulas over a constant c, each with a
+        partial interpretation over {1}, {1, 2} or {1, 2, 3} that may leave
+        c unassigned or s without one of its keys."""
+        rng = random.Random(seed)
+        while n:
+            e = random_tree(rng, rng.randint(0, 4), consts=(C,))
+            if not _probe_safe(e):
+                continue
+            n -= 1
+            domain = (1, 2, 3)[:rng.randint(1, 3)]
+            i = random_partial(rng, (*PROPS, P1), domain, p_unknown=0.4)
+            if rng.random() < 0.2:
+                drop = (rng.choice(domain),)
+                i = i.expand(P1, PartialSet.from_map(
+                    {k: v for k, v in i.value(P1).items() if k != drop}))
+            yield e, i.expand(C, rng.choice(domain)) if rng.random() < 0.8 else i
+
+    def test_value_error_and_record_match_the_flat_oracle(self):
+        kinds, values, errors = set(), set(), set()
+        for e, i in self.cases(1200, 97):
+            ctx = EvalContext()
+            got = value_or_error(lambda: evaluate(e, i, SUPERVALUATION, _ctx=ctx))
+            assert got == value_or_error(lambda: super_oracle(e, i, exact_holds)), unparse(e)
+            assert ctx.record == set()
+            kinds |= node_kinds(e)
+            values.add(got[0])
+            errors.add(got[1] and got[1][1].split()[-1])
+        assert {T, U, F, None} == values
+        assert {None, "carrier", "interpreted"} <= errors
+        assert {"ForallFO", "ExistsFO", "card", "Cmp", "Iff"} <= kinds
+
+    def test_cap_is_checked_first_even_where_the_root_is_decided(self):
+        decided = 0
+        for e, i in self.cases(300, 98):
+            n = len(i.u_atoms(s for s in free_symbols(e) if s.type.is_predicate))
+            if n:
+                with pytest.raises(CapExceeded, match=f"^{n} unknown atoms exceed cap {n - 1}$"):
+                    evaluate(e, i, SUPERVALUATION, Limits(max_unknowns=n - 1))
+                decided += value_or_error(lambda: evaluate(e, i, KLEENE))[0] in (T, F)
+        assert decided > 10
+
+    def test_never_more_nodes_than_the_probe_search(self, monkeypatch):
+        searched, probed = [], []
+        search, refine = definitions._search, PartialInterpretation._refine
+        monkeypatch.setattr(definitions, "_search", lambda *a: searched.append(1) or search(*a))
+        monkeypatch.setattr(PartialInterpretation, "_refine",
+                            lambda j, *a: probed.append(1) or refine(j, *a))
+        totals = [0, 0]
+        for e, i in self.cases(400, 99):
+            searched.clear()
+            value, error = value_or_error(lambda: evaluate(e, i, SUPERVALUATION))
+            if error:
+                continue
+            probed.clear()
+            unknown = i.u_atoms(s for s in free_symbols(e) if s.type.is_predicate)
+            kleene = functools.partial(evaluate, e, mode=KLEENE)
+            assert i.glb(unknown, Limits(), kleene, kleene) is value
+            assert len(searched) <= len(probed), unparse(e)
+            totals = [totals[0] + len(searched), totals[1] + len(probed)]
+        assert totals[0] < totals[1]
+
+    @pytest.mark.parametrize("text", [
+        "#{x: s(x)} > 0 | ~s(1)",
+        "#{x: s(x)} > 0 | #{x: s(x)} < 1",
+        "(#{x: s(x)} = 1) <=> (s(1) <=> ~s(2))",
+        "!x: (#{y: s(y)} > 1 => s(x))",
+        "#{x: s(x) & p} < 2 & (p | q)",
+    ])
+    def test_card_leaves_are_valued_at_each_node(self, text):
+        # a leaf that is u at a node may be exact below it: the search
+        # must keep it, not read it as the constant u or as an atom
+        vocab = Vocabulary.of([P0, Q0, P1])
+        e = parse_formula(text, vocab)
+        for values in itertools.product((T, U, F), repeat=4):
+            i = PartialInterpretation.make((1, 2), {
+                P0: PartialSet.from_map({(): values[0]}), Q0: PartialSet.from_map({(): values[1]}),
+                P1: PartialSet.from_map({(1,): values[2], (2,): values[3]})})
+            assert evaluate(e, i, SUPERVALUATION) is super_oracle(e, i, exact_holds), values
+
+    def test_branches_only_on_atoms_the_residual_reads(self, monkeypatch):
+        # z comes last in name order: the probe search in that order
+        # visits about 2^18 nodes before z decides the tautology
+        z, atoms = Symbol("z", pred(0)), [Symbol(f"a{k}", pred(0)) for k in range(1, 19)]
+        conj = functools.reduce(And, [Atom1(a, ()) for a in atoms])
+        e = Or(Or(Atom1(z, ()), Not(Atom1(z, ()))), conj)
+        i = PartialInterpretation.make(
+            ("d",), {s: PartialSet.from_map({(): U}) for s in (z, *atoms)})
+        nodes, search = [], definitions._search
+        monkeypatch.setattr(definitions, "_search", lambda *a: nodes.append(1) or search(*a))
+        assert evaluate(e, i, SUPERVALUATION) is T
+        assert len(nodes) < 100
 
 
 def outcome(run, limits=Limits()):
