@@ -57,7 +57,7 @@ def _handles_errors(fn):
             _fail(EXIT_NO_MODEL, str(exc))
         except (ParseError, TypeError_, EvaluationError, DeflogError) as exc:
             _fail(EXIT_INPUT, str(exc))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             _fail(EXIT_INPUT, str(exc))
 
     return wrapper

@@ -9,13 +9,13 @@ pure and return new interpretations.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import CapExceeded, EvaluationError, ParseError, TypeError_
 from .limits import DEFAULT_LIMITS, Limits
+from .parser import _Cursor, _lex_structure, _line_col
 from .truthvalues import F, T, TV, U, PartialSet, canon_order, leq_prec, leq_truth
 from .vocab import DomainAtom, Symbol, Vocabulary, predicate_carrier
 
@@ -297,134 +297,87 @@ def write_structure(i: PartialInterpretation) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>-?\d+\.\.-?\d+|-?\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[{}(),:=*]))"
-)
-
-
-def _tokenize_structure(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("//", 1)[0]
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN.match(line, pos)
-            if not m:
-                if line[pos:].strip():
-                    raise ParseError(f"bad character {line[pos]!r}", lineno, pos + 1)
-                break
-            pos = m.end()
-            for kind in ("int", "name", "punct"):
-                if m.group(kind) is not None:
-                    tokens.append((kind, m.group(kind), lineno))
-                    break
-        tokens.append(("newline", "", lineno))
-    return tokens
-
-
-class _StructReader:
+class _StructReader(_Cursor):
     def __init__(self, text: str, vocab: Vocabulary, limits: Limits):
-        self.tokens = _tokenize_structure(text)
-        self.pos = 0
+        super().__init__(*_lex_structure(text))
         self.vocab = vocab
         self.limits = limits
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else ("eof", "", 0)
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, text, line = self.next()
-        if text != value:
-            raise ParseError(f"expected {value!r}, got {text or kind!r}", line)
-        return text
+    def where(self, tok: tuple) -> tuple[int, int]:
+        # errors name a line only; the end of input has none
+        return (0, 0) if tok[0] == "eof" else (_line_col(self.text, tok[2])[0], 0)
 
     def skip_newlines(self):
         while self.peek()[0] == "newline":
             self.next()
 
-    def element(self):
-        kind, text, line = self.next()
-        if kind == "int":
-            return int(text)
-        if kind == "name":
-            return text
-        raise ParseError(f"expected a domain element, got {text!r}", line)
-
     def elem_or_relation(self):
-        if self.peek()[1] == "{":
-            self.next()
-            rel = set()
-            while self.peek()[1] != "}":
-                rel.add(self.key_tuple())
-                if self.peek()[1] == ",":
-                    self.next()
-            self.expect("}")
-            return frozenset(rel)
-        return self.element()
+        tok = self.next()
+        if tok[0] == "int":
+            return int(tok[1])
+        if tok[0] == "name":
+            return tok[1]
+        if tok[1] != "{":
+            self.fail(f"expected a domain element, got {tok[1]!r}", tok)
+        rel = set()
+        while not self.at("}"):
+            rel.add(self.key_tuple())
+            self.accept(",")
+        self.expect("}")
+        return frozenset(rel)
 
     def key_tuple(self) -> tuple:
         self.expect("(")
         parts = []
-        while self.peek()[1] != ")":
+        while not self.at(")"):
             parts.append(self.elem_or_relation())
-            if self.peek()[1] == ",":
-                self.next()
+            self.accept(",")
         self.expect(")")
         return tuple(parts)
 
     def truth(self) -> TV:
-        kind, text, line = self.next()
-        if text in ("t", "u", "f"):
-            return TV(text)
-        raise ParseError(f"expected t, u or f, got {text!r}", line)
+        tok = self.next()
+        if tok[1] in ("t", "u", "f"):
+            return TV(tok[1])
+        self.fail(f"expected t, u or f, got {tok[1]!r}", tok)
 
     def read(self) -> PartialInterpretation:
-        domain: list = []
+        domain: list | None = None
         valuation: dict = {}
-        seen_domain = False
         self.skip_newlines()
         while self.peek()[0] != "eof":
-            kind, name, line = self.next()
+            tok = self.next()
+            kind, name, _ = tok
             if kind != "name":
-                raise ParseError(f"expected a symbol name, got {name!r}", line)
+                self.fail(f"expected a symbol name, got {name!r}", tok)
             self.expect("=")
             if name == "domain":
-                if seen_domain:
-                    raise ParseError("duplicate domain block", line)
-                seen_domain = True
+                if domain is not None:
+                    self.fail("duplicate domain block", tok)
                 domain = self.read_domain()
             else:
                 sym = self.vocab.get(name)
                 if sym is None:
-                    raise ParseError(f"symbol {name!r} not in vocabulary", line)
+                    self.fail(f"symbol {name!r} not in vocabulary", tok)
                 if sym in valuation:
-                    raise ParseError(f"duplicate assignment to {name!r}", line)
-                if not seen_domain:
-                    raise ParseError("domain must be declared first", line)
-                valuation[sym] = self.read_value(sym, domain, line)
+                    self.fail(f"duplicate assignment to {name!r}", tok)
+                if domain is None:
+                    self.fail("domain must be declared first", tok)
+                valuation[sym] = self.read_value(sym, domain, tok)
             self.skip_newlines()
-        if not seen_domain:
+        if domain is None:
             raise ParseError("structure has no domain block")
         # unmentioned predicates default to all-unknown
         i = PartialInterpretation.make(domain, valuation)
-        missing = [
-            s
-            for s in self.vocab
-            if s.type.is_predicate and s not in {k for k in valuation}
-        ]
+        missing = [s for s in self.vocab if s.type.is_predicate and s not in valuation]
         return i.expand_unknown(missing, self.limits)
 
     def read_domain(self) -> list:
         self.expect("{")
         out: list = []
-        while self.peek()[1] != "}":
-            kind, text, line = self.next()
+        while not self.at("}"):
+            tok = self.next()
+            kind, text, _ = tok
             if kind == "int" and ".." in text:
                 lo, hi = (int(p) for p in text.split(".."))
                 out.extend(range(lo, hi + 1))
@@ -433,44 +386,40 @@ class _StructReader:
             elif kind == "name":
                 out.append(text)
             else:
-                raise ParseError(f"bad domain element {text!r}", line)
-            if self.peek()[1] == ",":
-                self.next()
+                self.fail(f"bad domain element {text!r}", tok)
+            self.accept(",")
         self.expect("}")
         return out
 
-    def read_value(self, sym: Symbol, domain: list, line: int):
+    def read_value(self, sym: Symbol, domain: list, name: tuple):
         if not sym.type.is_predicate:
             return self.elem_or_relation()
         self.expect("{")
         entries: dict[tuple, TV] = {}
         default: TV | None = None
-        while self.peek()[1] != "}":
-            if self.peek()[1] == "*":
-                self.next()
+        while not self.at("}"):
+            if self.accept("*"):
                 self.expect(":")
                 default = self.truth()
             else:
                 key = self.key_tuple()
                 self.expect(":")
                 entries[key] = self.truth()
-            if self.peek()[1] == ",":
-                self.next()
+            self.accept(",")
         self.expect("}")
         if default is not None:
             carrier = predicate_carrier(sym.type, domain, self.limits)
             full = {tuple(k): default for k in carrier}
             for key, v in entries.items():
                 if key not in full:
-                    raise ParseError(f"{sym.name}: key {key} outside carrier", line)
+                    self.fail(f"{sym.name}: key {key} outside carrier", name)
                 full[key] = v
             entries = full
         elif sym.type.kind == "pred":
             carrier = set(map(tuple, predicate_carrier(sym.type, domain, self.limits)))
             if set(entries) != carrier:
-                raise ParseError(
-                    f"{sym.name}: entries do not cover the carrier and no '*' default given",
-                    line,
+                self.fail(
+                    f"{sym.name}: entries do not cover the carrier and no '*' default given", name
                 )
         return PartialSet.from_map(entries)
 

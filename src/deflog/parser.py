@@ -1,4 +1,5 @@
-"""Concrete text syntax: tokenizer and recursive descent parser.
+"""Concrete text syntax: one lexer, one token cursor, and a recursive
+descent parser for theory files.
 
 Theory files contain a vocabulary block followed by named blocks::
 
@@ -16,12 +17,24 @@ Connectives are ~ & | => <=>; quantifiers are !x: / ?x: (first order)
 and !! P[pred/2]: / ?? P[pred/2]: (second order); aggregates are
 #{x : body} op n and sum{x : body} op n.  Unicode connectives and
 quantifiers are accepted on input; output is always ASCII.
+
+Binary connectives bind loosest to tightest <=>, =>, |, & (`_BINARY`),
+each left associative; ~, quantifiers and aggregates bind tighter, and a
+quantifier's body extends as far right as it can.
+
+Theories and structures (`interpretation.read_structure`) share one
+lexer, `_lex`, over one regex per format, and one token cursor,
+`_Cursor`.  Tokens are `(kind, text, offset)` tuples; a `ParseError`
+works out line and column from the offset, with lines as
+`str.splitlines` ends them and `//` commenting out the rest of a line.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import ParseError
 from .syntax import (
@@ -31,60 +44,118 @@ from .syntax import (
 )
 from .vocab import CONST, Symbol, Type, Vocabulary, pred, so_pred
 
-_UNICODE = {
+_UNICODE = str.maketrans({
     "¬": "~", "∧": "&", "∨": "|", "⇒": "=>",
     "⇔": "<=>", "←": "<-", "∀": "!", "∃": "?",
-}
+})
 
-_PUNCT = [
-    "<=>", "=>", "<-", "??", "!!", "..",
-    "{", "}", "(", ")", "[", "]", ",", ":", ";", ".", "-",
-    "~", "&", "|", "+", "/", "=", "<", ">", "!", "?", "#",
-]
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines ends a line
+_BREAK = re.compile(f"\r\n|[{_BREAKS}]")
+_COMMENT = f"//[^{_BREAKS}]*"
+_NAME = r"[A-Za-z_][A-Za-z0-9_']*"
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_INT = re.compile(r"-?\d+")
+# Space and comments are skipped after each token (and by `_LEAD` before
+# the first), so every match starts on a token, \Z included, and none
+# backtracks.  `neg` is an int unless it follows an int or a name (`x-1`),
+# where its `-` is punctuation.
+_SKIP = rf"(?:\s+|{_COMMENT})*"
+_LEAD = re.compile(_SKIP)
+_THEORY = re.compile(
+    rf"(?:(?P<name>{_NAME})|(?P<neg>-\d+)|(?P<int>\d+)|(?P<punct><=>|=>|<-"
+    r"|\?\?|!!|\.\.|[{}()\[\],:;.~&|+/=<>!?#-])|(?P<bad>\S)|(?P<eof>\Z))" + _SKIP
+)
+
+# Structures: `a..b` ranges, their own punctuation, and a newline token
+# ending every line (`_lex_structure` ends the last line with a break).
+# A bad character is reported where the space before it starts, where the
+# structure reader has always reported it.
+_SPACE = f"[^\\S{_BREAKS}]"
+_STRUCTURE = re.compile(
+    rf"{_SPACE}*(?:(?P<int>-?\d+\.\.-?\d+|-?\d+)|(?P<name>{_NAME})|(?P<punct>[{{}}(),:=*])"
+    rf"|(?P<newline>)(?:{_COMMENT})?(?:\r\n|[{_BREAKS}]))"
+    rf"|(?P<bad>{_SPACE}*\S)"
+)
 
 
-@dataclass
-class Token:
-    kind: str  # 'name' | 'int' | 'punct' | 'eof'
-    text: str
-    line: int
-    col: int
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    lines = _BREAK.split(text[:offset])
+    return len(lines), len(lines[-1]) + 1
 
 
-def tokenize(text: str) -> list[Token]:
-    for u, a in _UNICODE.items():
-        text = text.replace(u, a)
-    tokens: list[Token] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("//", 1)[0]
-        pos = 0
-        while pos < len(line):
-            ch = line[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            m = _NAME.match(line, pos)
-            if m:
-                tokens.append(Token("name", m.group(), lineno, pos + 1))
-                pos = m.end()
-                continue
-            m = _INT.match(line, pos)
-            if m and not (ch == "-" and tokens and tokens[-1].kind in ("int", "name")):
-                tokens.append(Token("int", m.group(), lineno, pos + 1))
-                pos = m.end()
-                continue
-            for p in _PUNCT:
-                if line.startswith(p, pos):
-                    tokens.append(Token("punct", p, lineno, pos + 1))
-                    pos += len(p)
-                    break
-            else:
-                raise ParseError(f"unexpected character {ch!r}", lineno, pos + 1)
-    tokens.append(Token("eof", "", len(text.splitlines()) + 1, 1))
+def _lex(matches: Iterator[re.Match], text: str, bad: str) -> list[tuple[str, str, int]]:
+    tokens: list[tuple[str, str, int]] = []
+    append = tokens.append
+    for m in matches:
+        kind = m.lastgroup
+        if kind == "neg" and tokens and tokens[-1][0] in ("int", "name"):
+            at = m.start(kind)
+            append(("punct", "-", at))
+            append(("int", m[kind][1:], at + 1))
+        elif kind == "bad":
+            at = m.start(kind)
+            raise ParseError(f"{bad} {text[at]!r}", *_line_col(text, at))
+        else:
+            append(("int" if kind == "neg" else kind, m[kind], m.start(kind)))
     return tokens
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The theory tokens of `text`, ending in an eof token: `(kind, text,
+    offset)` with kind 'name', 'int', 'punct' or 'eof', and offset into
+    `text` with its Unicode connectives replaced by ASCII ones."""
+    text = text.translate(_UNICODE)
+    return _lex(_THEORY.finditer(text, _LEAD.match(text).end()), text, "unexpected character")
+
+
+def _lex_structure(text: str) -> tuple[str, list[tuple[str, str, int]]]:
+    """`text` with its last line ended, and its structure tokens."""
+    if text and text[-1] not in _BREAKS:
+        text += "\n"
+    tokens = _lex(_STRUCTURE.finditer(text), text, "bad character")
+    tokens.append(("eof", "", len(text)))
+    return text, tokens
+
+
+class _Cursor:
+    """A position in a token list that ends in an eof token, which `next`
+    never moves past.  Subclasses say where a token is for an error
+    (`where`) and how a message names a token without text (`NOTHING`)."""
+
+    NOTHING: dict[str, str] = {}
+
+    def __init__(self, text: str, tokens: list[tuple[str, str, int]]):
+        self.text = text
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != "eof":
+            self.pos += 1
+        return tok
+
+    def at(self, text: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok[1] == text and tok[0] != "name"
+
+    def accept(self, text: str) -> bool:
+        if self.at(text):
+            self.pos += 1  # eof has no text, so this is not the last token
+            return True
+        return False
+
+    def expect(self, text: str) -> tuple[str, str, int]:
+        tok = self.next()
+        if tok[1] != text:
+            got = tok[1] or self.NOTHING.get(tok[0], tok[0])
+            self.fail(f"expected {text!r}, got {got!r}", tok)
+        return tok
+
+    def fail(self, message: str, tok: tuple | None = None):
+        raise ParseError(message, *self.where(self.peek() if tok is None else tok))
 
 
 @dataclass
@@ -97,85 +168,75 @@ class Theory:
     templates: dict = field(default_factory=dict)      # name -> RuleSet
 
 
-class Parser:
-    def __init__(self, tokens: list[Token], vocab: Vocabulary | None = None):
-        self.tokens = tokens
-        self.pos = 0
-        self.scope: dict[str, Symbol] = (
-            {s.name: s for s in vocab} if vocab else {}
-        )
+_BINARY = {"<=>": (1, Iff), "=>": (2, Implies), "|": (3, Or), "&": (4, And)}
 
-    # -- token plumbing ------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+class Parser(_Cursor):
+    NOTHING = {"eof": "end of input"}
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def __init__(self, text: str, vocab: Vocabulary | None = None):
+        super().__init__(text, tokenize(text))
+        self.scope: dict[str, Symbol] = {s.name: s for s in vocab or ()}
 
-    def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "name"
+    def where(self, tok: tuple) -> tuple[int, int]:
+        if tok[0] == "eof":
+            return len(self.text.splitlines()) + 1, 1
+        return _line_col(self.text.translate(_UNICODE), tok[2])
 
-    def at_name(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "name" and t.text == text
-
-    def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
-            return True
-        return False
-
-    def expect(self, text: str) -> Token:
+    def expect_name(self) -> tuple[str, str, int]:
         tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, got {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
+        if tok[0] != "name":
+            self.fail(f"expected a name, got {tok[1]!r}", tok)
         return tok
 
-    def expect_name(self) -> Token:
-        tok = self.next()
-        if tok.kind != "name":
-            raise ParseError(f"expected a name, got {tok.text!r}", tok.line, tok.col)
-        return tok
+    def parse_args(self, item) -> list:
+        """Comma separated `item()`s up to a ')', which is consumed."""
+        args = []
+        while not self.at(")"):
+            args.append(item())
+            if not self.accept(","):
+                break
+        self.expect(")")
+        return args
 
-    def fail(self, msg: str):
-        tok = self.peek()
-        raise ParseError(msg, tok.line, tok.col)
+    def scoped(self, symbols, parse):
+        """`parse()` with `symbols` in scope by name, shadowing outer ones."""
+        saved = {s.name: self.scope.get(s.name) for s in symbols}
+        self.scope.update({s.name: s for s in symbols})
+        try:
+            return parse()
+        finally:
+            for name, old in saved.items():
+                if old is None:
+                    self.scope.pop(name, None)
+                else:
+                    self.scope[name] = old
 
     # -- types and vocabulary -------------------------------------------
 
     def parse_type(self) -> Type:
         tok = self.expect_name()
-        if tok.text == "pred":
+        if tok[1] == "pred":
             self.expect("/")
             arity = self.next()
-            if arity.kind != "int":
-                raise ParseError("expected an arity", arity.line, arity.col)
-            return pred(int(arity.text))
-        if tok.text == "const":
+            if arity[0] != "int":
+                self.fail("expected an arity", arity)
+            if int(arity[1]) < 0:
+                self.fail(f"arity {arity[1]} is negative", arity)
+            return pred(int(arity[1]))
+        if tok[1] == "const":
             return CONST
-        if tok.text == "domain":
+        if tok[1] == "domain":
             return Type("domain")
-        if tok.text == "so" or tok.text == "so_pred":
-            if tok.text == "so":
+        if tok[1] == "so" or tok[1] == "so_pred":
+            if tok[1] == "so":
                 self.expect("-")
                 inner = self.expect_name()
-                if inner.text != "pred":
-                    raise ParseError("expected 'pred' after 'so-'", inner.line, inner.col)
+                if inner[1] != "pred":
+                    self.fail("expected 'pred' after 'so-'", inner)
             self.expect("(")
-            args = []
-            while not self.at(")"):
-                args.append(self.parse_type())
-                if not self.accept(","):
-                    break
-            self.expect(")")
-            return so_pred(*args)
-        raise ParseError(f"unknown type {tok.text!r}", tok.line, tok.col)
+            return so_pred(*self.parse_args(self.parse_type))
+        self.fail(f"unknown type {tok[1]!r}", tok)
 
     def parse_vocab_block(self) -> Vocabulary:
         self.expect("{")
@@ -184,10 +245,10 @@ class Parser:
             name = self.expect_name()
             self.expect(":")
             kind = "user"
-            if self.peek().kind == "name" and self.peek().text in ("template", "interpreted"):
-                kind = self.next().text
+            if self.peek()[:2] in (("name", "template"), ("name", "interpreted")):
+                kind = self.next()[1]
             t = self.parse_type()
-            symbols.append(Symbol(name.text, t, kind))
+            symbols.append(Symbol(name[1], t, kind))
             self.accept(";")
         self.expect("}")
         vocab = Vocabulary.of(symbols)
@@ -196,73 +257,50 @@ class Parser:
 
     # -- terms -----------------------------------------------------------
 
-    def resolve(self, name: Token) -> Symbol:
-        sym = self.scope.get(name.text)
+    def resolve(self, name: tuple) -> Symbol:
+        sym = self.scope.get(name[1])
         if sym is None:
-            raise ParseError(f"unknown symbol {name.text!r}", name.line, name.col)
+            self.fail(f"unknown symbol {name[1]!r}", name)
         return sym
 
     def parse_term(self):
         left = self.parse_term_factor()
-        while self.at("+"):
-            self.next()
+        while self.accept("+"):
             left = AddTerm(left, self.parse_term_factor())
         return left
 
     def parse_term_factor(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            return IntTerm(int(tok.text))
-        if tok.kind == "name":
-            self.next()
-            return SymTerm(self.resolve(tok))
-        self.fail(f"expected a term, got {tok.text!r}")
+        tok = self.next()
+        if tok[0] not in ("int", "name"):
+            self.fail(f"expected a term, got {tok[1]!r}", tok)
+        return IntTerm(int(tok[1])) if tok[0] == "int" else SymTerm(self.resolve(tok))
 
     # -- formulas ---------------------------------------------------------
 
-    def parse_formula(self):
-        return self.parse_iff()
-
-    def parse_iff(self):
-        left = self.parse_implies()
-        while self.at("<=>"):
-            self.next()
-            left = Iff(left, self.parse_implies())
-        return left
-
-    def parse_implies(self):
-        left = self.parse_or()
-        while self.at("=>"):
-            self.next()
-            left = Implies(left, self.parse_or())
-        return left
-
-    def parse_or(self):
-        left = self.parse_and()
-        while self.at("|"):
-            self.next()
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self):
+    def parse_formula(self, min_prec: int = 1):
+        """Precedence climbing over `_BINARY`: operators binding at least
+        `min_prec`, each right operand binding tighter than its operator."""
         left = self.parse_unary()
-        while self.at("&"):
+        while True:
+            kind, text, _ = self.peek()
+            op = _BINARY.get(text)
+            if op is None or kind == "name" or op[0] < min_prec:
+                return left
             self.next()
-            left = And(left, self.parse_unary())
-        return left
+            left = op[1](left, self.parse_formula(op[0] + 1))
 
     def parse_unary(self):
         if self.accept("~"):
             return Not(self.parse_unary())
-        if self.at("!") or self.at("?") or self.at("!!") or self.at("??"):
+        kind, text, _ = self.peek()
+        if kind == "punct" and text in ("!", "?", "!!", "??"):
             return self.parse_quantifier()
-        if self.at("#") or (self.at_name("sum") and self.peek(1).text == "{"):
+        if self.at("#") or text == "sum" and self.tokens[self.pos + 1][1] == "{":
             return self.parse_aggregate()
         return self.parse_atom()
 
     def parse_quantifier(self):
-        sigil = self.next().text
+        sigil = self.next()[1]
         name = self.expect_name()
         so = sigil in ("!!", "??")
         var_type = CONST
@@ -272,43 +310,26 @@ class Parser:
             if var_type.kind == "pred":
                 so = True
         if so and var_type == CONST:
-            self.fail(f"second order variable {name.text!r} needs a [pred/n] annotation")
-        var = Symbol(name.text, var_type)
+            self.fail(f"second order variable {name[1]!r} needs a [pred/n] annotation")
+        var = Symbol(name[1], var_type)
         self.expect(":")
-        saved = self.scope.get(var.name)
-        self.scope[var.name] = var
-        try:
-            body = self.parse_formula()
-        finally:
-            if saved is None:
-                self.scope.pop(var.name, None)
-            else:
-                self.scope[var.name] = saved
+        body = self.scoped((var,), self.parse_formula)
         universal = sigil in ("!", "!!")
         if so:
             return (ForallSO if universal else ExistsSO)(var, body)
         return (ForallFO if universal else ExistsFO)(var, body)
 
     def parse_aggregate(self):
-        agg = "card" if self.accept("#") else (self.next().text and "sum")
+        agg = "card" if self.accept("#") else (self.next()[1] and "sum")
         self.expect("{")
         vars_ = []
         while True:
             name = self.expect_name()
-            vars_.append(Symbol(name.text, CONST))
+            vars_.append(Symbol(name[1], CONST))
             if not self.accept(","):
                 break
         self.expect(":")
-        saved = {v.name: self.scope.get(v.name) for v in vars_}
-        self.scope.update({v.name: v for v in vars_})
-        try:
-            body = self.parse_formula()
-        finally:
-            for name_, old in saved.items():
-                if old is None:
-                    self.scope.pop(name_, None)
-                else:
-                    self.scope[name_] = old
+        body = self.scoped(vars_, self.parse_formula)
         self.expect("}")
         op = self.parse_cmp_op()
         bound = self.parse_term()
@@ -327,40 +348,21 @@ class Parser:
             return inner
         if self.at("{"):
             return DefinitionExpr(self.parse_ruleset())
-        if self.at_name("let"):
+        if self.peek()[:2] == ("name", "let"):
             self.next()
             rs = self.parse_ruleset()
-            defined = {s.name: s for s in rs.defined_symbols}
-            saved = {n: self.scope.get(n) for n in defined}
-            self.scope.update(defined)
             tok = self.expect_name()
-            if tok.text != "in":
-                raise ParseError("expected 'in' after a let block", tok.line, tok.col)
-            try:
-                body = self.parse_formula()
-            finally:
-                for n, old in saved.items():
-                    if old is None:
-                        self.scope.pop(n, None)
-                    else:
-                        self.scope[n] = old
-            return Let(rs, body)
-        tok = self.peek()
-        if tok.kind == "int" or (
-            tok.kind == "name" and self.peek(1).text in ("+", "<", ">", "=")
-        ):
+            if tok[1] != "in":
+                self.fail("expected 'in' after a let block", tok)
+            return Let(rs, self.scoped(rs.defined_symbols, self.parse_formula))
+        kind = self.peek()[0]
+        after = self.tokens[self.pos + 1][1] if kind == "name" else ""
+        if kind == "int" or after in ("+", "<", ">", "="):
             left = self.parse_term()
             op = self.parse_cmp_op()
             return Cmp(op, left, self.parse_term())
-        name = self.expect_name()
-        sym = self.resolve(name)
-        args: list = []
-        if self.accept("("):
-            while not self.at(")"):
-                args.append(self.parse_term())
-                if not self.accept(","):
-                    break
-            self.expect(")")
+        sym = self.resolve(self.expect_name())
+        args = self.parse_args(self.parse_term) if self.accept("(") else []
         if sym.type.kind == "so-pred":
             return Atom2(sym, tuple(args))
         return Atom1(sym, tuple(args))
@@ -380,113 +382,76 @@ class Parser:
         head_tok = self.expect_name()
         head = self.resolve(head_tok)
         if not head.type.is_predicate:
-            raise ParseError(
-                f"rule head {head.name!r} is not a predicate", head_tok.line, head_tok.col
-            )
-        raw_args: list[Token | None] = []
-        if self.accept("("):
-            while not self.at(")"):
-                raw_args.append(self.expect_name())
-                if not self.accept(","):
-                    break
-            self.expect(")")
+            self.fail(f"rule head {head.name!r} is not a predicate", head_tok)
+        raw_args = self.parse_args(self.expect_name) if self.accept("(") else []
         var_types = head_var_types(head)
         if len(raw_args) != len(var_types):
-            raise ParseError(
-                f"rule head {head.name} expects {len(var_types)} arguments",
-                head_tok.line, head_tok.col,
-            )
-        head_vars: list[Symbol] = []
+            self.fail(f"rule head {head.name} expects {len(var_types)} arguments", head_tok)
+        head_vars: dict[str, Symbol] = {}  # by name, in order
         equalities: list = []
-        fresh_n = 0
-        seen: set[str] = set()
+        fresh_names = (f"hv{n}" for n in itertools.count(1))
         for tok, t in zip(raw_args, var_types):
-            if tok.text not in self.scope and tok.text not in seen:
-                head_vars.append(Symbol(tok.text, t))
-                seen.add(tok.text)
+            name = tok[1]
+            if name not in self.scope and name not in head_vars:
+                head_vars[name] = Symbol(name, t)
                 continue
             # bound or repeated name: introduce a fresh head variable and
             # constrain it by equality (only possible for domain positions)
             if t != CONST:
-                raise ParseError(
-                    f"second order head argument {tok.text!r} must be a fresh name",
-                    tok.line, tok.col,
-                )
-            fresh_n += 1
-            fresh_name = f"hv{fresh_n}"
-            while fresh_name in self.scope or fresh_name in seen:
-                fresh_n += 1
-                fresh_name = f"hv{fresh_n}"
-            fresh = Symbol(fresh_name, CONST)
-            head_vars.append(fresh)
-            seen.add(fresh_name)
-            other = self.scope.get(tok.text) or next(
-                v for v in head_vars if v.name == tok.text
+                self.fail(f"second order head argument {name!r} must be a fresh name", tok)
+            fresh = Symbol(
+                next(n for n in fresh_names if n not in self.scope and n not in head_vars), CONST
             )
+            other = self.scope.get(name) or head_vars[name]
             equalities.append(Cmp("=", SymTerm(fresh), SymTerm(other)))
-        saved = {v.name: self.scope.get(v.name) for v in head_vars}
-        self.scope.update({v.name: v for v in head_vars})
-        try:
-            if self.accept("<-"):
-                body = self.parse_formula()
-            else:
-                if not equalities:
-                    self.fail(f"rule for {head.name} needs a body or ground arguments")
-                body = None
-        finally:
-            for n, old in saved.items():
-                if old is None:
-                    self.scope.pop(n, None)
-                else:
-                    self.scope[n] = old
+            head_vars[fresh.name] = fresh
+
+        body = self.scoped(head_vars.values(), self.parse_formula) if self.accept("<-") else None
+        if body is None and not equalities:
+            self.fail(f"rule for {head.name} needs a body or ground arguments")
         for eq in equalities:
             body = eq if body is None else And(body, eq)
-        return Rule(head, tuple(head_vars), body)
+        return Rule(head, tuple(head_vars.values()), body)
 
     # -- theory files --------------------------------------------------------
 
     def parse_theory(self) -> Theory:
         tok = self.expect_name()
-        if tok.text != "vocab":
-            raise ParseError("theory files start with a vocab block", tok.line, tok.col)
+        if tok[1] != "vocab":
+            self.fail("theory files start with a vocab block", tok)
         vocab = self.parse_vocab_block()
         theory = Theory(vocab)
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             kind = self.expect_name()
-            name = self.expect_name().text
-            if kind.text == "formula":
+            name = self.expect_name()[1]
+            if kind[1] == "formula":
                 self.expect("{")
                 theory.formulas[name] = self.parse_formula()
                 self.expect("}")
-            elif kind.text == "definition":
+            elif kind[1] == "definition":
                 theory.definitions[name] = self.parse_ruleset()
-            elif kind.text == "template":
+            elif kind[1] == "template":
                 theory.templates[name] = self.parse_ruleset()
             else:
-                raise ParseError(
-                    f"expected formula, definition or template, got {kind.text!r}",
-                    kind.line, kind.col,
-                )
+                self.fail(f"expected formula, definition or template, got {kind[1]!r}", kind)
         return theory
 
 
 def parse_theory(text: str) -> Theory:
-    return Parser(tokenize(text)).parse_theory()
+    return Parser(text).parse_theory()
+
+
+def _whole(text: str, vocab: Vocabulary, parse):
+    p = Parser(text, vocab)
+    out = parse(p)
+    if p.peek()[0] != "eof":
+        p.fail(f"trailing input {p.peek()[1]!r}")
+    return out
 
 
 def parse_formula(text: str, vocab: Vocabulary):
-    p = Parser(tokenize(text), vocab)
-    out = p.parse_formula()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return out
+    return _whole(text, vocab, Parser.parse_formula)
 
 
 def parse_ruleset(text: str, vocab: Vocabulary) -> RuleSet:
-    p = Parser(tokenize(text), vocab)
-    out = p.parse_ruleset()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return out
+    return _whole(text, vocab, Parser.parse_ruleset)

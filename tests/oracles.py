@@ -37,28 +37,45 @@
   results.  `deflog.definitions.eval_definition` prunes that search with
   the three-valued well-founded model and must give the same value,
   exception and recorded atoms.
+* The theory and structure readers as first written (`oracle_tokenize`,
+  `OracleParser`, `oracle_tokenize_structure`, `OracleStructReader`): a
+  tokenizer per format that scans a line a character at a time, a cursor
+  per reader, and one parse function per binary connective.
+  `deflog.parser` lexes both formats with one regex each and walks them
+  with one cursor; it must give the same tokens (kind, text, line,
+  column), the same `Theory` or structure and the same `ParseError`
+  text, except that structures now read primed names and a negative
+  arity is a `ParseError` (a `ValueError` once a structure gave it a
+  carrier).
 """
 
+from __future__ import annotations
+
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from deflog import definitions
-from deflog.errors import CapExceeded, EvaluationError, NonTotalDefinitionError
+from deflog.errors import CapExceeded, EvaluationError, NonTotalDefinitionError, ParseError
 from deflog.evaluator import EvalContext
 from deflog.interpretation import PartialInterpretation
 from deflog.limits import DEFAULT_LIMITS, Limits
+from deflog.parser import Theory
 from deflog.syntax import (
-    FRAGMENT_ASO, FRAGMENT_ESO, FRAGMENT_FO, FRAGMENT_SO, Aggregate, And,
-    Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO, ExistsSO, ForallFO,
+    FRAGMENT_ASO, FRAGMENT_ESO, FRAGMENT_FO, FRAGMENT_SO, AddTerm, Aggregate,
+    And, Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO, ExistsSO, ForallFO,
     ForallSO, Iff, Implies, IntTerm, Let, Not, Or, Rule, RuleSet, SymTerm,
-    free_symbols,
+    free_symbols, head_var_types,
 )
 from deflog.truthvalues import (
     F, T, TV, U, PartialSet, approx_aggregate, conj, disj, glb_prec, iff,
     implies, neg,
 )
-from deflog.vocab import DomainAtom, arg_value_space
+from deflog.vocab import (
+    CONST, DomainAtom, Symbol, Type, Vocabulary, arg_value_space, pred, predicate_carrier,
+    so_pred,
+)
 
 # ---------------------------------------------------------------------------
 # Fragment classification by desugaring
@@ -614,3 +631,621 @@ def oracle_eval_definition(d, i, sem="w", limits=DEFAULT_LIMITS, _ctx=None) -> T
         if results[-1] is not results[0]:
             return U
     return glb_prec(results)
+
+
+# ---------------------------------------------------------------------------
+# The theory and structure readers as first written
+
+_ORACLE_UNICODE = {
+    "¬": "~", "∧": "&", "∨": "|", "⇒": "=>",
+    "⇔": "<=>", "←": "<-", "∀": "!", "∃": "?",
+}
+
+_ORACLE_PUNCT = [
+    "<=>", "=>", "<-", "??", "!!", "..",
+    "{", "}", "(", ")", "[", "]", ",", ":", ";", ".", "-",
+    "~", "&", "|", "+", "/", "=", "<", ">", "!", "?", "#",
+]
+
+_ORACLE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_ORACLE_INT = re.compile(r"-?\d+")
+
+
+@dataclass
+class OracleToken:
+    kind: str  # 'name' | 'int' | 'punct' | 'eof'
+    text: str
+    line: int
+    col: int
+
+
+def oracle_tokenize(text: str) -> list[OracleToken]:
+    for u, a in _ORACLE_UNICODE.items():
+        text = text.replace(u, a)
+    tokens: list[OracleToken] = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("//", 1)[0]
+        pos = 0
+        while pos < len(line):
+            ch = line[pos]
+            if ch.isspace():
+                pos += 1
+                continue
+            m = _ORACLE_NAME.match(line, pos)
+            if m:
+                tokens.append(OracleToken("name", m.group(), lineno, pos + 1))
+                pos = m.end()
+                continue
+            m = _ORACLE_INT.match(line, pos)
+            if m and not (ch == "-" and tokens and tokens[-1].kind in ("int", "name")):
+                tokens.append(OracleToken("int", m.group(), lineno, pos + 1))
+                pos = m.end()
+                continue
+            for p in _ORACLE_PUNCT:
+                if line.startswith(p, pos):
+                    tokens.append(OracleToken("punct", p, lineno, pos + 1))
+                    pos += len(p)
+                    break
+            else:
+                raise ParseError(f"unexpected character {ch!r}", lineno, pos + 1)
+    tokens.append(OracleToken("eof", "", len(text.splitlines()) + 1, 1))
+    return tokens
+
+
+class OracleParser:
+    def __init__(self, tokens: list[OracleToken], vocab: Vocabulary | None = None):
+        self.tokens = tokens
+        self.pos = 0
+        self.scope: dict[str, Symbol] = (
+            {s.name: s for s in vocab} if vocab else {}
+        )
+
+    # -- token plumbing ------------------------------------------------
+
+    def peek(self, ahead: int = 0) -> OracleToken:
+        i = min(self.pos + ahead, len(self.tokens) - 1)
+        return self.tokens[i]
+
+    def next(self) -> OracleToken:
+        tok = self.peek()
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def at(self, text: str) -> bool:
+        return self.peek().text == text and self.peek().kind != "name"
+
+    def at_name(self, text: str) -> bool:
+        t = self.peek()
+        return t.kind == "name" and t.text == text
+
+    def accept(self, text: str) -> bool:
+        if self.at(text):
+            self.next()
+            return True
+        return False
+
+    def expect(self, text: str) -> OracleToken:
+        tok = self.next()
+        if tok.text != text:
+            raise ParseError(f"expected {text!r}, got {tok.text or 'end of input'!r}",
+                             tok.line, tok.col)
+        return tok
+
+    def expect_name(self) -> OracleToken:
+        tok = self.next()
+        if tok.kind != "name":
+            raise ParseError(f"expected a name, got {tok.text!r}", tok.line, tok.col)
+        return tok
+
+    def fail(self, msg: str):
+        tok = self.peek()
+        raise ParseError(msg, tok.line, tok.col)
+
+    # -- types and vocabulary -------------------------------------------
+
+    def parse_type(self) -> Type:
+        tok = self.expect_name()
+        if tok.text == "pred":
+            self.expect("/")
+            arity = self.next()
+            if arity.kind != "int":
+                raise ParseError("expected an arity", arity.line, arity.col)
+            return pred(int(arity.text))
+        if tok.text == "const":
+            return CONST
+        if tok.text == "domain":
+            return Type("domain")
+        if tok.text == "so" or tok.text == "so_pred":
+            if tok.text == "so":
+                self.expect("-")
+                inner = self.expect_name()
+                if inner.text != "pred":
+                    raise ParseError("expected 'pred' after 'so-'", inner.line, inner.col)
+            self.expect("(")
+            args = []
+            while not self.at(")"):
+                args.append(self.parse_type())
+                if not self.accept(","):
+                    break
+            self.expect(")")
+            return so_pred(*args)
+        raise ParseError(f"unknown type {tok.text!r}", tok.line, tok.col)
+
+    def parse_vocab_block(self) -> Vocabulary:
+        self.expect("{")
+        symbols = []
+        while not self.at("}"):
+            name = self.expect_name()
+            self.expect(":")
+            kind = "user"
+            if self.peek().kind == "name" and self.peek().text in ("template", "interpreted"):
+                kind = self.next().text
+            t = self.parse_type()
+            symbols.append(Symbol(name.text, t, kind))
+            self.accept(";")
+        self.expect("}")
+        vocab = Vocabulary.of(symbols)
+        self.scope.update({s.name: s for s in vocab})
+        return vocab
+
+    # -- terms -----------------------------------------------------------
+
+    def resolve(self, name: OracleToken) -> Symbol:
+        sym = self.scope.get(name.text)
+        if sym is None:
+            raise ParseError(f"unknown symbol {name.text!r}", name.line, name.col)
+        return sym
+
+    def parse_term(self):
+        left = self.parse_term_factor()
+        while self.at("+"):
+            self.next()
+            left = AddTerm(left, self.parse_term_factor())
+        return left
+
+    def parse_term_factor(self):
+        tok = self.peek()
+        if tok.kind == "int":
+            self.next()
+            return IntTerm(int(tok.text))
+        if tok.kind == "name":
+            self.next()
+            return SymTerm(self.resolve(tok))
+        self.fail(f"expected a term, got {tok.text!r}")
+
+    # -- formulas ---------------------------------------------------------
+
+    def parse_formula(self):
+        return self.parse_iff()
+
+    def parse_iff(self):
+        left = self.parse_implies()
+        while self.at("<=>"):
+            self.next()
+            left = Iff(left, self.parse_implies())
+        return left
+
+    def parse_implies(self):
+        left = self.parse_or()
+        while self.at("=>"):
+            self.next()
+            left = Implies(left, self.parse_or())
+        return left
+
+    def parse_or(self):
+        left = self.parse_and()
+        while self.at("|"):
+            self.next()
+            left = Or(left, self.parse_and())
+        return left
+
+    def parse_and(self):
+        left = self.parse_unary()
+        while self.at("&"):
+            self.next()
+            left = And(left, self.parse_unary())
+        return left
+
+    def parse_unary(self):
+        if self.accept("~"):
+            return Not(self.parse_unary())
+        if self.at("!") or self.at("?") or self.at("!!") or self.at("??"):
+            return self.parse_quantifier()
+        if self.at("#") or (self.at_name("sum") and self.peek(1).text == "{"):
+            return self.parse_aggregate()
+        return self.parse_atom()
+
+    def parse_quantifier(self):
+        sigil = self.next().text
+        name = self.expect_name()
+        so = sigil in ("!!", "??")
+        var_type = CONST
+        if self.accept("["):
+            var_type = self.parse_type()
+            self.expect("]")
+            if var_type.kind == "pred":
+                so = True
+        if so and var_type == CONST:
+            self.fail(f"second order variable {name.text!r} needs a [pred/n] annotation")
+        var = Symbol(name.text, var_type)
+        self.expect(":")
+        saved = self.scope.get(var.name)
+        self.scope[var.name] = var
+        try:
+            body = self.parse_formula()
+        finally:
+            if saved is None:
+                self.scope.pop(var.name, None)
+            else:
+                self.scope[var.name] = saved
+        universal = sigil in ("!", "!!")
+        if so:
+            return (ForallSO if universal else ExistsSO)(var, body)
+        return (ForallFO if universal else ExistsFO)(var, body)
+
+    def parse_aggregate(self):
+        agg = "card" if self.accept("#") else (self.next().text and "sum")
+        self.expect("{")
+        vars_ = []
+        while True:
+            name = self.expect_name()
+            vars_.append(Symbol(name.text, CONST))
+            if not self.accept(","):
+                break
+        self.expect(":")
+        saved = {v.name: self.scope.get(v.name) for v in vars_}
+        self.scope.update({v.name: v for v in vars_})
+        try:
+            body = self.parse_formula()
+        finally:
+            for name_, old in saved.items():
+                if old is None:
+                    self.scope.pop(name_, None)
+                else:
+                    self.scope[name_] = old
+        self.expect("}")
+        op = self.parse_cmp_op()
+        bound = self.parse_term()
+        return Aggregate(agg, op, tuple(vars_), body, bound)
+
+    def parse_cmp_op(self) -> str:
+        for op in ("=", "<", ">"):
+            if self.accept(op):
+                return op
+        self.fail("expected a comparison operator (=, <, >)")
+
+    def parse_atom(self):
+        if self.accept("("):
+            inner = self.parse_formula()
+            self.expect(")")
+            return inner
+        if self.at("{"):
+            return DefinitionExpr(self.parse_ruleset())
+        if self.at_name("let"):
+            self.next()
+            rs = self.parse_ruleset()
+            defined = {s.name: s for s in rs.defined_symbols}
+            saved = {n: self.scope.get(n) for n in defined}
+            self.scope.update(defined)
+            tok = self.expect_name()
+            if tok.text != "in":
+                raise ParseError("expected 'in' after a let block", tok.line, tok.col)
+            try:
+                body = self.parse_formula()
+            finally:
+                for n, old in saved.items():
+                    if old is None:
+                        self.scope.pop(n, None)
+                    else:
+                        self.scope[n] = old
+            return Let(rs, body)
+        tok = self.peek()
+        if tok.kind == "int" or (
+            tok.kind == "name" and self.peek(1).text in ("+", "<", ">", "=")
+        ):
+            left = self.parse_term()
+            op = self.parse_cmp_op()
+            return Cmp(op, left, self.parse_term())
+        name = self.expect_name()
+        sym = self.resolve(name)
+        args: list = []
+        if self.accept("("):
+            while not self.at(")"):
+                args.append(self.parse_term())
+                if not self.accept(","):
+                    break
+            self.expect(")")
+        if sym.type.kind == "so-pred":
+            return Atom2(sym, tuple(args))
+        return Atom1(sym, tuple(args))
+
+    # -- rules -------------------------------------------------------------
+
+    def parse_ruleset(self) -> RuleSet:
+        self.expect("{")
+        rules = []
+        while not self.at("}"):
+            rules.append(self.parse_rule())
+            self.accept(".")
+        self.expect("}")
+        return RuleSet(tuple(rules))
+
+    def parse_rule(self) -> Rule:
+        head_tok = self.expect_name()
+        head = self.resolve(head_tok)
+        if not head.type.is_predicate:
+            raise ParseError(
+                f"rule head {head.name!r} is not a predicate", head_tok.line, head_tok.col
+            )
+        raw_args: list[OracleToken | None] = []
+        if self.accept("("):
+            while not self.at(")"):
+                raw_args.append(self.expect_name())
+                if not self.accept(","):
+                    break
+            self.expect(")")
+        var_types = head_var_types(head)
+        if len(raw_args) != len(var_types):
+            raise ParseError(
+                f"rule head {head.name} expects {len(var_types)} arguments",
+                head_tok.line, head_tok.col,
+            )
+        head_vars: list[Symbol] = []
+        equalities: list = []
+        fresh_n = 0
+        seen: set[str] = set()
+        for tok, t in zip(raw_args, var_types):
+            if tok.text not in self.scope and tok.text not in seen:
+                head_vars.append(Symbol(tok.text, t))
+                seen.add(tok.text)
+                continue
+            # bound or repeated name: introduce a fresh head variable and
+            # constrain it by equality (only possible for domain positions)
+            if t != CONST:
+                raise ParseError(
+                    f"second order head argument {tok.text!r} must be a fresh name",
+                    tok.line, tok.col,
+                )
+            fresh_n += 1
+            fresh_name = f"hv{fresh_n}"
+            while fresh_name in self.scope or fresh_name in seen:
+                fresh_n += 1
+                fresh_name = f"hv{fresh_n}"
+            fresh = Symbol(fresh_name, CONST)
+            head_vars.append(fresh)
+            seen.add(fresh_name)
+            other = self.scope.get(tok.text) or next(
+                v for v in head_vars if v.name == tok.text
+            )
+            equalities.append(Cmp("=", SymTerm(fresh), SymTerm(other)))
+        saved = {v.name: self.scope.get(v.name) for v in head_vars}
+        self.scope.update({v.name: v for v in head_vars})
+        try:
+            if self.accept("<-"):
+                body = self.parse_formula()
+            else:
+                if not equalities:
+                    self.fail(f"rule for {head.name} needs a body or ground arguments")
+                body = None
+        finally:
+            for n, old in saved.items():
+                if old is None:
+                    self.scope.pop(n, None)
+                else:
+                    self.scope[n] = old
+        for eq in equalities:
+            body = eq if body is None else And(body, eq)
+        return Rule(head, tuple(head_vars), body)
+
+    # -- theory files --------------------------------------------------------
+
+    def parse_theory(self) -> Theory:
+        tok = self.expect_name()
+        if tok.text != "vocab":
+            raise ParseError("theory files start with a vocab block", tok.line, tok.col)
+        vocab = self.parse_vocab_block()
+        theory = Theory(vocab)
+        while self.peek().kind != "eof":
+            kind = self.expect_name()
+            name = self.expect_name().text
+            if kind.text == "formula":
+                self.expect("{")
+                theory.formulas[name] = self.parse_formula()
+                self.expect("}")
+            elif kind.text == "definition":
+                theory.definitions[name] = self.parse_ruleset()
+            elif kind.text == "template":
+                theory.templates[name] = self.parse_ruleset()
+            else:
+                raise ParseError(
+                    f"expected formula, definition or template, got {kind.text!r}",
+                    kind.line, kind.col,
+                )
+        return theory
+
+
+def oracle_parse_theory(text: str) -> Theory:
+    return OracleParser(oracle_tokenize(text)).parse_theory()
+
+
+_ORACLE_STRUCT_TOKEN = re.compile(
+    r"\s*(?:(?P<int>-?\d+\.\.-?\d+|-?\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>[{}(),:=*]))"
+)
+
+
+def oracle_tokenize_structure(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("//", 1)[0]
+        pos = 0
+        while pos < len(line):
+            m = _ORACLE_STRUCT_TOKEN.match(line, pos)
+            if not m:
+                if line[pos:].strip():
+                    raise ParseError(f"bad character {line[pos]!r}", lineno, pos + 1)
+                break
+            pos = m.end()
+            for kind in ("int", "name", "punct"):
+                if m.group(kind) is not None:
+                    tokens.append((kind, m.group(kind), lineno))
+                    break
+        tokens.append(("newline", "", lineno))
+    return tokens
+
+
+class OracleStructReader:
+    def __init__(self, text: str, vocab: Vocabulary, limits: Limits):
+        self.tokens = oracle_tokenize_structure(text)
+        self.pos = 0
+        self.vocab = vocab
+        self.limits = limits
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else ("eof", "", 0)
+
+    def next(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expect(self, value: str):
+        kind, text, line = self.next()
+        if text != value:
+            raise ParseError(f"expected {value!r}, got {text or kind!r}", line)
+        return text
+
+    def skip_newlines(self):
+        while self.peek()[0] == "newline":
+            self.next()
+
+    def element(self):
+        kind, text, line = self.next()
+        if kind == "int":
+            return int(text)
+        if kind == "name":
+            return text
+        raise ParseError(f"expected a domain element, got {text!r}", line)
+
+    def elem_or_relation(self):
+        if self.peek()[1] == "{":
+            self.next()
+            rel = set()
+            while self.peek()[1] != "}":
+                rel.add(self.key_tuple())
+                if self.peek()[1] == ",":
+                    self.next()
+            self.expect("}")
+            return frozenset(rel)
+        return self.element()
+
+    def key_tuple(self) -> tuple:
+        self.expect("(")
+        parts = []
+        while self.peek()[1] != ")":
+            parts.append(self.elem_or_relation())
+            if self.peek()[1] == ",":
+                self.next()
+        self.expect(")")
+        return tuple(parts)
+
+    def truth(self) -> TV:
+        kind, text, line = self.next()
+        if text in ("t", "u", "f"):
+            return TV(text)
+        raise ParseError(f"expected t, u or f, got {text!r}", line)
+
+    def read(self) -> PartialInterpretation:
+        domain: list = []
+        valuation: dict = {}
+        seen_domain = False
+        self.skip_newlines()
+        while self.peek()[0] != "eof":
+            kind, name, line = self.next()
+            if kind != "name":
+                raise ParseError(f"expected a symbol name, got {name!r}", line)
+            self.expect("=")
+            if name == "domain":
+                if seen_domain:
+                    raise ParseError("duplicate domain block", line)
+                seen_domain = True
+                domain = self.read_domain()
+            else:
+                sym = self.vocab.get(name)
+                if sym is None:
+                    raise ParseError(f"symbol {name!r} not in vocabulary", line)
+                if sym in valuation:
+                    raise ParseError(f"duplicate assignment to {name!r}", line)
+                if not seen_domain:
+                    raise ParseError("domain must be declared first", line)
+                valuation[sym] = self.read_value(sym, domain, line)
+            self.skip_newlines()
+        if not seen_domain:
+            raise ParseError("structure has no domain block")
+        # unmentioned predicates default to all-unknown
+        i = PartialInterpretation.make(domain, valuation)
+        missing = [
+            s
+            for s in self.vocab
+            if s.type.is_predicate and s not in {k for k in valuation}
+        ]
+        return i.expand_unknown(missing, self.limits)
+
+    def read_domain(self) -> list:
+        self.expect("{")
+        out: list = []
+        while self.peek()[1] != "}":
+            kind, text, line = self.next()
+            if kind == "int" and ".." in text:
+                lo, hi = (int(p) for p in text.split(".."))
+                out.extend(range(lo, hi + 1))
+            elif kind == "int":
+                out.append(int(text))
+            elif kind == "name":
+                out.append(text)
+            else:
+                raise ParseError(f"bad domain element {text!r}", line)
+            if self.peek()[1] == ",":
+                self.next()
+        self.expect("}")
+        return out
+
+    def read_value(self, sym: Symbol, domain: list, line: int):
+        if not sym.type.is_predicate:
+            return self.elem_or_relation()
+        self.expect("{")
+        entries: dict[tuple, TV] = {}
+        default: TV | None = None
+        while self.peek()[1] != "}":
+            if self.peek()[1] == "*":
+                self.next()
+                self.expect(":")
+                default = self.truth()
+            else:
+                key = self.key_tuple()
+                self.expect(":")
+                entries[key] = self.truth()
+            if self.peek()[1] == ",":
+                self.next()
+        self.expect("}")
+        if default is not None:
+            carrier = predicate_carrier(sym.type, domain, self.limits)
+            full = {tuple(k): default for k in carrier}
+            for key, v in entries.items():
+                if key not in full:
+                    raise ParseError(f"{sym.name}: key {key} outside carrier", line)
+                full[key] = v
+            entries = full
+        elif sym.type.kind == "pred":
+            carrier = set(map(tuple, predicate_carrier(sym.type, domain, self.limits)))
+            if set(entries) != carrier:
+                raise ParseError(
+                    f"{sym.name}: entries do not cover the carrier and no '*' default given",
+                    line,
+                )
+        return PartialSet.from_map(entries)
+
+
+def oracle_read_structure(text: str, vocab, limits: Limits = DEFAULT_LIMITS):
+    return OracleStructReader(text, vocab, limits).read()

@@ -150,6 +150,22 @@ class TestExitCodes:
         assert r.exit_code == 2
         assert r.stderr.startswith("error:")
 
+    def test_negative_arity_is_a_parse_error(self, tmp_path):
+        bad = tmp_path / "bad.theory"
+        bad.write_text("vocab { p: pred/-1; }\n")
+        struct = tmp_path / "s.struct"
+        struct.write_text("domain = {a}\n")  # gives p a carrier
+        r = self.run("eval", str(bad), str(struct))
+        assert (r.exit_code, r.exception.code) == (2, 2)
+        assert r.stderr == "error: 1:17: arity -1 is negative\n"
+
+    def test_undecodable_file_is_an_input_error(self, tmp_path):
+        bad = tmp_path / "bad.theory"
+        bad.write_bytes(b"vocab { p: pred/0; }\n\xff\n")
+        r = self.run("typecheck", str(bad))
+        assert (r.exit_code, r.exception.code) == (2, 2)
+        assert r.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
     def test_completion_cap_exhaustion(self):
         r = self.run(
             "mx", "--max-completions", "2", d("mx.theory"), d("mx_open.struct")
