@@ -66,7 +66,7 @@ def _handles_errors(fn):
 def _limit_options(fn):
     fn = click.option(
         "--max-atoms", type=int, default=None,
-        help="Cap on defined/subset atoms in model enumerations.",
+        help="Cap on defined atoms in model enumerations.",
     )(fn)
     fn = click.option(
         "--max-completions", type=int, default=None,
@@ -78,7 +78,7 @@ def _limit_options(fn):
 def _limits(max_atoms: int | None, max_completions: int | None) -> Limits:
     limits = DEFAULT_LIMITS
     if max_atoms is not None:
-        limits = limits.with_(max_defined_atoms=max_atoms, max_subset_atoms=max_atoms)
+        limits = limits.with_(max_defined_atoms=max_atoms)
     if max_completions is not None:
         limits = limits.with_(max_unknowns=max_completions)
     return limits

@@ -23,6 +23,11 @@ aggregates, nested definitions) valued at the current interpretation.
 Its rounds and unfounded-set passes go through the interpretations of the
 plain fixpoint, valuing only the heads that read an atom just changed.
 
+The subset condition above stays the definition of prudence, but it is
+checked with one least fixpoint (`_demotion`): the lower stable operator
+of approximation fixpoint theory at the candidate's upper bound, run as
+derivation rounds on the rule set ground with the t atoms demoted to u.
+
 A rule set used as a formula is the glb over the exact completions of
 the unknown atoms it reads, searched depth first.  The well-founded model
 is precision-monotone in its context, so the three-valued one at a node
@@ -31,9 +36,8 @@ holds below it and may already decide the subtree (`_agreement`).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import CapExceeded, DeflogError, EvaluationError
 from .evaluator import EvalContext, _compiled, _probe_safe, _read, _relation_cached
@@ -97,22 +101,6 @@ def expand_context(
 # The three conditions
 
 
-def is_closed(
-    d: RuleSet,
-    i: PartialInterpretation,
-    limits: Limits = DEFAULT_LIMITS,
-    _ctx: EvalContext | None = None,
-) -> bool:
-    """True bodies force true heads, for every rule instance."""
-    ctx = _ctx or EvalContext(limits=limits)
-    for atom in _defined_atoms(d, i):
-        head_value = i.atom_value(atom)
-        for v in _body_values(d, atom, i, ctx):
-            if v is T and head_value is not T:
-                return False
-    return True
-
-
 def greatest_unfounded_set(
     d: RuleSet,
     i: PartialInterpretation,
@@ -144,7 +132,8 @@ class StableReport:
     prudent: bool
     brave: bool
     unsupported_atoms: tuple = ()
-    demotion_witness: tuple | None = None  # (t_set, u_set) defeating prudence
+    # the maximal (t_set, u_set) defeating prudence: (t \ lfp, u ∩ lfp)
+    demotion_witness: tuple | None = None
     unfounded_witness: frozenset | None = None
 
     @property
@@ -158,9 +147,23 @@ class StableReport:
         )
 
 
-def _subsets(atoms: list) -> Iterator[tuple]:
-    for r in range(len(atoms) + 1):
-        yield from itertools.combinations(atoms, r)
+def _demotion(d: RuleSet, i: PartialInterpretation, atoms: list, limits: Limits):
+    """The maximal demotion witness (t \\ lfp, u ∩ lfp) defeating i's
+    prudence, or None: lfp is the least fixpoint of derivation rounds on d
+    ground at i with its t atoms demoted to u, valuing only the u atoms.
+    Bodies are ≤p-monotone, so every closed demotion keeps lfp t: none
+    exists if lfp holds every t atom or an f atom's body is t at lfp."""
+    ts = [h for h, a in enumerate(atoms) if i.atom_value(a) is T]
+    if not ts:
+        return None
+    g = _Ground(d, i.revise([atoms[h] for h in ts], U), limits)
+    coded = g.val[_ATOMS:_ATOMS + len(atoms)]
+    g.derive([h for h, v in enumerate(coded) if v == 1], refresh=False)
+    lfp = {h for h in range(len(atoms)) if g.val[_ATOMS + h] == 2}
+    if lfp.issuperset(ts) or 2 in g.values([h for h, v in enumerate(coded) if v == 0]):
+        return None
+    return (frozenset(atoms[h] for h in ts if h not in lfp),
+            frozenset(atoms[h] for h in lfp.difference(ts)))
 
 
 def is_partial_stable(
@@ -175,35 +178,13 @@ def is_partial_stable(
     unsupported = tuple(
         a for a in atoms if i.atom_value(a) is not max_truth(_body_values(d, a, i, ctx), empty=F)
     )
-
-    t_atoms = [a for a in atoms if i.atom_value(a) is T]
-    u_atoms = [a for a in atoms if i.atom_value(a) is U]
-
-    prudent, demotion = True, None
-    if t_atoms:
-        if len(t_atoms) + len(u_atoms) > limits.max_subset_atoms:
-            raise CapExceeded(
-                f"prudence check over {len(t_atoms)} + {len(u_atoms)} atoms "
-                f"exceeds cap {limits.max_subset_atoms}"
-            )
-        for t_sub in _subsets(t_atoms):
-            if not t_sub:
-                continue
-            demoted = i.revise(t_sub, U)
-            for u_sub in _subsets(u_atoms):
-                j = demoted.revise(u_sub, T) if u_sub else demoted
-                if is_closed(d, j, limits, _ctx=ctx):
-                    prudent, demotion = False, (frozenset(t_sub), frozenset(u_sub))
-                    break
-            if not prudent:
-                break
-
+    demotion = _demotion(d, i, atoms, ctx.limits)
     gus = greatest_unfounded_set(d, i, limits, _ctx=ctx)
     return StableReport(
         interpretation=i,
         defined_symbols=tuple(sorted(d.defined_symbols, key=lambda s: s.name)),
         supported=not unsupported,
-        prudent=prudent,
+        prudent=demotion is None,
         brave=not gus,
         unsupported_atoms=unsupported,
         demotion_witness=demotion,
@@ -274,14 +255,7 @@ def stable_models(
             for a in atoms
         ):
             continue
-        t_atoms = [a for a in atoms if cand.atom_value(a) is T]
-        if len(t_atoms) > limits.max_subset_atoms:
-            raise CapExceeded(
-                f"stability check over {len(t_atoms)} true atoms exceeds cap "
-                f"{limits.max_subset_atoms}"
-            )
-        if not any(t_sub and is_closed(d, cand.revise(t_sub, U), limits, _ctx=ctx)
-                   for t_sub in _subsets(t_atoms)):
+        if _demotion(d, cand, atoms, ctx.limits) is None:
             out.append(cand)
     return out
 
@@ -422,6 +396,17 @@ class _Ground:
         """The heads reading an atom in `changed` or an opaque leaf."""
         return sorted(set(self.opaque).union(*[self.deps[h] for h in changed]))
 
+    def derive(self, hs: list, refresh: bool = True) -> None:
+        """Set t, a round at a time, the heads in hs valued t, then those
+        among the u atoms reading one set, until a round sets none."""
+        val = self.val
+        while hs:
+            hs = [h for h, v in zip(hs, self.values(hs, refresh)) if v == 2]
+            for h in hs:
+                val[_ATOMS + h] = 2
+            hs = [h for h in self.touched(hs) if val[_ATOMS + h] == 1] if hs else []
+            refresh = True
+
     def unfounded(self, cands: list) -> list:
         """The greatest unfounded set within the u-atoms `cands`, left f:
         set all f, release to u each atom with a body not f, re-check the
@@ -547,17 +532,11 @@ def _residual_wfm(d: RuleSet, i0: PartialInterpretation, limits: Limits) -> tupl
     u-valued parameter atoms read: set every atom a round derives true at
     once, else the greatest unfounded set false, until neither moves."""
     g = _Ground(d, i0, limits)
-    val, n = g.val, len(g.keys)  # the leaves hold round one
-    changed = [h for h, v in enumerate(g.values(range(n), refresh=False)) if v == 2]
-    while True:
-        for h in changed:
-            val[_ATOMS + h] = 2
-        if not changed:
-            changed = g.unfounded([h for h in range(n) if val[_ATOMS + h] == 1])
-            if not changed:
-                return g.interpretation(), g.consulted()
-        hs = [h for h in g.touched(changed) if val[_ATOMS + h] == 1]
-        changed = [h for h, v in zip(hs, g.values(hs)) if v == 2]
+    val, n = g.val, len(g.keys)
+    g.derive(list(range(n)), refresh=False)  # the leaves hold round one
+    while changed := g.unfounded([h for h in range(n) if val[_ATOMS + h] == 1]):
+        g.derive([h for h in g.touched(changed) if val[_ATOMS + h] == 1])
+    return g.interpretation(), g.consulted()
 
 
 # memo for the (pure, deterministic) fixpoint path, keyed by the rule set, the

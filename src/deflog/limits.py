@@ -2,7 +2,8 @@
 
 All semantic operations that enumerate completions, candidate models or
 second order value spaces take a `Limits` and raise `CapExceeded` rather
-than silently truncating.
+than silently truncating.  Checks that run in polynomial time, such as
+prudence by one least fixpoint, take no cap.
 """
 
 from dataclasses import dataclass, replace
@@ -14,8 +15,6 @@ class Limits:
     max_unknowns: int = 20
     # max defined domain atoms for 3^n partial-stable enumeration
     max_defined_atoms: int = 12
-    # max atoms considered in prudence subset checks (2^t * 2^u)
-    max_subset_atoms: int = 16
     # max |D|^n for a first order predicate used as a second order
     # argument value (2^(|D|^n) exact relations get enumerated)
     max_so_arg_base: int = 9

@@ -30,6 +30,13 @@
   unfounded-set pass re-evaluates whole rule bodies on an interpretation
   revised for it.  The fixpoint of `deflog.definitions` over the ground
   residual program must give the same model, unfounded set or exception.
+* Prudence as defined (`oracle_demotion`, `oracle_exact_prudent`,
+  `is_closed`): a loop over every non-empty t-set to demote and every
+  u-set to promote, in subset order, checking closure by re-evaluating
+  every rule body; the exact form demotes t-sets only.  The one least
+  fixpoint of `deflog.definitions` must give the same verdict and a
+  witness that closes.  `oracle_is_partial_stable` joins it with
+  supportedness and the unfounded-set oracle.
 * A rule set used as a formula as first valued (`oracle_eval_definition`,
   `relevant_u_atoms`): a flat loop over every exact completion of the
   atoms a grounding at the all-u state consults, each checked against
@@ -579,6 +586,64 @@ def oracle_wfm_fixpoint(d, i0, atoms, limits, ctx):
 
 
 # ---------------------------------------------------------------------------
+# Prudence as defined: every demotion of a t-set and promotion of a u-set,
+# in subset order, checked for closure
+
+
+def is_closed(d, i, limits=DEFAULT_LIMITS) -> bool:
+    """True bodies force true heads, for every rule instance.  Its body
+    evaluations record nothing: the closure checks of an interpretation
+    read atoms it does not hold."""
+    ctx = EvalContext(limits=limits)
+    for atom in definitions._defined_atoms(d, i):
+        head_value = i.atom_value(atom)
+        for v in definitions._body_values(d, atom, i, ctx):
+            if v is T and head_value is not T:
+                return False
+    return True
+
+
+def _subsets(atoms: list):
+    for r in range(len(atoms) + 1):
+        yield from itertools.combinations(atoms, r)
+
+
+def oracle_demotion(d, i, limits=DEFAULT_LIMITS):
+    """The first (t_set, u_set) in subset order, t_set non-empty, such that
+    demoting t_set to u and promoting u_set to t leaves i closed, or None
+    when i is prudent."""
+    atoms = definitions._defined_atoms(d, i)
+    t_atoms = [a for a in atoms if i.atom_value(a) is T]
+    u_atoms = [a for a in atoms if i.atom_value(a) is U]
+    for t_sub in _subsets(t_atoms):
+        if t_sub:
+            demoted = i.revise(t_sub, U)
+            for u_sub in _subsets(u_atoms):
+                if is_closed(d, demoted.revise(u_sub, T) if u_sub else demoted, limits):
+                    return frozenset(t_sub), frozenset(u_sub)
+    return None
+
+
+def oracle_exact_prudent(d, i, limits=DEFAULT_LIMITS) -> bool:
+    """Prudence of an exact i: no non-empty t-set demotes to a closed one."""
+    t_atoms = [a for a in definitions._defined_atoms(d, i) if i.atom_value(a) is T]
+    return not any(t_sub and is_closed(d, i.revise(t_sub, U), limits)
+                   for t_sub in _subsets(t_atoms))
+
+
+def oracle_is_partial_stable(d, i, limits=DEFAULT_LIMITS, _ctx=None) -> bool:
+    """Supported, prudent by the subset loop and brave; all three are
+    checked, in that order, so that each raises what it would."""
+    ctx = _ctx or EvalContext(limits=limits)
+    supported = all([
+        i.atom_value(a) is rank_max_truth(definitions._body_values(d, a, i, ctx), empty=F)
+        for a in definitions._defined_atoms(d, i)])
+    prudent = oracle_demotion(d, i, limits) is None
+    brave = not oracle_unfounded_set(d, i, limits, _ctx=ctx)
+    return supported and prudent and brave
+
+
+# ---------------------------------------------------------------------------
 # A rule set as a formula, as first valued: the glb over every exact
 # completion of the relevant unknown atoms, in a flat loop
 
@@ -608,7 +673,7 @@ def oracle_exact_check(d, i, sem, limits, ctx) -> TV:
         wfm = definitions.well_founded_model(d, context, limits, carriers, _ctx=ctx)
         return TV.of(all(wfm.value(h) == i.value(h) for h in defined))
     if sem == "st":
-        return TV.of(definitions.is_partial_stable(d, i, limits, _ctx=ctx).is_partial_stable)
+        return TV.of(oracle_is_partial_stable(d, i, limits, _ctx=ctx))
     raise EvaluationError(f"unknown rule-set semantics {sem!r}")
 
 

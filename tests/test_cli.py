@@ -78,6 +78,11 @@ CASES = [
         0,
     ),
     (
+        "stable-loop.txt",
+        ["stable", "-d", "loop", d("loop.theory"), d("empty.struct")],
+        0,
+    ),
+    (
         "stable-paradox.txt",
         ["stable", "-d", "paradox", d("props.theory"), d("empty.struct")],
         1,

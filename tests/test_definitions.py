@@ -6,6 +6,7 @@ rule sets (least fixpoint with negative occurrences frozen), giving
 stable models as fixpoints, partial stable models as Γ-oscillating
 pairs, and the WFM via the alternating fixpoint."""
 
+import collections
 import itertools
 import random
 
@@ -28,7 +29,8 @@ from deflog.vocab import CONST, DomainAtom, Symbol, Vocabulary, pred
 
 from gen import P1, PROPS, SO1, SO_HEAD, random_ruleset, random_tree
 from oracles import (
-    is_unfounded, oracle_eval_definition, oracle_unfounded_set, oracle_wfm_fixpoint,
+    is_closed, is_unfounded, oracle_demotion, oracle_eval_definition, oracle_exact_prudent,
+    oracle_unfounded_set, oracle_wfm_fixpoint,
 )
 from test_evaluator import node_kinds, random_partial
 
@@ -284,6 +286,79 @@ class TestStableReport:
         report = is_partial_stable(d, ctx(p="t"))
         assert not report.prudent
         assert report.demotion_witness
+
+
+def outcome(run):
+    """run()'s value, or its exception type and message."""
+    try:
+        return run(), None
+    except Exception as exc:  # compared, whatever its type
+        return None, (type(exc), str(exc))
+
+
+def demotion_and_oracle(d, i, limits=Limits()) -> str:
+    """The least-fixpoint prudence check against the subset loop on i: the
+    same verdict, and a witness (T, U) with T non-empty whose application
+    leaves i closed.  It is the maximal one, so T holds the loop's first
+    t-set and U lies within its u-set.  The check values every rule body
+    at i with all t atoms demoted, which the loop may never reach: where
+    the two raise differently, the check raises what that valuation does."""
+    atoms = definitions._defined_atoms(d, i)
+    got = outcome(lambda: definitions._demotion(d, i, atoms, limits))
+    want = outcome(lambda: oracle_demotion(d, i, limits))
+    if got[1] != want[1]:
+        demoted = i.revise([a for a in atoms if i.atom_value(a) is T], U)
+        ctx = EvalContext(limits=limits)
+        valued = outcome(lambda: [definitions._body_values(d, a, demoted, ctx) for a in atoms])
+        assert got[1] is not None and got[1] == valued[1], f"{d} {i}"
+        return "the check raises" if want[1] is None else "both raise, differently"
+    if got[1]:
+        return "both raise alike"
+    assert (got[0] is None) == (want[0] is None), f"{d} {i}"
+    if got[0] is None:
+        return "prudent"
+    (t_set, u_set), (t_first, u_first) = got[0], want[0]
+    assert t_set and t_set >= t_first and u_set <= u_first, f"{d} {i}"
+    assert is_closed(d, i.revise(t_set, U).revise(u_set, T), limits), f"{d} {i}"
+    return "imprudent"
+
+
+class TestPrudenceAgainstSubsetOracle:
+    """Prudence is checked with one least fixpoint on the rule set ground
+    with the t atoms demoted; the oracle is the subset loop over every
+    demotion and promotion, on every three-valued interpretation of the
+    defined atoms."""
+
+    def test_propositional_rule_sets(self):
+        rng = random.Random(89)
+        o, seen = PartialInterpretation.empty(DOMAIN), collections.Counter()
+        for _ in range(1500):
+            d = random_ruleset(rng)
+            i0 = expand_context(d, o)
+            for i in i0.refinements(definitions._defined_atoms(d, i0), (T, U, F)):
+                verdict = demotion_and_oracle(d, i)
+                seen[verdict] += 1
+                assert is_partial_stable(d, i).prudent is (verdict == "prudent")
+                if i.is_exact:
+                    assert oracle_exact_prudent(d, i) is (verdict == "prudent"), f"{d} {i}"
+        assert seen.keys() == {"prudent", "imprudent"} and min(seen.values()) > 5000
+
+    def test_rule_bodies_of_every_node_kind(self):
+        rng = random.Random(97)
+        seen, kinds = collections.Counter(), set()
+        for _ in range(300):
+            d = random_tree_rules(rng)
+            present = [s for s in SYMBOLS if s not in d.defined_symbols]
+            limits = Limits(max_unknowns=rng.choice((3, 20)))
+            i0 = expand_context(d, random_partial(rng, present, (1,)), limits)
+            for i in i0.refinements(definitions._defined_atoms(d, i0), (T, U, F)):
+                seen[demotion_and_oracle(d, i, limits)] += 1
+            for r in d.rules:
+                kinds |= node_kinds(r.body)
+        assert {"prudent", "imprudent", "both raise alike", "the check raises"} <= seen.keys()
+        assert {"Atom1", "Atom2", "Cmp", "Not", "And", "Or", "Implies", "Iff",
+                "ForallFO", "ExistsFO", "ForallSO", "ExistsSO", "card", "sum",
+                "DefinitionExpr", "Let"} <= kinds
 
 
 class TestEvalDefinition:
@@ -570,14 +645,20 @@ class TestPrunedDefinitionSearch:
         assert {(sem, v) for sem in ("w", "st") for v in (T, U, F)} <= outcomes
         assert {None, EvaluationError, CapExceeded} <= errors
 
-    def test_stable_semantics_checks_every_completion(self):
-        # the model decides both completions of r, but the prudence test of
-        # the first one, p = r = t, is over the subset-atom cap
+    def test_stable_semantics_checks_every_completion(self, monkeypatch):
+        # the model decides both completions of r, but "st" takes no cut:
+        # the partial stable test runs on each, cold and warm
         d, i = rs("{p <- r.}"), ctx(p="t", r="u")
-        limits = Limits(max_subset_atoms=0)
-        _, error, _ = pruned_and_oracle(d, i, "st", limits)
-        assert error == (CapExceeded, "prudence check over 1 + 0 atoms exceeds cap 0")
-        assert pruned_and_oracle(d, i, "w", limits)[0] is U
+        checked = []
+
+        def check(d, j, *args, **kw):
+            checked.append(values_of(j, (p, r)))
+            return is_partial_stable(d, j, *args, **kw)
+
+        monkeypatch.setattr(definitions, "is_partial_stable", check)
+        assert pruned_and_oracle(d, i, "st")[0] is U
+        assert checked == ["tt", "tf"] * 2
+        assert pruned_and_oracle(d, i, "w")[0] is U
 
     def test_the_search_stops_at_the_first_disagreement(self, monkeypatch):
         # a = t makes q t, a = f and b = t make it f: below a = f, b = f
