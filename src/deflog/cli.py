@@ -16,10 +16,7 @@ import sys
 import click
 
 from .definitions import _refuter, stable_models, well_founded_model
-from .errors import (
-    CapExceeded, DeflogError, EvaluationError, NonTotalDefinitionError,
-    ParseError, TypeError_,
-)
+from .errors import CapExceeded, DeflogError, NonTotalDefinitionError
 from .evaluator import KLEENE, SUPERVALUATION, evaluate, evaluate_exact
 from .interpretation import (
     PartialInterpretation, _fmt_elem, _fmt_key, read_structure,
@@ -55,10 +52,10 @@ def _handles_errors(fn):
             _fail(EXIT_CAP, str(exc))
         except NonTotalDefinitionError as exc:
             _fail(EXIT_NO_MODEL, str(exc))
-        except (ParseError, TypeError_, EvaluationError, DeflogError) as exc:
+        except (DeflogError, OSError, UnicodeDecodeError) as exc:
             _fail(EXIT_INPUT, str(exc))
-        except (OSError, UnicodeDecodeError) as exc:
-            _fail(EXIT_INPUT, str(exc))
+        except RecursionError:  # nested parentheses, => chains, walkers with scope
+            _fail(EXIT_INPUT, "formula nested too deeply")
 
     return wrapper
 
@@ -98,6 +95,12 @@ def _library(theory: Theory) -> TemplateLibrary:
     return TemplateLibrary(
         tuple(Template(name, rs) for name, rs in theory.templates.items())
     )
+
+
+def _items(theory: Theory, kinds: tuple) -> list:
+    """("kind name", item) for the theory's items of each kind, by name."""
+    return [(f"{kind} {name}", obj) for kind in kinds
+            for name, obj in sorted(getattr(theory, f"{kind}s").items())]
 
 
 def _pick(kind: str, table: dict, name: str | None):
@@ -147,19 +150,10 @@ def typecheck_cmd(theory_file: str, as_json: bool) -> None:
     """Type check every formula, definition and template in a theory."""
     theory = _read_theory(theory_file)
     problems: dict = {}
-    items = [
-        (kind, name, obj)
-        for kind, table in (
-            ("formula", theory.formulas),
-            ("definition", theory.definitions),
-            ("template", theory.templates),
-        )
-        for name, obj in sorted(table.items())
-    ]
-    for kind, name, obj in items:
+    for where, obj in _items(theory, ("formula", "definition", "template")):
         diags = typecheck(obj, theory.vocabulary)
         if diags:
-            problems[f"{kind} {name}"] = diags
+            problems[where] = diags
     if as_json:
         _echo_json({"ok": not problems, "problems": problems})
     else:
@@ -172,7 +166,6 @@ def typecheck_cmd(theory_file: str, as_json: bool) -> None:
         sys.exit(EXIT_INPUT)
 
 
-
 @main.command("classify")
 @click.argument("theory_file")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
@@ -180,19 +173,12 @@ def typecheck_cmd(theory_file: str, as_json: bool) -> None:
 def classify_cmd(theory_file: str, as_json: bool) -> None:
     """Report the smallest syntactic fragment of each formula/definition."""
     theory = _read_theory(theory_file)
-    rows = [
-        (kind, name, classify(obj))
-        for kind, table in (
-            ("formula", theory.formulas),
-            ("definition", theory.definitions),
-        )
-        for name, obj in sorted(table.items())
-    ]
+    rows = {where: classify(obj) for where, obj in _items(theory, ("formula", "definition"))}
     if as_json:
-        _echo_json({f"{kind} {name}": frag for kind, name, frag in rows})
+        _echo_json(rows)
     else:
-        for kind, name, frag in rows:
-            click.echo(f"{kind} {name}: {frag}")
+        for where, frag in rows.items():
+            click.echo(f"{where}: {frag}")
 
 
 @main.command("eval")

@@ -60,6 +60,14 @@ def _defined_atoms(d: RuleSet, i: PartialInterpretation) -> list[DomainAtom]:
             for key in i.value(h).carrier]
 
 
+def _capped_atoms(d: RuleSet, i0: PartialInterpretation, limits: Limits) -> list[DomainAtom]:
+    """The defined atoms to branch on, at most `limits.max_defined_atoms`."""
+    atoms = _defined_atoms(d, i0)
+    if len(atoms) > limits.max_defined_atoms:
+        raise CapExceeded(f"{len(atoms)} defined atoms exceed cap {limits.max_defined_atoms}")
+    return atoms
+
+
 def _head_env(r, args: tuple, domain: tuple) -> dict:
     """The rule's head variables bound to a defined atom's arguments."""
     return {var: _relation_cached(val, var.type.arity, domain)
@@ -205,11 +213,7 @@ def partial_stable_models(
 ) -> list[PartialInterpretation]:
     """All partial stable interpretations expanding context o, by 3^n search."""
     i0 = expand_context(d, o, limits, carriers)
-    atoms = _defined_atoms(d, i0)
-    if len(atoms) > limits.max_defined_atoms:
-        raise CapExceeded(
-            f"{len(atoms)} defined atoms exceed cap {limits.max_defined_atoms}"
-        )
+    atoms = _capped_atoms(d, i0, limits)
     return [cand for cand in i0.refinements(atoms, (T, U, F))
             if is_partial_stable(d, cand, limits, _ctx=_ctx).is_partial_stable]
 
@@ -228,11 +232,7 @@ def stable_models(
     """
     ctx = _ctx or EvalContext(limits=limits)
     i0 = expand_context(d, o, limits, carriers)
-    atoms = _defined_atoms(d, i0)
-    if len(atoms) > limits.max_defined_atoms:
-        raise CapExceeded(
-            f"{len(atoms)} defined atoms exceed cap {limits.max_defined_atoms}"
-        )
+    atoms = _capped_atoms(d, i0, limits)
 
     g = None  # d ground once at i0, for the supported values at each node
     if all(_probe_safe(r.body) for r in d.rules):
@@ -349,14 +349,20 @@ class _Ground:
         t = type(e)
         if not live or live <= env.keys():
             return _code(fn(self.at, env, self.ctx))
-        if t is Not:
-            return _negate(self.ground(e.body, env, e.body._fn))
-        if t is And or t is Or or t is Implies or t is Iff:
+        if t is Not:  # a ~ run in one frame: ~~φ grounds as φ
+            odd = False
+            while type(e) is Not:
+                e, odd = e.body, not odd
+            n = self.ground(e, env, e._fn)
+            return _negate(n) if odd else n
+        if t is And or t is Or:
+            return _connect(_AND if t is And else _OR, [self.ground(a, env, a._fn) for a in e.args])
+        if t is Implies or t is Iff:
             a, b = self.ground(e.left, env, e.left._fn), self.ground(e.right, env, e.right._fn)
             if t is Iff:  # (a & b) | (~a & ~b) under Kleene
                 return _connect(_OR, [_connect(_AND, [a, b]),
                                       _connect(_AND, [_negate(a), _negate(b)])])
-            return _connect(_AND if t is And else _OR, [_negate(a) if t is Implies else a, b])
+            return _connect(_OR, [_negate(a), b])
         if t is ForallFO or t is ExistsFO:
             inner, kids = dict(env), []
             for v in self.at.domain:

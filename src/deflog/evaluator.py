@@ -37,10 +37,11 @@ from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (
     Aggregate, And, Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO,
     ExistsSO, ForallFO, ForallSO, Iff, Implies, IntTerm, Let, Not, Or,
-    RuleSet, SymTerm, free_symbols, map_children,
+    RuleSet, SymTerm, fold, free_symbols,
 )
 from .truthvalues import (
-    F, T, TV, U, PartialSet, approx_aggregate, conj, disj, glb_prec, iff, implies, neg,
+    F, T, TV, U, PartialSet, approx_aggregate, conj, disj, glb_prec, iff, implies,
+    max_truth, min_truth, neg,
 )
 from .vocab import DomainAtom, Symbol, arg_value_space
 
@@ -95,7 +96,7 @@ def _relation_cached(rel: frozenset, arity: int, domain: tuple) -> PartialSet:
         {k: TV.of(k in rel) for k in itertools.product(domain, repeat=arity)})
 
 
-def _atom1(e):
+def _atom1(e, kids):
     p, args = e.predicate, [_term(a) for a in e.args]
     # bound-variable arguments are read from env in one pass, others as terms
     syms = tuple(a.symbol if type(a) is SymTerm else None for a in e.args)
@@ -117,7 +118,7 @@ def _atom1(e):
     return atom1
 
 
-def _atom2(e):
+def _atom2(e, kids):
     p = e.predicate
     # per argument: a domain term, or the symbol of a predicate argument
     parts = [(_term(a), None) if at.kind == "domain"
@@ -152,7 +153,7 @@ def _atom2(e):
     return atom2
 
 
-def _cmp(e):
+def _cmp(e, kids):
     left, right, op = _term(e.left, raw=True), _term(e.right, raw=True), e.op
 
     def cmp(i, env, ctx):
@@ -168,20 +169,25 @@ def _cmp(e):
 _CONNECTIVES = {And: conj, Or: disj, Implies: implies, Iff: iff}
 
 
-def _connective(e):
-    # the Kleene tables; every operand is evaluated, so recording sees
-    # every atom that either consults
+def _connective(e, kids):
+    # the Kleene tables; every operand is evaluated, so recording sees every
+    # atom any consults.  ~~φ is φ's closure: a ~ run evaluates in two frames.
     if type(e) is Not:
-        body = e.body._fn
+        if type(e.body) is Not:
+            return e.body.body._fn
+        body = kids[0]
         return lambda i, env, ctx: neg(body(i, env, ctx))
-    left, right, op = e.left._fn, e.right._fn, _CONNECTIVES[type(e)]
+    if len(kids) > 2:
+        fns, run = kids, min_truth if type(e) is And else max_truth
+        return lambda i, env, ctx: run([f(i, env, ctx) for f in fns])
+    (left, right), op = kids, _CONNECTIVES[type(e)]
     return lambda i, env, ctx: op(left(i, env, ctx), right(i, env, ctx))
 
 
-def _quantifier(e):
+def _quantifier(e, kids):
     """Min (forall) or Max (exists) in the truth order of the body over
     every value of the variable, bound in a copy of env."""
-    var, body, unit = e.var, e.body._fn, T if type(e) in (ForallFO, ForallSO) else F
+    var, body, unit = e.var, kids[0], T if type(e) in (ForallFO, ForallSO) else F
     zero, arity, so = F if unit is T else T, var.type.arity, type(e) in (ForallSO, ExistsSO)
 
     def quantifier(i, env, ctx):
@@ -200,8 +206,8 @@ def _quantifier(e):
     return quantifier
 
 
-def _aggregate(e):
-    xs, body, bound = e.vars, e.body._fn, _term(e.bound, raw=True)
+def _aggregate(e, kids):
+    xs, body, bound = e.vars, kids[0], _term(e.bound, raw=True)
 
     def aggregate(i, env, ctx):
         inner, entries = dict(env), {}
@@ -216,7 +222,7 @@ def _aggregate(e):
     return aggregate
 
 
-def _definition(e):
+def _definition(e, kids):
     from . import definitions
 
     def definition(i, env, ctx):
@@ -229,8 +235,8 @@ def _definition(e):
     return definition
 
 
-# one compile case per node kind, each given a node whose sub-formulas
-# are compiled already
+# one compile case per node kind, each given a node and the closures of
+# its sub-formulas
 _COMPILERS = {
     Atom1: _atom1, Atom2: _atom2, Cmp: _cmp, Not: _connective,
     And: _connective, Or: _connective, Implies: _connective, Iff: _connective,
@@ -239,24 +245,14 @@ _COMPILERS = {
 }
 
 
+def _compile(e, kids):
+    return _COMPILERS[type(e)](e, kids)
+
+
 def _compiled(e):
     """The closure fn(i, env, ctx) -> TV of expression e, kept on the
-    node.  Nodes not yet compiled are compiled children first, from an
-    explicit stack, so compiling takes no Python frame per level."""
-    # (node, whether its sub-formulas are compiled)
-    stack = [] if "_fn" in getattr(e, "__dict__", ()) else [(e, False)]
-    while stack:
-        node, ready = stack.pop()
-        if "_fn" in getattr(node, "__dict__", ()):
-            continue
-        if type(node) not in _COMPILERS:
-            raise EvaluationError(f"not an expression: {node!r}")
-        if ready:
-            object.__setattr__(node, "_fn", _COMPILERS[type(node)](node))
-            continue
-        stack.append((node, True))
-        map_children(node, lambda c: stack.append((c, False)) or c, rules=lambda rs: rs)
-    return e._fn
+    node, compiled sub-formulas first by `fold`."""
+    return fold(e, _compile, "_fn")
 
 
 def _let_value(e: Let, i: PartialInterpretation, ctx: EvalContext) -> TV:
@@ -283,14 +279,8 @@ def _probe_safe(e) -> bool:
     """Whether searches may Kleene-evaluate e at inner nodes: only atoms,
     comparisons, connectives, FO quantifiers and card aggregates, as the
     other nodes enumerate (and cap) completions or value spaces."""
-    t = type(e)
-    if t not in _COMPILERS:
-        raise EvaluationError(f"not an expression: {e!r}")
-    if t in (Atom2, ForallSO, ExistsSO, DefinitionExpr, Let) or t is Aggregate and e.agg != "card":
-        return False
-    subs = []
-    map_children(e, lambda c: subs.append(c) or c)
-    return all(map(_probe_safe, subs))
+    return fold(e, lambda n, kids: all(kids) and type(n) not in (
+        Atom2, ForallSO, ExistsSO, DefinitionExpr, Let) and getattr(n, "agg", "card") == "card")
 
 
 def evaluate(

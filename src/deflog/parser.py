@@ -31,6 +31,7 @@ works out line and column from the offset, with lines as
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -279,25 +280,33 @@ class Parser(_Cursor):
 
     def parse_formula(self, min_prec: int = 1):
         """Precedence climbing over `_BINARY`: operators binding at least
-        `min_prec`, each right operand binding tighter than its operator."""
+        `min_prec`, each right operand binding tighter than its operator.
+        A run of & or | is one node; => and <=> nest to the left."""
         left = self.parse_unary()
         while True:
             kind, text, _ = self.peek()
             op = _BINARY.get(text)
             if op is None or kind == "name" or op[0] < min_prec:
                 return left
-            self.next()
-            left = op[1](left, self.parse_formula(op[0] + 1))
+            operands = [left]
+            while self.accept(text):
+                operands.append(self.parse_formula(op[0] + 1))
+            left = op[1](*operands) if op[1] in (And, Or) else functools.reduce(op[1], operands)
 
     def parse_unary(self):
-        if self.accept("~"):
-            return Not(self.parse_unary())
+        negations = 0
+        while self.accept("~"):
+            negations += 1
         kind, text, _ = self.peek()
         if kind == "punct" and text in ("!", "?", "!!", "??"):
-            return self.parse_quantifier()
-        if self.at("#") or text == "sum" and self.tokens[self.pos + 1][1] == "{":
-            return self.parse_aggregate()
-        return self.parse_atom()
+            e = self.parse_quantifier()
+        elif self.at("#") or text == "sum" and self.tokens[self.pos + 1][1] == "{":
+            e = self.parse_aggregate()
+        else:
+            e = self.parse_atom()
+        for _ in range(negations):
+            e = Not(e)
+        return e
 
     def parse_quantifier(self):
         sigil = self.next()[1]

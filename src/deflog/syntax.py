@@ -3,14 +3,21 @@
 Expressions cover first/second order atoms, the five connectives, first
 and second order quantifiers, cardinality/sum aggregates, interpreted
 integer comparisons, rule sets used as formulas (definitions), and
-let-blocks.  This module also provides free-symbol computation, the
-type checker, capture-avoiding substitution, the fragment classifier
-and the canonical unparser.
+let-blocks.  A run of one connective & or | is one n-ary node, printed
+as the left-nested chain it reads as.
+
+`fold` is the one bottom-up traversal: from an explicit stack, children
+first, it calls f(node, their results) on every node, optionally keeping
+each result on the node.  Free symbols, the fragment classifier, the
+unparser and the rewriting walkers are each one f; the type checker and
+substitution pass scope downward and recurse over `children`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
@@ -74,16 +81,33 @@ class Not:
     body: "Expr"
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Expr"
-    right: "Expr"
+class _Run:
+    """A run of one connective over its operands `args`, at least two.
+    A first operand of the same connective is spliced in, so a
+    left-nested chain has one representation.  `repr` is that chain's
+    binary one, as RuleSet orders its rules by repr."""
+
+    def __init__(self, *args):
+        if len(args) < 2:
+            raise TypeError(f"{type(self).__name__} needs two operands")
+        if type(args[0]) is type(self):
+            args = args[0].args + args[1:]
+        object.__setattr__(self, "args", args)
+
+    def __repr__(self) -> str:
+        first, *rest = map(repr, self.args)
+        return f"{type(self).__name__}(left=" * len(rest) + first + "".join(
+            f", right={r})" for r in rest)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Expr"
-    right: "Expr"
+@dataclass(frozen=True, init=False, repr=False)
+class And(_Run):
+    args: tuple  # tuple[Expr, ...]
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class Or(_Run):
+    args: tuple  # tuple[Expr, ...]
 
 
 @dataclass(frozen=True)
@@ -197,7 +221,6 @@ Expr = Union[
 ]
 
 _BINARY = {And: "&", Or: "|", Implies: "=>", Iff: "<=>"}
-_LEAVES = (Atom1, Atom2, Cmp)
 _QUANTIFIERS = (ForallFO, ExistsFO, ForallSO, ExistsSO)
 
 
@@ -205,35 +228,81 @@ _QUANTIFIERS = (ForallFO, ExistsFO, ForallSO, ExistsSO)
 # Structural traversal
 
 
-def map_bodies(rs: RuleSet, f) -> RuleSet:
-    """rs with f applied to every rule body; heads stay as they are."""
-    return RuleSet(tuple(Rule(r.head, r.head_vars, f(r.body)) for r in rs.rules))
+# each node kind's direct sub-formulas, in the order fold visits them
+_KIDS = {
+    **dict.fromkeys((Atom1, Atom2, Cmp), lambda e: ()),
+    **dict.fromkeys((Not, *_QUANTIFIERS, Aggregate), lambda e: (e.body,)),
+    And: lambda e: e.args, Or: lambda e: e.args,
+    Implies: lambda e: (e.left, e.right), Iff: lambda e: (e.left, e.right),
+    DefinitionExpr: lambda e: tuple(r.body for r in e.ruleset.rules),
+    Let: lambda e: (*(r.body for r in e.ruleset.rules), e.body),
+}
 
 
-def map_children(e, f, rules=None):
-    """Rebuild e with f applied to each direct sub-formula.
+def children(e) -> tuple:
+    """e's direct sub-formulas: its operands or body, and for a definition
+    or let-block its rule bodies in rule order, then the let body."""
+    kids = _KIDS.get(type(e))
+    if kids is None:
+        raise TypeError(f"not an expression: {e!r}")
+    return kids(e)
 
-    Atoms and comparisons have none and come back unchanged.  The rule
-    set of a definition or let-block is rebuilt by `rules`, which
-    defaults to `map_bodies` with f.  Binders, aggregate bounds and
-    let-bound symbols are kept as they are, so a walker only writes
-    the cases where it does something other than recurse.
+
+def fold(e, f, attr=None):
+    """f(node, results) on every node of e, sub-formulas first, where
+    results are f's results on the node's `children`; returns e's.
+
+    One explicit stack, so a walker takes no Python frame per level.
+    With `attr`, each result is kept on its node under that name, and a
+    node that already holds one is not entered again.
     """
+    if attr is not None and attr in getattr(e, "__dict__", ()):
+        return e.__dict__[attr]
+    # stack: nodes to enter and (node, child count) to finish; out: results to hand up
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            node, n = node
+            k = len(out) - n
+            result = f(node, out[k:])
+            del out[k:]
+        else:
+            kids = _KIDS.get(type(node))
+            if kids is None:
+                raise TypeError(f"not an expression: {node!r}")
+            if attr is not None and attr in node.__dict__:
+                out.append(node.__dict__[attr])
+                continue
+            kids = kids(node)
+            if kids:
+                stack.append((node, len(kids)))
+                stack += reversed(kids)
+                continue
+            result = f(node, kids)
+        if attr is not None:
+            object.__setattr__(node, attr, result)
+        out.append(result)
+    return out[0]
+
+
+def rebuild(e, kids, rules=None):
+    """e with `kids` for its `children`, e itself if they are the same.
+    Binders, aggregate bounds and rule heads are kept; `rules(ruleset,
+    bodies)`, if given, builds the rule set of a definition or let-block."""
     t = type(e)
-    if t in _LEAVES:
+    ruled = rules is not None and (t is DefinitionExpr or t is Let)
+    if not ruled and all(map(operator.is_, kids, _KIDS[t](e))):
         return e
-    if t is Not:
-        return Not(f(e.body))
-    if t in _BINARY:
-        return t(f(e.left), f(e.right))
+    if t is Not or t in _BINARY:
+        return t(*kids)
     if t in _QUANTIFIERS:
-        return t(e.var, f(e.body))
+        return t(e.var, kids[0])
     if t is Aggregate:
-        return Aggregate(e.agg, e.cmp, e.vars, f(e.body), e.bound)
-    if t is DefinitionExpr or t is Let:
-        rs = map_bodies(e.ruleset, f) if rules is None else rules(e.ruleset)
-        return DefinitionExpr(rs) if t is DefinitionExpr else Let(rs, f(e.body))
-    raise TypeError(f"not an expression: {e!r}")
+        return Aggregate(e.agg, e.cmp, e.vars, kids[0], e.bound)
+    rs = rules(e.ruleset, kids) if ruled else RuleSet(tuple(
+        Rule(r.head, r.head_vars, b) for r, b in zip(e.ruleset.rules, kids)))
+    return DefinitionExpr(rs) if t is DefinitionExpr else Let(rs, kids[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -248,30 +317,28 @@ def term_symbols(t: Term) -> frozenset:
     return term_symbols(t.left) | term_symbols(t.right)
 
 
+def _free(e, kids) -> frozenset:
+    t = type(e)
+    if t is Atom1 or t is Atom2:
+        return frozenset((e.predicate,)).union(*map(term_symbols, e.args))
+    if t is Cmp:
+        return term_symbols(e.left) | term_symbols(e.right)
+    if t in _QUANTIFIERS:
+        return kids[0] - {e.var}
+    if t is Aggregate:
+        return (kids[0] - set(e.vars)) | term_symbols(e.bound)
+    if t is DefinitionExpr:
+        return e.ruleset.free
+    if t is Let:
+        return (e.ruleset.free | kids[-1]) - e.ruleset.defined_symbols
+    return kids[0] if t is Not else frozenset().union(*kids)
+
+
 def free_symbols(e) -> frozenset:
-    """Free symbols of an expression or rule set."""
+    """Free symbols of an expression or rule set, kept on each node."""
     if isinstance(e, RuleSet):
         return e.free
-    if isinstance(e, (Atom1, Atom2)):
-        out = frozenset((e.predicate,))
-        for a in e.args:
-            out |= term_symbols(a)
-        return out
-    if isinstance(e, Cmp):
-        return term_symbols(e.left) | term_symbols(e.right)
-    if isinstance(e, Not):
-        return free_symbols(e.body)
-    if type(e) in _BINARY:
-        return free_symbols(e.left) | free_symbols(e.right)
-    if isinstance(e, _QUANTIFIERS):
-        return free_symbols(e.body) - {e.var}
-    if isinstance(e, Aggregate):
-        return (free_symbols(e.body) - set(e.vars)) | term_symbols(e.bound)
-    if isinstance(e, DefinitionExpr):
-        return e.ruleset.free
-    if isinstance(e, Let):
-        return (e.ruleset.free | free_symbols(e.body)) - e.ruleset.defined_symbols
-    raise TypeError(f"not an expression: {e!r}")
+    return fold(e, _free, "_free")
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +367,8 @@ def _is_domain_typed(t: Type | None) -> bool:
 
 
 def _check_expr(e, scope: dict, errors: list) -> None:
+    while isinstance(e, Not):  # a ~ run in one frame
+        e = e.body
     if isinstance(e, Atom1):
         pt = _term_type(SymTerm(e.predicate), scope, errors)
         if pt is not None and pt.kind != "pred":
@@ -337,11 +406,9 @@ def _check_expr(e, scope: dict, errors: list) -> None:
         for side in (e.left, e.right):
             if not _is_domain_typed(_term_type(side, scope, errors)):
                 errors.append(f"comparison over a non-domain term")
-    elif isinstance(e, Not):
-        _check_expr(e.body, scope, errors)
     elif type(e) in _BINARY:
-        _check_expr(e.left, scope, errors)
-        _check_expr(e.right, scope, errors)
+        for k in children(e):
+            _check_expr(k, scope, errors)
     elif isinstance(e, (ForallFO, ExistsFO)):
         if e.var.type != CONST:
             errors.append(f"first order variable {e.var.name} must be domain-valued")
@@ -498,15 +565,10 @@ def substitute(e, mapping: dict, gen: NameGen | None = None):
         gen = NameGen({s.name for s in free_symbols(e) | _mapping_symbols(mapping)})
     if not mapping:
         return e
-    if isinstance(e, Atom1):
+    if isinstance(e, (Atom1, Atom2)):  # Atom2 once its predicate is second order
         p = _subst_pred(e.predicate, mapping)
-        atom_cls = Atom2 if p.type.kind == "so-pred" else Atom1
+        atom_cls = Atom2 if isinstance(e, Atom2) or p.type.kind == "so-pred" else Atom1
         return atom_cls(p, tuple(_subst_term(a, mapping) for a in e.args))
-    if isinstance(e, Atom2):
-        return Atom2(
-            _subst_pred(e.predicate, mapping),
-            tuple(_subst_term(a, mapping) for a in e.args),
-        )
     if isinstance(e, Cmp):
         return Cmp(e.op, _subst_term(e.left, mapping), _subst_term(e.right, mapping))
     if isinstance(e, _QUANTIFIERS):
@@ -528,7 +590,7 @@ def substitute(e, mapping: dict, gen: NameGen | None = None):
             rs = subst_ruleset(rs, dict(zip(defined, renamed)), gen)
         rs = subst_ruleset(rs, {k: v for k, v in inner.items() if k not in renamed}, gen)
         return Let(rs, substitute(e.body, inner, gen))
-    return map_children(e, lambda b: substitute(b, mapping, gen))
+    return rebuild(e, [substitute(k, mapping, gen) for k in children(e)])
 
 
 def subst_ruleset(rs: RuleSet, mapping: dict, gen: NameGen | None = None) -> RuleSet:
@@ -561,8 +623,8 @@ def _dual(m: int) -> int:
     return (m & _FO) | (m & _ESO) << 1 | (m & _ASO) >> 1
 
 
-def _fragments(e) -> int:
-    """The set of fragments containing e, in one bottom-up pass.
+def _fragments(e, kids) -> int:
+    """Under fold, the set of fragments containing e.
 
     Sugar is read through its definition: | as ~(~a & ~b), => as
     ~(a & ~b), <=> as the conjunction of both implications, and the
@@ -573,38 +635,31 @@ def _fragments(e) -> int:
     t = type(e)
     if t is Atom1 or t is Cmp:
         return _ALL
+    if t is Not:
+        return _dual(kids[0])
+    if t is And or t is Or or t is Iff:
+        m = functools.reduce(operator.and_, kids)
+        return m & _dual(m) if t is Iff else m
     if t is Atom2:
         return _ESO | _ASO
-    if t is Not:
-        return _dual(_fragments(e.body))
-    if t is And or t is Or:
-        return _fragments(e.left) & _fragments(e.right)
     if t is Implies:
-        return _dual(_fragments(e.left)) & _fragments(e.right)
-    if t is Iff:
-        m = _fragments(e.left) & _fragments(e.right)
-        return m & _dual(m)
-    if t is ForallFO or t is ExistsFO or t is Aggregate:
-        return _fragments(e.body)
+        return _dual(kids[0]) & kids[1]
     if t is ExistsSO:
-        return _fragments(e.body) & _ESO
+        return kids[0] & _ESO
     if t is ForallSO:
-        return _fragments(e.body) & _ASO
+        return kids[0] & _ASO
     if t is DefinitionExpr or t is Let:
-        if not all(
-            r.head.type.kind == "pred" and _fragments(r.body) & _FO
-            for r in e.ruleset.rules
-        ):
+        if not all(r.head.type.kind == "pred" and m & _FO for r, m in zip(e.ruleset.rules, kids)):
             return 0
-        return _ALL if t is DefinitionExpr else _fragments(e.body)
-    raise TypeError(f"not an expression: {e!r}")
+        return _ALL if t is DefinitionExpr else kids[-1]
+    return kids[0]  # first order quantifiers, aggregates
 
 
 def classify(e) -> str:
     """The smallest fragment containing e (ESO preferred on ties)."""
     if isinstance(e, RuleSet):
         e = DefinitionExpr(e)
-    m = _fragments(e)
+    m = fold(e, _fragments)
     for bit, name in ((_FO, FRAGMENT_FO), (_ESO, FRAGMENT_ESO), (_ASO, FRAGMENT_ASO)):
         if m & bit:
             return name
@@ -613,10 +668,6 @@ def classify(e) -> str:
 
 # ---------------------------------------------------------------------------
 # Unparsing
-
-
-def _unparse_type(t: Type) -> str:
-    return str(t)
 
 
 def unparse_term(t: Term) -> str:
@@ -628,52 +679,52 @@ def unparse_term(t: Term) -> str:
     return f"{unparse_term(t.left)} + {unparse_term(t.right)}"
 
 
-def unparse(e) -> str:
-    """Canonical ASCII form; parse(unparse(e)) reproduces e."""
-    if isinstance(e, RuleSet):
-        return unparse_ruleset(e)
-    if isinstance(e, Atom1) or isinstance(e, Atom2):
+_SIGILS = {ForallFO: "!", ExistsFO: "?", ForallSO: "!! ", ExistsSO: "?? "}
+_SCOPES = (*_QUANTIFIERS, Let)  # extend to the end of the formula
+
+
+def _text(e, kids) -> str:
+    t = type(e)
+    if t is Atom1 or t is Atom2:
         if not e.args:
             return e.predicate.name
-        return f"{e.predicate.name}({', '.join(unparse_term(a) for a in e.args)})"
-    if isinstance(e, Cmp):
+        return f"{e.predicate.name}({', '.join(map(unparse_term, e.args))})"
+    if t is Cmp:
         return f"{unparse_term(e.left)} {e.op} {unparse_term(e.right)}"
-    if isinstance(e, Not):
-        body = unparse(e.body)
-        if isinstance(e.body, (Atom1, Atom2, Not)):
-            return f"~{body}"
-        return f"~({body})"
-    if type(e) in _BINARY:
-        left = unparse(e.left)
-        if isinstance(e.left, (ForallFO, ExistsFO, ForallSO, ExistsSO, Let)):
-            # a quantifier/let scope extends to the end of the formula;
-            # as a left operand it must be closed off explicitly
-            left = f"({left})"
-        return f"({left} {_BINARY[type(e)]} {unparse(e.right)})"
-    if isinstance(e, ForallFO):
-        return f"!{e.var.name}: {unparse(e.body)}"
-    if isinstance(e, ExistsFO):
-        return f"?{e.var.name}: {unparse(e.body)}"
-    if isinstance(e, ForallSO):
-        return f"!! {e.var.name}[{_unparse_type(e.var.type)}]: {unparse(e.body)}"
-    if isinstance(e, ExistsSO):
-        return f"?? {e.var.name}[{_unparse_type(e.var.type)}]: {unparse(e.body)}"
-    if isinstance(e, Aggregate):
+    if t is Not:
+        return f"~{kids[0]}" if type(e.body) in (Atom1, Atom2, Not) else f"~({kids[0]})"
+    if t in _BINARY:
+        # a run prints left-nested; a scope as its first operand is closed off
+        first = kids[0]
+        if type(e.args[0] if t is And or t is Or else e.left) in _SCOPES:
+            first = f"({first})"
+        op = f" {_BINARY[t]} "
+        return "(" * (len(kids) - 1) + first + op + f"){op}".join(kids[1:]) + ")"
+    if t in _QUANTIFIERS:
+        typed = f"[{e.var.type}]" if t is ForallSO or t is ExistsSO else ""
+        return f"{_SIGILS[t]}{e.var.name}{typed}: {kids[0]}"
+    if t is Aggregate:
         head = "#" if e.agg == "card" else "sum"
         vars_ = ", ".join(v.name for v in e.vars)
-        return f"{head}{{{vars_} : {unparse(e.body)}}} {e.cmp} {unparse_term(e.bound)}"
-    if isinstance(e, DefinitionExpr):
-        return unparse_ruleset(e.ruleset)
-    if isinstance(e, Let):
-        return f"let {unparse_ruleset(e.ruleset)} in {unparse(e.body)}"
-    raise TypeError(f"not an expression: {e!r}")
+        return f"{head}{{{vars_} : {kids[0]}}} {e.cmp} {unparse_term(e.bound)}"
+    rules = _ruleset_text(e.ruleset, kids)
+    return rules if t is DefinitionExpr else f"let {rules} in {kids[-1]}"
 
 
-def unparse_ruleset(rs: RuleSet) -> str:
+def _ruleset_text(rs: RuleSet, bodies) -> str:
     parts = []
-    for r in rs.rules:
+    for r, body in zip(rs.rules, bodies):
         head = r.head.name
         if r.head_vars:
             head += "(" + ", ".join(v.name for v in r.head_vars) + ")"
-        parts.append(f"{head} <- {unparse(r.body)}.")
+        parts.append(f"{head} <- {body}.")
     return "{" + " ".join(parts) + "}"
+
+
+def unparse(e) -> str:
+    """Canonical ASCII form; parse(unparse(e)) reproduces e."""
+    return fold(DefinitionExpr(e) if isinstance(e, RuleSet) else e, _text)
+
+
+def unparse_ruleset(rs: RuleSet) -> str:
+    return unparse(rs)

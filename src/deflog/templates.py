@@ -28,13 +28,10 @@ from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (
     Aggregate, And, Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO, ExistsSO,
     ForallFO, ForallSO, Iff, Implies, Let, NameGen, Not, Or, Rule, RuleSet,
-    SymTerm, classify, FRAGMENT_FO, free_symbols, map_children, substitute,
+    SymTerm, classify, FRAGMENT_FO, fold, free_symbols, rebuild, substitute,
 )
 from .truthvalues import T, exact_set
 from .vocab import DOMAIN, Symbol, pred, predicate_carrier, so_pred
-
-_BINARY = (And, Or, Implies, Iff)
-
 
 @dataclass(frozen=True)
 class Template:
@@ -224,28 +221,21 @@ def _extended_symbol(p: Symbol, opens: tuple) -> Symbol:
 
 
 def _extend_atoms(e, mapping: dict, opens: tuple):
-    """Replace every atom P(t̄) with P ∈ mapping by P'(t̄, ō)."""
-    if isinstance(e, (Atom1, Atom2)):
-        p2 = mapping.get(e.predicate)
-        if p2 is None:
-            return e
-        return Atom2(p2, e.args + tuple(SymTerm(o) for o in opens))
-    # nested rule sets may define mapped symbols too: their heads change
-    return map_children(
-        e, lambda b: _extend_atoms(b, mapping, opens),
-        rules=lambda rs: _extend_ruleset(rs, mapping, opens),
-    )
+    """Replace every atom P(t̄) with P ∈ mapping by P'(t̄, ō), and in the
+    rule sets defining such P the head P(x̄) by P'(x̄, ō)."""
 
+    def rules(rs: RuleSet, bodies) -> RuleSet:
+        return RuleSet(tuple(
+            Rule(mapping[r.head], r.head_vars + opens, body) if r.head in mapping
+            else Rule(r.head, r.head_vars, body) for r, body in zip(rs.rules, bodies)))
 
-def _extend_ruleset(rs: RuleSet, mapping: dict, opens: tuple) -> RuleSet:
-    rules = []
-    for r in rs.rules:
-        head, head_vars = r.head, r.head_vars
-        if r.head in mapping:
-            head = mapping[r.head]
-            head_vars = r.head_vars + opens
-        rules.append(Rule(head, head_vars, _extend_atoms(r.body, mapping, opens)))
-    return RuleSet(tuple(rules))
+    def extend(n, kids):
+        p2 = mapping.get(n.predicate) if type(n) in (Atom1, Atom2) else None
+        if p2 is not None:
+            return Atom2(p2, n.args + tuple(SymTerm(o) for o in opens))
+        return rebuild(n, kids, rules)
+
+    return fold(e, extend)
 
 
 def templify(d: RuleSet, open_symbols: tuple) -> tuple[RuleSet, dict]:
@@ -273,7 +263,7 @@ def templify(d: RuleSet, open_symbols: tuple) -> tuple[RuleSet, dict]:
         p: _extended_symbol(p, open_symbols)
         for p in sorted(d.defined_symbols, key=lambda s: s.name)
     }
-    return _extend_ruleset(d, mapping, tuple(open_symbols)), mapping
+    return _extend_atoms(DefinitionExpr(d), mapping, tuple(open_symbols)).ruleset, mapping
 
 
 def check_correspondence(
@@ -336,79 +326,67 @@ def macro_expand(phi, lib: TemplateLibrary, limits: Limits = DEFAULT_LIMITS):
         taken |= {s.name for s in free_symbols(rule.body) | set(rule.head_vars)}
     gen = NameGen(taken)
 
-    def expand(e):
+    def expand(e, kids):
         if isinstance(e, Atom2) and e.predicate in rules:
             rule = rules[e.predicate]
-            mapping = {}
-            for var, arg in zip(rule.head_vars, e.args):
-                mapping[var] = arg.symbol if (
-                    isinstance(arg, SymTerm) and var.type.kind == "pred"
-                ) else arg
-            return expand(substitute(rule.body, mapping, gen))
-        return map_children(e, expand)
+            mapping = {var: arg.symbol if isinstance(arg, SymTerm) and var.type.kind == "pred"
+                       else arg for var, arg in zip(rule.head_vars, e.args)}
+            return fold(substitute(rule.body, mapping, gen), expand)
+        return rebuild(e, kids)
 
-    return expand(phi)
+    return fold(phi, expand)
 
 
 # ---------------------------------------------------------------------------
 # Second order quantifier elimination
 
 
-def _rewrite_connectives(e):
-    """Remove => and <=> so negation push-down only sees ~ & |."""
-    if isinstance(e, Implies):
-        return Or(Not(_rewrite_connectives(e.left)), _rewrite_connectives(e.right))
-    if isinstance(e, Iff):
-        a, b = _rewrite_connectives(e.left), _rewrite_connectives(e.right)
+def _connectives(e, kids):
+    """Under fold, removes => and <=> so negation push-down only sees ~ & |."""
+    if type(e) is Implies:
+        return Or(Not(kids[0]), kids[1])
+    if type(e) is Iff:
+        a, b = kids
         return Or(And(a, b), And(Not(a), Not(b)))
     # rule sets stay as written: _nnf and _hoist treat them as atoms
-    return map_children(e, _rewrite_connectives, rules=lambda rs: rs)
+    return rebuild(e, kids, lambda rs, bodies: rs)
+
+
+_DUALS = {And: Or, Or: And, ForallFO: ExistsFO, ExistsFO: ForallFO}
 
 
 def _nnf(e, positive: bool = True):
     """Push negations down to atoms, definitions and aggregates."""
-    if isinstance(e, (Atom1, Atom2, Cmp, DefinitionExpr, Aggregate)):
+    while isinstance(e, Not):
+        e, positive = e.body, not positive
+    t = type(e)
+    if t in (Atom1, Atom2, Cmp, DefinitionExpr, Aggregate):
         return e if positive else Not(e)
-    if isinstance(e, Not):
-        return _nnf(e.body, not positive)
-    if isinstance(e, And):
-        cls = And if positive else Or
-        return cls(_nnf(e.left, positive), _nnf(e.right, positive))
-    if isinstance(e, Or):
-        cls = Or if positive else And
-        return cls(_nnf(e.left, positive), _nnf(e.right, positive))
-    if isinstance(e, ForallFO):
-        cls = ForallFO if positive else ExistsFO
+    cls = t if positive else _DUALS.get(t, t)
+    if t is And or t is Or:
+        return cls(*[_nnf(a, positive) for a in e.args])
+    if t is ForallFO or t is ExistsFO:
         return cls(e.var, _nnf(e.body, positive))
-    if isinstance(e, ExistsFO):
-        cls = ExistsFO if positive else ForallFO
-        return cls(e.var, _nnf(e.body, positive))
-    if isinstance(e, ExistsSO):
-        if not positive:
-            raise EvaluationError(
-                "negated existential second order quantifier is not in ESO(ID*)"
-            )
-        return ExistsSO(e.var, _nnf(e.body, True))
-    if isinstance(e, ForallSO):
-        if positive:
-            raise EvaluationError(
-                "universal second order quantifier is not in ESO(ID*)"
-            )
-        return ExistsSO(e.var, _nnf(e.body, False))
-    if isinstance(e, Let):
-        # the defined symbols stay fixed; negation moves into the body
+    if t is ExistsSO and not positive:
+        raise EvaluationError("negated existential second order quantifier is not in ESO(ID*)")
+    if t is ForallSO and positive:
+        raise EvaluationError("universal second order quantifier is not in ESO(ID*)")
+    if t is ExistsSO or t is ForallSO:
+        return ExistsSO(e.var, _nnf(e.body, positive))
+    if t is Let:  # the defined symbols stay fixed; negation moves into the body
         return Let(e.ruleset, _nnf(e.body, positive))
     raise TypeError_(f"not an expression: {e!r}")
 
 
-def _switch_var(e, old: Symbol, new: Symbol, x: Symbol):
-    """Replace every atom old(t̄) by new(t̄, x) (the switching rule)."""
-    if isinstance(e, (Atom1, Atom2)):
-        if e.predicate == old:
-            node = Atom2 if new.type.kind == "so-pred" else Atom1
-            return node(new, e.args + (SymTerm(x),))
-        return e
-    return map_children(e, lambda b: _switch_var(b, old, new, x))
+def _switch_var(e, switched: dict, x: Symbol):
+    """Replace every atom P(t̄) by P'(t̄, x) for P -> P' in `switched` (the
+    switching rule; each P' is a first order predicate)."""
+
+    def switch(n, kids):
+        new = switched.get(n.predicate) if type(n) in (Atom1, Atom2) else None
+        return rebuild(n, kids) if new is None else Atom1(new, n.args + (SymTerm(x),))
+
+    return fold(e, switch)
 
 
 def _hoist(e, gen: NameGen):
@@ -425,58 +403,37 @@ def _hoist(e, gen: NameGen):
         inner_vars, matrix = _hoist(body, gen)
         return [var] + inner_vars, matrix
     if isinstance(e, (And, Or)):
-        lv, lm = _hoist(e.left, gen)
-        rv, rm = _hoist(e.right, gen)
-        return lv + rv, type(e)(lm, rm)
-    if isinstance(e, ExistsFO):
+        vars_, parts = [], []
+        for a in e.args:
+            v, m = _hoist(a, gen)
+            vars_ += v
+            parts.append(m)
+        return vars_, type(e)(*parts)
+    if isinstance(e, (ExistsFO, Let)):
         vars_, matrix = _hoist(e.body, gen)
-        return vars_, ExistsFO(e.var, matrix)
+        return vars_, ExistsFO(e.var, matrix) if type(e) is ExistsFO else Let(e.ruleset, matrix)
     if isinstance(e, ForallFO):
         vars_, matrix = _hoist(e.body, gen)
         # switching rule: each P jumps the universal by gaining an
         # argument position for the quantified variable
-        switched = []
-        for p in vars_:
-            p2 = gen.fresh(Symbol(p.name, pred(p.type.arity + 1)))
-            matrix = _switch_var(matrix, p, p2, e.var)
-            switched.append(p2)
-        return switched, ForallFO(e.var, matrix)
-    if isinstance(e, Let):
-        vars_, matrix = _hoist(e.body, gen)
-        return vars_, Let(e.ruleset, matrix)
-    if isinstance(e, Not):
-        if _so_quantifier_inside(e.body):
-            raise EvaluationError(
-                "second order quantifier under negation is not in ESO(ID*)"
-            )
-        return [], e
-    if isinstance(e, (Atom1, Atom2, Cmp, DefinitionExpr)):
-        return [], e
-    if isinstance(e, Aggregate):
-        if _so_quantifier_inside(e.body):
-            raise EvaluationError(
-                "cannot hoist a second order quantifier out of an aggregate"
-            )
+        switched = {p: gen.fresh(Symbol(p.name, pred(p.type.arity + 1))) for p in vars_}
+        return list(switched.values()), ForallFO(e.var, _switch_var(matrix, switched, e.var))
+    if isinstance(e, (Not, Aggregate)) and fold(e.body, _so_inside):
+        raise EvaluationError(
+            "second order quantifier under negation is not in ESO(ID*)" if type(e) is Not
+            else "cannot hoist a second order quantifier out of an aggregate")
+    if isinstance(e, (Atom1, Atom2, Cmp, DefinitionExpr, Not, Aggregate)):
         return [], e
     raise TypeError_(f"not an expression: {e!r}")
 
 
-def _so_quantifier_inside(e) -> bool:
-    if isinstance(e, (ExistsSO, ForallSO)):
-        return True
-    if isinstance(e, (Atom1, Atom2, Cmp, DefinitionExpr)):
-        return False
-    if isinstance(e, Not):
-        return _so_quantifier_inside(e.body)
-    if isinstance(e, _BINARY):
-        return _so_quantifier_inside(e.left) or _so_quantifier_inside(e.right)
-    if isinstance(e, (ForallFO, ExistsFO)):
-        return _so_quantifier_inside(e.body)
-    if isinstance(e, Aggregate):
-        return _so_quantifier_inside(e.body)
-    if isinstance(e, Let):
-        return _so_quantifier_inside(e.body)
-    raise TypeError_(f"not an expression: {e!r}")
+def _so_inside(e, kids) -> bool:
+    """Under fold, whether e holds a second order quantifier outside rule
+    bodies, which _nnf and _hoist treat as atoms."""
+    t = type(e)
+    if t is DefinitionExpr or t is Let:
+        return t is Let and kids[-1]
+    return t is ExistsSO or t is ForallSO or any(kids)
 
 
 def eliminate_so(phi) -> tuple:
@@ -488,10 +445,10 @@ def eliminate_so(phi) -> tuple:
     leading quantifiers skolemized into fresh free predicate symbols.
     Returns (formula, skolem symbols).
     """
-    e = _nnf(_rewrite_connectives(phi))
+    e = _nnf(fold(phi, _connectives))
     gen = NameGen({s.name for s in free_symbols(phi)})
     vars_, matrix = _hoist(e, gen)
-    if _so_quantifier_inside(matrix):
+    if fold(matrix, _so_inside):
         raise EvaluationError("residual second order quantifier after hoisting")
     return matrix, tuple(vars_)
 

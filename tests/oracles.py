@@ -95,9 +95,9 @@ def desugar(e):
     if isinstance(e, Not):
         return Not(desugar(e.body))
     if isinstance(e, And):
-        return And(desugar(e.left), desugar(e.right))
+        return And(*map(desugar, e.args))
     if isinstance(e, Or):
-        return Not(And(Not(desugar(e.left)), Not(desugar(e.right))))
+        return Not(And(*[Not(desugar(a)) for a in e.args]))
     if isinstance(e, Implies):
         return Not(And(desugar(e.left), Not(desugar(e.right))))
     if isinstance(e, Iff):
@@ -133,7 +133,7 @@ def _is_fo(e) -> bool:
     if isinstance(e, Not):
         return _is_fo(e.body)
     if isinstance(e, And):
-        return _is_fo(e.left) and _is_fo(e.right)
+        return all(map(_is_fo, e.args))
     if isinstance(e, ExistsFO):
         return _is_fo(e.body)
     if isinstance(e, Aggregate):
@@ -153,7 +153,7 @@ def _is_eso(e) -> bool:
     if isinstance(e, Not):
         return _is_aso(e.body)
     if isinstance(e, And):
-        return _is_eso(e.left) and _is_eso(e.right)
+        return all(map(_is_eso, e.args))
     if isinstance(e, (ExistsFO, ExistsSO)):
         return _is_eso(e.body)
     if isinstance(e, Aggregate):
@@ -171,7 +171,7 @@ def _is_aso(e) -> bool:
     if isinstance(e, Not):
         return _is_eso(e.body)
     if isinstance(e, And):
-        return _is_aso(e.left) and _is_aso(e.right)
+        return all(map(_is_aso, e.args))
     if isinstance(e, ExistsFO):
         return _is_aso(e.body)
     if isinstance(e, ForallSO):
@@ -272,9 +272,9 @@ def classical_eval(e, i) -> bool:
     if isinstance(e, Not):
         return not classical_eval(e.body, i)
     if isinstance(e, And):
-        return classical_eval(e.left, i) and classical_eval(e.right, i)
+        return all(classical_eval(a, i) for a in e.args)
     if isinstance(e, Or):
-        return classical_eval(e.left, i) or classical_eval(e.right, i)
+        return any(classical_eval(a, i) for a in e.args)
     if isinstance(e, Implies):
         return not classical_eval(e.left, i) or classical_eval(e.right, i)
     if isinstance(e, Iff):
@@ -376,8 +376,6 @@ def rank_max_truth(values, empty=F):
 # The Kleene evaluator as an isinstance walker over expanded interpretations
 
 _BINOPS = {
-    And: lambda a, b: rank_min_truth((a, b)),
-    Or: lambda a, b: rank_max_truth((a, b)),
     Implies: lambda a, b: rank_max_truth((neg(a), b)),
     Iff: iff,
 }
@@ -468,6 +466,9 @@ def oracle_kv(e, i, ctx) -> TV:
         return TV.of(left < right if e.op == "<" else left > right)
     if isinstance(e, Not):
         return neg(oracle_kv(e.body, i, ctx))
+    if isinstance(e, (And, Or)):  # every operand valued, so recording sees all
+        values = [oracle_kv(a, i, ctx) for a in e.args]
+        return rank_min_truth(values) if isinstance(e, And) else rank_max_truth(values)
     op = _BINOPS.get(type(e))
     if op is not None:
         return op(oracle_kv(e.left, i, ctx), oracle_kv(e.right, i, ctx))

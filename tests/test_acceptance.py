@@ -195,10 +195,14 @@ def kleene_body_oracle(e, asg):
         return asg[e.predicate]
     if isinstance(e, Not):
         return by_rank[2 - rank[kleene_body_oracle(e.body, asg)]]
-    l, r = kleene_body_oracle(e.left, asg), kleene_body_oracle(e.right, asg)
-    if isinstance(e, And):
-        return by_rank[min(rank[l], rank[r])]
-    return by_rank[max(rank[l], rank[r])]
+    ranks = [rank[kleene_body_oracle(a, asg)] for a in e.args]
+    return by_rank[min(ranks) if isinstance(e, And) else max(ranks)]
+
+
+def sides(e):
+    """The left and right operand of a run read as its left-nested chain."""
+    *left, right = e.args
+    return (left[0] if len(left) == 1 else type(e)(*left)), right
 
 
 def equivalent_rewrite(rng, e):
@@ -207,17 +211,18 @@ def equivalent_rewrite(rng, e):
     if roll < 0.2:
         return Not(Not(e))
     if isinstance(e, And) and roll < 0.4:
-        return Not(Or(Not(e.left), Not(e.right)))  # De Morgan
+        return Not(Or(*[Not(s) for s in sides(e)]))  # De Morgan
     if isinstance(e, Or) and roll < 0.4:
-        return Not(And(Not(e.left), Not(e.right)))
+        return Not(And(*[Not(s) for s in sides(e)]))
     if isinstance(e, (And, Or)) and roll < 0.6:
-        return type(e)(e.right, e.left)  # commutativity
+        return type(e)(*reversed(sides(e)))  # commutativity
     if roll < 0.75:
         return Or(e, e) if rng.random() < 0.5 else And(e, e)  # idempotence
     if isinstance(e, Not):
         return Not(equivalent_rewrite(rng, e.body))
     if isinstance(e, (And, Or)):
-        return type(e)(equivalent_rewrite(rng, e.left), e.right)
+        left, right = sides(e)
+        return type(e)(equivalent_rewrite(rng, left), right)
     return Not(Not(e))
 
 

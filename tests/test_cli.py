@@ -4,6 +4,7 @@ exit codes for every verb.
 Regenerate the golden files with DEFLOG_UPDATE_GOLDEN=1 after an
 intentional output change."""
 
+import functools
 import itertools
 import json
 import os
@@ -16,11 +17,13 @@ from deflog import cli
 from deflog.cli import _mx_models, main
 from deflog.definitions import _refuter
 from deflog.errors import CapExceeded, EvaluationError
-from deflog.evaluator import KLEENE, evaluate, evaluate_exact
+from deflog.evaluator import KLEENE, SUPERVALUATION, evaluate, evaluate_exact
 from deflog.interpretation import read_structure
 from deflog.limits import DEFAULT_LIMITS, Limits
 from deflog.parser import Theory, parse_formula, parse_theory
-from deflog.syntax import Aggregate, Atom1, DefinitionExpr, IntTerm, Or, SymTerm
+from deflog.syntax import (
+    Aggregate, Atom1, DefinitionExpr, IntTerm, Or, SymTerm, classify, free_symbols, unparse,
+)
 from deflog.truthvalues import T
 from deflog.vocab import CONST, Symbol, Vocabulary, pred
 
@@ -180,6 +183,59 @@ class TestExitCodes:
     def test_no_stable_model_exit(self):
         r = self.run("stable", "-d", "paradox", d("props.theory"), d("empty.struct"))
         assert r.exit_code == 1
+
+
+DEEP = 3000
+
+
+def left_nested(op: str, operands: list) -> str:
+    return functools.reduce(lambda a, b: f"({a} {op} {b})", operands)
+
+
+class TestDeepInputs:
+    """3,000-deep formulas answer at the default recursion limit: & and |
+    runs are one node each, parse_unary reads a ~ run in a loop, every
+    walker below is a fold, and ~~φ compiles and grounds as φ."""
+
+    # text, its canonical form, kleene and super value with p = t, then u
+    CASES = {
+        "and": (" & ".join(["p"] * (DEEP - 1) + ["~p"]),
+                left_nested("&", ["p"] * (DEEP - 1) + ["~p"]), "ff", "uf"),
+        "or": (" | ".join(["p"] * (DEEP - 1) + ["~p"]),
+               left_nested("|", ["p"] * (DEEP - 1) + ["~p"]), "tt", "ut"),
+        "not": ("~" * DEEP + "p", "~" * DEEP + "p", "tt", "uu"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_library_and_cli_answer(self, kind, tmp_path):
+        text, canonical, exact, unknown = self.CASES[kind]
+        source = f"vocab {{ p: pred/0; }}\nformula deep {{ {text} }}\n"
+        phi = parse_theory(source).formulas["deep"]
+        assert {s.name for s in free_symbols(phi)} == {"p"}
+        assert classify(phi) == "FO(ID*)"
+        assert unparse(phi) == canonical
+        theory = tmp_path / "t.theory"
+        theory.write_text(source)
+        for value, want in (("t", exact), ("u", unknown)):
+            struct = tmp_path / f"{value}.struct"
+            struct.write_text(f"domain = {{a}}\np = {{(): {value}}}\n")
+            i = read_structure(struct.read_text(), parse_theory(source).vocabulary)
+            got = [evaluate(phi, i, mode).value for mode in (KLEENE, SUPERVALUATION)]
+            assert "".join(got) == want
+            for mode, v in zip(("kleene", "super"), want):
+                r = CliRunner().invoke(main, ["eval", "-m", mode, str(theory), str(struct)])
+                assert (r.exit_code, r.output) == (0, f"deep: {v}\n")
+        r = CliRunner().invoke(main, ["classify", str(theory)])
+        assert (r.exit_code, r.output) == (0, "formula deep: FO(ID*)\n")
+
+    def test_what_still_recurses_is_an_input_error(self, tmp_path):
+        theory = tmp_path / "t.theory"
+        theory.write_text(f"vocab {{ p: pred/0; }}\nformula deep {{ {'(' * DEEP}p{')' * DEEP} }}\n")
+        struct = tmp_path / "s.struct"
+        struct.write_text("domain = {a}\np = {(): t}\n")
+        r = CliRunner().invoke(main, ["eval", str(theory), str(struct)])
+        assert (r.exit_code, r.stderr) == (2, "error: formula nested too deeply\n")
+        assert "Traceback" not in r.output
 
 
 class TestPresentation:

@@ -71,9 +71,9 @@ def _holds(body, pos: frozenset, neg: frozenset) -> bool:
     if isinstance(body, Not):
         return not _holds(body.body, neg, pos)
     if isinstance(body, And):
-        return _holds(body.left, pos, neg) and _holds(body.right, pos, neg)
+        return all(_holds(a, pos, neg) for a in body.args)
     if isinstance(body, Or):
-        return _holds(body.left, pos, neg) or _holds(body.right, pos, neg)
+        return any(_holds(a, pos, neg) for a in body.args)
     raise AssertionError(f"oracle cannot handle {body!r}")
 
 
@@ -554,21 +554,24 @@ class TestResidualAgainstOracle:
 
 class TestDeepBodies:
     def test_deep_rule_bodies_keep_one_frame_per_level(self):
-        # the grounder takes one frame per level, as evaluate does, and the
-        # residual program flattens & chains and cancels double negations.
-        # RuleSet hashes and sorts its rules through about three frames per
-        # level, so the deep bodies go in once it is built
-        negations, chain = Atom1(q, ()), Atom1(r, ())
+        # & and | runs are one node each, so a 3,000-long chain body goes
+        # through the parser and RuleSet; the grounder cancels ~~ in a loop
+        o = PartialInterpretation.empty(DOMAIN)
+        chain = " & ".join(["r"] * 3000)
+        for body, want in ((chain, "tft"), (f"~({chain})", "fft"),
+                           (" | ".join(["q"] * 2999 + ["r"]), "tft")):
+            d = rs(f"{{p <- {body}. q <- q. r <- ~q.}}")
+            assert values_of(well_founded_model(d, o)) == want
+        # RuleSet hashes and sorts its rules by repr, and the dataclass
+        # hash and repr of a ~ run take about three frames per level, so
+        # the deep negations go in once the rule set is built
+        negations = Atom1(q, ())
         for _ in range(900):
             negations = Not(negations)
-        for _ in range(899):
-            chain = And(chain, Atom1(r, ()))
-        o = PartialInterpretation.empty(DOMAIN)
-        for body, want in ((negations, "fft"), (chain, "tft"), (Not(chain), "fft")):
-            d = rs("{p <- q. q <- q. r <- ~q.}")  # p's body is replaced
-            rules = tuple(x if x.head != p else Rule(p, (), body) for x in d.rules)
-            object.__setattr__(d, "rules", rules)
-            assert values_of(well_founded_model(d, o)) == want
+        d = rs("{p <- q. q <- q. r <- ~q.}")  # p's body is replaced
+        object.__setattr__(d, "rules", tuple(
+            x if x.head != p else Rule(p, (), negations) for x in d.rules))
+        assert values_of(well_founded_model(d, o)) == "fft"
 
 
 class TestMemoRecord:

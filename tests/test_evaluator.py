@@ -24,7 +24,7 @@ from deflog.limits import Limits
 from deflog.parser import parse_formula, parse_theory
 from deflog.syntax import (
     Aggregate, And, Atom1, DefinitionExpr, ExistsFO, ExistsSO, ForallFO,
-    IntTerm, Let, Not, Or, Rule, RuleSet, SymTerm, free_symbols, map_children,
+    IntTerm, Let, Not, Or, Rule, RuleSet, SymTerm, fold, free_symbols,
     unparse,
 )
 from deflog.truthvalues import F, T, U, PartialSet, leq_prec
@@ -230,12 +230,8 @@ def exact_holds(e, j) -> bool:
 def node_kinds(e) -> set:
     """Class names of the nodes of e (aggregates by their function),
     rule bodies included."""
-    kinds = {e.agg if type(e) is Aggregate else type(e).__name__}
-    children = []
-    map_children(e, lambda x: children.append(x) or x)
-    for c in children:
-        kinds |= node_kinds(c)
-    return kinds
+    return fold(e, lambda n, kids: {n.agg if type(n) is Aggregate else type(n).__name__}.union(
+        *kids))
 
 
 class TestPrunedSupervaluation:
@@ -582,13 +578,16 @@ class TestCompiledAgainstWalker:
 
     def test_deep_formulas_keep_one_frame_per_level(self):
         i = read_structure("domain = {a}\np = {(): t}\n", Vocabulary.of([P0]))
+        # a chain is one node, and ~~φ compiles to φ's closure
         negations = Atom1(P0, ())
-        for _ in range(900):
+        for _ in range(3000):
             negations = Not(negations)
         chain = Atom1(P0, ())
-        for _ in range(899):
+        for _ in range(2999):
             chain = And(chain, Atom1(P0, ()))
+        assert len(chain.args) == 3000
         assert evaluate(negations, i) is T
+        assert evaluate(Not(negations), i) is F
         assert evaluate(chain, i) is T
 
     def test_relation_memo_stays_within_its_bound(self, monkeypatch):

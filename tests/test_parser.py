@@ -54,8 +54,11 @@ STRUCT_FRAGMENTS = NOISE + [
     "1..3", "0..-1", "..", "-", "=", "{", "}", "(", ")", ",", ":", "*", "/",
 ]
 
-# at most 60 fragments, so nesting stays far below the depth at which the
-# recursive readers and walkers hit RecursionError (a known defect)
+# at most 60 fragments, so nesting stays far below the depth at which what
+# still recurses per level hits RecursionError (a known defect): the parser
+# on nested parentheses and quantifier or => and <=> chains, and the walkers
+# that pass scope or polarity down (typecheck, substitute, _nnf, _hoist,
+# the grounder) on those and on nested binders
 def texts(fragments):
     return st.lists(
         st.one_of(

@@ -1,6 +1,7 @@
 """AST utilities: parsing, unparsing, typing, classification, substitution."""
 
 import dataclasses
+import functools
 import random
 import typing
 
@@ -11,13 +12,13 @@ from deflog.evaluator import EvalContext, _probe_safe, evaluate
 from deflog.interpretation import read_structure
 from deflog.parser import parse_formula, parse_ruleset, parse_theory
 from deflog.syntax import (
-    FRAGMENT_ASO, FRAGMENT_ESO, FRAGMENT_FO, FRAGMENT_SO, Atom1, Expr,
-    ForallFO, IntTerm, NameGen, Not, Rule, RuleSet, _fragments, classify,
-    free_symbols, map_children, substitute, typecheck, unparse,
+    FRAGMENT_ASO, FRAGMENT_ESO, FRAGMENT_FO, FRAGMENT_SO, And, Atom1, ExistsFO, ExistsSO,
+    Expr, ForallFO, ForallSO, IntTerm, Let, NameGen, Not, Or, Rule, RuleSet, children,
+    classify, fold, free_symbols, substitute, typecheck, unparse,
 )
 from deflog.vocab import CONST, Symbol, Vocabulary, pred, so_pred
 
-from gen import random_formula, random_tree
+from gen import P1, PROPS, SO1, SO_HEAD, random_formula, random_tree
 from oracles import oracle_classify, oracle_kv
 
 p2 = Symbol("p", pred(2))
@@ -197,6 +198,37 @@ class TestClassify:
         assert seen == {FRAGMENT_FO, FRAGMENT_ESO, FRAGMENT_ASO, FRAGMENT_SO}
 
 
+_SCOPES = (ForallFO, ExistsFO, ForallSO, ExistsSO, Let)
+
+
+class TestRuns:
+    def test_a_left_nested_chain_is_its_flat_run(self):
+        # a run of & or | has one representation, whatever built it, and
+        # prints as the left-nested chain the parser reads back
+        vocab = Vocabulary.of([*PROPS, P1, SO1, SO_HEAD])
+        rng = random.Random(61)
+        reparsed = 0
+        for n in range(600):
+            parts = [random_tree(rng, rng.randint(0, 2)) if n % 2 else
+                     random_formula(rng, rng.randint(0, 2)) for _ in range(rng.randint(2, 5))]
+            for cls, op in ((And, "&"), (Or, "|")):
+                nested, flat = functools.reduce(cls, parts), cls(*parts)
+                assert nested == flat and hash(nested) == hash(flat)
+                assert len(flat.args) >= len(parts)  # first operands of cls spliced in
+                words = [unparse(x) for x in flat.args]
+                if isinstance(flat.args[0], _SCOPES):
+                    words[0] = f"({words[0]})"
+                text = unparse(flat)
+                assert unparse(nested) == text == functools.reduce(
+                    lambda a, b: f"({a} {op} {b})", words)
+                try:
+                    assert parse_formula(text, vocab) == flat
+                    reparsed += 1
+                except ParseError as exc:  # the generator reuses Y in nested SO rule heads
+                    assert "must be a fresh name" in str(exc)
+        assert reparsed > 1000
+
+
 class TestStructure:
     # one sample value per field annotation of the expression classes
     SAMPLES = {
@@ -223,8 +255,8 @@ class TestStructure:
     }
 
     def test_every_node_kind_is_known_to_the_primitives(self):
-        # a new node kind fails here until map_children, the classifier,
-        # the probe-safety predicate and the evaluator's compiler handle it
+        # a new node kind fails here until fold, the classifier, the
+        # probe-safety predicate and the evaluator's compiler handle it
         i = read_structure("domain = {1, 2}\nc = 1\nr = {(1): t, (2): f}\nq = {(): u}\n", VOCAB)
         for cls in typing.get_args(Expr):
             typed = parse(self.TYPED[cls.__name__])
@@ -232,11 +264,16 @@ class TestStructure:
             assert evaluate(typed, i) is oracle_kv(typed, i, EvalContext())
             assert "_fn" in vars(typed)  # compiled once, kept on the node
             kinds = [f.type.strip("'\"") for f in dataclasses.fields(cls)]
-            e = cls(*(self.SAMPLES[k] for k in kinds))
+            run = cls in (And, Or)
+            e = cls(*(self.SAMPLES[k] for k in kinds)) if not run else cls(
+                self.SAMPLES["Expr"], self.SAMPLES["Expr"])
             visited = []
-            assert map_children(e, lambda x: visited.append(x) or x) == e
-            assert len(visited) == kinds.count("Expr") + kinds.count("RuleSet")
-            _fragments(e)
+            fold(e, lambda n, results: visited.append((n, results)) or len(visited))
+            # each child once, then the node, given the children's results
+            assert [n for n, _ in visited] == [*children(e), e]
+            assert list(visited[-1][1]) == list(range(1, len(visited)))
+            assert len(visited) == 1 + (2 if run else kinds.count("Expr") + kinds.count("RuleSet"))
+            classify(e)
             assert _probe_safe(e) is (cls.__name__ in self.PROBE_SAFE)
         count = parse("#{x: r(x)} > 0")
         assert _probe_safe(count)
