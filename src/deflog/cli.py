@@ -60,25 +60,26 @@ def _handles_errors(fn):
     return wrapper
 
 
+# the cap flags every verb takes: flag, Limits field, help
+_LIMIT_FLAGS = (
+    ("--max-atoms", "max_defined_atoms", "Cap on defined atoms in model enumerations."),
+    ("--max-completions", "max_unknowns",
+     "Cap n on unknown atoms completed at once (2^n completions)."),
+    ("--max-carrier", "max_carrier", "Cap on tuples in one predicate carrier and domain elements."),
+)
+
+
 def _limit_options(fn):
-    fn = click.option(
-        "--max-atoms", type=int, default=None,
-        help="Cap on defined atoms in model enumerations.",
-    )(fn)
-    fn = click.option(
-        "--max-completions", type=int, default=None,
-        help="Cap n on unknown atoms completed at once (2^n completions).",
-    )(fn)
-    return fn
+    """The cap flags, passed to fn as one `limits` argument."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        caps = {field: kwargs.pop(field) for _, field, _ in _LIMIT_FLAGS}
+        limits = DEFAULT_LIMITS.with_(**{k: v for k, v in caps.items() if v is not None})
+        return fn(*args, limits=limits, **kwargs)
 
-
-def _limits(max_atoms: int | None, max_completions: int | None) -> Limits:
-    limits = DEFAULT_LIMITS
-    if max_atoms is not None:
-        limits = limits.with_(max_defined_atoms=max_atoms)
-    if max_completions is not None:
-        limits = limits.with_(max_unknowns=max_completions)
-    return limits
+    for flag, field, text in _LIMIT_FLAGS:
+        wrapper = click.option(flag, field, type=int, default=None, help=text)(wrapper)
+    return wrapper
 
 
 def _read_theory(path: str) -> Theory:
@@ -194,10 +195,9 @@ def classify_cmd(theory_file: str, as_json: bool) -> None:
 @_handles_errors
 def eval_cmd(
     theory_file: str, structure_file: str, mode: str, as_json: bool,
-    color: bool, max_atoms, max_completions,
+    color: bool, limits: Limits,
 ) -> None:
     """Evaluate every named formula of a theory against a structure."""
-    limits = _limits(max_atoms, max_completions)
     theory = _read_theory(theory_file)
     struct = _read_struct(structure_file, theory, limits)
     emode = KLEENE if mode == "kleene" else SUPERVALUATION
@@ -229,11 +229,9 @@ def _definition_context(theory, struct, ruleset):
 @_limit_options
 @_handles_errors
 def wfm_cmd(
-    theory_file: str, structure_file: str, def_name, as_json: bool,
-    max_atoms, max_completions,
+    theory_file: str, structure_file: str, def_name, as_json: bool, limits: Limits,
 ) -> None:
     """Print the well-founded model of a definition in a context structure."""
-    limits = _limits(max_atoms, max_completions)
     theory = _read_theory(theory_file)
     struct = _read_struct(structure_file, theory, limits)
     _, rs = _pick("definition", theory.definitions, def_name)
@@ -253,11 +251,9 @@ def wfm_cmd(
 @_limit_options
 @_handles_errors
 def stable_cmd(
-    theory_file: str, structure_file: str, def_name, as_json: bool,
-    max_atoms, max_completions,
+    theory_file: str, structure_file: str, def_name, as_json: bool, limits: Limits,
 ) -> None:
     """List all stable models of a definition in a context structure."""
-    limits = _limits(max_atoms, max_completions)
     theory = _read_theory(theory_file)
     struct = _read_struct(structure_file, theory, limits)
     name, rs = _pick("definition", theory.definitions, def_name)
@@ -313,12 +309,10 @@ def _mx_models(theory: Theory, struct: PartialInterpretation, limits: Limits):
 @_limit_options
 @_handles_errors
 def mx_cmd(
-    theory_file: str, structure_file: str, as_json: bool,
-    max_atoms, max_completions,
+    theory_file: str, structure_file: str, as_json: bool, limits: Limits,
 ) -> None:
     """Model expansion: stream all exact expansions of a partial structure
     that satisfy every formula and definition of the theory."""
-    limits = _limits(max_atoms, max_completions)
     theory = _read_theory(theory_file)
     struct = _read_struct(structure_file, theory, limits)
     count = 0
@@ -369,12 +363,10 @@ def _expand_equivalent(phi, expanded, lib, limits) -> bool:
 @_limit_options
 @_handles_errors
 def expand_cmd(
-    theory_file: str, formula_name, check_equiv: bool, as_json: bool,
-    max_atoms, max_completions,
+    theory_file: str, formula_name, check_equiv: bool, as_json: bool, limits: Limits,
 ) -> None:
     """Macro-expand the template atoms of a formula using the theory's
     templates as a library of simple templates."""
-    limits = _limits(max_atoms, max_completions)
     theory = _read_theory(theory_file)
     name, phi = _pick("formula", theory.formulas, formula_name)
     lib = _library(theory)
@@ -406,12 +398,10 @@ def expand_cmd(
 @_limit_options
 @_handles_errors
 def eliminate_so_cmd(
-    theory_file: str, formula_name, check_equiv: bool, as_json: bool,
-    max_atoms, max_completions,
+    theory_file: str, formula_name, check_equiv: bool, as_json: bool, limits: Limits,
 ) -> None:
     """Rewrite an existential second order formula into a first order one
     over fresh free predicate symbols."""
-    limits = _limits(max_atoms, max_completions)
     theory = _read_theory(theory_file)
     name, phi = _pick("formula", theory.formulas, formula_name)
     matrix, skolems = eliminate_so(phi)
@@ -448,9 +438,8 @@ def eliminate_so_cmd(
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 @_limit_options
 @_handles_errors
-def validate_lib_cmd(theory_file: str, as_json: bool, max_atoms, max_completions) -> None:
+def validate_lib_cmd(theory_file: str, as_json: bool, limits: Limits) -> None:
     """Validate the theory's templates as a stratified library."""
-    limits = _limits(max_atoms, max_completions)
     theory = _read_theory(theory_file)
     report = validate_library(_library(theory), limits=limits)
     if as_json:
@@ -480,11 +469,9 @@ def validate_lib_cmd(theory_file: str, as_json: bool, max_atoms, max_completions
 @_limit_options
 @_handles_errors
 def apply_lib_cmd(
-    theory_file: str, structure_file: str, as_json: bool,
-    max_atoms, max_completions,
+    theory_file: str, structure_file: str, as_json: bool, limits: Limits,
 ) -> None:
     """Expand a structure with the value of every template symbol."""
-    limits = _limits(max_atoms, max_completions)
     theory = _read_theory(theory_file)
     struct = _read_struct(structure_file, theory, limits)
     lib = _library(theory)

@@ -32,10 +32,16 @@ A rule set used as a formula is the glb over the exact completions of
 the unknown atoms it reads, searched depth first.  The well-founded model
 is precision-monotone in its context, so the three-valued one at a node
 holds below it and may already decide the subtree (`_agreement`).
+
+Supervaluation searches a probe-safe formula's residual interned in a
+unique table (`_residual_glb`): equal sub-residuals are one node, and one
+with no opaque leaf is searched once, as its values are the same anywhere.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -451,56 +457,97 @@ class _Ground:
 # exactly where the formula's Kleene value is exact.
 
 
-def _substitute(n, x: int, c: int, memo: dict):
-    """Residual n with value index x set to the code c, re-simplified; memo
-    holds the result per node, as a ground iff shares its sides."""
-    if type(n) is int:
-        return c if n == x else n
-    if id(n) not in memo:
-        memo[id(n)] = _negate(_substitute(n[1], x, c, memo)) if n[0] == _NOT else _connect(
-            n[0], [_substitute(k, x, c, memo) for k in n[1]])
-    return memo[id(n)]
+class _Node:  # op, kids (value indices or nodes) and the mask of the indices read
+    __slots__ = ("op", "kids", "reads", "__weakref__")
 
 
-def _indices(n) -> set:
-    """The value indices residual n reads."""
-    out, seen, stack = set(), set(), [n]
-    while stack:
-        n = stack.pop()
+class _Residual:
+    """The tables of one search on the residual of a formula ground by g:
+    `unique` maps (op, kids) to its one node (Bryant's unique table), `subs`
+    holds x := c per node and `done` the value of a leaf-free node whose
+    search ran to the end.  Read bits follow value index order, the opaque
+    leaves last, so a mask at or above `leafy` reads a leaf."""
+
+    def __init__(self, g: _Ground):
+        self.g, self.order = g, sorted(g.reads) + [slot for slot, _, _ in g.leaf]
+        self.bit = {x: 1 << b for b, x in enumerate(self.order)}
+        self.leafy, self.unique, self.subs, self.done = 1 << len(g.reads), {}, {}, {}
+
+    def reads(self, n) -> int:
+        return n.reads if type(n) is _Node else self.bit.get(n, 0)
+
+    def node(self, op: int, kids: tuple) -> _Node:
+        n = self.unique.get((op, kids))
+        if n is None:
+            n = self.unique[op, kids] = _Node()
+            n.op, n.kids, n.reads = op, kids, functools.reduce(operator.or_, map(self.reads, kids))
+        return n
+
+    def connect(self, op: int, kids: list):
+        n = _connect(op, [y for k in kids  # _connect splices tuples, not nodes
+                          for y in (k.kids if type(k) is _Node and k.op == op else (k,))])
+        return self.node(op, tuple(n[1])) if type(n) is tuple else n
+
+    def negate(self, n):
+        m = n.kids[0] if type(n) is _Node and n.op == _NOT else _negate(n)
+        return self.node(_NOT, (n,)) if type(m) is tuple else m
+
+    def intern(self, n, memo: dict):
+        """Ground residual n as nodes, once per tuple: a ground iff shares its sides."""
+        if type(n) is not int and id(n) not in memo:
+            kids = (n[1],) if n[0] == _NOT else n[1]
+            memo[id(n)] = self.node(n[0], tuple([self.intern(k, memo) for k in kids]))
+        return n if type(n) is int else memo[id(n)]
+
+    def sub(self, n, x: int, c: int):
+        """n with value index x set to the code c, re-simplified: n itself
+        if it does not read x, else once per (n, x, c)."""
         if type(n) is int:
-            out.add(n)
-        elif id(n) not in seen:
-            seen.add(id(n))
-            if n[0] == _NOT:
-                stack.append(n[1])
-            else:
-                stack.extend(n[1])
-    return out
+            return c if n == x else n
+        b = self.bit.get(x, 0)  # a held node may branch on an atom it does not read
+        if not n.reads & b:
+            return n
+        out = self.subs.get((n, x, c))
+        if out is None:
+            kids = [(c if k == x else k) if type(k) is int else self.sub(k, x, c)
+                    if k.reads & b else k for k in n.kids]
+            out = self.subs[n, x, c] = (
+                self.negate(kids[0]) if n.op == _NOT else self.connect(n.op, kids))
+        return out
 
 
-def _search(g: _Ground, n, seen: set) -> None:
+def _search(r: _Residual, n, seen: set) -> None:
     """Add to `seen` residual n's values over the refinements of its u atoms
     to t then f, depth first, until it holds both.  n's opaque leaves are
-    valued at the node, an exact one for good.  A constant n is decided;
-    else it branches on the first atom it reads (one it does not read has
-    two equal subtrees) or, while it holds a leaf, on the first unassigned."""
+    valued at the node, an exact one for good.  A constant n is decided and
+    a leaf-free n searched before adds its value; else n branches on the
+    first atom it reads (one it does not read has two equal subtrees) or,
+    while it holds a leaf, on the first unassigned."""
     if len(seen) > 1:
         return
-    reads, j = _indices(n), None
-    for slot, fn, env in g.leaf:
-        if slot in reads:
-            j = j or g.interpretation()
-            v = _code(fn(j, env, g.ctx))
-            n = n if v == 1 else _substitute(n, slot, v, {})
-    reads = _indices(n) if j else reads
+    g, reads = r.g, r.reads(n)
+    if reads >= r.leafy:
+        j = g.interpretation()
+        for slot, fn, env in g.leaf:
+            if reads & r.bit[slot]:
+                v = _code(fn(j, env, g.ctx))
+                n = n if v == 1 else r.sub(n, slot, v)
+        reads = r.reads(n)
     if type(n) is int and n < _ATOMS:
         return seen.add(n)
-    held = g.leaf and max(reads) >= g.leaf[0][0]
-    x = next(a for a in range(_ATOMS, g.leaf[0][0]) if g.val[a] == 1) if held else min(reads)
+    held = reads >= r.leafy
+    if held:
+        x = next(a for a in range(_ATOMS, g.leaf[0][0]) if g.val[a] == 1)
+    elif n in r.done:
+        return seen.add(r.done[n])
+    else:
+        x = r.order[(reads & -reads).bit_length() - 1]
     for c in (2, 0):
         g.val[x] = c
-        _search(g, _substitute(n, x, c, {}), seen)
+        _search(r, r.sub(n, x, c), seen)
     g.val[x] = 1
+    if len(seen) == 1 and not held:  # no early stop below n: seen is its value
+        r.done[n] = next(iter(seen))
 
 
 def _residual_glb(e, i: PartialInterpretation, atoms: list, limits: Limits) -> TV:
@@ -508,7 +555,9 @@ def _residual_glb(e, i: PartialInterpretation, atoms: list, limits: Limits) -> T
     if len(atoms) > limits.max_unknowns:
         raise CapExceeded(f"{len(atoms)} unknown atoms exceed cap {limits.max_unknowns}")
     g, seen = _Ground(None, i, limits, symbols={a.predicate for a in atoms}), set()
-    _search(g, g.ground(e, {}, _compiled(e)), seen)
+    root = g.ground(e, {}, _compiled(e))
+    r = _Residual(g)
+    _search(r, r.intern(root, {}), seen)
     return U if len(seen) > 1 else (F, U, T)[seen.pop()]
 
 

@@ -18,7 +18,8 @@ Two modes:
   symbols.  A probe-safe formula is ground once into a residual over its
   u atoms and searched depth first on that residual, which decides a
   subtree once it is constant and never branches on an atom it no
-  longer reads; other formulas are evaluated at the leaves only.
+  longer reads, and searches once a residual that several assignments
+  reach (equal sub-residuals are one node); others are valued at leaves.
 
 Both satisfy locality, exactness on exact interpretations, and
 precision monotonicity; supervaluation is at least as precise as

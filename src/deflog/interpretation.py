@@ -380,6 +380,9 @@ class _StructReader(_Cursor):
             kind, text, _ = tok
             if kind == "int" and ".." in text:
                 lo, hi = (int(p) for p in text.split(".."))
+                if len(out) + hi - lo + 1 > self.limits.max_carrier:
+                    raise CapExceeded(f"domain of {len(out) + hi - lo + 1} elements exceeds cap "
+                                      f"{self.limits.max_carrier} (--max-carrier)")
                 out.extend(range(lo, hi + 1))
             elif kind == "int":
                 out.append(int(text))

@@ -18,6 +18,8 @@ class Limits:
     # max |D|^n for a first order predicate used as a second order
     # argument value (2^(|D|^n) exact relations get enumerated)
     max_so_arg_base: int = 9
+    # max tuples in a predicate carrier or domain (27x the largest tests and benchmarks build)
+    max_carrier: int = 100_000
 
     def with_(self, **kw) -> "Limits":
         return replace(self, **kw)

@@ -76,9 +76,28 @@ class Cmp:
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not:
+    """Negation.  Equality, hash and repr loop over a ~ run, so a rule set
+    can hash and order (by repr) a deep one; repr is the dataclass one."""
+
     body: "Expr"
+
+    def _run(self) -> tuple:  # the ~ run's length and the formula under it
+        n, e = 0, self
+        while type(e) is Not:
+            n, e = n + 1, e.body
+        return n, e
+
+    def __eq__(self, other) -> bool:
+        return self._run() == other._run() if type(other) is Not else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._run())
+
+    def __repr__(self) -> str:
+        n, e = self._run()
+        return "Not(body=" * n + repr(e) + ")" * n
 
 
 class _Run:

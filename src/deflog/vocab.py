@@ -9,6 +9,7 @@ predicate types or the domain type.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -180,10 +181,14 @@ def arg_value_space(
 def predicate_carrier(
     t: Type, domain: Sequence, limits: Limits = DEFAULT_LIMITS
 ) -> list[tuple]:
-    """The set of argument tuples (domain atom keys) of a predicate type."""
-    if t.kind == "pred":
-        return list(itertools.product(domain, repeat=t.arity))
-    if t.kind == "so-pred":
-        spaces = [arg_value_space(a, domain, limits) for a in t.args]
-        return list(itertools.product(*spaces))
-    raise TypeError_(f"{t} is not a predicate type")
+    """The set of argument tuples (domain atom keys) of a predicate type,
+    at most `limits.max_carrier` of them."""
+    if not t.is_predicate:
+        raise TypeError_(f"{t} is not a predicate type")
+    spaces = [domain] * t.arity if t.kind == "pred" else [
+        arg_value_space(a, domain, limits) for a in t.args]
+    size = math.prod(map(len, spaces))
+    if size > limits.max_carrier:
+        raise CapExceeded(f"carrier of {size} tuples exceeds cap {limits.max_carrier} "
+                          "(--max-carrier)")
+    return list(itertools.product(*spaces))

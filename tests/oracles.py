@@ -12,6 +12,11 @@
   (`classical_eval`) and the supervaluation as a plain loop over every
   completion (`super_oracle`), sharing nothing with the pruned
   depth-first search of `PartialInterpretation.refinements`.
+* The residual search of supervaluation as first written
+  (`oracle_residual_search`): each node substitutes into the whole
+  residual and walks it again for the atoms it reads.  The interned
+  search of `deflog.definitions` must give the same value and visit no
+  more nodes.
 * Variable binding as first written (`rebuild_expand`, `rebuild_revise`,
   `rebuild_restrict`): copy the assignments into a dict, change it, sort
   the items by name (stable) and construct afresh.  The sort-free
@@ -312,6 +317,80 @@ def super_oracle(e, i, holds=classical_eval) -> TV:
     if results == {False}:
         return F
     return U
+
+
+# ---------------------------------------------------------------------------
+# The residual search as first written: every node rebuilds its residual and
+# walks it again for the atoms it reads.  The search of deflog.definitions
+# interns the residual and searches each distinct leaf-free one once; it
+# must give the same value and visit no more nodes.
+
+
+def _substitute(n, x: int, c: int, memo: dict):
+    """Residual n with value index x set to the code c, re-simplified; memo
+    holds the result per node, as a ground iff shares its sides."""
+    if type(n) is int:
+        return c if n == x else n
+    if id(n) not in memo:
+        if n[0] == definitions._NOT:
+            memo[id(n)] = definitions._negate(_substitute(n[1], x, c, memo))
+        else:
+            memo[id(n)] = definitions._connect(n[0], [_substitute(k, x, c, memo) for k in n[1]])
+    return memo[id(n)]
+
+
+def _indices(n) -> set:
+    """The value indices residual n reads."""
+    out, seen, stack = set(), set(), [n]
+    while stack:
+        n = stack.pop()
+        if type(n) is int:
+            out.add(n)
+        elif id(n) not in seen:
+            seen.add(id(n))
+            if n[0] == definitions._NOT:
+                stack.append(n[1])
+            else:
+                stack.extend(n[1])
+    return out
+
+
+def _search(g, n, seen: set, nodes: list) -> None:
+    """Add to `seen` residual n's values, as `definitions._search` did before
+    it interned the residual; `nodes` gets one entry per node."""
+    nodes.append(1)
+    if len(seen) > 1:
+        return
+    reads, j = _indices(n), None
+    for slot, fn, env in g.leaf:
+        if slot in reads:
+            j = j or g.interpretation()
+            v = definitions._code(fn(j, env, g.ctx))
+            n = n if v == 1 else _substitute(n, slot, v, {})
+    reads = _indices(n) if j else reads
+    if type(n) is int and n < definitions._ATOMS:
+        return seen.add(n)
+    held = g.leaf and max(reads) >= g.leaf[0][0]
+    if held:
+        x = next(a for a in range(definitions._ATOMS, g.leaf[0][0]) if g.val[a] == 1)
+    else:
+        x = min(reads)
+    for c in (2, 0):
+        g.val[x] = c
+        _search(g, _substitute(n, x, c, {}), seen, nodes)
+    g.val[x] = 1
+
+
+def oracle_residual_search(e, i, limits=DEFAULT_LIMITS) -> tuple:
+    """The value of probe-safe e searched on its residual as first written,
+    and the number of nodes the search visited."""
+    atoms = i.u_atoms(s for s in free_symbols(e) if s.type.is_predicate)
+    if len(atoms) > limits.max_unknowns:
+        raise CapExceeded(f"{len(atoms)} unknown atoms exceed cap {limits.max_unknowns}")
+    g = definitions._Ground(None, i, limits, symbols={a.predicate for a in atoms})
+    seen, nodes = set(), []
+    _search(g, g.ground(e, {}, definitions._compiled(e)), seen, nodes)
+    return U if len(seen) > 1 else (F, U, T)[seen.pop()], len(nodes)
 
 
 # ---------------------------------------------------------------------------

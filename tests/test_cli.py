@@ -228,6 +228,17 @@ class TestDeepInputs:
         r = CliRunner().invoke(main, ["classify", str(theory)])
         assert (r.exit_code, r.output) == (0, "formula deep: FO(ID*)\n")
 
+    def test_wfm_reads_a_deep_negation_body(self, tmp_path):
+        # the rule set hashes and orders its rules by repr, which loop over
+        # a ~ run
+        theory = tmp_path / "t.theory"
+        theory.write_text("vocab { p: pred/0; q: pred/0; }\n"
+                          f"definition d {{ p <- {'~' * DEEP}q. q <- q. }}\n")
+        struct = tmp_path / "s.struct"
+        struct.write_text("domain = {a}\n")
+        r = CliRunner().invoke(main, ["wfm", str(theory), str(struct)])
+        assert (r.exit_code, r.output) == (0, "domain = {a}\np = {*: f}\nq = {*: f}\n")
+
     def test_what_still_recurses_is_an_input_error(self, tmp_path):
         theory = tmp_path / "t.theory"
         theory.write_text(f"vocab {{ p: pred/0; }}\nformula deep {{ {'(' * DEEP}p{')' * DEEP} }}\n")
@@ -269,6 +280,26 @@ def test_supervaluation_cap_exhaustion(tmp_path):
     r = CliRunner().invoke(main, [*argv[:3], "--max-completions", "2", *argv[3:]])
     assert r.exit_code == 3
     assert r.stderr == "error: 3 unknown atoms exceed cap 2\n"
+
+
+def test_structure_carrier_cap(tmp_path):
+    # the cap is checked from the carrier's size, before it is built
+    theory = tmp_path / "t.theory"
+    theory.write_text("vocab { e: pred/2; }\n")
+    struct = tmp_path / "s.struct"
+    for domain, message in (
+        ("{1..600}", "carrier of 360000 tuples exceeds cap 100000"),
+        ("{a, 1..100000}", "domain of 100001 elements exceeds cap 100000"),
+    ):
+        struct.write_text(f"domain = {domain}\n")
+        r = CliRunner().invoke(main, ["eval", str(theory), str(struct)])
+        assert (r.exit_code, r.stderr) == (3, f"error: {message} (--max-carrier)\n")
+    struct.write_text("domain = {1..20}\n")
+    argv = ["eval", str(theory), str(struct)]
+    assert CliRunner().invoke(main, argv).exit_code == 0
+    r = CliRunner().invoke(main, [*argv[:1], "--max-carrier", "399", *argv[1:]])
+    assert (r.exit_code, r.stderr) == (
+        3, "error: carrier of 400 tuples exceeds cap 399 (--max-carrier)\n")
 
 
 def test_definition_cap_holds_where_the_root_model_decides(tmp_path):

@@ -9,6 +9,7 @@ variable by expanding the interpretation) for the compiled closures."""
 import functools
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -24,7 +25,7 @@ from deflog.limits import Limits
 from deflog.parser import parse_formula, parse_theory
 from deflog.syntax import (
     Aggregate, And, Atom1, DefinitionExpr, ExistsFO, ExistsSO, ForallFO,
-    IntTerm, Let, Not, Or, Rule, RuleSet, SymTerm, fold, free_symbols,
+    Iff, IntTerm, Let, Not, Or, Rule, RuleSet, SymTerm, fold, free_symbols,
     unparse,
 )
 from deflog.truthvalues import F, T, U, PartialSet, leq_prec
@@ -34,7 +35,9 @@ from gen import (
     P0, P1, PROPS, Q0, R0, SO1, SO_HEAD, random_formula, random_interpretation,
     random_tree,
 )
-from oracles import bind_head, classical_eval, oracle_kv, super_oracle
+from oracles import (
+    bind_head, classical_eval, oracle_kv, oracle_residual_search, super_oracle,
+)
 
 SAMPLES = 500
 
@@ -305,9 +308,10 @@ def value_or_error(run):
 
 class TestResidualSearch:
     """A probe-safe formula is ground once at the root and its residual is
-    searched, branching only on atoms the residual still reads; oracles
-    are the flat loop over every completion and the probe search it
-    replaced (`PartialInterpretation.glb` with a Kleene probe)."""
+    searched, interned, branching only on atoms the residual still reads;
+    oracles are the flat loop over every completion, the probe search it
+    replaced (`PartialInterpretation.glb` with a Kleene probe) and, for
+    the node count, the residual search as first written."""
 
     def cases(self, n, seed):
         """n probe-safe `random_tree` formulas over a constant c, each with a
@@ -327,13 +331,33 @@ class TestResidualSearch:
                     {k: v for k, v in i.value(P1).items() if k != drop}))
             yield e, i.expand(C, rng.choice(domain)) if rng.random() < 0.8 else i
 
-    def test_value_error_and_record_match_the_flat_oracle(self):
-        kinds, values, errors = set(), set(), set()
-        for e, i in self.cases(1200, 97):
+    @pytest.fixture
+    def against_oracles(self, monkeypatch):
+        """run(e, i): the search's value or error, checked against the flat
+        oracle with the caller's record untouched and against the search as
+        first written with no more nodes; returns it, the nodes searched and
+        the nodes that search visited (0 and 0 where both raised)."""
+        nodes, search = [], definitions._search
+        monkeypatch.setattr(definitions, "_search", lambda *a: nodes.append(1) or search(*a))
+
+        def run(e, i):
+            nodes.clear()
             ctx = EvalContext()
             got = value_or_error(lambda: evaluate(e, i, SUPERVALUATION, _ctx=ctx))
             assert got == value_or_error(lambda: super_oracle(e, i, exact_holds)), unparse(e)
             assert ctx.record == set()
+            first = value_or_error(lambda: oracle_residual_search(e, i))
+            assert (first[0] and first[0][0], first[1]) == got, unparse(e)
+            if got[1]:
+                return got, 0, 0
+            assert len(nodes) <= first[0][1], unparse(e)
+            return got, len(nodes), first[0][1]
+        return run
+
+    def test_value_error_and_record_match_the_flat_oracle(self, against_oracles):
+        kinds, values, errors = set(), set(), set()
+        for e, i in self.cases(1200, 97):
+            got = against_oracles(e, i)[0]
             kinds |= node_kinds(e)
             values.add(got[0])
             errors.add(got[1] and got[1][1].split()[-1])
@@ -369,7 +393,7 @@ class TestResidualSearch:
             assert i.glb(unknown, Limits(), kleene, kleene) is value
             assert len(searched) <= len(probed), unparse(e)
             totals = [totals[0] + len(searched), totals[1] + len(probed)]
-        assert totals[0] < totals[1]
+        assert totals[0] < totals[1], totals
 
     @pytest.mark.parametrize("text", [
         "#{x: s(x)} > 0 | ~s(1)",
@@ -378,7 +402,7 @@ class TestResidualSearch:
         "!x: (#{y: s(y)} > 1 => s(x))",
         "#{x: s(x) & p} < 2 & (p | q)",
     ])
-    def test_card_leaves_are_valued_at_each_node(self, text):
+    def test_card_leaves_are_valued_at_each_node(self, text, against_oracles):
         # a leaf that is u at a node may be exact below it: the search
         # must keep it, not read it as the constant u or as an atom
         vocab = Vocabulary.of([P0, Q0, P1])
@@ -387,7 +411,7 @@ class TestResidualSearch:
             i = PartialInterpretation.make((1, 2), {
                 P0: PartialSet.from_map({(): values[0]}), Q0: PartialSet.from_map({(): values[1]}),
                 P1: PartialSet.from_map({(1,): values[2], (2,): values[3]})})
-            assert evaluate(e, i, SUPERVALUATION) is super_oracle(e, i, exact_holds), values
+            against_oracles(e, i)
 
     def test_branches_only_on_atoms_the_residual_reads(self, monkeypatch):
         # z comes last in name order: the probe search in that order
@@ -401,6 +425,74 @@ class TestResidualSearch:
         monkeypatch.setattr(definitions, "_search", lambda *a: nodes.append(1) or search(*a))
         assert evaluate(e, i, SUPERVALUATION) is T
         assert len(nodes) < 100
+
+    def test_tautologies_and_contradictions(self, against_oracles):
+        # small random trees reach few equal residuals: no node more, but
+        # hardly any fewer; trees over 4-8 atoms, each read twice, reach many
+        values, totals, rng = set(), [0, 0], random.Random(101)
+        for k, (phi, i) in enumerate(self.cases(300, 101)):
+            e = Or(phi, Not(phi)) if k % 2 else And(Not(phi), phi)
+            values.add(against_oracles(e, i)[0][0])
+        assert values == {T, F, None}
+        for k in range(40):
+            syms = [Symbol(f"a{n}", pred(0)) for n in range(rng.randint(4, 8))]
+            leaves = [Not(Atom1(s, ())) if rng.random() < 0.5 else Atom1(s, ()) for s in syms * 2]
+            rng.shuffle(leaves)
+            while len(leaves) > 1:  # join two neighbours by & or |
+                n = rng.randrange(len(leaves) - 1)
+                leaves[n:n + 2] = [rng.choice((And, Or))(leaves[n], leaves[n + 1])]
+            phi = leaves[0]
+            i = PartialInterpretation.make(("d",), {s: PartialSet.from_map({(): U}) for s in syms})
+            got, nodes, first = against_oracles(Or(phi, Not(phi)) if k % 2 else And(Not(phi), phi), i)
+            assert got == ((T if k % 2 else F), None)
+            totals = [totals[0] + nodes, totals[1] + first]
+        assert totals[0] < totals[1], totals
+
+    def test_random_3cnf(self, against_oracles):
+        rng, totals, values = random.Random(103), [0, 0], set()
+        for _ in range(60):
+            syms = [Symbol(f"a{n}", pred(0)) for n in range(rng.randint(5, 9))]
+            clauses = [Or(*[Not(a) if rng.random() < 0.5 else a
+                            for a in (Atom1(s, ()) for s in rng.sample(syms, 3))])
+                       for _ in range(rng.randint(len(syms), 6 * len(syms)))]
+            i = PartialInterpretation.make(("d",), {s: PartialSet.from_map(
+                {(): U if rng.random() < 0.8 else rng.choice((T, F))}) for s in syms})
+            got, nodes, first = against_oracles(And(*clauses), i)
+            values.add(got[0])
+            totals = [totals[0] + nodes, totals[1] + first]
+        assert values == {U, F}
+        assert totals[0] < totals[1], totals
+
+    def test_iff_chains(self, against_oracles):
+        rng, totals, values = random.Random(107), [0, 0], set()
+        for _ in range(80):
+            syms = [Symbol(f"a{n}", pred(0)) for n in range(rng.randint(2, 8))]
+            lits = [Atom1(rng.choice(syms), ()) for _ in range(rng.randint(3, 14))]
+            lits = [Not(a) if rng.random() < 0.3 else a for a in lits]
+            e = functools.reduce(Iff, lits) if rng.random() < 0.5 else functools.reduce(
+                lambda a, b: Iff(b, a), reversed(lits))
+            i = PartialInterpretation.make(("d",), {s: PartialSet.from_map({(): U}) for s in syms})
+            got, nodes, first = against_oracles(e, i)
+            values.add(got[0])
+            totals = [totals[0] + nodes, totals[1] + first]
+        assert values == {T, U, F}
+        assert totals[0] < totals[1], totals
+
+    def test_no_table_outlives_the_search(self, monkeypatch):
+        refs, search = [], definitions._search
+
+        def spy(r, n, seen):
+            refs.extend(weakref.ref(x) for x in (r, n) if type(x) is not int)
+            return search(r, n, seen)
+
+        monkeypatch.setattr(definitions, "_search", spy)
+        vocab = Vocabulary.of([P0, Q0, R0, P1])
+        e = parse_formula("((p & q) | (~r & s(1)) | s(2)) <=> ~(~(p & q) & ~(~r & s(1)) & ~s(2))",
+                          vocab)
+        i = read_structure("domain = {1, 2}\n", vocab)
+        assert evaluate(e, i, SUPERVALUATION) is T
+        assert len(refs) > 10
+        assert all(ref() is None for ref in refs)
 
 
 def outcome(run, limits=Limits()):

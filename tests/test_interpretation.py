@@ -226,6 +226,19 @@ class TestStructureFormat:
         assert i == j
         assert write_structure(j) == text
 
+    def test_carrier_cap(self):
+        # a 3,600-tuple structure, as the frontend benchmark reads, is far
+        # below the default cap
+        domain = [f"e{k}" for k in range(60)]
+        text = f"domain = {{{', '.join(domain)}}}\nQ = {{(e0, e1): f, *: t}}\n"
+        vocab = Vocabulary.of([P, Q])
+        i = read_structure(text, vocab)
+        assert len(i.value(Q).carrier) == 3600 and i.value(Q).value(("e0", "e1")) is F
+        with pytest.raises(CapExceeded, match=r"^carrier of 3600 tuples exceeds cap 3599 "):
+            read_structure(text, vocab, Limits(max_carrier=3599))
+        with pytest.raises(CapExceeded, match=r"^domain of 4 elements exceeds cap 3 "):
+            read_structure("domain = {a, 1..3}\n", vocab, Limits(max_carrier=3))
+
     @pytest.mark.parametrize("bad,msg", [
         ("P = {(a): t}\n", "domain must be declared first"),
         ("domain = {a}\nR = {(a): t}\n", "not in vocabulary"),

@@ -7,6 +7,7 @@ import typing
 
 import pytest
 
+from deflog import syntax
 from deflog.errors import ParseError
 from deflog.evaluator import EvalContext, _probe_safe, evaluate
 from deflog.interpretation import read_structure
@@ -227,6 +228,24 @@ class TestRuns:
                 except ParseError as exc:  # the generator reuses Y in nested SO rule heads
                     assert "must be a fresh name" in str(exc)
         assert reparsed > 1000
+
+    def test_a_negation_run_hashes_compares_and_prints_in_a_loop(self):
+        # repr is the dataclass one, as RuleSet orders its rules by repr
+        @dataclasses.dataclass(frozen=True)
+        class Not:
+            body: object
+
+        Not.__qualname__ = "Not"
+        rng = random.Random(67)
+        for n in range(300):
+            base = random_tree(rng, rng.randint(0, 2))
+            runs = [base, base]
+            for _ in range(rng.randint(1, 4)):
+                runs = [Not(runs[0]), syntax.Not(runs[1])]
+            assert repr(runs[1]) == repr(runs[0])
+            other = syntax.Not(runs[1]) if n % 2 else runs[1].body
+            assert runs[1] == syntax.Not(runs[1].body) and runs[1] != other
+            assert hash(runs[1]) == hash(syntax.Not(runs[1].body))
 
 
 class TestStructure:
