@@ -1,15 +1,19 @@
 """Batch command line frontend.
 
 One verb per semantic operation; files in the theory / structure text
-formats.  Exit codes: 0 success, 1 semantic "no model / not total /
-check failed", 2 input error, 3 resource cap exhausted.  Output is
-deterministic: atoms and names are sorted before printing, and JSON
-output uses stable key order.
+formats.  Every verb is registered through one frame, `_verb`.  The frame
+adds THEORY_FILE (and STRUCTURE_FILE for the verbs that read a
+structure), `--json`, and the cap flags of `limits.CAP_FLAGS` for the
+verbs that enumerate.  It reads the files as UTF-8 with or without a
+byte-order mark, parses them, and passes the verb body `theory`,
+`struct` and one `limits`.  It maps every error to an exit code: 0
+success, 1 semantic "no model / not total / check failed", 2 input
+error, 3 resource cap exhausted.  Output is deterministic: atoms and
+names are sorted before printing, and JSON output uses stable key order.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 
@@ -22,12 +26,12 @@ from .interpretation import (
     PartialInterpretation, _fmt_elem, _fmt_key, read_structure,
     write_structure,
 )
-from .limits import DEFAULT_LIMITS, Limits
+from .limits import CAP_FLAGS, DEFAULT_LIMITS, Limits
 from .parser import Theory, parse_theory
 from .syntax import DefinitionExpr, classify, free_symbols, typecheck, unparse
 from .templates import (
-    Template, TemplateLibrary, apply_library, eliminate_so, macro_expand,
-    sigma_equivalent, validate_library,
+    Template, TemplateLibrary, _exact_interpretations, apply_library,
+    eliminate_so, macro_expand, sigma_equivalent, validate_library,
 )
 from .truthvalues import T
 
@@ -36,6 +40,8 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 _TV_COLORS = {"t": "green", "u": "yellow", "f": "red"}
+# the domains --check-equiv enumerates models over
+_EQUIV_DOMAINS = (("a",), ("a", "b"))
 
 
 def _fail(code: int, message: str) -> None:
@@ -43,53 +49,53 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _handles_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except CapExceeded as exc:
-            _fail(EXIT_CAP, str(exc))
-        except NonTotalDefinitionError as exc:
-            _fail(EXIT_NO_MODEL, str(exc))
-        except (DeflogError, OSError, UnicodeDecodeError) as exc:
-            _fail(EXIT_INPUT, str(exc))
-        except RecursionError:  # nested parentheses, => chains, walkers with scope
-            _fail(EXIT_INPUT, "formula nested too deeply")
-
-    return wrapper
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8-sig") as f:
+        return f.read()
 
 
-# the cap flags every verb takes: flag, Limits field, help
-_LIMIT_FLAGS = (
-    ("--max-atoms", "max_defined_atoms", "Cap on defined atoms in model enumerations."),
-    ("--max-completions", "max_unknowns",
-     "Cap n on unknown atoms completed at once (2^n completions)."),
-    ("--max-carrier", "max_carrier", "Cap on tuples in one predicate carrier and domain elements."),
-)
+@click.group()
+def main() -> None:
+    """Three-valued evaluation, rule set semantics and template rewriting
+    over finite structures."""
 
 
-def _limit_options(fn):
-    """The cap flags, passed to fn as one `limits` argument."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        caps = {field: kwargs.pop(field) for _, field, _ in _LIMIT_FLAGS}
-        limits = DEFAULT_LIMITS.with_(**{k: v for k, v in caps.items() if v is not None})
-        return fn(*args, limits=limits, **kwargs)
+def _verb(name: str, structure: bool = False, caps: bool = True):
+    """Register the decorated body as verb `name`.  The body is called with
+    the parsed `theory`, `as_json`, its own options, `limits` if `caps` and
+    the read `struct` if `structure`."""
+    def register(body):
+        def run(theory_file: str, structure_file: str | None = None, **options) -> None:
+            try:
+                if caps:
+                    options["limits"] = DEFAULT_LIMITS.with_(**{
+                        field: value for _, field, _ in CAP_FLAGS
+                        if (value := options.pop(field)) is not None})
+                theory = parse_theory(_read(theory_file))
+                if structure:
+                    options["struct"] = read_structure(
+                        _read(structure_file), theory.vocabulary, options["limits"])
+                body(theory, **options)
+            except CapExceeded as exc:
+                _fail(EXIT_CAP, str(exc))
+            except NonTotalDefinitionError as exc:
+                _fail(EXIT_NO_MODEL, str(exc))
+            except (DeflogError, OSError, UnicodeDecodeError) as exc:
+                _fail(EXIT_INPUT, str(exc))
+            except RecursionError:  # nested parentheses, => chains, walkers with scope
+                _fail(EXIT_INPUT, "formula nested too deeply")
 
-    for flag, field, text in _LIMIT_FLAGS:
-        wrapper = click.option(flag, field, type=int, default=None, help=text)(wrapper)
-    return wrapper
+        params = [click.Argument(["theory_file"])]
+        if structure:
+            params.append(click.Argument(["structure_file"]))
+        params += reversed(getattr(body, "__click_params__", []))
+        params.append(click.Option(["--json", "as_json"], is_flag=True, help="Emit JSON."))
+        if caps:
+            params += [click.Option([flag, field], type=click.IntRange(min=0), help=text)
+                       for flag, field, text in CAP_FLAGS]
+        return main.command(name, params=params, help=body.__doc__)(run)
 
-
-def _read_theory(path: str) -> Theory:
-    with open(path, encoding="utf-8") as f:
-        return parse_theory(f.read())
-
-
-def _read_struct(path: str, theory: Theory, limits: Limits) -> PartialInterpretation:
-    with open(path, encoding="utf-8") as f:
-        return read_structure(f.read(), theory.vocabulary, limits)
+    return register
 
 
 def _library(theory: Theory) -> TemplateLibrary:
@@ -133,23 +139,39 @@ def _echo_json(payload) -> None:
     click.echo(json.dumps(payload, sort_keys=True, indent=2))
 
 
+def _echo_struct(i: PartialInterpretation, as_json: bool) -> None:
+    if as_json:
+        _echo_json(_struct_json(i))
+    else:
+        click.echo(write_structure(i), nl=False)
+
+
+def _echo_models(models, as_json: bool, noun: str) -> None:
+    """Print models as they come, then their count; exit 1 if there are none."""
+    count = 0
+    collected = []
+    for m in models:
+        count += 1
+        if as_json:
+            collected.append(_struct_json(m))
+        else:
+            click.echo(f"model {count}:")
+            click.echo(write_structure(m), nl=False)
+    if as_json:
+        _echo_json({"count": count, "models": collected})
+    else:
+        click.echo(f"{count} {noun}")
+    if count == 0:
+        sys.exit(EXIT_NO_MODEL)
+
+
 def _styled_tv(v: str, color: bool) -> str:
     return click.style(v, fg=_TV_COLORS[v]) if color else v
 
 
-@click.group()
-def main() -> None:
-    """Three-valued evaluation, rule set semantics and template rewriting
-    over finite structures."""
-
-
-@main.command("typecheck")
-@click.argument("theory_file")
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@_handles_errors
-def typecheck_cmd(theory_file: str, as_json: bool) -> None:
+@_verb("typecheck", caps=False)
+def typecheck_cmd(theory: Theory, as_json: bool) -> None:
     """Type check every formula, definition and template in a theory."""
-    theory = _read_theory(theory_file)
     problems: dict = {}
     for where, obj in _items(theory, ("formula", "definition", "template")):
         diags = typecheck(obj, theory.vocabulary)
@@ -167,13 +189,9 @@ def typecheck_cmd(theory_file: str, as_json: bool) -> None:
         sys.exit(EXIT_INPUT)
 
 
-@main.command("classify")
-@click.argument("theory_file")
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@_handles_errors
-def classify_cmd(theory_file: str, as_json: bool) -> None:
+@_verb("classify", caps=False)
+def classify_cmd(theory: Theory, as_json: bool) -> None:
     """Report the smallest syntactic fragment of each formula/definition."""
-    theory = _read_theory(theory_file)
     rows = {where: classify(obj) for where, obj in _items(theory, ("formula", "definition"))}
     if as_json:
         _echo_json(rows)
@@ -182,24 +200,17 @@ def classify_cmd(theory_file: str, as_json: bool) -> None:
             click.echo(f"{where}: {frag}")
 
 
-@main.command("eval")
-@click.argument("theory_file")
-@click.argument("structure_file")
+@_verb("eval", structure=True)
 @click.option(
     "-m", "--mode", type=click.Choice(["kleene", "super"]), default="kleene",
     show_default=True, help="Evaluation mode.",
 )
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 @click.option("--color", is_flag=True, help="Colorize truth values.")
-@_limit_options
-@_handles_errors
 def eval_cmd(
-    theory_file: str, structure_file: str, mode: str, as_json: bool,
+    theory: Theory, struct: PartialInterpretation, mode: str, as_json: bool,
     color: bool, limits: Limits,
 ) -> None:
     """Evaluate every named formula of a theory against a structure."""
-    theory = _read_theory(theory_file)
-    struct = _read_struct(structure_file, theory, limits)
     emode = KLEENE if mode == "kleene" else SUPERVALUATION
     results = {
         name: evaluate(phi, struct, emode, limits).value
@@ -212,7 +223,7 @@ def eval_cmd(
             click.echo(f"{name}: {_styled_tv(v, color)}")
 
 
-def _definition_context(theory, struct, ruleset):
+def _definition_context(struct, ruleset):
     """Restrict a structure to the parameters of a definition."""
     params = sorted(ruleset.parameters, key=lambda s: s.name)
     missing = [p.name for p in params if not struct.interprets(p)]
@@ -221,53 +232,35 @@ def _definition_context(theory, struct, ruleset):
     return struct.restrict(params)
 
 
-@main.command("wfm")
-@click.argument("theory_file")
-@click.argument("structure_file")
+@_verb("wfm", structure=True)
 @click.option("-d", "--definition", "def_name", default=None, help="Definition name.")
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@_limit_options
-@_handles_errors
 def wfm_cmd(
-    theory_file: str, structure_file: str, def_name, as_json: bool, limits: Limits,
+    theory: Theory, struct: PartialInterpretation, def_name, as_json: bool, limits: Limits,
 ) -> None:
     """Print the well-founded model of a definition in a context structure."""
-    theory = _read_theory(theory_file)
-    struct = _read_struct(structure_file, theory, limits)
     _, rs = _pick("definition", theory.definitions, def_name)
-    context = _definition_context(theory, struct, rs)
-    wfm = well_founded_model(rs, context, limits)
-    if as_json:
-        _echo_json(_struct_json(wfm))
-    else:
-        click.echo(write_structure(wfm), nl=False)
+    _echo_struct(well_founded_model(rs, _definition_context(struct, rs), limits), as_json)
 
 
-@main.command("stable")
-@click.argument("theory_file")
-@click.argument("structure_file")
+@_verb("stable", structure=True)
 @click.option("-d", "--definition", "def_name", default=None, help="Definition name.")
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@_limit_options
-@_handles_errors
 def stable_cmd(
-    theory_file: str, structure_file: str, def_name, as_json: bool, limits: Limits,
+    theory: Theory, struct: PartialInterpretation, def_name, as_json: bool, limits: Limits,
 ) -> None:
     """List all stable models of a definition in a context structure."""
-    theory = _read_theory(theory_file)
-    struct = _read_struct(structure_file, theory, limits)
-    name, rs = _pick("definition", theory.definitions, def_name)
-    context = _definition_context(theory, struct, rs)
+    _, rs = _pick("definition", theory.definitions, def_name)
+    context = _definition_context(struct, rs)
     models = sorted(stable_models(rs, context, limits), key=write_structure)
-    if as_json:
-        _echo_json({"count": len(models), "models": [_struct_json(m) for m in models]})
-    else:
-        for n, m in enumerate(models, 1):
-            click.echo(f"model {n}:")
-            click.echo(write_structure(m), nl=False)
-        click.echo(f"{len(models)} stable model(s)")
-    if not models:
-        sys.exit(EXIT_NO_MODEL)
+    _echo_models(models, as_json, "stable model(s)")
+
+
+def _with_templates(theory: Theory, struct: PartialInterpretation, limits: Limits):
+    """struct with every template symbol given its library value: template
+    symbols have a fixed meaning, so the values struct gives them are dropped."""
+    lib = _library(theory)
+    template_syms = set(lib.template_symbols())
+    base = struct.restrict([s for s, _ in struct.assignments if s not in template_syms])
+    return apply_library(base, lib, limits)
 
 
 def _mx_models(theory: Theory, struct: PartialInterpretation, limits: Limits):
@@ -277,13 +270,8 @@ def _mx_models(theory: Theory, struct: PartialInterpretation, limits: Limits):
         DefinitionExpr(rs) for _, rs in sorted(theory.definitions.items())
     ]
     if theory.templates:
-        # template symbols have a fixed meaning: pin them, don't guess them
-        lib = _library(theory)
-        template_syms = set(lib.template_symbols())
-        struct = struct.restrict(
-            [s for s, _ in struct.assignments if s not in template_syms]
-        )
-        struct = apply_library(struct, lib, limits)
+        # pin template symbols, don't guess them
+        struct = _with_templates(theory, struct, limits)
     consts = sorted(
         (
             s for s in theory.vocabulary
@@ -302,47 +290,42 @@ def _mx_models(theory: Theory, struct: PartialInterpretation, limits: Limits):
                 yield j
 
 
-@main.command("mx")
-@click.argument("theory_file")
-@click.argument("structure_file")
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@_limit_options
-@_handles_errors
+@_verb("mx", structure=True)
 def mx_cmd(
-    theory_file: str, structure_file: str, as_json: bool, limits: Limits,
+    theory: Theory, struct: PartialInterpretation, as_json: bool, limits: Limits,
 ) -> None:
     """Model expansion: stream all exact expansions of a partial structure
     that satisfy every formula and definition of the theory."""
-    theory = _read_theory(theory_file)
-    struct = _read_struct(structure_file, theory, limits)
-    count = 0
-    collected = []
-    for m in _mx_models(theory, struct, limits):
-        count += 1
-        if as_json:
-            collected.append(_struct_json(m))
-        else:
-            click.echo(f"model {count}:")
-            click.echo(write_structure(m), nl=False)
+    _echo_models(_mx_models(theory, struct, limits), as_json, "model(s)")
+
+
+def _echo_rewrite(payload: dict, lines: list, equivalent, check_equiv: bool,
+                  as_json: bool) -> None:
+    """Print a rewrite as the JSON payload or the text lines, with the
+    verdict of equivalent() under --check-equiv; exit 1 when it is fail."""
+    verdict = None
+    if check_equiv:
+        verdict = "pass" if equivalent() else "fail"
+        payload["equiv"] = verdict
+        lines.append(f"equiv: {verdict}")
     if as_json:
-        _echo_json({"count": count, "models": collected})
+        _echo_json(payload)
     else:
-        click.echo(f"{count} model(s)")
-    if count == 0:
+        for line in lines:
+            click.echo(line)
+    if verdict == "fail":
         sys.exit(EXIT_NO_MODEL)
 
 
 def _expand_equivalent(phi, expanded, lib, limits) -> bool:
     """Exact-model agreement of a formula and its macro expansion at |D| <= 2."""
-    from .templates import _exact_interpretations
-
     template_syms = set(lib.template_symbols())
     sigma = sorted(
         {s for s in free_symbols(phi) | free_symbols(expanded)}
         - template_syms,
         key=lambda s: s.name,
     )
-    for domain in (("a",), ("a", "b")):
+    for domain in _EQUIV_DOMAINS:
         for base in _exact_interpretations(sigma, domain, limits):
             with_templates = apply_library(base, lib, limits)
             lhs = evaluate_exact(phi, with_templates, limits)
@@ -352,95 +335,55 @@ def _expand_equivalent(phi, expanded, lib, limits) -> bool:
     return True
 
 
-@main.command("expand")
-@click.argument("theory_file")
+@_verb("expand")
 @click.option("-f", "--formula", "formula_name", default=None, help="Formula name.")
 @click.option(
     "--check-equiv", is_flag=True,
     help="Verify the expansion against the original by model enumeration at |D| <= 2.",
 )
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@_limit_options
-@_handles_errors
 def expand_cmd(
-    theory_file: str, formula_name, check_equiv: bool, as_json: bool, limits: Limits,
+    theory: Theory, formula_name, check_equiv: bool, as_json: bool, limits: Limits,
 ) -> None:
     """Macro-expand the template atoms of a formula using the theory's
     templates as a library of simple templates."""
-    theory = _read_theory(theory_file)
     name, phi = _pick("formula", theory.formulas, formula_name)
     lib = _library(theory)
     expanded = macro_expand(phi, lib, limits)
-    verdict = None
-    if check_equiv:
-        verdict = "pass" if _expand_equivalent(phi, expanded, lib, limits) else "fail"
-    if as_json:
-        payload = {"formula": name, "expanded": unparse(expanded)}
-        if verdict is not None:
-            payload["equiv"] = verdict
-        _echo_json(payload)
-    else:
-        click.echo(unparse(expanded))
-        if verdict is not None:
-            click.echo(f"equiv: {verdict}")
-    if verdict == "fail":
-        sys.exit(EXIT_NO_MODEL)
+    _echo_rewrite(
+        {"formula": name, "expanded": unparse(expanded)}, [unparse(expanded)],
+        lambda: _expand_equivalent(phi, expanded, lib, limits), check_equiv, as_json)
 
 
-@main.command("eliminate-so")
-@click.argument("theory_file")
+@_verb("eliminate-so")
 @click.option("-f", "--formula", "formula_name", default=None, help="Formula name.")
 @click.option(
     "--check-equiv", is_flag=True,
     help="Verify the rewrite by restricted-model enumeration at |D| <= 2.",
 )
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@_limit_options
-@_handles_errors
 def eliminate_so_cmd(
-    theory_file: str, formula_name, check_equiv: bool, as_json: bool, limits: Limits,
+    theory: Theory, formula_name, check_equiv: bool, as_json: bool, limits: Limits,
 ) -> None:
     """Rewrite an existential second order formula into a first order one
     over fresh free predicate symbols."""
-    theory = _read_theory(theory_file)
     name, phi = _pick("formula", theory.formulas, formula_name)
     matrix, skolems = eliminate_so(phi)
-    verdict = None
-    if check_equiv:
-        sigma = sorted(free_symbols(phi), key=lambda s: s.name)
-        verdict = "pass"
-        for domain in (("a",), ("a", "b")):
-            if not sigma_equivalent(phi, matrix, sigma, domain, limits):
-                verdict = "fail"
-                break
+    sigma = sorted(free_symbols(phi), key=lambda s: s.name)
     skolem_rows = [(s.name, str(s.type)) for s in skolems]
-    if as_json:
-        payload = {
+    _echo_rewrite(
+        {
             "formula": name,
             "rewritten": unparse(matrix),
             "skolems": [{"name": n, "type": t} for n, t in skolem_rows],
-        }
-        if verdict is not None:
-            payload["equiv"] = verdict
-        _echo_json(payload)
-    else:
-        for n, t in skolem_rows:
-            click.echo(f"skolem {n}: {t}")
-        click.echo(unparse(matrix))
-        if verdict is not None:
-            click.echo(f"equiv: {verdict}")
-    if verdict == "fail":
-        sys.exit(EXIT_NO_MODEL)
+        },
+        [*(f"skolem {n}: {t}" for n, t in skolem_rows), unparse(matrix)],
+        lambda: all(sigma_equivalent(phi, matrix, sigma, domain, limits)
+                    for domain in _EQUIV_DOMAINS),
+        check_equiv, as_json)
 
 
-@main.command("validate-lib")
-@click.argument("theory_file")
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@_limit_options
-@_handles_errors
-def validate_lib_cmd(theory_file: str, as_json: bool, limits: Limits) -> None:
+@_verb("validate-lib")
+def validate_lib_cmd(theory: Theory, as_json: bool, limits: Limits) -> None:
     """Validate the theory's templates as a stratified library."""
-    theory = _read_theory(theory_file)
     report = validate_library(_library(theory), limits=limits)
     if as_json:
         _echo_json(
@@ -462,28 +405,12 @@ def validate_lib_cmd(theory_file: str, as_json: bool, limits: Limits) -> None:
         sys.exit(EXIT_NO_MODEL)
 
 
-@main.command("apply-lib")
-@click.argument("theory_file")
-@click.argument("structure_file")
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@_limit_options
-@_handles_errors
+@_verb("apply-lib", structure=True)
 def apply_lib_cmd(
-    theory_file: str, structure_file: str, as_json: bool, limits: Limits,
+    theory: Theory, struct: PartialInterpretation, as_json: bool, limits: Limits,
 ) -> None:
     """Expand a structure with the value of every template symbol."""
-    theory = _read_theory(theory_file)
-    struct = _read_struct(structure_file, theory, limits)
-    lib = _library(theory)
-    template_syms = set(lib.template_symbols())
-    base = struct.restrict(
-        [s for s, _ in struct.assignments if s not in template_syms]
-    )
-    expanded = apply_library(base, lib, limits)
-    if as_json:
-        _echo_json(_struct_json(expanded))
-    else:
-        click.echo(write_structure(expanded), nl=False)
+    _echo_struct(_with_templates(theory, struct, limits), as_json)
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .errors import CapExceeded, DeflogError, EvaluationError
+from .errors import DeflogError, EvaluationError
 from .evaluator import EvalContext, _compiled, _probe_safe, _read, _relation_cached
 from .interpretation import PartialInterpretation
 from .limits import DEFAULT_LIMITS, Limits
@@ -69,8 +69,7 @@ def _defined_atoms(d: RuleSet, i: PartialInterpretation) -> list[DomainAtom]:
 def _capped_atoms(d: RuleSet, i0: PartialInterpretation, limits: Limits) -> list[DomainAtom]:
     """The defined atoms to branch on, at most `limits.max_defined_atoms`."""
     atoms = _defined_atoms(d, i0)
-    if len(atoms) > limits.max_defined_atoms:
-        raise CapExceeded(f"{len(atoms)} defined atoms exceed cap {limits.max_defined_atoms}")
+    limits.check("max_defined_atoms", len(atoms), "{n} defined atoms exceed cap {cap}")
     return atoms
 
 
@@ -552,8 +551,7 @@ def _search(r: _Residual, n, seen: set) -> None:
 
 def _residual_glb(e, i: PartialInterpretation, atoms: list, limits: Limits) -> TV:
     """The glb of probe-safe e over the refinements of its u atoms `atoms`."""
-    if len(atoms) > limits.max_unknowns:
-        raise CapExceeded(f"{len(atoms)} unknown atoms exceed cap {limits.max_unknowns}")
+    limits.check("max_unknowns", len(atoms), "{n} unknown atoms exceed cap {cap}")
     g, seen = _Ground(None, i, limits, symbols={a.predicate for a in atoms}), set()
     root = g.ground(e, {}, _compiled(e))
     r = _Residual(g)

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import CapExceeded, EvaluationError, ParseError, TypeError_
+from .errors import EvaluationError, ParseError, TypeError_
 from .limits import DEFAULT_LIMITS, Limits
 from .parser import _Cursor, _lex_structure, _line_col
 from .truthvalues import F, T, TV, U, PartialSet, canon_order, leq_prec, leq_truth
@@ -198,18 +198,14 @@ class PartialInterpretation:
         """All interpretations exact on `over`, refining this one, identical
         elsewhere: 2^u for u unknown atoms over those symbols, less any `cut` drops."""
         unknown = self.u_atoms(over)
-        if len(unknown) > limits.max_unknowns:
-            raise CapExceeded(
-                f"{len(unknown)} unknown atoms exceed cap {limits.max_unknowns}"
-            )
+        limits.check("max_unknowns", len(unknown), "{n} unknown atoms exceed cap {cap}")
         yield from self.refinements(unknown, cut=cut)
 
     def glb(self, atoms: list[DomainAtom], limits: Limits, leaf, probe=None) -> TV:
         """The glb of leaf(j) over the refinements j of `atoms` to t and f,
         depth first.  An exact probe(j) is the value of all below j, which
         is cut; once t and f are both seen the glb is u and all is cut."""
-        if len(atoms) > limits.max_unknowns:
-            raise CapExceeded(f"{len(atoms)} unknown atoms exceed cap {limits.max_unknowns}")
+        limits.check("max_unknowns", len(atoms), "{n} unknown atoms exceed cap {cap}")
         seen: set = set()  # values of the subtrees decided so far
 
         def decided(j: PartialInterpretation) -> bool:
@@ -380,9 +376,8 @@ class _StructReader(_Cursor):
             kind, text, _ = tok
             if kind == "int" and ".." in text:
                 lo, hi = (int(p) for p in text.split(".."))
-                if len(out) + hi - lo + 1 > self.limits.max_carrier:
-                    raise CapExceeded(f"domain of {len(out) + hi - lo + 1} elements exceeds cap "
-                                      f"{self.limits.max_carrier} (--max-carrier)")
+                self.limits.check("max_carrier", len(out) + hi - lo + 1,
+                                  "domain of {n} elements exceeds cap {cap}")
                 out.extend(range(lo, hi + 1))
             elif kind == "int":
                 out.append(int(text))

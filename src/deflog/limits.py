@@ -8,6 +8,17 @@ prudence by one least fixpoint, take no cap.
 
 from dataclasses import dataclass, replace
 
+from .errors import CapExceeded
+
+# the command line flag that raises each cap: flag, Limits field, help
+CAP_FLAGS = (
+    ("--max-atoms", "max_defined_atoms", "Cap on defined atoms in model enumerations."),
+    ("--max-completions", "max_unknowns",
+     "Cap n on unknown atoms completed at once (2^n completions)."),
+    ("--max-carrier", "max_carrier", "Cap on tuples in one predicate carrier and domain elements."),
+)
+_FLAG = {field: flag for flag, field, _ in CAP_FLAGS}
+
 
 @dataclass(frozen=True)
 class Limits:
@@ -23,6 +34,14 @@ class Limits:
 
     def with_(self, **kw) -> "Limits":
         return replace(self, **kw)
+
+    def check(self, field: str, n: int, message: str, **fmt) -> None:
+        """Raise CapExceeded when n exceeds the cap `field`.  The message is
+        `message` formatted with n, cap and fmt, then the cap's flag."""
+        cap = getattr(self, field)
+        if n > cap:
+            flag = _FLAG.get(field)
+            raise CapExceeded(message.format(n=n, cap=cap, **fmt) + (f" ({flag})" if flag else ""))
 
 
 DEFAULT_LIMITS = Limits()

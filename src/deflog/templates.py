@@ -468,10 +468,8 @@ def _exact_interpretations(
             spaces.append(list(domain))
         elif s.type.is_predicate:
             carrier = predicate_carrier(s.type, domain, limits)
-            if len(carrier) > limits.max_unknowns:
-                raise CapExceeded(
-                    f"{len(carrier)} atoms of {s.name} exceed cap {limits.max_unknowns}"
-                )
+            limits.check("max_unknowns", len(carrier), "{n} atoms of {name} exceed cap {cap}",
+                         name=s.name)
             spaces.append(
                 [exact_set(carrier, members)
                  for r in range(len(carrier) + 1)

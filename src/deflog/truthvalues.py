@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
 
-from .errors import CapExceeded, EvaluationError
+from .errors import EvaluationError
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -218,10 +218,7 @@ class PartialSet:
     def completions(self, limits: Limits = DEFAULT_LIMITS) -> Iterator["PartialSet"]:
         """All exact refinements; 2^u of them for u unknown elements."""
         unknown = [i for i, v in enumerate(self.values) if v is U]
-        if len(unknown) > limits.max_unknowns:
-            raise CapExceeded(
-                f"{len(unknown)} unknown elements exceed cap {limits.max_unknowns}"
-            )
+        limits.check("max_unknowns", len(unknown), "{n} unknown elements exceed cap {cap}")
         base = list(self.values)
         for choice in itertools.product((T, F), repeat=len(unknown)):
             vals = list(base)
@@ -298,10 +295,7 @@ def approx_aggregate(
             weights.append(first)
         base = sum(w for w, v in zip(weights, s.values) if v is T)
         unknown = [w for w, v in zip(weights, s.values) if v is U]
-        if len(unknown) > limits.max_unknowns:
-            raise CapExceeded(
-                f"{len(unknown)} unknown elements exceed cap {limits.max_unknowns}"
-            )
+        limits.check("max_unknowns", len(unknown), "{n} unknown elements exceed cap {cap}")
         outcomes = set()
         for picks in itertools.product((0, 1), repeat=len(unknown)):
             total = base + sum(w for w, p in zip(unknown, picks) if p)

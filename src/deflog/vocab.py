@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceeded, TypeError_
+from .errors import TypeError_
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -165,11 +165,8 @@ def arg_value_space(
         return list(domain)
     if t.kind in ("pred",):
         base = len(domain) ** t.arity
-        if base > limits.max_so_arg_base:
-            raise CapExceeded(
-                f"|D|^{t.arity} = {base} exceeds second order argument cap "
-                f"{limits.max_so_arg_base}"
-            )
+        limits.check("max_so_arg_base", base,
+                     "|D|^{arity} = {n} exceeds second order argument cap {cap}", arity=t.arity)
         tuples = list(itertools.product(domain, repeat=t.arity))
         return [
             frozenset(itertools.compress(tuples, mask))
@@ -188,7 +185,5 @@ def predicate_carrier(
     spaces = [domain] * t.arity if t.kind == "pred" else [
         arg_value_space(a, domain, limits) for a in t.args]
     size = math.prod(map(len, spaces))
-    if size > limits.max_carrier:
-        raise CapExceeded(f"carrier of {size} tuples exceeds cap {limits.max_carrier} "
-                          "(--max-carrier)")
+    limits.check("max_carrier", size, "carrier of {n} tuples exceeds cap {cap}")
     return list(itertools.product(*spaces))

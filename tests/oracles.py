@@ -386,7 +386,8 @@ def oracle_residual_search(e, i, limits=DEFAULT_LIMITS) -> tuple:
     and the number of nodes the search visited."""
     atoms = i.u_atoms(s for s in free_symbols(e) if s.type.is_predicate)
     if len(atoms) > limits.max_unknowns:
-        raise CapExceeded(f"{len(atoms)} unknown atoms exceed cap {limits.max_unknowns}")
+        raise CapExceeded(f"{len(atoms)} unknown atoms exceed cap {limits.max_unknowns} "
+                          "(--max-completions)")
     g = definitions._Ground(None, i, limits, symbols={a.predicate for a in atoms})
     seen, nodes = set(), []
     _search(g, g.ground(e, {}, definitions._compiled(e)), seen, nodes)
@@ -769,7 +770,8 @@ def oracle_eval_definition(d, i, sem="w", limits=DEFAULT_LIMITS, _ctx=None) -> T
         return oracle_exact_check(d, i, sem, limits, ctx)
     ctx.record.update(unknown)
     if len(unknown) > limits.max_unknowns:
-        raise CapExceeded(f"{len(unknown)} unknown atoms exceed cap {limits.max_unknowns}")
+        raise CapExceeded(f"{len(unknown)} unknown atoms exceed cap {limits.max_unknowns} "
+                          "(--max-completions)")
     results = []
     for j in i.refinements(unknown):
         results.append(oracle_exact_check(d, j, sem, limits, ctx))

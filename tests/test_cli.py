@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import random
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -185,6 +186,81 @@ class TestExitCodes:
         assert r.exit_code == 1
 
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "-m", "super", "--max-completions", "-1", d("props.theory"),
+         d("props_unknown.struct")],
+        ["wfm", "-d", "mutex", "--max-carrier", "-5", d("props.theory"), d("empty.struct")],
+    ], ids=["max-completions", "max-carrier"])
+    def test_negative_cap_is_a_usage_error(self, argv):
+        r = self.run(*argv)
+        assert r.exit_code == 2
+        assert f"Invalid value for '{argv[-4]}'" in r.stderr
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        argv = []
+        for name in ("props.theory", "props_unknown.struct"):
+            bom = tmp_path / name
+            bom.write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+            argv.append(str(bom))
+        plain = self.run("eval", "-m", "super", d("props.theory"), d("props_unknown.struct"))
+        r = self.run("eval", "-m", "super", *argv)
+        assert (r.exit_code, r.output) == (0, plain.output)
+        assert plain.output.startswith("contradiction: f\n")
+
+
+_CAP_HELP = {
+    "--max-atoms": "Cap on defined atoms in model enumerations.",
+    "--max-completions": "Cap n on unknown atoms completed at once (2^n completions).",
+    "--max-carrier": "Cap on tuples in one predicate carrier and domain elements.",
+}
+# each verb: whether it reads a structure, whether it takes the cap flags,
+# and its own options with their help, as the verbs had them before the
+# shared frame registered them
+VERBS = {
+    "typecheck": (False, False, {}),
+    "classify": (False, False, {}),
+    "eval": (True, True, {"-m, --mode": "Evaluation mode.",
+                          "--color": "Colorize truth values."}),
+    "wfm": (True, True, {"-d, --definition": "Definition name."}),
+    "stable": (True, True, {"-d, --definition": "Definition name."}),
+    "mx": (True, True, {}),
+    "expand": (False, True, {
+        "-f, --formula": "Formula name.",
+        "--check-equiv":
+            "Verify the expansion against the original by model enumeration at |D| <= 2."}),
+    "eliminate-so": (False, True, {
+        "-f, --formula": "Formula name.",
+        "--check-equiv": "Verify the rewrite by restricted-model enumeration at |D| <= 2."}),
+    "validate-lib": (False, True, {}),
+    "apply-lib": (True, True, {}),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_every_verb_reports_a_missing_theory_file(verb):
+    structure, _, _ = VERBS[verb]
+    argv = [verb, d("nope.theory")] + ([d("empty.struct")] if structure else [])
+    r = CliRunner().invoke(main, argv)
+    assert (r.exit_code, r.exception.code) == (2, 2)
+    assert r.stderr.startswith("error: [Errno 2] ")
+    assert "Traceback" not in r.output
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_every_verb_lists_its_options_in_help(verb):
+    _, caps, own = VERBS[verb]
+    want = {**own, "--json": "Emit JSON.", **(_CAP_HELP if caps else {}),
+            "--help": "Show this message and exit."}
+    r = CliRunner().invoke(main, [verb, "--help"])
+    assert r.exit_code == 0
+    options = r.output.split("Options:\n")[1]
+    names = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", options))
+    assert names == {n for names in want for n in names.split(", ")}
+    flat = " ".join(options.split())
+    for names, text in want.items():
+        assert f"{names} " in flat and text in flat
+
+
 DEEP = 3000
 
 
@@ -279,7 +355,7 @@ def test_supervaluation_cap_exhaustion(tmp_path):
     assert CliRunner().invoke(main, argv).output == "f: t\n"
     r = CliRunner().invoke(main, [*argv[:3], "--max-completions", "2", *argv[3:]])
     assert r.exit_code == 3
-    assert r.stderr == "error: 3 unknown atoms exceed cap 2\n"
+    assert r.stderr == "error: 3 unknown atoms exceed cap 2 (--max-completions)\n"
 
 
 def test_structure_carrier_cap(tmp_path):
@@ -315,7 +391,7 @@ def test_definition_cap_holds_where_the_root_model_decides(tmp_path):
     assert CliRunner().invoke(main, argv).output == "f: f\n"
     r = CliRunner().invoke(main, [*argv[:1], "--max-completions", "1", *argv[1:]])
     assert r.exit_code == 3
-    assert r.stderr == "error: 2 unknown atoms exceed cap 1\n"
+    assert r.stderr == "error: 2 unknown atoms exceed cap 1 (--max-completions)\n"
 
 
 class TestModelExpansionSearch:

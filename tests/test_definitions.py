@@ -701,7 +701,7 @@ class TestPrunedDefinitionSearch:
         d, i = rs("{q <- q & p & r.}"), ctx(p="u", q="t", r="u")
         assert eval_definition(d, i) is F
         _, error, record = pruned_and_oracle(d, i, "w", Limits(max_unknowns=1))
-        assert error == (CapExceeded, "2 unknown atoms exceed cap 1")
+        assert error == (CapExceeded, "2 unknown atoms exceed cap 1 (--max-completions)")
         assert record == {DomainAtom(p, ()), DomainAtom(r, ())}
 
     def test_the_model_is_precision_monotone_in_its_context(self):
