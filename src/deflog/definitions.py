@@ -33,9 +33,14 @@ the unknown atoms it reads, searched depth first.  The well-founded model
 is precision-monotone in its context, so the three-valued one at a node
 holds below it and may already decide the subtree (`_agreement`).
 
-Supervaluation searches a probe-safe formula's residual interned in a
-unique table (`_residual_glb`): equal sub-residuals are one node, and one
-with no opaque leaf is searched once, as its values are the same anywhere.
+Searches ground their formulas once with `_Ground` in its formula form,
+whose one leaf rule serves them all: a card aggregate is valued at every
+node, any other opaque leaf waits, u, until the atoms it reads are all
+assigned.  Supervaluation searches the residual interned in a unique
+table (`_residual_glb`): equal sub-residuals are one node, and one with
+no opaque leaf is searched once, as its values are the same anywhere.
+The `mx` and `stable_models` cuts read the residuals at each node
+(`_cut`); the rule form serves the fixpoints.
 """
 
 from __future__ import annotations
@@ -46,11 +51,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import DeflogError, EvaluationError
-from .evaluator import EvalContext, _compiled, _probe_safe, _read, _relation_cached
+from .evaluator import EvalContext, _compiled, _read, _relation_cached
 from .interpretation import PartialInterpretation
 from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (
-    And, Atom1, Atom2, ExistsFO, ForallFO, Iff, Implies, Not, Or, RuleSet, free_symbols,
+    And, Atom1, Atom2, DefinitionExpr, ExistsFO, ExistsSO, ForallFO, ForallSO, Iff, Implies,
+    Let, Not, Or, RuleSet, fold, free_symbols,
 )
 from .truthvalues import F, T, TV, U, PartialSet, canon_order, max_truth
 from .vocab import DomainAtom, Symbol, predicate_carrier
@@ -239,22 +245,14 @@ def stable_models(
     i0 = expand_context(d, o, limits, carriers)
     atoms = _capped_atoms(d, i0, limits)
 
-    g = None  # d ground once at i0, for the supported values at each node
-    if all(_probe_safe(r.body) for r in d.rules):
-        try:
-            g = _Ground(d, i0, limits)
-        except EvaluationError:
-            pass  # the candidates report it, in atom order
-
-    def unsupported(j: PartialInterpretation) -> bool:
-        # an assigned atom whose supported value is already exact and
-        # different stays unsupported in every candidate below j
-        g.read(j)
-        return any(v != 1 and w == 2 - v
-                   for v, w in zip(g.val[_ATOMS:], g.values(range(len(atoms)))))
+    # an assigned atom whose supported value is already exact and different
+    # stays unsupported in every candidate below the node
+    g = _Ground(None, i0, limits, symbols=d.defined_symbols)
+    unsupported = _cut(g, (g.rules(d, a.predicate, a.args) for a in atoms), lambda vs: any(
+        v != 1 and w == 2 - v for v, w in zip(g.val[_ATOMS:], vs)))
 
     out = []
-    for cand in i0.refinements(atoms, cut=None if g is None else unsupported):
+    for cand in i0.refinements(atoms, cut=unsupported):
         if any(
             cand.atom_value(a) is not max_truth(_body_values(d, a, cand, ctx), empty=F)
             for a in atoms
@@ -312,15 +310,25 @@ def _connect(op: int, kids: list):
     return unit if not out else out[0] if len(out) == 1 else (op, out)
 
 
+def _waits(e) -> bool:
+    """Whether opaque leaf e waits for its atoms: valued at a partial
+    interpretation, all but a card aggregate over atoms, connectives, FO
+    quantifiers and card aggregates enumerate completions or value spaces."""
+    return fold(e, lambda n, kids: any(kids) or type(n) in (
+        Atom2, ForallSO, ExistsSO, DefinitionExpr, Let) or getattr(n, "agg", "card") != "card",
+        "_waits")
+
+
 class _Ground:
     """Rule set d ground at `at` for the defined atoms `heads` (indices
     into _defined_atoms, all by default): per head a residual node and the
-    opaque leaves (closure and env) it values first, per atom the heads
-    reading it.  An atom over a defined symbol, second order ones at exact
-    arguments, is its index.  With d None, the atoms are those of `symbols`
-    and `ground` folds the exact ones and collects opaque leaves in `leaf`.
+    opaque leaves it values first, per atom the heads reading it.  An atom
+    over a defined symbol, second order ones at exact arguments, is its
+    index.  With d None, the atoms are those of `symbols`, `ground` folds
+    the exact ones and collects opaque leaves in `leaf`, and a leaf that
+    `_waits` is u until every u atom of the symbols it reads is assigned.
     Grounding values, in closure order, all that one round of body
-    evaluations at `at` would, so it raises the same."""
+    evaluations at `at` would, leaves that wait aside, so it raises the same."""
 
     def __init__(self, d: RuleSet | None, at: PartialInterpretation, limits: Limits,
                  heads=None, symbols=()):
@@ -336,16 +344,17 @@ class _Ground:
         self.node, self.leaves, self.deps = [0] * n, [()] * n, [[] for _ in range(n)]
         self.opaque, self.reads, self.leaf = [], set(), []  # opaque: the heads with leaves
         for h in () if d is None else range(n) if heads is None else heads:
-            sym, args = self.keys[h]
             self.reads, self.leaf = set(), []
-            self.node[h] = _connect(_OR, [
-                self.ground(r.body, _head_env(r, args, at.domain), _compiled(r.body))
-                for r in d.by_head[sym]])
+            self.node[h] = self.rules(d, *self.keys[h])
             for x in self.reads:
                 self.deps[x - _ATOMS].append(h)
             if self.leaf:
                 self.leaves[h] = self.leaf
                 self.opaque.append(h)
+
+    def rules(self, d: RuleSet, sym: Symbol, args: tuple):  # atom sym(args)'s bodies, or'd
+        return _connect(_OR, [self.ground(r.body, _head_env(r, args, self.at.domain),
+                                          _compiled(r.body)) for r in d.by_head[sym]])
 
     def ground(self, e, env: dict, fn):
         live = self.live.get(id(e))  # the defined symbols free in e
@@ -387,18 +396,33 @@ class _Ground:
                 return self.val[base + k]
             self.reads.add(base + k)
             return base + k
-        self.val.append(_code(fn(self.at, env, self.ctx)))
-        self.leaf.append((len(self.val) - 1, fn, dict(env)))
+        atoms = () if not self.fold else tuple(  # the u atoms it may read
+            x for sym in live for x in range(self.index[sym][0], self.index[sym][0] +
+                                             len(self.index[sym][1])) if self.val[x] == 1)
+        wait = atoms if atoms and _waits(e) else ()
+        self.val.append(1 if wait else _code(fn(self.at, env, self.ctx)))
+        self.leaf.append((len(self.val) - 1, fn, dict(env), wait, atoms))
         return len(self.val) - 1
+
+    def value(self, leaves, j=None):
+        """Code each opaque leaf (slot, fn, env, wait, atoms) at j, by default
+        val's interpretation, built once; one waiting on a u atom is u.
+        Returns j."""
+        val = self.val
+        for slot, fn, env, wait, _ in leaves:
+            if wait and any(val[x] == 1 for x in wait):
+                val[slot] = 1
+            else:
+                j = j or self.interpretation()
+                val[slot] = _code(fn(j, env, self.ctx))
+        return j
 
     def values(self, hs, refresh: bool = True) -> list:
         """The value of each head in hs, its opaque leaves valued first."""
         val, i, out = self.val, None, []
         for h in hs:
             if refresh and self.leaves[h]:
-                i = i or self.interpretation()
-                for slot, fn, env in self.leaves[h]:
-                    val[slot] = _code(fn(i, env, self.ctx))
+                i = self.value(self.leaves[h], i)
             n = self.node[h]
             out.append(val[n] if type(n) is int else _value(n, val))
         return out
@@ -468,7 +492,7 @@ class _Residual:
     leaves last, so a mask at or above `leafy` reads a leaf."""
 
     def __init__(self, g: _Ground):
-        self.g, self.order = g, sorted(g.reads) + [slot for slot, _, _ in g.leaf]
+        self.g, self.order = g, sorted(g.reads) + [leaf[0] for leaf in g.leaf]
         self.bit = {x: 1 << b for b, x in enumerate(self.order)}
         self.leafy, self.unique, self.subs, self.done = 1 << len(g.reads), {}, {}, {}
 
@@ -520,23 +544,25 @@ def _search(r: _Residual, n, seen: set) -> None:
     to t then f, depth first, until it holds both.  n's opaque leaves are
     valued at the node, an exact one for good.  A constant n is decided and
     a leaf-free n searched before adds its value; else n branches on the
-    first atom it reads (one it does not read has two equal subtrees) or,
-    while it holds a leaf, on the first unassigned."""
+    first atom it or a leaf it holds reads: one none reads has two equal
+    subtrees."""
     if len(seen) > 1:
         return
     g, reads = r.g, r.reads(n)
     if reads >= r.leafy:
-        j = g.interpretation()
-        for slot, fn, env in g.leaf:
-            if reads & r.bit[slot]:
-                v = _code(fn(j, env, g.ctx))
-                n = n if v == 1 else r.sub(n, slot, v)
+        due = [leaf for leaf in g.leaf if reads & r.bit[leaf[0]]]
+        g.value(due)
+        for slot, *_ in due:
+            n = n if g.val[slot] == 1 else r.sub(n, slot, g.val[slot])
         reads = r.reads(n)
     if type(n) is int and n < _ATOMS:
         return seen.add(n)
     held = reads >= r.leafy
-    if held:
-        x = next(a for a in range(_ATOMS, g.leaf[0][0]) if g.val[a] == 1)
+    if held:  # the first unassigned atom n or a leaf it holds reads
+        xs = [a for slot, *_, atoms in g.leaf if reads & r.bit[slot]
+              for a in atoms if g.val[a] == 1]
+        low = reads & (r.leafy - 1)
+        x = min(xs + [r.order[(low & -low).bit_length() - 1]]) if low else min(xs)
     elif n in r.done:
         return seen.add(r.done[n])
     else:
@@ -550,7 +576,7 @@ def _search(r: _Residual, n, seen: set) -> None:
 
 
 def _residual_glb(e, i: PartialInterpretation, atoms: list, limits: Limits) -> TV:
-    """The glb of probe-safe e over the refinements of its u atoms `atoms`."""
+    """The glb of e over the refinements of its u atoms `atoms`."""
     limits.check("max_unknowns", len(atoms), "{n} unknown atoms exceed cap {cap}")
     g, seen = _Ground(None, i, limits, symbols={a.predicate for a in atoms}), set()
     root = g.ground(e, {}, _compiled(e))
@@ -559,32 +585,37 @@ def _residual_glb(e, i: PartialInterpretation, atoms: list, limits: Limits) -> T
     return U if len(seen) > 1 else (F, U, T)[seen.pop()]
 
 
-def _refuter(constraints: list, i: PartialInterpretation, limits: Limits):
-    """A cut for the refinements of i's u atoms, true where some probe-safe
-    constraint's residual at i is f.  Those ground before the first that
-    raises still cut; the leaves report its error, in constraint order."""
-    g = _Ground(None, i, limits, symbols={a.predicate for a in i.u_atoms(i.predicate_symbols())})
-    nodes = []
+def _cut(g: _Ground, residuals: Iterable, decided):
+    """A cut for refinements j of g.at: decided(values at j of `residuals`,
+    those ground before the first that raises), with j's atoms in g.val.  A
+    leaf that raises decides nothing; the search's leaves report it."""
+    nodes, val = [], g.val
     try:
-        for phi in filter(_probe_safe, constraints):
-            nodes.append(g.ground(phi, {}, _compiled(phi)))
-    except EvaluationError:
+        for n in residuals:
+            nodes.append(n)
+    except DeflogError:
         pass
 
-    def refuted(j: PartialInterpretation) -> bool:
+    def cut(j: PartialInterpretation) -> bool:
         g.read(j)
-        for slot, fn, env in g.leaf:
-            g.val[slot] = _code(fn(j, env, g.ctx))
-        return any((g.val[n] if type(n) is int else _value(n, g.val)) == 0 for n in nodes)
+        try:
+            g.value(g.leaf, j)
+        except DeflogError:
+            return False
+        return decided([val[n] if type(n) is int else _value(n, val) for n in nodes])
 
-    return refuted if nodes else None
+    return cut if nodes else None
 
 
-def _residual_wfm(d: RuleSet, i0: PartialInterpretation, limits: Limits) -> tuple:
+def _residual_wfm(d: RuleSet, i0: PartialInterpretation, limits: Limits,
+                  rounds: bool = True) -> tuple:
     """The well-founded model expanding i0 (defined atoms all u) and the
     u-valued parameter atoms read: set every atom a round derives true at
-    once, else the greatest unfounded set false, until neither moves."""
+    once, else the greatest unfounded set false, until neither moves.
+    Without rounds, i0 and the atoms grounding alone reads."""
     g = _Ground(d, i0, limits)
+    if not rounds:
+        return i0, g.consulted()
     val, n = g.val, len(g.keys)
     g.derive(list(range(n)), refresh=False)  # the leaves hold round one
     while changed := g.unfounded([h for h in range(n) if val[_ATOMS + h] == 1]):
@@ -685,7 +716,7 @@ def eval_definition(
     try:
         _agreement(d, i, limits, root)  # records the parameter atoms read
     except DeflogError:  # from a later round: grounding alone reads as much
-        root.record.update(_Ground(d, i.revise(atoms, U), limits).consulted())
+        root.record.update(_residual_wfm(d, i.revise(atoms, U), limits, rounds=False)[1])
     unknown = sorted(root.record.union(a for a in atoms if i.atom_value(a) is U), key=_atom_key)
     if not unknown:
         return exact(i)

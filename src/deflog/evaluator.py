@@ -15,11 +15,14 @@ Two modes:
   and the three-valued well-founded assignment for definition nodes;
 * supervaluation: the ultimate approximation of the induced two-valued
   assignment, a glb over all exact completions of the free predicate
-  symbols.  A probe-safe formula is ground once into a residual over its
-  u atoms and searched depth first on that residual, which decides a
+  symbols.  Every formula is ground once into a residual over its u
+  atoms and searched depth first on that residual, which decides a
   subtree once it is constant and never branches on an atom it no
   longer reads, and searches once a residual that several assignments
-  reach (equal sub-residuals are one node); others are valued at leaves.
+  reach (equal sub-residuals are one node).  A card aggregate left in
+  the residual is valued at every node; a second order atom or
+  quantifier, a sum, a definition or a let-block waits until every atom
+  it reads is assigned and is then valued exactly.
 
 Both satisfy locality, exactness on exact interpretations, and
 precision monotonicity; supervaluation is at least as precise as
@@ -276,14 +279,6 @@ def _let_value(e: Let, i: PartialInterpretation, ctx: EvalContext) -> TV:
     return i.glb(i.u_atoms(par_preds), ctx.limits, lambda j: _let_value(e, j, ctx))
 
 
-def _probe_safe(e) -> bool:
-    """Whether searches may Kleene-evaluate e at inner nodes: only atoms,
-    comparisons, connectives, FO quantifiers and card aggregates, as the
-    other nodes enumerate (and cap) completions or value spaces."""
-    return fold(e, lambda n, kids: all(kids) and type(n) not in (
-        Atom2, ForallSO, ExistsSO, DefinitionExpr, Let) and getattr(n, "agg", "card") == "card")
-
-
 def evaluate(
     e,
     i: PartialInterpretation,
@@ -302,9 +297,6 @@ def evaluate(
     from . import definitions
 
     unknown = i.u_atoms(s for s in free_symbols(e) if s.type.is_predicate)
-    fn = _compiled(e)
-    if not _probe_safe(e):
-        return i.glb(unknown, ctx.limits, lambda j: fn(j, {}, ctx))
     return definitions._residual_glb(e, i, unknown, ctx.limits)
 
 

@@ -395,14 +395,21 @@ class _StructReader(_Cursor):
         self.expect("{")
         entries: dict[tuple, TV] = {}
         default: TV | None = None
+        members = set(domain)
         while not self.at("}"):
             if self.accept("*"):
                 self.expect(":")
                 default = self.truth()
             else:
-                key = self.key_tuple()
+                tok, key = self.peek(), self.key_tuple()
+                for e in key:
+                    if not isinstance(e, frozenset) and e not in members:
+                        self.fail(f"{sym.name}: {e} is not a domain element", tok)
                 self.expect(":")
-                entries[key] = self.truth()
+                v = self.truth()
+                if entries.setdefault(key, v) is not v:
+                    self.fail(f"{sym.name}: key {_fmt_key(key)} given both "
+                              f"{entries[key].value} and {v.value}", tok)
             self.accept(",")
         self.expect("}")
         if default is not None:

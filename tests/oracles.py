@@ -12,11 +12,19 @@
   (`classical_eval`) and the supervaluation as a plain loop over every
   completion (`super_oracle`), sharing nothing with the pruned
   depth-first search of `PartialInterpretation.refinements`.
+* A flat filter (`flat_filter`): every candidate in order, kept where it
+  passes, for `mx` and `stable_models` without their cuts.
+* The supervaluation as a flat search (`flat_supervaluation`): the
+  compiled formula valued at every completion in depth first order, with
+  the caller's context, until t and f are both seen.  It was the
+  production path for formulas holding a leaf the residual search could
+  not probe; the residual search now serves every formula and must give
+  its value or its exception, except where a completion raises.
 * The residual search of supervaluation as first written
   (`oracle_residual_search`): each node substitutes into the whole
-  residual and walks it again for the atoms it reads.  The interned
-  search of `deflog.definitions` must give the same value and visit no
-  more nodes.
+  residual and walks it again for the atoms it reads.  On formulas with
+  no waiting leaf (`has_waiting_leaf`) the interned search of
+  `deflog.definitions` must give the same value and visit no more nodes.
 * Variable binding as first written (`rebuild_expand`, `rebuild_revise`,
   `rebuild_restrict`): copy the assignments into a dict, change it, sort
   the items by name (stable) and construct afresh.  The sort-free
@@ -69,8 +77,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from deflog import definitions
-from deflog.errors import CapExceeded, EvaluationError, NonTotalDefinitionError, ParseError
-from deflog.evaluator import EvalContext
+from deflog.errors import (
+    CapExceeded, DeflogError, EvaluationError, NonTotalDefinitionError, ParseError,
+)
+from deflog.evaluator import EvalContext, _compiled
 from deflog.interpretation import PartialInterpretation
 from deflog.limits import DEFAULT_LIMITS, Limits
 from deflog.parser import Theory
@@ -319,6 +329,54 @@ def super_oracle(e, i, holds=classical_eval) -> TV:
     return U
 
 
+def flat_supervaluation(e, i, ctx) -> TV:
+    """The glb of e's compiled closure, with the caller's ctx, over the
+    completions of its u atoms, depth first until t and f are both seen."""
+    unknown = i.u_atoms(s for s in free_symbols(e) if s.type.is_predicate)
+    fn = _compiled(e)
+    return i.glb(unknown, ctx.limits, lambda j: fn(j, {}, ctx))
+
+
+def flat_filter(candidates, passes) -> tuple:
+    """What a search with no cut gives over `candidates`, in order: the
+    list of those passes() accepts, or (None, the first exception type and
+    message); then the errors raised and the candidates accepted without
+    raising, which a cut search returns where it skips every raising one."""
+    models, errors, accepted = [], [], []
+    for j in candidates:
+        try:
+            ok = passes(j)
+        except DeflogError as exc:
+            errors.append((type(exc), str(exc)))
+            continue
+        if ok:
+            accepted.append(j)
+            if not errors:
+                models.append(j)
+    return (None, errors[0]) if errors else (models, None), errors, accepted
+
+
+def has_waiting_leaf(e) -> bool:
+    """Whether e holds a node kind the formula form of the grounder makes
+    a waiting leaf wherever it reads a u atom: a second order atom or
+    quantifier, a sum, a definition or a let-block, also under a card."""
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (Atom2, ForallSO, ExistsSO, DefinitionExpr, Let)) or (
+                isinstance(n, Aggregate) and n.agg != "card"):
+            return True
+        if isinstance(n, Not):
+            stack.append(n.body)
+        elif isinstance(n, (And, Or)):
+            stack.extend(n.args)
+        elif isinstance(n, (Implies, Iff)):
+            stack.extend((n.left, n.right))
+        elif isinstance(n, (ForallFO, ExistsFO, Aggregate)):
+            stack.append(n.body)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # The residual search as first written: every node rebuilds its residual and
 # walks it again for the atoms it reads.  The search of deflog.definitions
@@ -362,7 +420,7 @@ def _search(g, n, seen: set, nodes: list) -> None:
     if len(seen) > 1:
         return
     reads, j = _indices(n), None
-    for slot, fn, env in g.leaf:
+    for slot, fn, env, *_ in g.leaf:
         if slot in reads:
             j = j or g.interpretation()
             v = definitions._code(fn(j, env, g.ctx))
@@ -382,8 +440,8 @@ def _search(g, n, seen: set, nodes: list) -> None:
 
 
 def oracle_residual_search(e, i, limits=DEFAULT_LIMITS) -> tuple:
-    """The value of probe-safe e searched on its residual as first written,
-    and the number of nodes the search visited."""
+    """The value of e, with no waiting leaf, searched on its residual as
+    first written, and the number of nodes the search visited."""
     atoms = i.u_atoms(s for s in free_symbols(e) if s.type.is_predicate)
     if len(atoms) > limits.max_unknowns:
         raise CapExceeded(f"{len(atoms)} unknown atoms exceed cap {limits.max_unknowns} "

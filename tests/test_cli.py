@@ -4,6 +4,7 @@ exit codes for every verb.
 Regenerate the golden files with DEFLOG_UPDATE_GOLDEN=1 after an
 intentional output change."""
 
+import collections
 import functools
 import itertools
 import json
@@ -16,21 +17,24 @@ from click.testing import CliRunner
 
 from deflog import cli
 from deflog.cli import _mx_models, main
-from deflog.definitions import _refuter
-from deflog.errors import CapExceeded, EvaluationError
+from deflog.errors import CapExceeded, EvaluationError, NonTotalDefinitionError
 from deflog.evaluator import KLEENE, SUPERVALUATION, evaluate, evaluate_exact
-from deflog.interpretation import read_structure
+from deflog.interpretation import PartialInterpretation, read_structure
 from deflog.limits import DEFAULT_LIMITS, Limits
 from deflog.parser import Theory, parse_formula, parse_theory
 from deflog.syntax import (
     Aggregate, Atom1, DefinitionExpr, IntTerm, Or, SymTerm, classify, free_symbols, unparse,
 )
-from deflog.truthvalues import T
+from deflog.truthvalues import F, T
 from deflog.vocab import CONST, Symbol, Vocabulary, pred
 
 from conftest import DATA, GOLDEN
-from gen import P0, P1, PROPS, random_formula, random_interpretation, random_ruleset
-from oracles import exact_completions
+from gen import (
+    P0, P1, PROPS, SO1, SO_HEAD, random_formula, random_interpretation, random_ruleset,
+    random_tree,
+)
+from oracles import exact_completions, flat_filter
+from test_evaluator import node_kinds, random_partial, value_or_error
 
 UPDATE = os.environ.get("DEFLOG_UPDATE_GOLDEN") == "1"
 
@@ -167,6 +171,18 @@ class TestExitCodes:
         r = self.run("eval", str(bad), str(struct))
         assert (r.exit_code, r.exception.code) == (2, 2)
         assert r.stderr == "error: 1:17: arity -1 is negative\n"
+
+    @pytest.mark.parametrize("entries, message", [
+        ("(a): t, (a): f", "p: key (a) given both t and f"),
+        ("(9): t", "p: 9 is not a domain element"),
+        ("(9): t, *: f", "p: 9 is not a domain element"),
+    ])
+    def test_structure_key_faults_are_input_errors(self, tmp_path, entries, message):
+        theory, struct = tmp_path / "t.theory", tmp_path / "s.struct"
+        theory.write_text("vocab { p: pred/1; }\nformula f { ?x: p(x) }\n")
+        struct.write_text(f"domain = {{a, 1..3}}\np = {{{entries}}}\n")
+        r = self.run("eval", "-m", "super", str(theory), str(struct))
+        assert (r.exit_code, r.stderr) == (2, f"error: 2:0: {message}\n")
 
     def test_undecodable_file_is_an_input_error(self, tmp_path):
         bad = tmp_path / "bad.theory"
@@ -476,9 +492,9 @@ class TestModelExpansionSearch:
         assert len(leaves) == 1
 
     @pytest.mark.parametrize("first", ["bound", "uninterpreted"])
-    def test_a_grounding_error_cuts_nothing_and_the_leaves_report_it(self, first):
+    def test_a_grounding_error_cuts_nothing_and_the_leaves_report_it(self, first, monkeypatch):
         # z is f everywhere but comes after the constraint whose grounding
-        # raises, so nothing cuts and the first leaf reports that error
+        # raises, so no cut is made and the first leaf reports that error
         names = {"bound": "a", "uninterpreted": "b"} if first == "bound" else \
             {"bound": "b", "uninterpreted": "a"}
         theory = parse_theory(
@@ -487,12 +503,69 @@ class TestModelExpansionSearch:
             f"formula {names['uninterpreted']} {{ t(k) }}\nformula z {{ p & ~p }}\n")
         struct = read_structure("domain = {x1}\nk = x1\n", theory.vocabulary)
         struct = struct.restrict([s for s, _ in struct.assignments if s.name != "t"])
-        constraints = [phi for _, phi in sorted(theory.formulas.items())]
-        assert _refuter(constraints, struct, DEFAULT_LIMITS) is None
+        cuts, completions = [], PartialInterpretation.completions
+        monkeypatch.setattr(PartialInterpretation, "completions",
+                            lambda j, over, limits, cut=None: cuts.append(cut) or completions(
+                                j, over, limits, cut))
         message = {"bound": "aggregate bound must be an integer",
                    "uninterpreted": "symbol t not interpreted"}[first]
         with pytest.raises(EvaluationError, match=f"^{message}$"):
             list(_mx_models(theory, struct, DEFAULT_LIMITS))
+        assert cuts == [None]
+
+    def test_constraints_of_every_node_kind_equal_the_flat_filter(self):
+        # definitions, let-blocks, sums, second order quantifiers and atoms
+        # cut once their atoms are assigned; the models come out in order,
+        # and a search whose cut skips each raising completion returns the
+        # models of the completions that answer
+        rng, seen, kinds = random.Random(137), collections.Counter(), set()
+        symbols = (*PROPS, P1, SO1, SO_HEAD)
+        for n in range(200):
+            formulas = {f"f{k}": random_tree(rng, rng.randint(1, 3))
+                        for k in range(rng.randint(1, 3))}
+            rules = {"d": random_ruleset(rng)} if n % 4 == 0 else {}
+            theory = Theory(Vocabulary.of(symbols), formulas, rules)
+            struct = random_partial(rng, symbols, rng.choice(((1,), (1, 2))))
+            constraints = [*formulas.values()] + [DefinitionExpr(rs) for rs in rules.values()]
+            limits = Limits(max_unknowns=rng.choice((3, 12)))
+            got = value_or_error(lambda: list(_mx_models(theory, struct, limits)))
+            want, errors, accepted = flat_filter(
+                exact_completions(struct, struct.predicate_symbols()),
+                lambda j: all(evaluate_exact(phi, j, limits) is T for phi in constraints))
+            if len(struct.u_atoms(struct.predicate_symbols())) > limits.max_unknowns:
+                want = (None, got[1])  # both check the cap first; oracle enumerates anyway
+                assert got[1][0] is CapExceeded
+            for phi in constraints:
+                kinds |= node_kinds(phi)
+            if got == want:
+                seen["same " + ("models" if got[1] is None else "error")] += 1
+            else:
+                assert want[1] is not None and (got[1] in errors or got == (accepted, None))
+                seen["a cut skipped a raising completion"] += 1
+        assert seen["same models"] > 100 and seen["same error"] > 10, seen
+        assert {"Atom2", "ForallSO", "ExistsSO", "sum", "DefinitionExpr", "Let"} <= kinds
+
+    @pytest.mark.parametrize("order", ["ab", "ba"])
+    def test_a_cut_leaf_that_raises_decides_nothing(self, order):
+        # at s = t the let-block is non-total and z is f: the cut must not
+        # drop the node, so the first completion's leaf reports the let's
+        # error where the let comes first, and z's f before it otherwise
+        let, z = ("a", "b") if order == "ab" else ("b", "a")
+        theory = parse_theory(
+            "vocab { q: pred/0; s: pred/0; }\n"
+            f"formula {let} {{ let {{q <- ~q & s.}} in ~q }}\nformula {z} {{ ~s }}\n")
+        struct = read_structure("domain = {x1}\n", theory.vocabulary)
+        constraints = [phi for _, phi in sorted(theory.formulas.items())]
+        want, _, _ = flat_filter(
+            exact_completions(struct, struct.predicate_symbols()),
+            lambda j: all(evaluate_exact(phi, j) is T for phi in constraints))
+        assert value_or_error(lambda: list(_mx_models(theory, struct, DEFAULT_LIMITS))) == want
+        if order == "ab":
+            assert want[1] == (NonTotalDefinitionError,
+                               "let-bound definition has no exact well-founded model")
+        else:
+            # q t, then f
+            assert [j.value(theory.vocabulary.get("s")).values for j in want[0]] == [(F,), (F,)]
 
     def test_probe_errors_are_left_to_the_leaves(self):
         # no completion satisfies a, so no leaf evaluates b, whose bound

@@ -24,13 +24,13 @@ from deflog.interpretation import PartialInterpretation
 from deflog.limits import Limits
 from deflog.parser import parse_ruleset
 from deflog.syntax import And, Atom1, Atom2, ExistsSO, Not, Or, Rule, RuleSet, SymTerm
-from deflog.truthvalues import F, T, U, PartialSet
+from deflog.truthvalues import F, T, U, PartialSet, max_truth
 from deflog.vocab import CONST, DomainAtom, Symbol, Vocabulary, pred
 
 from gen import P1, PROPS, SO1, SO_HEAD, random_ruleset, random_tree
 from oracles import (
-    is_closed, is_unfounded, oracle_demotion, oracle_eval_definition, oracle_exact_prudent,
-    oracle_unfounded_set, oracle_wfm_fixpoint,
+    flat_filter, is_closed, is_unfounded, oracle_demotion, oracle_eval_definition,
+    oracle_exact_prudent, oracle_unfounded_set, oracle_wfm_fixpoint,
 )
 from test_evaluator import node_kinds, random_partial
 
@@ -232,6 +232,42 @@ class TestSupportednessCut:
             ("x1",), {s: PartialSet.from_map({("x1",): T}), k: "x1"}
         )
         assert stable_models(d, o) == []
+
+    def test_rule_bodies_of_every_node_kind_equal_the_flat_filter(self):
+        # bodies holding definitions, let-blocks, sums, second order
+        # quantifiers and atoms now cut too, once their atoms are assigned
+        rng, seen, kinds = random.Random(139), collections.Counter(), set()
+        for _ in range(300):
+            d = random_tree_rules(rng)
+            present = [s for s in SYMBOLS if s not in d.defined_symbols]
+            limits = Limits(max_unknowns=rng.choice((3, 20)))
+            o = random_partial(rng, present, (1,))
+            got = outcome(lambda: stable_models(d, o, limits))
+            i0 = expand_context(d, o, limits)
+            atoms, ctx = definitions._defined_atoms(d, i0), EvalContext(limits=limits)
+            want, errors, accepted = flat_filter(i0.refinements(atoms), lambda j: all(
+                j.atom_value(a) is max_truth(definitions._body_values(d, a, j, ctx), empty=F)
+                for a in atoms) and definitions._demotion(d, j, atoms, limits) is None)
+            for r in d.rules:
+                kinds |= node_kinds(r.body)
+            if got == want:
+                seen["same " + ("models" if got[1] is None else "error")] += 1
+                seen["some model"] += bool(got[0])
+            else:
+                assert want[1] is not None and (got[1] in errors or got == (accepted, None))
+                seen["a cut skipped a raising candidate"] += 1
+        assert seen["some model"] > 100 and seen["same error"] > 3, seen
+        assert {"Atom2", "ForallSO", "ExistsSO", "sum", "DefinitionExpr", "Let"} <= kinds
+
+    def test_a_cut_leaf_that_raises_decides_nothing(self):
+        # at a = t, b = t the let-block in a's body is non-total and b is
+        # unsupported: the cut must not drop the candidate, whose check
+        # reports the let's error as the flat filter does
+        vocab = Vocabulary.of([Symbol(n, pred(0)) for n in "abq"])
+        d = parse_ruleset("{a <- let {q <- ~q & b.} in ~q. b <- ~a.}", vocab)
+        o = PartialInterpretation.empty(("x1",))
+        with pytest.raises(NonTotalDefinitionError):
+            stable_models(d, o)
 
 
 class TestMonotoneRuleSets:

@@ -6,6 +6,7 @@ generator fragment; the supervaluation oracle is its glb over completions;
 the Kleene evaluator as first written (an isinstance walker binding each
 variable by expanding the interpretation) for the compiled closures."""
 
+import collections
 import functools
 import itertools
 import random
@@ -17,9 +18,7 @@ from deflog import definitions, evaluator
 from deflog.errors import (
     CapExceeded, DeflogError, EvaluationError, NonTotalDefinitionError,
 )
-from deflog.evaluator import (
-    KLEENE, SUPERVALUATION, EvalContext, _probe_safe, evaluate, evaluate_exact,
-)
+from deflog.evaluator import KLEENE, SUPERVALUATION, EvalContext, evaluate, evaluate_exact
 from deflog.interpretation import PartialInterpretation, read_structure
 from deflog.limits import Limits
 from deflog.parser import parse_formula, parse_theory
@@ -36,7 +35,8 @@ from gen import (
     random_tree,
 )
 from oracles import (
-    bind_head, classical_eval, oracle_kv, oracle_residual_search, super_oracle,
+    bind_head, classical_eval, exact_completions, flat_supervaluation, has_waiting_leaf,
+    oracle_kv, oracle_residual_search, super_oracle,
 )
 
 SAMPLES = 500
@@ -238,14 +238,15 @@ def node_kinds(e) -> set:
 
 
 class TestPrunedSupervaluation:
-    """The supervaluation searches depth first and stops below any node
-    where a probe-safe formula's Kleene value is exact; the oracle is a
-    flat loop over every completion."""
+    """The supervaluation searches the formula's residual depth first and
+    stops below any node where it is constant, a waiting leaf counting as
+    u until its atoms are assigned; the oracle is a flat loop over every
+    completion."""
 
     def test_every_node_kind_matches_the_flat_oracle(self):
         rng = random.Random(71)
         symbols = (*PROPS, P1, SO1, SO_HEAD)
-        kinds, values, probed = set(), set(), set()
+        kinds, values, waiting = set(), set(), set()
         for _ in range(400):
             e = random_tree(rng, rng.randint(0, 3))
             i = random_partial(rng, symbols, (1,))
@@ -256,9 +257,9 @@ class TestPrunedSupervaluation:
             assert evaluate(e, i, SUPERVALUATION) is want, unparse(e)
             kinds |= node_kinds(e)
             values.add(want)
-            probed.add(_probe_safe(e))
+            waiting.add(has_waiting_leaf(e))
         assert values == {T, U, F}
-        assert probed == {True, False}
+        assert waiting == {True, False}
         assert {"Atom2", "ForallSO", "ExistsSO", "sum", "DefinitionExpr", "Let"} <= kinds
 
     def test_cap_is_checked_before_the_search(self):
@@ -285,6 +286,17 @@ class TestPrunedSupervaluation:
         assert want is U
         assert evaluate(e, i, SUPERVALUATION, limits) is want
 
+    def test_a_card_over_a_sum_waits_too(self):
+        # valued at a node, the card would value the sum's 9 unknown entries
+        t1 = Symbol("t", pred(1))
+        vocab = Vocabulary.of([P0, P1, t1])
+        i = read_structure("domain = {1..3}\np = {(): t}\n", vocab)
+        e = parse_formula("p & #{z: sum{x, y: s(x) & t(y)} > z} > 1", vocab)
+        limits = Limits(max_unknowns=8)
+        with pytest.raises(CapExceeded):
+            evaluate(e, i, KLEENE, limits)
+        assert evaluate(e, i, SUPERVALUATION, limits) is super_oracle(e, i, exact_holds) is U
+
     def test_definition_is_only_evaluated_at_the_leaves(self):
         vocab = Vocabulary.of([P0, P1])
         i = read_structure("domain = {1..3}\n", vocab)
@@ -307,20 +319,21 @@ def value_or_error(run):
 
 
 class TestResidualSearch:
-    """A probe-safe formula is ground once at the root and its residual is
-    searched, interned, branching only on atoms the residual still reads;
-    oracles are the flat loop over every completion, the probe search it
-    replaced (`PartialInterpretation.glb` with a Kleene probe) and, for
-    the node count, the residual search as first written."""
+    """A formula is ground once at the root and its residual is searched,
+    interned, branching only on atoms the residual still reads; on formulas
+    with no waiting leaf the oracles are the flat loop over every
+    completion, the probe search it replaced (`PartialInterpretation.glb`
+    with a Kleene probe) and, for the node count, the residual search as
+    first written."""
 
     def cases(self, n, seed):
-        """n probe-safe `random_tree` formulas over a constant c, each with a
-        partial interpretation over {1}, {1, 2} or {1, 2, 3} that may leave
-        c unassigned or s without one of its keys."""
+        """n `random_tree` formulas with no waiting leaf over a constant c,
+        each with a partial interpretation over {1}, {1, 2} or {1, 2, 3} that
+        may leave c unassigned or s without one of its keys."""
         rng = random.Random(seed)
         while n:
             e = random_tree(rng, rng.randint(0, 4), consts=(C,))
-            if not _probe_safe(e):
+            if has_waiting_leaf(e):
                 continue
             n -= 1
             domain = (1, 2, 3)[:rng.randint(1, 3)]
@@ -493,6 +506,88 @@ class TestResidualSearch:
         assert evaluate(e, i, SUPERVALUATION) is T
         assert len(refs) > 10
         assert all(ref() is None for ref in refs)
+
+
+class TestWaitingLeaves:
+    """Every formula is searched on its residual.  A second order atom over
+    a u argument, a second order quantifier, a sum, a definition or a
+    let-block is a leaf that waits, coded u, until each atom of the u
+    predicates it reads is assigned; oracles are the flat search over every
+    completion that such formulas took before (`flat_supervaluation`) and
+    `super_oracle`.  Where a completion raises, the residual may decide
+    a subtree the flat search raised in, or reach a raising completion the
+    flat search never did; nowhere else may they differ."""
+
+    def test_every_node_kind_matches_the_flat_search(self, monkeypatch):
+        # the search is the residual one, whatever the formula holds
+        searches, search = [], definitions._residual_glb
+        monkeypatch.setattr(definitions, "_residual_glb",
+                            lambda *a: searches.append(1) or search(*a))
+        rng, seen, kinds = random.Random(131), collections.Counter(), set()
+        for _ in range(1500):
+            e = random_tree(rng, rng.randint(0, 3))
+            i = random_partial(rng, (*PROPS, P1, SO1, SO_HEAD), rng.choice(((1,), (1, 2))))
+            limits = Limits(max_unknowns=rng.choice((3, 20)))
+            ctx, calls = EvalContext(limits=limits), len(searches)
+            got = value_or_error(lambda: evaluate(e, i, SUPERVALUATION, _ctx=ctx))
+            assert len(searches) == calls + 1 and ctx.record == set(), unparse(e)
+            want = value_or_error(lambda: flat_supervaluation(e, i, EvalContext(limits=limits)))
+            completions = [value_or_error(lambda: evaluate_exact(e, j, limits))
+                           for j in exact_completions(i, free_symbols(e))]
+            kinds |= node_kinds(e)
+            if got == want:
+                seen["same " + ("value" if got[1] is None else "error")] += 1
+                if got[1] is None and all(v for v, _ in completions):
+                    assert got[0] is super_oracle(e, i, exact_holds), unparse(e)
+                continue
+            assert got[1] is None or want[1] is None, unparse(e)
+            assert not all(v for v, _ in completions), unparse(e)
+            if got[1] is None:  # a decided value holds at every completion that answers
+                seen["the flat search raised"] += 1
+                assert got[0] is U or {v for v, _ in completions if v} <= {got[0]}, unparse(e)
+            else:
+                seen["the flat search answered"] += 1
+        assert seen["same value"] > 1000 and seen["same error"] > 10, seen
+        assert {"Atom2", "ForallSO", "ExistsSO", "card", "sum", "DefinitionExpr", "Let"} <= kinds
+
+    def test_a_decided_residual_skips_a_raising_let(self):
+        # the flat search values the non-total let-block at its first
+        # completion; the residual is t as soon as s(1) is assigned, and the
+        # let-block waits on s(1), so it is never valued.  Where the residual
+        # needs the let-block, its error is the search's.
+        vocab = Vocabulary.of([P0, P1])
+        i = read_structure("domain = {1}\n", vocab)
+        e = parse_formula("s(1) | ~s(1) | let {p <- ~p & s(1).} in p", vocab)
+        with pytest.raises(NonTotalDefinitionError):
+            flat_supervaluation(e, i, EvalContext())
+        assert evaluate(e, i, SUPERVALUATION) is T
+        e = parse_formula("(p | ~p) & let {q <- ~q & s(1).} in ~q", Vocabulary.of([P0, Q0, P1]))
+        with pytest.raises(NonTotalDefinitionError):
+            evaluate(e, i.expand(P0, PartialSet.from_map({(): U})), SUPERVALUATION)
+
+    @pytest.mark.parametrize("leaf", ["let {r <- z(1).} in r | ~r", "#{y: z(y)} > 0 | ~z(1)"])
+    def test_a_leaf_branches_on_the_atoms_it_reads(self, leaf, monkeypatch):
+        # once x0 is f the residual is the leaf (and ~z(1)), which reads z:
+        # branching on x1 ... x11 first, read by nothing, took 16,381 nodes
+        xs = [Symbol(f"x{k}", pred(0)) for k in range(12)]
+        vocab = Vocabulary.of([*xs, R0, Symbol("z", pred(1))])
+        e = parse_formula(" & ".join(x.name for x in xs) + " | " + leaf, vocab)
+        nodes, search = [], definitions._search
+        monkeypatch.setattr(definitions, "_search", lambda *a: nodes.append(1) or search(*a))
+        assert evaluate(e, read_structure("domain = {1}\n", vocab), SUPERVALUATION) is T
+        assert len(nodes) < 100
+
+    def test_a_leaf_is_valued_once_its_atoms_are_assigned(self, monkeypatch):
+        # the definition reads p and s: each node where both are assigned
+        # values it once, exactly, and no node before
+        vocab = Vocabulary.of([P0, P1])
+        i = read_structure("domain = {1, 2}\np = {(): u}\ns = {(1): u, (2): t}\n", vocab)
+        e = parse_formula("(s(2) & ~s(2)) | {p <- s(1).}", vocab)
+        valued, run = [], definitions.eval_definition
+        monkeypatch.setattr(definitions, "eval_definition",
+                            lambda d, j, *a, **k: valued.append(j) or run(d, j, *a, **k))
+        assert evaluate(e, i, SUPERVALUATION) is U
+        assert [j.exact_on([P0, P1]) for j in valued] == [True] * 2
 
 
 def outcome(run, limits=Limits()):

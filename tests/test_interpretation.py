@@ -1,6 +1,7 @@
 """Partial interpretations and the structure text format."""
 
 import random
+import re
 
 import pytest
 
@@ -243,7 +244,8 @@ class TestStructureFormat:
         ("P = {(a): t}\n", "domain must be declared first"),
         ("domain = {a}\nR = {(a): t}\n", "not in vocabulary"),
         ("domain = {a}\nP = {(a): t}\nP = {(a): f}\n", "duplicate assignment"),
-        ("domain = {a}\nP = {(b): t, *: f}\n", "outside carrier"),
+        ("domain = {a}\nP = {(b): t, *: f}\n", r"^2:0: P: b is not a domain element$"),
+        ("domain = {a}\nQ = {(a): t, *: f}\n", r"^2:0: Q: key \('a',\) outside carrier$"),
         ("domain = {a}\nP = {(a): t, (a): x}\n", "expected t, u or f"),
         ("domain = {a}\nP = {(a): t\n", "expected"),
         ("domain = {a}\ndomain = {b}\nP = {*: f}\n", "duplicate domain"),
@@ -252,3 +254,18 @@ class TestStructureFormat:
     def test_reader_errors(self, bad, msg):
         with pytest.raises(ParseError, match=msg):
             read_structure(bad, VOCAB)
+
+    @pytest.mark.parametrize("value, message", [
+        ("{(a): t, (b): u, (a): f}", "P: key (a) given both t and f"),
+        ("{(9): t, (a): t, (b): t}", "P: 9 is not a domain element"),
+        ("{(a): t, (9): t, *: f}", "P: 9 is not a domain element"),
+    ])
+    def test_each_key_is_given_once_over_domain_elements(self, value, message):
+        # a repeated key once kept its last value; an element outside the
+        # domain was reported as a key outside the carrier, or as entries
+        # not covering it
+        with pytest.raises(ParseError, match=rf"^2:0: {re.escape(message)}$"):
+            read_structure(f"domain = {{a, b}}\nP = {value}\n", VOCAB)
+        if "9" not in value:  # a key given the same value twice has that value
+            same = read_structure(f"domain = {{a, b}}\nP = {value.replace('f', 't')}\n", VOCAB)
+            assert same.value(P).value(("a",)) is T

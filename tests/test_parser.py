@@ -9,10 +9,15 @@ Two differences are allowed, each skipped by name where it shows:
   stopped at a bad character "'";
 * negative arities (`pred/-1`): a `ParseError` at the arity now, where
   the first parser built the type, and a structure giving it a carrier
-  failed with a `ValueError`.
+  failed with a `ValueError`;
+* structure keys: a key given two values, or naming an element outside
+  the domain, is a `ParseError` at that key now, where the first reader
+  kept the last value, or reported the key as outside the carrier or the
+  entries as not covering it once the value was read.
 """
 
 import random
+import re
 
 from click.testing import CliRunner
 from hypothesis import HealthCheck, assume, given, settings
@@ -190,6 +195,7 @@ class TestParserMatchesTheFirstParser:
             assert new == outcome(oracle_parse_theory, VOCAB + text)
 
 
+KEY_ERROR = re.compile(r"^\d+:0: \w+: (key \(.*\) given both|\S+ is not a domain element)")
 STRUCT_VOCAB = Vocabulary.of([*PROPS, Symbol("s", pred(1)), Symbol("c", CONST)])
 
 
@@ -210,9 +216,13 @@ class TestStructureReaderMatchesTheFirstReader:
             at = int(where * len(text))
             text = text[:at] + fragment + text[at + cut:]
         assume("'" not in text)  # primed names: see the module docstring
-        assert outcome(read_structure, text, STRUCT_VOCAB) == outcome(
-            oracle_read_structure, text, STRUCT_VOCAB
-        )
+        new = outcome(read_structure, text, STRUCT_VOCAB)
+        first = outcome(oracle_read_structure, text, STRUCT_VOCAB)
+        if new[0] == "ParseError" and KEY_ERROR.search(new[1]):
+            # structure keys: see the module docstring
+            assert first[0] == "ok" or first[0] == "ParseError" and first[2] in (0, new[2])
+        else:
+            assert new == first
 
     def test_primed_names_round_trip(self):
         # the first reader stopped at "2:2: bad character \"'\""

@@ -7,10 +7,11 @@ import typing
 
 import pytest
 
-from deflog import syntax
+from deflog import definitions, syntax
 from deflog.errors import ParseError
-from deflog.evaluator import EvalContext, _probe_safe, evaluate
+from deflog.evaluator import EvalContext, _compiled, evaluate
 from deflog.interpretation import read_structure
+from deflog.limits import Limits
 from deflog.parser import parse_formula, parse_ruleset, parse_theory
 from deflog.syntax import (
     FRAGMENT_ASO, FRAGMENT_ESO, FRAGMENT_FO, FRAGMENT_SO, And, Atom1, ExistsFO, ExistsSO,
@@ -259,9 +260,18 @@ class TestStructure:
         "RuleSet": RuleSet((Rule(q0, (), Atom1(q0, ())),)),
     }
 
-    # node kinds whose Kleene value a search may compute at inner nodes
-    # (aggregates only for card, and the sample aggregate is not one)
-    PROBE_SAFE = {"Atom1", "Cmp", "Not", "And", "Or", "Implies", "Iff", "ForallFO", "ExistsFO"}
+    # the leaf rule of a search's grounder, per node kind reading a u atom:
+    # ground through, valued at every node ("early"), or a leaf that waits
+    # until every atom of the u predicates it reads is assigned
+    LEAF_RULE = {
+        "Atom1": "ground", "Cmp": "ground", "Not": "ground", "And": "ground", "Or": "ground",
+        "Implies": "ground", "Iff": "ground", "ForallFO": "ground", "ExistsFO": "ground",
+        "Aggregate": "early", "Atom2": "waits", "ForallSO": "waits", "ExistsSO": "waits",
+        "DefinitionExpr": "waits", "Let": "waits",
+    }
+    # one formula per node kind reading a u atom of PARTIAL
+    READS_U = {"ForallSO": "!! X[pred/1]: X(c) | q", "ExistsSO": "?? X[pred/1]: X(c) & r(c)"}
+    PARTIAL = "domain = {1, 2}\nc = 1\nr = {(1): u, (2): f}\nq = {(): u}\np = {*: u}\nE = {*: u}\n"
 
     # one well-typed formula per node kind, for compiling and evaluating
     TYPED = {
@@ -275,7 +285,7 @@ class TestStructure:
 
     def test_every_node_kind_is_known_to_the_primitives(self):
         # a new node kind fails here until fold, the classifier, the
-        # probe-safety predicate and the evaluator's compiler handle it
+        # grounder's leaf rule and the evaluator's compiler handle it
         i = read_structure("domain = {1, 2}\nc = 1\nr = {(1): t, (2): f}\nq = {(): u}\n", VOCAB)
         for cls in typing.get_args(Expr):
             typed = parse(self.TYPED[cls.__name__])
@@ -293,10 +303,29 @@ class TestStructure:
             assert list(visited[-1][1]) == list(range(1, len(visited)))
             assert len(visited) == 1 + (2 if run else kinds.count("Expr") + kinds.count("RuleSet"))
             classify(e)
-            assert _probe_safe(e) is (cls.__name__ in self.PROBE_SAFE)
-        count = parse("#{x: r(x)} > 0")
-        assert _probe_safe(count)
-        assert not _probe_safe(dataclasses.replace(count, agg="sum"))
+            name = cls.__name__
+            assert self.leaf_rule(self.READS_U.get(name, self.TYPED[name])) == self.LEAF_RULE[name]
+
+    def leaf_rule(self, text, structure=PARTIAL) -> str:
+        """How the formula form of the grounder treats the formula."""
+        i = read_structure(structure, VOCAB)
+        g = definitions._Ground(None, i, Limits(), symbols={
+            a.predicate for a in i.u_atoms(i.predicate_symbols())})
+        e = parse(text)
+        g.ground(e, {}, _compiled(e))
+        waits = {bool(wait) for _, _, _, wait, _ in g.leaf}
+        return {frozenset(): "ground", frozenset({False}): "early",
+                frozenset({True}): "waits"}[frozenset(waits)]
+
+    def test_the_leaf_rule_reads_the_whole_aggregate_and_the_arguments(self):
+        # a sum, and a card over a node that waits, wait; a second order
+        # atom over exact arguments is ground to an atom
+        assert self.leaf_rule("sum{x: r(x)} > 0") == "waits"
+        assert self.leaf_rule("#{x: r(x) & (let {q <- ~r(x).} in q)} > 0") == "waits"
+        assert self.leaf_rule("#{x: #{y: r(y) & r(x)} > 0} > 0") == "early"
+        exact_p = self.PARTIAL.replace("p = {*: u}", "p = {*: t}")
+        assert self.leaf_rule("E(p)", exact_p) == "ground"
+        assert self.leaf_rule("E(p) | q", exact_p) == "ground"
 
 
 class TestSubstitution:
