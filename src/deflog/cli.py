@@ -19,9 +19,9 @@ import sys
 
 import click
 
-from .definitions import _cut, _Ground, stable_models, well_founded_model
+from .definitions import constraint_cut, stable_models, well_founded_model
 from .errors import CapExceeded, DeflogError, NonTotalDefinitionError
-from .evaluator import KLEENE, SUPERVALUATION, _compiled, evaluate, evaluate_exact
+from .evaluator import KLEENE, SUPERVALUATION, evaluate, evaluate_exact
 from .interpretation import (
     PartialInterpretation, _fmt_elem, _fmt_key, read_structure,
     write_structure,
@@ -279,12 +279,8 @@ def _mx_models(theory: Theory, struct: PartialInterpretation, limits: Limits):
         ),
         key=lambda s: s.name,
     )
-    refuted = None  # a residual f refutes a subtree; none while constants are unassigned
-    if not consts:
-        g = _Ground(None, struct, limits, symbols={
-            a.predicate for a in struct.u_atoms(struct.predicate_symbols())})
-        refuted = _cut(g, (g.ground(phi, {}, _compiled(phi)) for phi in constraints),
-                       lambda values: 0 in values)
+    # a residual f refutes a subtree; no grounding while constants are unassigned
+    refuted = None if consts else constraint_cut(constraints, struct, limits)
     for base in struct.completions(struct.predicate_symbols(), limits, refuted):
         stack = [base]
         for c in consts:

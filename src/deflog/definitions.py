@@ -39,8 +39,9 @@ node, any other opaque leaf waits, u, until the atoms it reads are all
 assigned.  Supervaluation searches the residual interned in a unique
 table (`_residual_glb`): equal sub-residuals are one node, and one with
 no opaque leaf is searched once, as its values are the same anywhere.
-The `mx` and `stable_models` cuts read the residuals at each node
-(`_cut`); the rule form serves the fixpoints.
+The `mx` (`constraint_cut`) and `stable_models` cuts read the residuals
+at each node (`_cut`); the rule form serves the fixpoints and the atoms
+a rule set used as a formula reads.
 """
 
 from __future__ import annotations
@@ -343,6 +344,7 @@ class _Ground:
         n = len(self.keys)  # per head its node and leaves, per atom its readers
         self.node, self.leaves, self.deps = [0] * n, [()] * n, [[] for _ in range(n)]
         self.opaque, self.reads, self.leaf = [], set(), []  # opaque: the heads with leaves
+        self.last = {}  # per formula-form leaf slot, its atoms' values and its code there
         for h in () if d is None else range(n) if heads is None else heads:
             self.reads, self.leaf = set(), []
             self.node[h] = self.rules(d, *self.keys[h])
@@ -399,22 +401,27 @@ class _Ground:
         atoms = () if not self.fold else tuple(  # the u atoms it may read
             x for sym in live for x in range(self.index[sym][0], self.index[sym][0] +
                                              len(self.index[sym][1])) if self.val[x] == 1)
-        wait = atoms if atoms and _waits(e) else ()
+        wait = bool(atoms) and _waits(e)
         self.val.append(1 if wait else _code(fn(self.at, env, self.ctx)))
         self.leaf.append((len(self.val) - 1, fn, dict(env), wait, atoms))
         return len(self.val) - 1
 
     def value(self, leaves, j=None):
         """Code each opaque leaf (slot, fn, env, wait, atoms) at j, by default
-        val's interpretation, built once; one waiting on a u atom is u.
-        Returns j."""
-        val = self.val
-        for slot, fn, env, wait, _ in leaves:
-            if wait and any(val[x] == 1 for x in wait):
+        val's interpretation, built once; one waiting on a u atom is u.  A
+        formula-form leaf's value is a function of its atoms' values, so it
+        is kept while they are those it was last valued at.  Returns j."""
+        val, last = self.val, self.last
+        for slot, fn, env, wait, atoms in leaves:
+            key = [val[x] for x in atoms]
+            if wait and 1 in key:
                 val[slot] = 1
-            else:
+            elif not self.fold or last.get(slot, (None,))[0] != key:
                 j = j or self.interpretation()
                 val[slot] = _code(fn(j, env, self.ctx))
+                last[slot] = key, val[slot]
+            else:
+                val[slot] = last[slot][1]
         return j
 
     def values(self, hs, refresh: bool = True) -> list:
@@ -607,15 +614,21 @@ def _cut(g: _Ground, residuals: Iterable, decided):
     return cut if nodes else None
 
 
-def _residual_wfm(d: RuleSet, i0: PartialInterpretation, limits: Limits,
-                  rounds: bool = True) -> tuple:
+def constraint_cut(constraints: list, i: PartialInterpretation, limits: Limits):
+    """A cut for the refinements of i's u atoms, true where some
+    constraint's residual is f; the cap on those atoms is checked first."""
+    atoms = i.u_atoms(i.predicate_symbols())
+    limits.check("max_unknowns", len(atoms), "{n} unknown atoms exceed cap {cap}")
+    g = _Ground(None, i, limits, symbols={a.predicate for a in atoms})
+    return _cut(g, (g.ground(phi, {}, _compiled(phi)) for phi in constraints),
+                lambda values: 0 in values)
+
+
+def _residual_wfm(d: RuleSet, i0: PartialInterpretation, limits: Limits) -> tuple:
     """The well-founded model expanding i0 (defined atoms all u) and the
     u-valued parameter atoms read: set every atom a round derives true at
-    once, else the greatest unfounded set false, until neither moves.
-    Without rounds, i0 and the atoms grounding alone reads."""
+    once, else the greatest unfounded set false, until neither moves."""
     g = _Ground(d, i0, limits)
-    if not rounds:
-        return i0, g.consulted()
     val, n = g.val, len(g.keys)
     g.derive(list(range(n)), refresh=False)  # the leaves hold round one
     while changed := g.unfounded([h for h in range(n) if val[_ATOMS + h] == 1]):
@@ -716,7 +729,7 @@ def eval_definition(
     try:
         _agreement(d, i, limits, root)  # records the parameter atoms read
     except DeflogError:  # from a later round: grounding alone reads as much
-        root.record.update(_residual_wfm(d, i.revise(atoms, U), limits, rounds=False)[1])
+        root.record.update(_Ground(d, i.revise(atoms, U), limits).consulted())
     unknown = sorted(root.record.union(a for a in atoms if i.atom_value(a) is U), key=_atom_key)
     if not unknown:
         return exact(i)

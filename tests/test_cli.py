@@ -15,7 +15,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
-from deflog import cli
+from deflog import cli, definitions
 from deflog.cli import _mx_models, main
 from deflog.errors import CapExceeded, EvaluationError, NonTotalDefinitionError
 from deflog.evaluator import KLEENE, SUPERVALUATION, evaluate, evaluate_exact
@@ -566,6 +566,33 @@ class TestModelExpansionSearch:
         else:
             # q t, then f
             assert [j.value(theory.vocabulary.get("s")).values for j in want[0]] == [(F,), (F,)]
+
+    def test_a_waiting_cut_leaf_is_valued_once_per_assignment_of_its_atoms(self, monkeypatch):
+        # the let reads a and b, which are branched on first: it is valued
+        # at the four nodes that assign both and keeps that value below
+        theory = parse_theory("vocab { a: pred/0; b: pred/0; c: pred/1; q: pred/0; }\n"
+                              "formula l { let {q <- a & b.} in ~q }\n")
+        struct = read_structure("domain = {1..3}\n", theory.vocabulary)
+        calls, wfm = [], definitions.well_founded_model
+        monkeypatch.setattr(definitions, "well_founded_model",
+                            lambda *a, **k: calls.append(1) or wfm(*a, **k))
+        cut = definitions.constraint_cut([*theory.formulas.values()], struct, DEFAULT_LIMITS)
+        completions = struct.completions(struct.predicate_symbols(), DEFAULT_LIMITS, cut)
+        assert len(list(completions)) == 3 * 2 ** 4  # a & b cut, then c(1..3) and q
+        assert len(calls) == 4
+
+    def test_the_unknowns_cap_is_checked_before_the_cut_grounds(self, monkeypatch):
+        # 300 u atoms against cap 20: the cap error comes at once, with no
+        # constraint ground into the cut
+        theory = parse_theory("vocab { p: pred/2; }\nformula c { !x: #{y: p(x, y)} > 0 }\n")
+        struct = read_structure("domain = {1..300}\n", theory.vocabulary)
+        grounders, ground = [], definitions._Ground
+        monkeypatch.setattr(definitions, "_Ground", lambda *a, **k: grounders.append(1) or
+                            ground(*a, **k))
+        limits = Limits(max_unknowns=20, max_carrier=100_000)
+        with pytest.raises(CapExceeded, match=r"^90000 unknown atoms exceed cap 20 "):
+            list(_mx_models(theory, struct, limits))
+        assert grounders == []
 
     def test_probe_errors_are_left_to_the_leaves(self):
         # no completion satisfies a, so no leaf evaluates b, whose bound
