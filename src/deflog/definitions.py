@@ -22,6 +22,11 @@ first order quantifiers, and opaque leaves (second order quantifiers,
 aggregates, nested definitions) valued at the current interpretation.
 Its rounds and unfounded-set passes go through the interpretations of the
 plain fixpoint, valuing only the heads that read an atom just changed.
+Grounding is bounded, as in IDP's grounding with bounds (Wittocx, Mariën
+and Denecker, 2010): a first order quantifier guarded by a parameter atom
+(`?z: e(x, z) & r(z, y)`, or `!z: e(x, z) => r(z, y)`) is ground only at
+the values where its guard is not f, so a reachability rule on an n-chain
+reads n(n-1) instances of `r(x, z)` rather than n^3.
 
 The subset condition above stays the definition of prudence, but it is
 checked with one least fixpoint (`_demotion`): the lower stable operator
@@ -47,6 +52,7 @@ a rule set used as a formula reads.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
@@ -56,8 +62,8 @@ from .evaluator import EvalContext, _compiled, _read, _relation_cached
 from .interpretation import PartialInterpretation
 from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (
-    And, Atom1, Atom2, DefinitionExpr, ExistsFO, ExistsSO, ForallFO, ForallSO, Iff, Implies,
-    Let, Not, Or, RuleSet, fold, free_symbols,
+    And, Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO, ExistsSO, ForallFO, ForallSO, Iff, Implies,
+    Let, Not, Or, RuleSet, SymTerm, fold, free_symbols,
 )
 from .truthvalues import F, T, TV, U, PartialSet, canon_order, max_truth
 from .vocab import DomainAtom, Symbol, predicate_carrier
@@ -320,6 +326,14 @@ def _waits(e) -> bool:
         "_waits")
 
 
+def _inert(e) -> bool:
+    """Whether e is built of first order atoms, comparisons, connectives
+    and FO quantifiers only: ground over bound variables and `whole`
+    symbols, it folds to atoms and constants, records nothing and cannot raise."""
+    return fold(e, lambda n, kids: all(kids) and type(n) in (
+        Atom1, Cmp, Not, And, Or, Implies, Iff, ForallFO, ExistsFO), "_inert")
+
+
 class _Ground:
     """Rule set d ground at `at` for the defined atoms `heads` (indices
     into _defined_atoms, all by default): per head a residual node and the
@@ -329,7 +343,8 @@ class _Ground:
     the exact ones and collects opaque leaves in `leaf`, and a leaf that
     `_waits` is u until every u atom of the symbols it reads is assigned.
     Grounding values, in closure order, all that one round of body
-    evaluations at `at` would, leaves that wait aside, so it raises the same."""
+    evaluations at `at` would, leaves that wait aside, so it raises the same.
+    A guarded FO quantifier expands only where its guard is not f (`span`)."""
 
     def __init__(self, d: RuleSet | None, at: PartialInterpretation, limits: Limits,
                  heads=None, symbols=()):
@@ -345,6 +360,7 @@ class _Ground:
         self.node, self.leaves, self.deps = [0] * n, [()] * n, [[] for _ in range(n)]
         self.opaque, self.reads, self.leaf = [], set(), []  # opaque: the heads with leaves
         self.last = {}  # per formula-form leaf slot, its atoms' values and its code there
+        self.guards, self.full = {}, {}  # per FO quantifier its guard, per symbol if full
         for h in () if d is None else range(n) if heads is None else heads:
             self.reads, self.leaf = set(), []
             self.node[h] = self.rules(d, *self.keys[h])
@@ -381,7 +397,7 @@ class _Ground:
             return _connect(_OR, [_negate(a), b])
         if t is ForallFO or t is ExistsFO:
             inner, kids = dict(env), []
-            for v in self.at.domain:
+            for v in self.span(e, env):
                 inner[e.var] = v
                 kids.append(self.ground(e.body, inner, e.body._fn))
             return _connect(_AND if t is ForallFO else _OR, kids)
@@ -405,6 +421,66 @@ class _Ground:
         self.val.append(1 if wait else _code(fn(self.at, env, self.ctx)))
         self.leaf.append((len(self.val) - 1, fn, dict(env), wait, atoms))
         return len(self.val) - 1
+
+    def span(self, e, env: dict):
+        """The values, in domain order, at which to ground FO quantifier e's
+        body: where its guard is not f.  A guard is a conjunct G(ū) of ?v's
+        body, or the premise of !v's implication, over a parameter `at`
+        interprets, ū being v and variables bound in env, whose other
+        conjuncts are `_inert` over bound variables and `whole` symbols.
+        Where G is f the body grounds to the unit e drops, reading f from G
+        and atoms or exact values from the rest: nothing recorded, nothing
+        raised.  A tuple G lacks is kept, so that its read raises as before."""
+        guard = self.guards.get(id(e), False)
+        if guard is False:
+            guard = self.guards[id(e)] = self.guard(e)
+        if guard is None or guard[0] in env or not env.keys() >= guard[1]:
+            return self.at.domain
+        p, _, bound, slots, spans = guard
+        key = tuple([env[s] for s in bound])
+        out = spans.get(key)
+        if out is None:  # G's values at key, once per _Ground
+            ps = self.at.value(p)
+            out = spans[key] = [v for v in self.at.domain if (k := ps._index.get(tuple(
+                [v if s is None else env[s] for s in slots]))) is None or ps.values[k] is not F]
+        return out
+
+    def guard(self, e):
+        """e's guard as (its predicate, the symbols env must bind, its other
+        arguments, its arguments with None for e's variable, the spans by
+        the other arguments' values), or None."""
+        body, var = e.body, e.var
+        if type(e) is ExistsFO and type(body) is And:
+            parts, firsts = body.args, body.args
+        elif type(e) is ForallFO and type(body) is Implies:
+            parts, firsts = (body.left, body.right), (body.left,)
+        else:
+            return None
+        if not all(map(_inert, parts)):
+            return None
+        for g in firsts:
+            p = g.predicate if type(g) is Atom1 else None
+            if p is None or p in self.defined or not self.at.interprets(p) or not all(
+                    type(a) is SymTerm for a in g.args):
+                continue
+            slots = [None if a.symbol == var else a.symbol for a in g.args]
+            if None not in slots:
+                continue
+            rest = frozenset().union(*[free_symbols(c) for c in parts if c is not g]) - {var}
+            bound = tuple(s for s in slots if s is not None)
+            return p, frozenset(s for s in rest if not self.whole(s)).union(bound), bound, slots, {}
+        return None
+
+    def whole(self, sym: Symbol) -> bool:
+        """Whether reading first order predicate sym at any tuple of domain
+        elements reads an atom, or a value that records nothing: sym is
+        interpreted over every such tuple, and defined or exact."""
+        out = self.full.get(sym)
+        if out is None:
+            ps = self.at.value(sym) if sym.type.kind == "pred" and self.at.interprets(sym) else None
+            out = self.full[sym] = ps is not None and (sym in self.defined or ps.is_exact) and all(
+                key in ps._index for key in itertools.product(self.at.domain, repeat=sym.type.arity))
+        return out
 
     def value(self, leaves, j=None):
         """Code each opaque leaf (slot, fn, env, wait, atoms) at j, by default

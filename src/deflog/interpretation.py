@@ -293,6 +293,16 @@ def write_structure(i: PartialInterpretation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _so_key(key: tuple, t, members: set) -> bool:
+    """Whether key is an argument tuple of second order type t over the
+    domain `members`: an element per domain argument, and per predicate
+    argument a relation of tuples of its arity over the domain."""
+    return len(key) == len(t.args) and all(
+        k in members if a.kind == "domain" else isinstance(k, frozenset) and all(
+            len(x) == a.arity and members.issuperset(x) for x in k)
+        for k, a in zip(key, t.args))
+
+
 class _StructReader(_Cursor):
     def __init__(self, text: str, vocab: Vocabulary, limits: Limits):
         super().__init__(*_lex_structure(text))
@@ -426,6 +436,10 @@ class _StructReader(_Cursor):
                 self.fail(
                     f"{sym.name}: entries do not cover the carrier and no '*' default given", name
                 )
+        else:  # a second order carrier may be too large to build: check each key
+            for key in entries:
+                if not _so_key(key, sym.type, members):
+                    self.fail(f"{sym.name}: key {_fmt_key(key)} outside carrier", name)
         return PartialSet.from_map(entries)
 
 

@@ -16,7 +16,7 @@ from deflog.syntax import (
     SymTerm,
 )
 from deflog.truthvalues import F, T, U, PartialSet
-from deflog.vocab import CONST, Symbol, pred, so_pred
+from deflog.vocab import CONST, Symbol, pred, predicate_carrier, so_pred
 
 # a small propositional-to-unary vocabulary for randomized suites
 P0 = Symbol("p", pred(0))
@@ -180,3 +180,103 @@ def random_tree(rng: random.Random, depth: int, fo_vars=(), so_vars=(), consts=(
             rules.append(Rule(rng.choice(PROPS), (), sub()))
     rs = RuleSet(tuple(rules))
     return DefinitionExpr(rs) if kind == "definition" else Let(rs, sub())
+
+
+# guarded rules: a first order quantifier whose body holds a parameter atom
+# over its variable (the guard) beside atoms of the defined R and W
+EDGE, MARK = Symbol("e", pred(2)), Symbol("m", pred(1))  # parameters
+REACH, WIN = Symbol("R", pred(2)), Symbol("W", pred(1))  # defined
+CON = Symbol("c", CONST)
+SO_WIN = Symbol("S", so_pred(pred(1)))  # read at W: an Atom2 conjunct
+LOCAL = Symbol("k", pred(0))  # defined by a let-block conjunct
+GUARDED = (EDGE, MARK, REACH, WIN, SO_WIN)
+X, Y, Z = (Symbol(n, CONST) for n in "xyz")
+
+
+def _atom(p, *args):
+    return Atom1(p, tuple(a if isinstance(a, (IntTerm, AddTerm)) else SymTerm(a) for a in args))
+
+
+# the perfbench shapes: reach, win, and win's dual under !/=>
+REACH_RULE = Rule(REACH, (X, Y), Or(_atom(EDGE, X, Y), ExistsFO(Z, And(
+    _atom(REACH, X, Z), _atom(EDGE, Z, Y)))))
+WIN_RULE = Rule(WIN, (X,), ExistsFO(Y, And(_atom(EDGE, X, Y), Not(_atom(WIN, Y)))))
+DUAL_RULE = Rule(WIN, (X,), ForallFO(Y, Implies(_atom(EDGE, X, Y), _atom(WIN, Y))))
+
+
+def guarded_conjunct(rng: random.Random, scope: tuple, depth: int):
+    """A conjunct beside a guard: mostly an atom of R or W, a negation, a
+    comparison or a nested guarded quantifier; at times one that turns
+    the bound off (a card aggregate, an Atom2, a let-block or a second
+    parameter), each able to raise, record or create memo keys where the
+    guard is f."""
+    roll = rng.random()
+    if depth > 0 and roll < 0.2:
+        return guarded_quantifier(rng, scope, depth - 1)
+    if roll < 0.3:
+        return Not(guarded_conjunct(rng, scope, depth))
+    if roll < 0.38:
+        return Cmp(rng.choice("=<>"), SymTerm(rng.choice(scope)),
+                   rng.choice((SymTerm(rng.choice(scope)), IntTerm(2))))
+    if roll < 0.42:  # its bound raises at a domain element that is no integer
+        w = Symbol(f"w{len(scope)}", CONST)
+        return Aggregate("card", ">", (w,), _atom(REACH, rng.choice(scope), w),
+                         rng.choice((IntTerm(0), SymTerm(rng.choice(scope)))))
+    if roll < 0.45:  # completes W's u atoms, under the unknowns cap
+        return Atom2(SO_WIN, (SymTerm(WIN),))
+    if roll < 0.48:  # creates memo keys holding the scope's values
+        return Let(RuleSet((Rule(LOCAL, (), _atom(WIN, rng.choice(scope))),)), Atom1(LOCAL, ()))
+    if roll < 0.52:
+        return _atom(MARK, rng.choice(scope))
+    if rng.random() < 0.5:
+        return _atom(WIN, rng.choice(scope))
+    return _atom(REACH, rng.choice(scope), rng.choice(scope))
+
+
+def guarded_quantifier(rng: random.Random, scope: tuple, depth: int = 1):
+    """?v: e(..) & φ.. or !v: e(..) => φ, e's arguments being v and variables
+    in scope (both v at times), or at times a constant, an integer or a sum."""
+    v = Symbol(f"z{len(scope)}", CONST)
+    inner = scope + (v,)
+    args = []
+    for _ in range(2):
+        roll = rng.random()
+        args.append(CON if roll < 0.05 else IntTerm(rng.randint(1, 3)) if roll < 0.1
+                    else AddTerm(SymTerm(rng.choice(inner)), IntTerm(1)) if roll < 0.14
+                    else rng.choice(inner))
+    args[rng.randrange(2)] = v
+    guard = _atom(EDGE, *args)
+    rest = [guarded_conjunct(rng, inner, depth) for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.6:
+        parts = [guard, *rest]
+        rng.shuffle(parts)
+        return ExistsFO(v, And(*parts))
+    return ForallFO(v, Implies(guard, rest[0] if len(rest) == 1 else And(*rest)))
+
+
+def random_guarded_rules(rng: random.Random) -> RuleSet:
+    """A rule set defining R and W, each by a fixed shape or a random
+    guarded body, with at most two more random guarded rules."""
+    def body(head_vars):
+        q = guarded_quantifier(rng, head_vars, rng.randint(0, 2))
+        return Or(_atom(EDGE, X, head_vars[-1]), q) if rng.random() < 0.3 else q
+
+    rules = [rng.choice((REACH_RULE, Rule(REACH, (X, Y), body((X, Y))))),
+             rng.choice((WIN_RULE, DUAL_RULE, Rule(WIN, (X,), body((X,)))))]
+    for _ in range(rng.randint(0, 2)):
+        head, hv = rng.choice(((REACH, (X, Y)), (WIN, (X,))))
+        rules.append(Rule(head, hv, body(hv)))
+    return RuleSet(tuple(rules))
+
+
+def guarded_context(rng: random.Random, symbols, domain, p_unknown: float, exact=()):
+    """An interpretation of `symbols` (of GUARDED) and, at times, of the
+    constant c: e is f at about three in four tuples, and every atom of a
+    symbol not in `exact` is u with probability p_unknown."""
+    valuation = {sym: PartialSet.from_map({
+        key: U if sym not in exact and rng.random() < p_unknown else
+        F if sym is EDGE and rng.random() < 0.5 else rng.choice((T, F))
+        for key in predicate_carrier(sym.type, domain)}) for sym in symbols}
+    if rng.random() < 0.9:
+        valuation[CON] = rng.choice(domain)
+    return PartialInterpretation.make(domain, valuation)

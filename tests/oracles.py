@@ -66,7 +66,8 @@
   column), the same `Theory` or structure and the same `ParseError`
   text, except that structures now read primed names and a negative
   arity is a `ParseError` (a `ValueError` once a structure gave it a
-  carrier).
+  carrier).  Both readers reject a second order key outside the carrier
+  where no `*` default is given, which the first reader accepted.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from deflog.errors import (
     CapExceeded, DeflogError, EvaluationError, NonTotalDefinitionError, ParseError,
 )
 from deflog.evaluator import EvalContext, _compiled
-from deflog.interpretation import PartialInterpretation
+from deflog.interpretation import PartialInterpretation, _fmt_key
 from deflog.limits import DEFAULT_LIMITS, Limits
 from deflog.parser import Theory
 from deflog.syntax import (
@@ -1449,6 +1450,11 @@ class OracleStructReader:
                     f"{sym.name}: entries do not cover the carrier and no '*' default given",
                     line,
                 )
+        else:
+            carrier = set(map(tuple, predicate_carrier(sym.type, domain, self.limits)))
+            for key in entries:
+                if key not in carrier:
+                    raise ParseError(f"{sym.name}: key {_fmt_key(key)} outside carrier", line)
         return PartialSet.from_map(entries)
 
 

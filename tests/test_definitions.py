@@ -13,26 +13,33 @@ import random
 import pytest
 
 from deflog import definitions
+from deflog.cli import _mx_models
 from deflog.definitions import (
     eval_definition, expand_context, greatest_unfounded_set,
     is_partial_stable, is_total, partial_stable_models, stable_models,
     well_founded_model,
 )
 from deflog.errors import CapExceeded, DeflogError, EvaluationError, NonTotalDefinitionError
-from deflog.evaluator import EvalContext
-from deflog.interpretation import PartialInterpretation
+from deflog.evaluator import SUPERVALUATION, EvalContext, evaluate, evaluate_exact
+from deflog.interpretation import PartialInterpretation, read_structure
 from deflog.limits import Limits
-from deflog.parser import parse_ruleset
-from deflog.syntax import And, Atom1, Atom2, ExistsSO, Not, Or, Rule, RuleSet, SymTerm
-from deflog.truthvalues import F, T, U, PartialSet, max_truth
-from deflog.vocab import CONST, DomainAtom, Symbol, Vocabulary, pred
-
-from gen import P1, PROPS, SO1, SO_HEAD, random_ruleset, random_tree
-from oracles import (
-    flat_filter, is_closed, is_unfounded, oracle_demotion, oracle_eval_definition,
-    oracle_exact_prudent, oracle_unfounded_set, oracle_wfm_fixpoint,
+from deflog.parser import Theory, parse_ruleset, parse_theory
+from deflog.syntax import (
+    And, Atom1, Atom2, ExistsFO, ExistsSO, ForallFO, Not, Or, Rule, RuleSet, SymTerm, unparse,
 )
-from test_evaluator import node_kinds, random_partial
+from deflog.truthvalues import F, T, U, PartialSet, max_truth
+from deflog.vocab import CONST, DomainAtom, Symbol, Vocabulary, pred, predicate_carrier
+
+from gen import (
+    CON, EDGE, GUARDED, MARK, P1, PROPS, REACH, SO1, SO_HEAD, SO_WIN, WIN, X, guarded_context,
+    guarded_quantifier, random_guarded_rules, random_ruleset, random_tree,
+)
+from oracles import (
+    exact_completions, flat_filter, is_closed, is_unfounded, oracle_demotion,
+    oracle_eval_definition, oracle_exact_prudent, oracle_unfounded_set, oracle_wfm_fixpoint,
+    super_oracle,
+)
+from test_evaluator import exact_holds, node_kinds, random_partial, value_or_error
 
 p, q, r = PROPS
 VOCAB = Vocabulary.of(PROPS)
@@ -458,10 +465,10 @@ def run_fixpoint(run, defined, limits):
     return value, error, record, list(definitions._WFM_CACHE)
 
 
-def residual_and_oracle(d, o, limits=Limits()):
+def residual_and_oracle(d, o, limits=Limits(), carriers=None):
     """The fixpoint over the ground residual program against the seed's
-    alternating fixpoint, on d's context o."""
-    i0 = expand_context(d, o, limits)
+    alternating fixpoint, on d's context o and `carriers`."""
+    i0 = expand_context(d, o, limits, carriers)
 
     def residual(ctx):
         model, record = definitions._residual_wfm(d, i0, limits)
@@ -626,6 +633,110 @@ class TestMemoRecord:
                     definitions._defined_atoms(d, cold)), f"{d}"
                 recorded += bool(record)
         assert recorded > 100
+
+
+def bounded(g) -> tuple:
+    """Whether grounder g expanded a quantifier by its guard's values, and
+    whether it found a quantifier with no guard."""
+    return (any(x is not None and x[-1] for x in g.guards.values()),
+            any(x is None for x in g.guards.values()))
+
+
+class TestGuardedGrounding:
+    """A guarded FO quantifier is ground only where its guard is not f.
+    Skipping the rest must change nothing but the readers of atoms no
+    residual holds: models, errors, records and memo keys against the
+    seed's fixpoint; values against the flat completion loops."""
+
+    def test_rule_form_matches_the_seed_fixpoint(self):
+        rng = random.Random(151)
+        seen = collections.Counter()
+        for _ in range(800):
+            d = random_guarded_rules(rng)
+            domain = rng.choice(((1, 2, 3), (1, 2), ("a", 2, 3)))
+            present = [s for s in (EDGE, MARK, SO_WIN) if rng.random() < 0.97]
+            o = guarded_context(rng, present, domain, rng.choice((0, 0.1, 0.3)))
+            carriers = None
+            if rng.random() < 0.2:  # a restricted carrier turns the bound off
+                h = rng.choice((REACH, WIN))
+                full = predicate_carrier(h.type, domain)
+                carriers = {h: rng.sample(full, len(full) - 1)}
+            limits = Limits(max_unknowns=rng.choice((2, 20)))
+            model, error, record, keys = residual_and_oracle(d, o, limits, carriers)
+            seen["error" if error else "u model" if not model.is_exact else "exact model"] += 1
+            seen["recorded"] += bool(error is None and record)
+            seen["keyed"] += bool(keys)
+            try:
+                g = definitions._Ground(d, expand_context(d, o, limits, carriers), limits)
+            except DeflogError:
+                continue
+            found, refused = bounded(g)
+            seen["bounded"] += found
+            seen["refused"] += refused
+        assert min(seen[k] for k in ("error", "u model", "exact model")) > 100, seen
+        assert seen["recorded"] > 150 and seen["keyed"] > 20, seen
+        assert seen["bounded"] > 300 and seen["refused"] > 100, seen
+
+    def test_formula_form_matches_the_flat_oracles(self):
+        rng = random.Random(157)
+        seen, vocab = collections.Counter(), Vocabulary.of(GUARDED + (CON,))
+        for _ in range(600):
+            e = rng.choice((ForallFO, ExistsFO))(X, guarded_quantifier(rng, (X,), 1))
+            domain = rng.choice(((1, 2, 3), (1, 2)))
+            i = guarded_context(rng, GUARDED, domain, 0.1,
+                                exact=(EDGE,) if rng.random() < 0.8 else ())
+            if not i.interprets(CON):
+                i = i.expand(CON, domain[0])
+            limits = Limits(max_unknowns=12)
+            got = value_or_error(lambda: evaluate(e, i, SUPERVALUATION, limits))
+            theory = Theory(vocab, {"f": e})
+            models = value_or_error(lambda: list(_mx_models(theory, i, limits)))
+            try:
+                want = None if got[1] and got[1][0] is CapExceeded else super_oracle(
+                    e, i, exact_holds)
+            except DeflogError:  # e.g. a let-block with no exact model
+                want = None
+            if want is not None:
+                assert got == (want, None), unparse(e)
+                seen[want] += 1
+            if len(i.u_atoms(i.predicate_symbols())) > limits.max_unknowns:
+                assert models[1][0] is CapExceeded
+                continue
+            want, errors, accepted = flat_filter(
+                exact_completions(i, i.predicate_symbols()),
+                lambda j: evaluate_exact(e, j, limits) is T)
+            if models != want:  # a cut skipped each raising completion
+                assert want[1] is not None and (models[1] in errors or models == (accepted, None))
+            seen["models"] += bool(models[0])
+            g = definitions._Ground(None, i, limits, symbols={a.predicate for a in i.u_atoms(
+                i.predicate_symbols())})
+            try:
+                g.ground(e, {}, e._fn)
+            except DeflogError:
+                continue
+            seen["bounded"] += bounded(g)[0]
+        assert min(seen[v] for v in (T, U, F)) > 10 and seen["models"] > 100, seen
+        assert seen["bounded"] > 80, seen
+
+    def test_a_chain_reads_each_atom_from_one_head(self):
+        # reach on a permuted 24-chain: R(x, y) reads R(x, z) only at y's
+        # predecessor z, so n(n-1) readers where expanding every z gave n^3
+        n, rng = 24, random.Random(163)
+        nodes = [f"n{k}" for k in range(n)]
+        rng.shuffle(nodes)
+        edges = ", ".join(f"({a}, {b}): t" for a, b in zip(nodes, nodes[1:]))
+        th = parse_theory("vocab { e: pred/2; r: pred/2; }\n"
+                          "definition reach { r(x, y) <- e(x, y) | (?z: r(x, z) & e(z, y)). }\n")
+        o = read_structure(f"domain = {{{', '.join(sorted(nodes))}}}\ne = {{{edges}, *: f}}\n",
+                           th.vocabulary)
+        d = th.definitions["reach"]
+        o = definitions.parameter_context(d, o)
+        g = definitions._Ground(d, expand_context(d, o), Limits())
+        assert sum(map(len, g.deps)) == n * (n - 1)
+        r = well_founded_model(d, o).value(th.vocabulary.get("r"))
+        assert {k for k, v in r.items() if v is T} == {
+            (a, b) for k, a in enumerate(nodes) for b in nodes[k + 1:]}
+        assert r.is_exact
 
 
 def definition_run(value_of, d, i, sem, limits):

@@ -13,7 +13,7 @@ from deflog.limits import Limits
 from deflog.truthvalues import F, T, U, PartialSet, exact_set
 from deflog.vocab import CONST, DOMAIN, DomainAtom, Symbol, Vocabulary, pred, so_pred
 
-from oracles import rebuild_expand, rebuild_restrict, rebuild_revise
+from oracles import oracle_read_structure, rebuild_expand, rebuild_restrict, rebuild_revise
 
 P = Symbol("P", pred(1))
 Q = Symbol("Q", pred(2))
@@ -254,6 +254,23 @@ class TestStructureFormat:
     def test_reader_errors(self, bad, msg):
         with pytest.raises(ParseError, match=msg):
             read_structure(bad, VOCAB)
+
+    @pytest.mark.parametrize("value, key", [
+        ("{({(b)}): t, ({}): f}", "({(b)})"),  # b is no domain element
+        ("{({(a, a)}): t}", "({(a, a)})"),  # a pair in a pred/1 relation
+        ("{({(a)}, {}): t}", "({(a)}, {})"),  # two arguments for one
+        ("{(a): t}", "(a)"),  # an element for a relation
+    ])
+    def test_second_order_keys_lie_in_the_carrier(self, value, key):
+        # with no '*' default the carrier is never built, so each key is
+        # checked; both readers once accepted these
+        vocab = Vocabulary.of([Symbol("E", so_pred(pred(1)))])
+        text = f"domain = {{a}}\nE = {value}\n"
+        for read in (read_structure, oracle_read_structure):
+            with pytest.raises(ParseError, match=rf"^2:0: E: key {re.escape(key)} outside carrier$"):
+                read(text, vocab)
+        ok = read_structure("domain = {a}\nE = {({(a)}): t, ({}): f}\n", vocab)
+        assert ok == oracle_read_structure("domain = {a}\nE = {({(a)}): t, ({}): f}\n", vocab)
 
     @pytest.mark.parametrize("value, message", [
         ("{(a): t, (b): u, (a): f}", "P: key (a) given both t and f"),
