@@ -207,9 +207,9 @@ DUAL_RULE = Rule(WIN, (X,), ForallFO(Y, Implies(_atom(EDGE, X, Y), _atom(WIN, Y)
 def guarded_conjunct(rng: random.Random, scope: tuple, depth: int):
     """A conjunct beside a guard: mostly an atom of R or W, a negation, a
     comparison or a nested guarded quantifier; at times one that turns
-    the bound off (a card aggregate, an Atom2, a let-block or a second
-    parameter), each able to raise, record or create memo keys where the
-    guard is f."""
+    the bound off (a card aggregate, an Atom2, a let-block, or m where it
+    has u atoms), each able to raise, record or create memo keys where
+    the guard is f."""
     roll = rng.random()
     if depth > 0 and roll < 0.2:
         return guarded_quantifier(rng, scope, depth - 1)

@@ -656,6 +656,10 @@ class TestGuardedGrounding:
             domain = rng.choice(((1, 2, 3), (1, 2), ("a", 2, 3)))
             present = [s for s in (EDGE, MARK, SO_WIN) if rng.random() < 0.97]
             o = guarded_context(rng, present, domain, rng.choice((0, 0.1, 0.3)))
+            if EDGE in present and rng.random() < 0.1:  # a guard tuple e lacks is kept
+                gone = rng.choice(predicate_carrier(EDGE.type, domain))
+                o = o.expand(EDGE, PartialSet.from_map(
+                    {k: v for k, v in o.value(EDGE).items() if k != gone}))
             carriers = None
             if rng.random() < 0.2:  # a restricted carrier turns the bound off
                 h = rng.choice((REACH, WIN))
