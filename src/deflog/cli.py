@@ -82,7 +82,8 @@ def _verb(name: str, structure: bool = False, caps: bool = True):
                 _fail(EXIT_NO_MODEL, str(exc))
             except (DeflogError, OSError, UnicodeDecodeError) as exc:
                 _fail(EXIT_INPUT, str(exc))
-            except RecursionError:  # nested parentheses, => chains, walkers with scope
+            except RecursionError:  # deep input to what recurses per level: the type
+                # checker, substitution, the grounder, the evaluator's closures
                 _fail(EXIT_INPUT, "formula nested too deeply")
 
         params = [click.Argument(["theory_file"])]

@@ -293,6 +293,18 @@ def write_structure(i: PartialInterpretation) -> str:
     return "\n".join(lines) + "\n"
 
 
+_TRUTH = {"t": T, "u": U, "f": F}
+
+
+def _carrier_set(sym: Symbol, carrier: list, values: tuple) -> PartialSet:
+    """`values` over the carrier of `sym` that `predicate_carrier` built
+    over a domain in canonical order.  A first order carrier is then in
+    canonical order already; a second order one is sorted."""
+    if sym.type.kind == "pred":
+        return PartialSet(tuple(carrier), values)
+    return PartialSet.from_map(dict(zip(carrier, values)))
+
+
 def _so_key(key: tuple, t, members: set) -> bool:
     """Whether key is an argument tuple of second order type t over the
     domain `members`: an element per domain argument, and per predicate
@@ -317,35 +329,47 @@ class _StructReader(_Cursor):
         while self.peek()[0] == "newline":
             self.next()
 
-    def elem_or_relation(self):
-        tok = self.next()
-        if tok[0] == "int":
-            return int(tok[1])
-        if tok[0] == "name":
-            return tok[1]
-        if tok[1] != "{":
-            self.fail(f"expected a domain element, got {tok[1]!r}", tok)
-        rel = set()
-        while not self.at("}"):
-            rel.add(self.key_tuple())
-            self.accept(",")
-        self.expect("}")
-        return frozenset(rel)
+    def read_nested(self, pos: int, key: bool) -> tuple:
+        """The key (`key`) or element at token `pos`, and the position
+        after it.  A key `(...)` holds elements, and an element is an int,
+        a name or a relation `{...}` of keys, commas between optional.
+        The open keys and relations are kept on a stack, each with its
+        closing token and its parts so far."""
+        tokens = self.tokens
+        stack: list = []
+        while True:
+            tok = tokens[pos]
+            value = None
+            if key:
+                pos = self.expect_at(pos, "(")
+                stack.append((")", []))
+            elif tok[1] == "{":
+                pos += 1
+                stack.append(("}", []))
+            elif tok[0] == "name" or tok[0] == "int" and ".." not in tok[1]:
+                value = int(tok[1]) if tok[0] == "int" else tok[1]
+                pos += 1
+            else:
+                self.fail(f"expected a domain element, got {tok[1]!r}", tok)
+            while value is not None or tokens[pos][1] == stack[-1][0]:
+                if value is None:  # close the innermost key or relation
+                    closer, parts = stack.pop()
+                    value = tuple(parts) if closer == ")" else frozenset(parts)
+                    pos += 1
+                if not stack:
+                    return value, pos
+                stack[-1][1].append(value)
+                value = None
+                if tokens[pos][1] == ",":
+                    pos += 1
+            key = stack[-1][0] == "}"
 
-    def key_tuple(self) -> tuple:
-        self.expect("(")
-        parts = []
-        while not self.at(")"):
-            parts.append(self.elem_or_relation())
-            self.accept(",")
-        self.expect(")")
-        return tuple(parts)
-
-    def truth(self) -> TV:
-        tok = self.next()
-        if tok[1] in ("t", "u", "f"):
-            return TV(tok[1])
-        self.fail(f"expected t, u or f, got {tok[1]!r}", tok)
+    def truth(self, pos: int) -> TV:
+        tok = self.tokens[pos]
+        v = _TRUTH.get(tok[1])
+        if v is None:
+            self.fail(f"expected t, u or f, got {tok[1]!r}", tok)
+        return v
 
     def read(self) -> PartialInterpretation:
         domain: list | None = None
@@ -373,12 +397,19 @@ class _StructReader(_Cursor):
             self.skip_newlines()
         if domain is None:
             raise ParseError("structure has no domain block")
+        # every predicate value was checked as it was read
+        for sym, value in valuation.items():
+            if not sym.type.is_predicate:
+                _check_value(sym, value, domain)
         # unmentioned predicates default to all-unknown
-        i = PartialInterpretation.make(domain, valuation)
-        missing = [s for s in self.vocab if s.type.is_predicate and s not in valuation]
-        return i.expand_unknown(missing, self.limits)
+        for sym in self.vocab:
+            if sym.type.is_predicate and sym not in valuation:
+                carrier = predicate_carrier(sym.type, domain, self.limits)
+                valuation[sym] = _carrier_set(sym, carrier, (U,) * len(carrier))
+        return PartialInterpretation(tuple(domain), tuple(sorted(valuation.items(), key=_name)))
 
     def read_domain(self) -> list:
+        """The domain's elements, without repeats, in canonical order."""
         self.expect("{")
         out: list = []
         while not self.at("}"):
@@ -397,49 +428,56 @@ class _StructReader(_Cursor):
                 self.fail(f"bad domain element {text!r}", tok)
             self.accept(",")
         self.expect("}")
-        return out
+        return sorted(set(out), key=canon_order)
 
     def read_value(self, sym: Symbol, domain: list, name: tuple):
         if not sym.type.is_predicate:
-            return self.elem_or_relation()
-        self.expect("{")
+            value, self.pos = self.read_nested(self.pos, False)
+            return value
+        tokens = self.tokens
+        pos = self.expect_at(self.pos, "{")
         entries: dict[tuple, TV] = {}
         default: TV | None = None
         members = set(domain)
-        while not self.at("}"):
-            if self.accept("*"):
-                self.expect(":")
-                default = self.truth()
+        while tokens[pos][1] != "}":
+            tok = tokens[pos]
+            if tok[1] == "*":
+                pos = self.expect_at(pos + 1, ":")
+                default = self.truth(pos)
             else:
-                tok, key = self.peek(), self.key_tuple()
+                key, pos = self.read_nested(pos, True)
                 for e in key:
                     if not isinstance(e, frozenset) and e not in members:
                         self.fail(f"{sym.name}: {e} is not a domain element", tok)
-                self.expect(":")
-                v = self.truth()
+                pos = self.expect_at(pos, ":")
+                v = self.truth(pos)
                 if entries.setdefault(key, v) is not v:
                     self.fail(f"{sym.name}: key {_fmt_key(key)} given both "
                               f"{entries[key].value} and {v.value}", tok)
-            self.accept(",")
-        self.expect("}")
+            pos += 1
+            if tokens[pos][1] == ",":
+                pos += 1
+        self.pos = pos + 1
         if default is not None:
             carrier = predicate_carrier(sym.type, domain, self.limits)
-            full = {tuple(k): default for k in carrier}
+            full = dict.fromkeys(carrier, default)
             for key, v in entries.items():
                 if key not in full:
-                    self.fail(f"{sym.name}: key {key} outside carrier", name)
+                    self.fail(f"{sym.name}: key {_fmt_key(key)} outside carrier", name)
                 full[key] = v
-            entries = full
-        elif sym.type.kind == "pred":
-            carrier = set(map(tuple, predicate_carrier(sym.type, domain, self.limits)))
-            if set(entries) != carrier:
+            return _carrier_set(sym, carrier, tuple(full.values()))
+        if sym.type.kind == "pred":
+            carrier = predicate_carrier(sym.type, domain, self.limits)
+            values = tuple(map(entries.get, carrier))
+            if len(entries) != len(carrier) or None in values:
                 self.fail(
                     f"{sym.name}: entries do not cover the carrier and no '*' default given", name
                 )
-        else:  # a second order carrier may be too large to build: check each key
-            for key in entries:
-                if not _so_key(key, sym.type, members):
-                    self.fail(f"{sym.name}: key {_fmt_key(key)} outside carrier", name)
+            return PartialSet(tuple(carrier), values)
+        # a second order carrier may be too large to build: check each key
+        for key in entries:
+            if not _so_key(key, sym.type, members):
+                self.fail(f"{sym.name}: key {_fmt_key(key)} outside carrier", name)
         return PartialSet.from_map(entries)
 
 

@@ -1,5 +1,5 @@
-"""Concrete text syntax: one lexer, one token cursor, and a recursive
-descent parser for theory files.
+"""Concrete text syntax: one lexer, one token cursor, and a parser for
+theory files.
 
 Theory files contain a vocabulary block followed by named blocks::
 
@@ -21,6 +21,16 @@ quantifiers are accepted on input; output is always ASCII.
 Binary connectives bind loosest to tightest <=>, =>, |, & (`_BINARY`),
 each left associative; ~, quantifiers and aggregates bind tighter, and a
 quantifier's body extends as far right as it can.
+
+`Parser.parse_formula` reads a formula in one loop over the token list,
+by index, with explicit stacks in place of Python frames (operator
+precedence, Pratt 1973): the operands read so far, the pending runs of
+one connective as `[prec, class, count]`, and a frame per open
+parenthesis or quantifier, aggregate or let-block body, holding the ~s
+before it and the scope it shadows.  So nesting depth costs no
+recursion.  Rule sets, vocabularies and types keep a method each; a
+definition or let-block in a formula enters `parse_ruleset`, whose rule
+bodies are formulas again.
 
 Theories and structures (`interpretation.read_structure`) share one
 lexer, `_lex`, over one regex per format, and one token cursor,
@@ -155,6 +165,13 @@ class _Cursor:
             self.fail(f"expected {text!r}, got {got!r}", tok)
         return tok
 
+    def expect_at(self, pos: int, text: str) -> int:
+        """The position after token `pos`, which must be `text`."""
+        if self.tokens[pos][1] != text:
+            self.pos = pos
+            self.expect(text)
+        return pos + 1
+
     def fail(self, message: str, tok: tuple | None = None):
         raise ParseError(message, *self.where(self.peek() if tok is None else tok))
 
@@ -170,6 +187,13 @@ class Theory:
 
 
 _BINARY = {"<=>": (1, Iff), "=>": (2, Implies), "|": (3, Or), "&": (4, And)}
+# quantifier sigil -> (second order, first order node, second order node)
+_QUANTIFIERS = {
+    "!": (False, ForallFO, ForallSO), "?": (False, ExistsFO, ExistsSO),
+    "!!": (True, ForallFO, ForallSO), "??": (True, ExistsFO, ExistsSO),
+}
+_COMPARISONS = ("=", "<", ">")
+_TERM_ENDS = ("+", *_COMPARISONS)  # after a name, these make it a comparison's term
 
 
 class Parser(_Cursor):
@@ -200,18 +224,18 @@ class Parser(_Cursor):
         self.expect(")")
         return args
 
-    def scoped(self, symbols, parse):
-        """`parse()` with `symbols` in scope by name, shadowing outer ones."""
+    def shadow(self, symbols) -> dict:
+        """Put `symbols` in scope by name; returns what they shadow, for `unshadow`."""
         saved = {s.name: self.scope.get(s.name) for s in symbols}
         self.scope.update({s.name: s for s in symbols})
-        try:
-            return parse()
-        finally:
-            for name, old in saved.items():
-                if old is None:
-                    self.scope.pop(name, None)
-                else:
-                    self.scope[name] = old
+        return saved
+
+    def unshadow(self, saved: dict) -> None:
+        for name, old in saved.items():
+            if old is None:
+                self.scope.pop(name, None)
+            else:
+                self.scope[name] = old
 
     # -- types and vocabulary -------------------------------------------
 
@@ -256,7 +280,7 @@ class Parser(_Cursor):
         self.scope.update({s.name: s for s in vocab})
         return vocab
 
-    # -- terms -----------------------------------------------------------
+    # -- formulas ---------------------------------------------------------
 
     def resolve(self, name: tuple) -> Symbol:
         sym = self.scope.get(name[1])
@@ -264,54 +288,135 @@ class Parser(_Cursor):
             self.fail(f"unknown symbol {name[1]!r}", name)
         return sym
 
-    def parse_term(self):
-        left = self.parse_term_factor()
-        while self.accept("+"):
-            left = AddTerm(left, self.parse_term_factor())
-        return left
-
-    def parse_term_factor(self):
-        tok = self.next()
-        if tok[0] not in ("int", "name"):
-            self.fail(f"expected a term, got {tok[1]!r}", tok)
-        return IntTerm(int(tok[1])) if tok[0] == "int" else SymTerm(self.resolve(tok))
-
-    # -- formulas ---------------------------------------------------------
-
-    def parse_formula(self, min_prec: int = 1):
-        """Precedence climbing over `_BINARY`: operators binding at least
-        `min_prec`, each right operand binding tighter than its operator.
-        A run of & or | is one node; => and <=> nest to the left."""
-        left = self.parse_unary()
+    def read_term(self, pos: int) -> tuple:
+        """The term at token `pos`, ints and names joined by + (left
+        associative), and the position after it."""
+        tokens = self.tokens
+        left = None
         while True:
-            kind, text, _ = self.peek()
-            op = _BINARY.get(text)
-            if op is None or kind == "name" or op[0] < min_prec:
-                return left
-            operands = [left]
-            while self.accept(text):
-                operands.append(self.parse_formula(op[0] + 1))
-            left = op[1](*operands) if op[1] in (And, Or) else functools.reduce(op[1], operands)
+            tok = tokens[pos]
+            if tok[0] == "int":
+                right = IntTerm(int(tok[1]))
+            elif tok[0] == "name":
+                right = SymTerm(self.resolve(tok))
+            else:
+                self.fail(f"expected a term, got {tok[1]!r}", tok)
+            left = right if left is None else AddTerm(left, right)
+            if tokens[pos + 1][1] != "+":
+                return left, pos + 1
+            pos += 2
 
-    def parse_unary(self):
-        negations = 0
-        while self.accept("~"):
-            negations += 1
-        kind, text, _ = self.peek()
-        if kind == "punct" and text in ("!", "?", "!!", "??"):
-            e = self.parse_quantifier()
-        elif self.at("#") or text == "sum" and self.tokens[self.pos + 1][1] == "{":
-            e = self.parse_aggregate()
-        else:
-            e = self.parse_atom()
-        for _ in range(negations):
-            e = Not(e)
-        return e
+    def read_comparison(self, pos: int) -> tuple:
+        """The comparison operator at token `pos`, the term after it, and
+        the position after that."""
+        tok = self.tokens[pos]
+        if tok[1] not in _COMPARISONS:
+            self.fail("expected a comparison operator (=, <, >)", tok)
+        return (tok[1], *self.read_term(pos + 1))
 
-    def parse_quantifier(self):
-        sigil = self.next()[1]
+    def parse_formula(self):
+        """The formula at the cursor, read in one loop (see the module
+        docstring).  Each pass reads a unary formula, or opens a frame: a
+        parenthesis, or a quantifier, aggregate or let-block header.  A
+        connective then closes the runs that bind tighter than it, and any
+        other token closes the runs and then the innermost frame."""
+        tokens, pos = self.tokens, self.pos
+        operands: list = []  # the left operands of the runs
+        runs: list = []  # [prec, class, count]: binding tighter towards the top
+        frames: list = []  # (class, info, saved scope, negations, base of its runs)
+        base = 0
+        while True:
+            negations = 0
+            while tokens[pos][1] == "~":
+                pos += 1
+                negations += 1
+            kind, text, _ = tok = tokens[pos]
+            frame = None
+            if text == "#" or kind == "name" and text == "sum" and tokens[pos + 1][1] == "{":
+                frame = self.aggregate_frame(pos, "card" if text == "#" else "sum")
+            elif kind == "punct" and text in _QUANTIFIERS:
+                frame = self.quantifier_frame(pos)
+            elif text == "(":
+                frame = (None, None, None, pos + 1)
+            elif text == "{":
+                self.pos = pos
+                e = DefinitionExpr(self.parse_ruleset())
+                pos = self.pos
+            elif kind == "name" and text == "let":
+                self.pos = pos + 1
+                rs = self.parse_ruleset()
+                tok = self.expect_name()
+                if tok[1] != "in":
+                    self.fail("expected 'in' after a let block", tok)
+                frame = (Let, rs, self.shadow(rs.defined_symbols), self.pos)
+            elif kind == "int" or kind == "name" and tokens[pos + 1][1] in _TERM_ENDS:
+                left, pos = self.read_term(pos)
+                op, right, pos = self.read_comparison(pos)
+                e = Cmp(op, left, right)
+            else:
+                if kind != "name":
+                    self.pos = pos
+                    self.expect_name()  # raises
+                sym = self.resolve(tok)
+                args = []
+                pos += 1
+                if tokens[pos][1] == "(":
+                    pos += 1
+                    while tokens[pos][1] != ")":
+                        arg, pos = self.read_term(pos)
+                        args.append(arg)
+                        if tokens[pos][1] != ",":
+                            break
+                        pos += 1
+                    pos = self.expect_at(pos, ")")
+                e = (Atom2 if sym.type.kind == "so-pred" else Atom1)(sym, tuple(args))
+            if frame is not None:
+                cls, info, saved, pos = frame
+                frames.append((cls, info, saved, negations, base))
+                base = len(runs)
+                continue
+            while True:  # e is a unary formula: hand it up
+                for _ in range(negations):
+                    e = Not(e)
+                op = _BINARY.get(tokens[pos][1])
+                prec = 0 if op is None else op[0]
+                while len(runs) > base and runs[-1][0] > prec:
+                    _, cls, n = runs.pop()
+                    args = operands[-n:]
+                    del operands[-n:]
+                    args.append(e)
+                    e = cls(*args) if cls is And or cls is Or else functools.reduce(cls, args)
+                if op is not None:
+                    if len(runs) > base and runs[-1][0] == prec:
+                        runs[-1][2] += 1
+                    else:
+                        runs.append([prec, op[1], 1])
+                    operands.append(e)
+                    pos += 1
+                    break
+                if not frames:
+                    self.pos = pos
+                    return e
+                cls, info, saved, negations, base = frames.pop()
+                if cls is None:
+                    pos = self.expect_at(pos, ")")
+                    continue
+                self.unshadow(saved)
+                if cls is Aggregate:
+                    op, bound, pos = self.read_comparison(self.expect_at(pos, "}"))
+                    e = Aggregate(info[0], op, info[1], e, bound)
+                else:
+                    e = cls(info, e)
+
+    def quantifier_frame(self, pos: int) -> tuple:
+        """The frame of the quantifier whose sigil is token `pos`."""
+        so, fo_node, so_node = _QUANTIFIERS[self.tokens[pos][1]]
+        name = self.tokens[pos + 1]
+        if not so and name[0] == "name" and self.tokens[pos + 2][1] == ":":  # !x: or ?x:
+            var = Symbol(name[1], CONST)
+            return fo_node, var, self.shadow((var,)), pos + 3
+        self.pos = pos + 1
         name = self.expect_name()
-        so = sigil in ("!!", "??")
         var_type = CONST
         if self.accept("["):
             var_type = self.parse_type()
@@ -320,61 +425,21 @@ class Parser(_Cursor):
                 so = True
         if so and var_type == CONST:
             self.fail(f"second order variable {name[1]!r} needs a [pred/n] annotation")
-        var = Symbol(name[1], var_type)
         self.expect(":")
-        body = self.scoped((var,), self.parse_formula)
-        universal = sigil in ("!", "!!")
-        if so:
-            return (ForallSO if universal else ExistsSO)(var, body)
-        return (ForallFO if universal else ExistsFO)(var, body)
+        var = Symbol(name[1], var_type)
+        return so_node if so else fo_node, var, self.shadow((var,)), self.pos
 
-    def parse_aggregate(self):
-        agg = "card" if self.accept("#") else (self.next()[1] and "sum")
+    def aggregate_frame(self, pos: int, agg: str) -> tuple:
+        """The frame of the aggregate whose # or sum is token `pos`."""
+        self.pos = pos + 1
         self.expect("{")
         vars_ = []
         while True:
-            name = self.expect_name()
-            vars_.append(Symbol(name[1], CONST))
+            vars_.append(Symbol(self.expect_name()[1], CONST))
             if not self.accept(","):
                 break
         self.expect(":")
-        body = self.scoped(vars_, self.parse_formula)
-        self.expect("}")
-        op = self.parse_cmp_op()
-        bound = self.parse_term()
-        return Aggregate(agg, op, tuple(vars_), body, bound)
-
-    def parse_cmp_op(self) -> str:
-        for op in ("=", "<", ">"):
-            if self.accept(op):
-                return op
-        self.fail("expected a comparison operator (=, <, >)")
-
-    def parse_atom(self):
-        if self.accept("("):
-            inner = self.parse_formula()
-            self.expect(")")
-            return inner
-        if self.at("{"):
-            return DefinitionExpr(self.parse_ruleset())
-        if self.peek()[:2] == ("name", "let"):
-            self.next()
-            rs = self.parse_ruleset()
-            tok = self.expect_name()
-            if tok[1] != "in":
-                self.fail("expected 'in' after a let block", tok)
-            return Let(rs, self.scoped(rs.defined_symbols, self.parse_formula))
-        kind = self.peek()[0]
-        after = self.tokens[self.pos + 1][1] if kind == "name" else ""
-        if kind == "int" or after in ("+", "<", ">", "="):
-            left = self.parse_term()
-            op = self.parse_cmp_op()
-            return Cmp(op, left, self.parse_term())
-        sym = self.resolve(self.expect_name())
-        args = self.parse_args(self.parse_term) if self.accept("(") else []
-        if sym.type.kind == "so-pred":
-            return Atom2(sym, tuple(args))
-        return Atom1(sym, tuple(args))
+        return Aggregate, (agg, tuple(vars_)), self.shadow(vars_), self.pos
 
     # -- rules -------------------------------------------------------------
 
@@ -415,7 +480,11 @@ class Parser(_Cursor):
             equalities.append(Cmp("=", SymTerm(fresh), SymTerm(other)))
             head_vars[fresh.name] = fresh
 
-        body = self.scoped(head_vars.values(), self.parse_formula) if self.accept("<-") else None
+        body = None
+        if self.accept("<-"):
+            saved = self.shadow(head_vars.values())
+            body = self.parse_formula()
+            self.unshadow(saved)
         if body is None and not equalities:
             self.fail(f"rule for {head.name} needs a body or ground arguments")
         for eq in equalities:

@@ -1328,7 +1328,7 @@ class OracleStructReader:
 
     def element(self):
         kind, text, line = self.next()
-        if kind == "int":
+        if kind == "int" and ".." not in text:  # a range is no element
             return int(text)
         if kind == "name":
             return text
@@ -1440,7 +1440,7 @@ class OracleStructReader:
             full = {tuple(k): default for k in carrier}
             for key, v in entries.items():
                 if key not in full:
-                    raise ParseError(f"{sym.name}: key {key} outside carrier", line)
+                    raise ParseError(f"{sym.name}: key {_fmt_key(key)} outside carrier", line)
                 full[key] = v
             entries = full
         elif sym.type.kind == "pred":

@@ -286,8 +286,9 @@ def left_nested(op: str, operands: list) -> str:
 
 class TestDeepInputs:
     """3,000-deep formulas answer at the default recursion limit: & and |
-    runs are one node each, parse_unary reads a ~ run in a loop, every
-    walker below is a fold, and ~~φ compiles and grounds as φ."""
+    runs are one node each, the parser keeps its open parentheses and
+    bodies on a stack of its own, every walker below is a fold, and ~~φ
+    compiles and grounds as φ."""
 
     # text, its canonical form, kleene and super value with p = t, then u
     CASES = {
@@ -331,9 +332,36 @@ class TestDeepInputs:
         r = CliRunner().invoke(main, ["wfm", str(theory), str(struct)])
         assert (r.exit_code, r.output) == (0, "domain = {a}\np = {*: f}\nq = {*: f}\n")
 
-    def test_what_still_recurses_is_an_input_error(self, tmp_path):
+    # text, and its canonical form where that differs
+    NESTED = {
+        "parentheses": ("(" * DEEP + "p" + ")" * DEEP, "p"),
+        "right-nested": ("(p & " * (DEEP - 1) + "p" + ")" * (DEEP - 1), None),
+        "quantifiers": ("?x: " * DEEP + "p", None),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(NESTED))
+    def test_nested_parentheses_and_quantifiers_parse(self, kind, tmp_path):
+        text, canonical = self.NESTED[kind]
+        source = f"vocab {{ p: pred/0; }}\nformula deep {{ {text} }}\n"
+        phi = parse_theory(source).formulas["deep"]
+        assert classify(phi) == "FO(ID*)"
+        assert unparse(phi) == (canonical or text)
         theory = tmp_path / "t.theory"
-        theory.write_text(f"vocab {{ p: pred/0; }}\nformula deep {{ {'(' * DEEP}p{')' * DEEP} }}\n")
+        theory.write_text(source)
+        r = CliRunner().invoke(main, ["classify", str(theory)])
+        assert (r.exit_code, r.output) == (0, "formula deep: FO(ID*)\n")
+        if kind == "parentheses":
+            struct = tmp_path / "s.struct"
+            struct.write_text("domain = {a}\np = {(): t}\n")
+            r = CliRunner().invoke(main, ["eval", str(theory), str(struct)])
+            assert (r.exit_code, r.output) == (0, "deep: t\n")
+
+    def test_what_still_recurses_is_an_input_error(self, tmp_path):
+        # an => chain parses and classifies, but nests the evaluator's closures
+        theory = tmp_path / "t.theory"
+        theory.write_text(f"vocab {{ p: pred/0; }}\nformula deep {{ {' => '.join(['p'] * DEEP)} }}\n")
+        r = CliRunner().invoke(main, ["classify", str(theory)])
+        assert (r.exit_code, r.output) == (0, "formula deep: FO(ID*)\n")
         struct = tmp_path / "s.struct"
         struct.write_text("domain = {a}\np = {(): t}\n")
         r = CliRunner().invoke(main, ["eval", str(theory), str(struct)])

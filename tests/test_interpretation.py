@@ -245,7 +245,9 @@ class TestStructureFormat:
         ("domain = {a}\nR = {(a): t}\n", "not in vocabulary"),
         ("domain = {a}\nP = {(a): t}\nP = {(a): f}\n", "duplicate assignment"),
         ("domain = {a}\nP = {(b): t, *: f}\n", r"^2:0: P: b is not a domain element$"),
-        ("domain = {a}\nQ = {(a): t, *: f}\n", r"^2:0: Q: key \('a',\) outside carrier$"),
+        ("domain = {a}\nQ = {(a): t, *: f}\n", r"^2:0: Q: key \(a\) outside carrier$"),
+        ("domain = {a}\nSO = {(a, {(b)}): t, *: f}\n",
+         r"^2:0: SO: key \(a, \{\(b\)\}\) outside carrier$"),
         ("domain = {a}\nP = {(a): t, (a): x}\n", "expected t, u or f"),
         ("domain = {a}\nP = {(a): t\n", "expected"),
         ("domain = {a}\ndomain = {b}\nP = {*: f}\n", "duplicate domain"),
@@ -286,3 +288,46 @@ class TestStructureFormat:
         if "9" not in value:  # a key given the same value twice has that value
             same = read_structure(f"domain = {{a, b}}\nP = {value.replace('f', 't')}\n", VOCAB)
             assert same.value(P).value(("a",)) is T
+
+
+class TestReaderOrder:
+    """The reader sorts the domain once, builds first order carriers in
+    that order without a sort, and checks every predicate key as it reads
+    it; only a constant's value is checked after the read."""
+
+    DOMAIN = "domain = {b, 2, a, 1}\n"
+    VALUES = {
+        "default": "P = {(a): t, (2): u, *: f}\nQ = {(b, 1): u, (1, b): t, *: f}\nc = a\n",
+        "no default": "P = {(b): t, (2): u, (a): f, (1): t}\nc = 2\n",
+        "second order": "SO = {(a, {(b), (1)}): t, (2, {}): u, (b, {(2)}): f}\n"
+                        "P = {(1): f, *: t}\n",
+        "so default": "SO = {(1, {(a)}): t, *: u}\nQ = {(a, a): f, *: u}\n",
+    }
+
+    @pytest.mark.parametrize("case", sorted(VALUES))
+    def test_reads_as_the_oracle_does(self, case):
+        text = self.DOMAIN + self.VALUES[case]
+        i = read_structure(text, VOCAB)
+        assert i == oracle_read_structure(text, VOCAB)
+        assert i.domain == (1, 2, "a", "b")
+        assert write_structure(i) == write_structure(oracle_read_structure(text, VOCAB))
+        for sym, value in i.assignments:  # carriers in canonical order
+            if sym.type.is_predicate:
+                assert value == PartialSet.from_map(dict(value.items()))
+        assert read_structure(write_structure(i), VOCAB) == i
+
+    def test_a_constant_outside_the_domain_is_a_type_error(self):
+        for value in ("z", "{(a)}"):
+            text = f"{self.DOMAIN}P = {{*: t}}\nc = {value}\n"
+            with pytest.raises(TypeError_, match=r"^constant c assigned .*, not a domain element$") as new:
+                read_structure(text, VOCAB)
+            with pytest.raises(TypeError_) as old:
+                oracle_read_structure(text, VOCAB)
+            assert str(new.value) == str(old.value)
+
+    def test_a_range_is_no_key_element(self):
+        # `int` once raised a ValueError on the range token
+        for value in ("P = {(1..3): t}", "c = 1..3"):
+            for read in (read_structure, oracle_read_structure):
+                with pytest.raises(ParseError, match=r"^2:0: expected a domain element, got '1\.\.3'$"):
+                    read(f"domain = {{1..3}}\n{value}\n", VOCAB)

@@ -60,10 +60,9 @@ STRUCT_FRAGMENTS = NOISE + [
 ]
 
 # at most 60 fragments, so nesting stays far below the depth at which what
-# still recurses per level hits RecursionError (a known defect): the parser
-# on nested parentheses and quantifier or => and <=> chains, and the walkers
+# still recurses per level hits RecursionError (a known defect): the walkers
 # that pass scope or polarity down (typecheck, substitute, _nnf, _hoist,
-# the grounder) on those and on nested binders
+# the grounder) on nested parentheses, binders and => or <=> chains
 def texts(fragments):
     return st.lists(
         st.one_of(
