@@ -23,7 +23,7 @@ from .definitions import constraint_cut, stable_models, well_founded_model
 from .errors import CapExceeded, DeflogError, NonTotalDefinitionError
 from .evaluator import KLEENE, SUPERVALUATION, evaluate, evaluate_exact
 from .interpretation import (
-    PartialInterpretation, _fmt_elem, _fmt_key, read_structure,
+    PartialInterpretation, _fmt_elem, _key_formatter, read_structure,
     write_structure,
 )
 from .limits import CAP_FLAGS, DEFAULT_LIMITS, Limits
@@ -128,9 +128,10 @@ def _pick(kind: str, table: dict, name: str | None):
 
 def _struct_json(i: PartialInterpretation) -> dict:
     symbols: dict = {}
+    fmt_key = _key_formatter()
     for sym, value in i.assignments:
         if sym.type.is_predicate:
-            symbols[sym.name] = {_fmt_key(k): v.value for k, v in value.items()}
+            symbols[sym.name] = {fmt_key(k): v.value for k, v in value.items()}
         else:
             symbols[sym.name] = _fmt_elem(value)
     return {"domain": [_fmt_elem(e) for e in i.domain], "symbols": symbols}

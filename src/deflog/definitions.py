@@ -110,16 +110,17 @@ def expand_context(
 
     `carriers` optionally restricts a defined symbol's carrier to the
     listed argument tuples (useful when the full second order argument
-    space is out of reach), or to a partial set's carrier, which is in
-    canonical order already.
+    space is out of reach), sorted, or to a partial set's carrier; that
+    and the full carrier over o's domain are in canonical order already.
     """
     i = o
     for h in sorted(d.defined_symbols, key=lambda s: s.name):
         if o.interprets(h):
             raise EvaluationError(f"context already interprets defined {h.name}")
-        c = carriers[h] if h in (carriers or ()) else predicate_carrier(h.type, o.domain, limits)
-        i = i.expand(h, PartialSet(c.carrier, (U,) * len(c.values))
-                     if isinstance(c, PartialSet) else PartialSet.constant(c, U))
+        c = carriers.get(h) if carriers else None
+        keys = (tuple(predicate_carrier(h.type, o.domain, limits)) if c is None
+                else c.carrier if isinstance(c, PartialSet) else tuple(sorted(c, key=canon_order)))
+        i = i.expand(h, PartialSet(keys, (U,) * len(keys)))
     return i
 
 

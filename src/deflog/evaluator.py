@@ -96,8 +96,11 @@ _RELATION_CACHE_MAX = 4_096  # a whole templates round stores about 770
 
 @lru_cache(maxsize=_RELATION_CACHE_MAX)
 def _relation_cached(rel: frozenset, arity: int, domain: tuple) -> PartialSet:
-    return PartialSet.from_map(
-        {k: TV.of(k in rel) for k in itertools.product(domain, repeat=arity)})
+    carrier = tuple(itertools.product(domain, repeat=arity))
+    ps = PartialSet(carrier, tuple([T if k in rel else F for k in carrier]))
+    if ps.values.count(T) == len(rel):  # rel is its true keys if it is within the carrier
+        object.__setattr__(ps, "_true", rel)
+    return ps
 
 
 def _atom1(e, kids):
@@ -141,9 +144,11 @@ def _atom2(e, kids):
             if sym is None:
                 raise EvaluationError("predicate argument must be a symbol")
             ps = env[sym] if sym in env else i.value(sym)
+            if U not in ps.values:
+                choices.append((ps.true_keys(),))
+                continue
             ctx.record.update(DomainAtom(sym, key) for key in ps.keys_with(U))
-            exact = [ps] if ps.is_exact else ps.completions(ctx.limits)
-            choices.append([c.true_keys() for c in exact])
+            choices.append([c.true_keys() for c in ps.completions(ctx.limits)])
         return list(itertools.product(*choices))
 
     def atom2(i, env, ctx):

@@ -54,6 +54,8 @@ def _name(kv) -> str:
 
 @dataclass(frozen=True)
 class PartialInterpretation:
+    # canonical order, no repeats (as `make`, `empty` and the reader build it):
+    # a direct constructor must keep that, for carriers over it are not sorted
     domain: tuple
     assignments: tuple  # tuple of (Symbol, value), stably sorted by name
     _by_symbol: dict = field(default=None, repr=False, compare=False, hash=False)
@@ -123,16 +125,6 @@ class PartialInterpretation:
             items.insert(bisect_right(items, sym.name, key=_name), (sym, value))
         by_symbol[sym] = value
         return PartialInterpretation(self.domain, tuple(items), by_symbol)
-
-    def expand_unknown(
-        self, syms: Iterable[Symbol], limits: Limits = DEFAULT_LIMITS
-    ) -> "PartialInterpretation":
-        """Expand with all-unknown values for the given predicate symbols."""
-        valuation = dict(self.assignments)
-        for s in syms:
-            carrier = predicate_carrier(s.type, self.domain, limits)
-            valuation[s] = PartialSet.constant(carrier, U)
-        return PartialInterpretation.make(self.domain, valuation)
 
     def revise(self, atoms: Iterable[DomainAtom], v: TV) -> "PartialInterpretation":
         by_pred: dict[Symbol, dict] = {}
@@ -268,10 +260,18 @@ def _fmt_key(key: tuple) -> str:
     return "(" + ", ".join(_fmt_elem(k) for k in key) + ")"
 
 
+def _key_formatter():
+    """_fmt_key, making each distinct element's text once per formatter."""
+    texts: dict = {}
+    return lambda key: "(" + ", ".join(
+        texts[e] if e in texts else texts.setdefault(e, _fmt_elem(e)) for e in key) + ")"
+
+
 _DEFAULT_ORDER = {F: 0, U: 1, T: 2}
 
 
 def write_structure(i: PartialInterpretation) -> str:
+    fmt_key = _key_formatter()
     lines = ["domain = {" + ", ".join(_fmt_elem(e) for e in i.domain) + "}"]
     for sym, value in i.assignments:
         if not sym.type.is_predicate:
@@ -282,27 +282,18 @@ def write_structure(i: PartialInterpretation) -> str:
             counts[v] += 1
         default = max(counts, key=lambda v: (counts[v], -_DEFAULT_ORDER[v]))
         entries = [
-            f"{_fmt_key(k)}: {v.value}" for k, v in value.items() if v is not default
+            f"{fmt_key(k)}: {v.value}" for k, v in value.items() if v is not default
         ]
         if sym.type.kind == "pred":
             entries.append(f"*: {default.value}")
         else:
             # second order carriers are explicit: list every entry
-            entries = [f"{_fmt_key(k)}: {v.value}" for k, v in value.items()]
+            entries = [f"{fmt_key(k)}: {v.value}" for k, v in value.items()]
         lines.append(f"{sym.name} = {{" + ", ".join(entries) + "}")
     return "\n".join(lines) + "\n"
 
 
 _TRUTH = {"t": T, "u": U, "f": F}
-
-
-def _carrier_set(sym: Symbol, carrier: list, values: tuple) -> PartialSet:
-    """`values` over the carrier of `sym` that `predicate_carrier` built
-    over a domain in canonical order.  A first order carrier is then in
-    canonical order already; a second order one is sorted."""
-    if sym.type.kind == "pred":
-        return PartialSet(tuple(carrier), values)
-    return PartialSet.from_map(dict(zip(carrier, values)))
 
 
 def _so_key(key: tuple, t, members: set) -> bool:
@@ -404,8 +395,8 @@ class _StructReader(_Cursor):
         # unmentioned predicates default to all-unknown
         for sym in self.vocab:
             if sym.type.is_predicate and sym not in valuation:
-                carrier = predicate_carrier(sym.type, domain, self.limits)
-                valuation[sym] = _carrier_set(sym, carrier, (U,) * len(carrier))
+                carrier = tuple(predicate_carrier(sym.type, domain, self.limits))
+                valuation[sym] = PartialSet(carrier, (U,) * len(carrier))
         return PartialInterpretation(tuple(domain), tuple(sorted(valuation.items(), key=_name)))
 
     def read_domain(self) -> list:
@@ -465,7 +456,7 @@ class _StructReader(_Cursor):
                 if key not in full:
                     self.fail(f"{sym.name}: key {_fmt_key(key)} outside carrier", name)
                 full[key] = v
-            return _carrier_set(sym, carrier, tuple(full.values()))
+            return PartialSet(tuple(carrier), tuple(full.values()))
         if sym.type.kind == "pred":
             carrier = predicate_carrier(sym.type, domain, self.limits)
             values = tuple(map(entries.get, carrier))

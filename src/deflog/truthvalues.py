@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import EvaluationError
@@ -137,7 +138,7 @@ def canon_order(key: Hashable):
     if isinstance(key, tuple):
         return (2, tuple(canon_order(k) for k in key))
     if isinstance(key, frozenset):
-        return (3, tuple(sorted(canon_order(k) for k in key)))
+        return _relation_order(key)
     if isinstance(key, bool):
         return (0, int(key))
     if isinstance(key, int):
@@ -145,9 +146,16 @@ def canon_order(key: Hashable):
     return (1, str(key))
 
 
+@lru_cache(maxsize=4_096)
+def _relation_order(rel: frozenset) -> tuple:
+    # made once per relation: second order carriers share their relations
+    return (3, tuple(sorted(canon_order(k) for k in rel)))
+
+
 @dataclass(frozen=True)
 class PartialSet:
-    """A total map from a finite ordered carrier to THREE."""
+    """A total map from a finite carrier in canonical order to THREE.  `from_map`
+    and `constant` sort it; a direct caller passes a canonical carrier."""
 
     carrier: tuple
     values: tuple
@@ -202,8 +210,10 @@ class PartialSet:
     def keys_with(self, v: TV) -> tuple:
         return tuple(k for k, w in self.items() if w is v)
 
-    def true_keys(self) -> frozenset:
-        return frozenset(self.keys_with(T))
+    def true_keys(self) -> frozenset:  # cached on first use, as the hash
+        if "_true" not in self.__dict__:
+            object.__setattr__(self, "_true", frozenset(self.keys_with(T)))
+        return self._true
 
     def leq_prec(self, other: "PartialSet") -> bool:
         return self.carrier == other.carrier and all(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import TypeError_
@@ -153,13 +154,21 @@ class DomainAtom:
         return f"{self.predicate.name}({', '.join(map(repr, self.args))})"
 
 
+@lru_cache(maxsize=64)
+def _relations(domain: tuple, arity: int) -> tuple:
+    out = [frozenset()]
+    for t in reversed(list(itertools.product(domain, repeat=arity))):
+        out = out[:1] + [s | {t} for s in out] + out[1:]  # preorder of the subset tree
+    return tuple(out)
+
+
 def arg_value_space(
     t: Type, domain: Sequence, limits: Limits = DEFAULT_LIMITS
 ) -> list:
     """All exact values a symbol/argument of type t can take over `domain`.
 
-    For a predicate type the values are frozensets of tuples.  The
-    second-order-argument cap guards the 2^(|D|^n) blowup.
+    For a predicate type: memoised frozensets of tuples, in canonical order
+    over a canonical domain.  The second-order-argument cap guards the 2^(|D|^n) blowup.
     """
     if t.kind == "domain":
         return list(domain)
@@ -167,11 +176,7 @@ def arg_value_space(
         base = len(domain) ** t.arity
         limits.check("max_so_arg_base", base,
                      "|D|^{arity} = {n} exceeds second order argument cap {cap}", arity=t.arity)
-        tuples = list(itertools.product(domain, repeat=t.arity))
-        return [
-            frozenset(itertools.compress(tuples, mask))
-            for mask in itertools.product((0, 1), repeat=len(tuples))
-        ]
+        return list(_relations(tuple(domain), t.arity))
     raise TypeError_(f"type {t} has no enumerable first order value space")
 
 
@@ -179,7 +184,7 @@ def predicate_carrier(
     t: Type, domain: Sequence, limits: Limits = DEFAULT_LIMITS
 ) -> list[tuple]:
     """The set of argument tuples (domain atom keys) of a predicate type,
-    at most `limits.max_carrier` of them."""
+    at most `limits.max_carrier` of them; canonical if the domain is."""
     if not t.is_predicate:
         raise TypeError_(f"{t} is not a predicate type")
     spaces = [domain] * t.arity if t.kind == "pred" else [

@@ -483,6 +483,39 @@ def rebuild_restrict(i, sub):
     return _rebuild(i.domain, {s: v for s, v in i.assignments if s in syms})
 
 
+def expand_unknown(i, syms, limits=DEFAULT_LIMITS):
+    """i expanded with all-unknown values for the predicate symbols `syms`,
+    over their full carriers, every value checked again by `make`."""
+    valuation = dict(i.assignments)
+    for s in syms:
+        valuation[s] = PartialSet.constant(predicate_carrier(s.type, i.domain, limits), U)
+    return PartialInterpretation.make(i.domain, valuation)
+
+
+# ---------------------------------------------------------------------------
+# The canonical order as first written: every relation's key is made again on
+# every comparison key, and every value space by bit masks
+
+
+def oracle_canon_order(key):
+    if isinstance(key, tuple):
+        return (2, tuple(oracle_canon_order(k) for k in key))
+    if isinstance(key, frozenset):
+        return (3, tuple(sorted(oracle_canon_order(k) for k in key)))
+    if isinstance(key, bool):
+        return (0, int(key))
+    if isinstance(key, int):
+        return (0, key)
+    return (1, str(key))
+
+
+def oracle_relations(domain, arity):
+    """Every relation over domain^arity, by bit masks, in mask order."""
+    tuples = list(itertools.product(domain, repeat=arity))
+    return [frozenset(itertools.compress(tuples, mask))
+            for mask in itertools.product((0, 1), repeat=len(tuples))]
+
+
 # ---------------------------------------------------------------------------
 # The truth order by rank table
 
@@ -1396,7 +1429,7 @@ class OracleStructReader:
             for s in self.vocab
             if s.type.is_predicate and s not in {k for k in valuation}
         ]
-        return i.expand_unknown(missing, self.limits)
+        return expand_unknown(i, missing, self.limits)
 
     def read_domain(self) -> list:
         self.expect("{")

@@ -28,7 +28,7 @@ from deflog.syntax import (
     unparse,
 )
 from deflog.truthvalues import F, T, U, PartialSet, leq_prec
-from deflog.vocab import CONST, Symbol, Vocabulary, pred, predicate_carrier
+from deflog.vocab import CONST, DomainAtom, Symbol, Vocabulary, pred, predicate_carrier
 
 from gen import (
     P0, P1, PROPS, Q0, R0, SO1, SO_HEAD, random_formula, random_interpretation,
@@ -208,10 +208,22 @@ class TestSecondOrderAtoms:
         exact = PartialInterpretation.make(
             ("a",), {E: nonempty, s: PartialSet.from_map({("a",): T})}
         )
-        assert evaluate(th.formulas["f"], exact) is T
+        ctx = EvalContext()
+        assert evaluate(th.formulas["f"], exact, _ctx=ctx) is T
+        assert ctx.record == set()  # an exact argument is read as its relation
         partial = exact.expand(s, PartialSet.from_map({("a",): U}))
-        # s may complete to {} (E false) or {a} (E true): unknown
-        assert evaluate(th.formulas["f"], partial) is U
+        # s may complete to {} (E false) or {a} (E true): unknown; the
+        # argument's u atom is recorded, and E is read at both completions
+        ctx = EvalContext()
+        assert evaluate(th.formulas["f"], partial, _ctx=ctx) is U
+        assert ctx.record == {DomainAtom(s, ("a",))}
+        unsure = partial.expand(E, nonempty.with_values({(frozenset(),): U}))
+        ctx = EvalContext()
+        assert evaluate(th.formulas["f"], unsure, _ctx=ctx) is U
+        assert ctx.record == {DomainAtom(s, ("a",)), DomainAtom(E, (frozenset(),))}
+        ctx = EvalContext()
+        assert evaluate(th.formulas["f"], exact.expand(E, unsure.value(E)), _ctx=ctx) is T
+        assert ctx.record == set()  # E is not read at the u key {}
 
 
 def random_partial(rng, symbols, domain, p_unknown=0.3):

@@ -13,7 +13,9 @@ from deflog.limits import Limits
 from deflog.truthvalues import F, T, U, PartialSet, exact_set
 from deflog.vocab import CONST, DOMAIN, DomainAtom, Symbol, Vocabulary, pred, so_pred
 
-from oracles import oracle_read_structure, rebuild_expand, rebuild_restrict, rebuild_revise
+from oracles import (
+    expand_unknown, oracle_read_structure, rebuild_expand, rebuild_restrict, rebuild_revise,
+)
 
 P = Symbol("P", pred(1))
 Q = Symbol("Q", pred(2))
@@ -66,12 +68,12 @@ class TestAlgebra:
             i.restrict([c])
 
     def test_expand_unknown_fills_full_carrier(self):
-        i = PartialInterpretation.empty(("a", "b")).expand_unknown([Q])
+        i = expand_unknown(PartialInterpretation.empty(("a", "b")), [Q])
         assert len(i.value(Q).carrier) == 4
         assert not i.value(Q).is_exact
 
     def test_revise(self):
-        i = PartialInterpretation.empty(("a", "b")).expand_unknown([P])
+        i = expand_unknown(PartialInterpretation.empty(("a", "b")), [P])
         j = i.revise([DomainAtom(P, ("a",))], T)
         assert j.atom_value(DomainAtom(P, ("a",))) is T
         assert j.atom_value(DomainAtom(P, ("b",))) is U
@@ -86,25 +88,24 @@ class TestAlgebra:
         assert hi.exact_on([P])
 
     def test_u_atoms_sorted_by_symbol(self):
-        i = PartialInterpretation.empty(("a",)).expand_unknown([Q, P])
+        i = expand_unknown(PartialInterpretation.empty(("a",)), [Q, P])
         atoms = i.u_atoms([Q, P])
         assert [a.predicate.name for a in atoms] == ["P", "Q"]
 
     def test_completions_enumerate_exact_refinements(self):
-        i = PartialInterpretation.empty(("a", "b")).expand_unknown([P])
+        i = expand_unknown(PartialInterpretation.empty(("a", "b")), [P])
         comps = list(i.completions([P]))
         assert len(comps) == 4
         assert all(m.exact_on([P]) for m in comps)
         assert all(i.leq_prec(m) for m in comps)
         with pytest.raises(CapExceeded):
             list(
-                PartialInterpretation.empty(tuple(range(5)))
-                .expand_unknown([P])
+                expand_unknown(PartialInterpretation.empty(tuple(range(5))), [P])
                 .completions([P], Limits(max_unknowns=4))
             )
 
     def test_refinements_search_depth_first_and_cut_subtrees(self):
-        i = PartialInterpretation.empty(("a", "b", "c")).expand_unknown([P])
+        i = expand_unknown(PartialInterpretation.empty(("a", "b", "c")), [P])
         atoms = i.u_atoms([P])
         seen = []
 

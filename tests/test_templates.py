@@ -29,6 +29,7 @@ from deflog.truthvalues import T, exact_set
 from deflog.vocab import CONST, Symbol, Vocabulary, pred
 
 from conftest import DATA
+from oracles import expand_unknown
 
 
 def load(name):
@@ -242,9 +243,8 @@ class TestApplyLibrary:
 
     def test_already_interpreted_template_symbol_rejected(self):
         th = load("eq.theory")
-        base = PartialInterpretation.empty(("a",)).expand_unknown(
-            [th.vocabulary.get("isEqRelation")]
-        )
+        base = expand_unknown(PartialInterpretation.empty(("a",)),
+                              [th.vocabulary.get("isEqRelation")])
         with pytest.raises(EvaluationError):
             apply_library(base, library(th))
 
