@@ -493,8 +493,8 @@ def expand_unknown(i, syms, limits=DEFAULT_LIMITS):
 
 
 # ---------------------------------------------------------------------------
-# The canonical order as first written: every relation's key is made again on
-# every comparison key, and every value space by bit masks
+# The canonical order as first written, with a relation's sort key made afresh
+# on every call, and value spaces enumerated by bit masks
 
 
 def oracle_canon_order(key):
