@@ -19,7 +19,7 @@ import sys
 
 import click
 
-from .definitions import constraint_cut, stable_models, well_founded_model
+from .definitions import constrained_completions, stable_models, well_founded_model
 from .errors import CapExceeded, DeflogError, NonTotalDefinitionError
 from .evaluator import KLEENE, SUPERVALUATION, evaluate, evaluate_exact
 from .interpretation import (
@@ -282,8 +282,7 @@ def _mx_models(theory: Theory, struct: PartialInterpretation, limits: Limits):
         key=lambda s: s.name,
     )
     # a residual f refutes a subtree; no grounding while constants are unassigned
-    refuted = None if consts else constraint_cut(constraints, struct, limits)
-    for base in struct.completions(struct.predicate_symbols(), limits, refuted):
+    for base in constrained_completions([] if consts else constraints, struct, limits):
         stack = [base]
         for c in consts:
             stack = [j.expand(c, d) for j in stack for d in base.domain]

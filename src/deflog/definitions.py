@@ -31,7 +31,8 @@ reads n(n-1) instances of `r(x, z)` rather than n^3.
 The subset condition above stays the definition of prudence, but it is
 checked with one least fixpoint (`_demotion`): the lower stable operator
 of approximation fixpoint theory at the candidate's upper bound, run as
-derivation rounds on the rule set ground with the t atoms demoted to u.
+derivation rounds on the rule set ground with the t atoms demoted to u,
+once per `stable_models` call, each candidate's values written into it.
 
 A rule set used as a formula is the glb over the exact completions of
 the unknown atoms it reads, searched depth first.  The well-founded model
@@ -44,9 +45,11 @@ node, any other opaque leaf waits, u, until the atoms it reads are all
 assigned.  Supervaluation searches the residual interned in a unique
 table (`_residual_glb`): equal sub-residuals are one node, and one with
 no opaque leaf is searched once, as its values are the same anywhere.
-The `mx` (`constraint_cut`) and `stable_models` cuts read the residuals
-at each node (`_cut`); the rule form serves the fixpoints and the atoms
-a rule set used as a formula reads.
+`mx` (`constrained_completions`) and `stable_models` branch on the value
+list (`_branch`): an assignment re-values only the leaves and residuals on
+its atom's watch list (MiniSat's watched literals, Eén and Sörensson
+2003), and only a candidate is built as an interpretation.  The rule form
+serves the fixpoints, prudence and the atoms a rule set as formula reads.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import DeflogError, EvaluationError
 from .evaluator import EvalContext, _compiled, _read, _relation_cached
@@ -111,7 +114,8 @@ def expand_context(
     `carriers` optionally restricts a defined symbol's carrier to the
     listed argument tuples (useful when the full second order argument
     space is out of reach), sorted, or to a partial set's carrier; that
-    and the full carrier over o's domain are in canonical order already.
+    and the full carrier over o's domain are in canonical order already;
+    only a given one is checked.
     """
     i = o
     for h in sorted(d.defined_symbols, key=lambda s: s.name):
@@ -120,7 +124,7 @@ def expand_context(
         c = carriers.get(h) if carriers else None
         keys = (tuple(predicate_carrier(h.type, o.domain, limits)) if c is None
                 else c.carrier if isinstance(c, PartialSet) else tuple(sorted(c, key=canon_order)))
-        i = i.expand(h, PartialSet(keys, (U,) * len(keys)))
+        i = (i._expand if c is None else i.expand)(h, PartialSet(keys, (U,) * len(keys)))
     return i
 
 
@@ -174,16 +178,26 @@ class StableReport:
         )
 
 
-def _demotion(d: RuleSet, i: PartialInterpretation, atoms: list, limits: Limits):
+def _demotion(d: RuleSet, i: PartialInterpretation, atoms: list, limits: Limits, shared=None):
     """The maximal demotion witness (t \\ lfp, u ∩ lfp) defeating i's
     prudence, or None: lfp is the least fixpoint of derivation rounds on d
     ground at i with its t atoms demoted to u, valuing only the u atoms.
     Bodies are ≤p-monotone, so every closed demotion keeps lfp t: none
-    exists if lfp holds every t atom or an f atom's body is t at lfp."""
+    exists if lfp holds every t atom or an f atom's body is t at lfp.  The
+    grounding reads no defined atom's value: a list `shared` keeps the first
+    that succeeds, and later calls write i's demoted values into it and
+    value its leaves in slot order, which raises as grounding afresh would."""
     ts = [h for h, a in enumerate(atoms) if i.atom_value(a) is T]
     if not ts:
         return None
-    g = _Ground(d, i.revise([atoms[h] for h in ts], U), limits)
+    if shared:
+        g = shared[0]
+        g.val[_ATOMS:_ATOMS + len(atoms)] = [min(_code(i.atom_value(a)), 1) for a in atoms]
+        g.value([leaf for h in g.opaque for leaf in g.leaves[h]])
+    else:
+        g = _Ground(d, i.revise([atoms[h] for h in ts], U), limits)
+        if shared is not None:
+            shared.append(g)
     coded = g.val[_ATOMS:_ATOMS + len(atoms)]
     g.derive([h for h, v in enumerate(coded) if v == 1], refresh=False)
     lfp = {h for h in range(len(atoms)) if g.val[_ATOMS + h] == 2}
@@ -253,20 +267,16 @@ def stable_models(
     i0 = expand_context(d, o, limits, carriers)
     atoms = _capped_atoms(d, i0, limits)
 
-    # an assigned atom whose supported value is already exact and different
-    # stays unsupported in every candidate below the node
-    g = _Ground(None, i0, limits, symbols=d.defined_symbols)
-    unsupported = _cut(g, (g.rules(d, a.predicate, a.args) for a in atoms), lambda vs: any(
-        v != 1 and w == 2 - v for v, w in zip(g.val[_ATOMS:], vs)))
-
-    out = []
-    for cand in i0.refinements(atoms, cut=unsupported):
-        if any(
-            cand.atom_value(a) is not max_truth(_body_values(d, a, cand, ctx), empty=F)
-            for a in atoms
-        ):
+    # an assigned atom whose ground rule bodies already give the opposite
+    # value stays unsupported below the node; prudence reads one grounding
+    g, out, shared = _Ground(None, i0, limits, symbols=d.defined_symbols), [], []
+    for cand in _branch(g, [_ATOMS + h for h in range(len(atoms))], (
+            (g.rules(d, a.predicate, a.args), (_ATOMS + h,)) for h, a in enumerate(atoms)),
+            lambda h, w: g.val[_ATOMS + h] == 2 - w != 1):
+        if any(cand.atom_value(a) is not max_truth(_body_values(d, a, cand, ctx), empty=F)
+               for a in atoms):
             continue
-        if _demotion(d, cand, atoms, ctx.limits) is None:
+        if _demotion(d, cand, atoms, ctx.limits, shared) is None:
             out.append(cand)
     return out
 
@@ -545,11 +555,6 @@ class _Ground:
         """The u-valued parameter atoms read, as a tuple: memo entries share ()."""
         return tuple(a for a in self.ctx.record if a.predicate not in self.defined)
 
-    def read(self, j: PartialInterpretation) -> None:
-        """j's values of the atoms, into val."""
-        for sym, (k, index) in self.index.items():
-            self.val[k:k + len(index)] = map(_code, j.value(sym).values)
-
     def interpretation(self) -> PartialInterpretation:
         i = self.at
         for sym, (k, index) in self.index.items():
@@ -669,36 +674,69 @@ def _residual_glb(e, i: PartialInterpretation, atoms: list, limits: Limits) -> T
     return U if len(seen) > 1 else (F, U, T)[seen.pop()]
 
 
-def _cut(g: _Ground, residuals: Iterable, decided):
-    """A cut for refinements j of g.at: decided(values at j of `residuals`,
-    those ground before the first that raises), with j's atoms in g.val.  A
-    leaf that raises decides nothing; the search's leaves report it."""
-    nodes, val = [], g.val
+def _branch(g: _Ground, xs: list, residuals: Iterable, dead) -> Iterator[PartialInterpretation]:
+    """The refinements of g.at setting each value index in xs to t then f,
+    depth first, first outermost, less those below a node (the root too)
+    where no leaf of g raises and dead(k, value) holds for a residual k
+    ((node, atoms it reads besides its own and its leaves'), up to the first
+    that raises).  An assignment re-values the leaves, then the residuals,
+    on its atom's watch list, and again when it is undone."""
+    val, nodes = g.val, []
     try:
-        for n in residuals:
-            nodes.append(n)
-    except DeflogError:
+        for n, extra in residuals:
+            nodes.append((n, extra))
+    except DeflogError:  # a residual not ground cuts nothing; the leaves report it
         pass
+    leaves, atoms = g.leaf if nodes else [], {leaf[0]: leaf[4] for leaf in g.leaf}
 
-    def cut(j: PartialInterpretation) -> bool:
-        g.read(j)
-        try:
-            g.value(g.leaf, j)
-        except DeflogError:
-            return False
-        return decided([val[n] if type(n) is int else _value(n, val) for n in nodes])
+    def reads(n) -> set:
+        return (set(atoms.get(n, (n,) if n >= _ATOMS else ())) if type(n) is int
+                else reads(n[1]) if n[0] == _NOT else set().union(*map(reads, n[1])))
+    sees = [reads(n).union(extra) for n, extra in nodes]
+    watch = {x: ([leaf for leaf in leaves if x in leaf[4]],
+                 [k for k, seen in enumerate(sees) if x in seen]) for x in xs}
+    bad, dying = set(), set()  # the slots of the leaves that raise, the residuals that cut
 
-    return cut if nodes else None
+    def revalue(ls, ks) -> bool:  # whether the node is cut
+        j = None
+        for leaf in ls:
+            try:
+                j = g.value((leaf,), j)
+                bad.discard(leaf[0])
+            except DeflogError:
+                bad.add(leaf[0])
+        for k in ks:
+            n = nodes[k][0]
+            cut = dead(k, val[n] if type(n) is int else _value(n, val))
+            (dying.add if cut else dying.discard)(k)
+        return bool(dying) and not bad
+
+    def search(depth: int):
+        if depth == len(xs):
+            yield g.interpretation()
+            return
+        x = xs[depth]
+        for val[x] in (2, 0, 1):  # back at u, the watchers take their values above again
+            if not revalue(*watch[x]) and val[x] != 1:
+                yield from search(depth + 1)
+
+    if not revalue(leaves, range(len(nodes))):
+        yield from search(0)
 
 
-def constraint_cut(constraints: list, i: PartialInterpretation, limits: Limits):
-    """A cut for the refinements of i's u atoms, true where some
-    constraint's residual is f; the cap on those atoms is checked first."""
+def constrained_completions(constraints: list, i: PartialInterpretation, limits: Limits):
+    """i's completions in `completions` order, less those below a node where
+    a constraint's residual is f; the cap is checked before any grounding."""
     atoms = i.u_atoms(i.predicate_symbols())
     limits.check("max_unknowns", len(atoms), "{n} unknown atoms exceed cap {cap}")
     g = _Ground(None, i, limits, symbols={a.predicate for a in atoms})
-    return _cut(g, (g.ground(phi, {}, _compiled(phi)) for phi in constraints),
-                lambda values: 0 in values)
+
+    def conjuncts():  # a conjunction is f where a conjunct is: each is watched alone
+        for phi in constraints:
+            n = g.ground(phi, {}, _compiled(phi))
+            yield from ((k, ()) for k in (n[1] if type(n) is tuple and n[0] == _AND else (n,)))
+    return _branch(g, [g.index[a.predicate][0] + g.index[a.predicate][1][a.args] for a in atoms],
+                   conjuncts(), lambda k, w: w == 0)
 
 
 def _residual_wfm(d: RuleSet, i0: PartialInterpretation, limits: Limits) -> tuple:

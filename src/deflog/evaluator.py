@@ -275,8 +275,8 @@ def _let_value(e: Let, i: PartialInterpretation, ctx: EvalContext) -> TV:
         if not wfm.is_exact:
             raise NonTotalDefinitionError("let-bound definition has no exact well-founded model")
         j = i
-        for d in e.ruleset.defined_symbols:
-            j = j.expand(d, wfm.value(d))
+        for d in e.ruleset.defined_symbols:  # carriers over i's domain, as built
+            j = j._expand(d, wfm.value(d))
         return _compiled(e.body)(j, {}, ctx)
     for p in par_preds:
         for key in i.value(p).keys_with(U):

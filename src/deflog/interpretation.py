@@ -185,13 +185,13 @@ class PartialInterpretation:
         return out
 
     def completions(
-        self, over: Iterable[Symbol], limits: Limits = DEFAULT_LIMITS, cut=None
+        self, over: Iterable[Symbol], limits: Limits = DEFAULT_LIMITS
     ) -> Iterator["PartialInterpretation"]:
         """All interpretations exact on `over`, refining this one, identical
-        elsewhere: 2^u for u unknown atoms over those symbols, less any `cut` drops."""
+        elsewhere: 2^u for u unknown atoms over those symbols, in `refinements` order."""
         unknown = self.u_atoms(over)
         limits.check("max_unknowns", len(unknown), "{n} unknown atoms exceed cap {cap}")
-        yield from self.refinements(unknown, cut=cut)
+        yield from self.refinements(unknown)
 
     def glb(self, atoms: list[DomainAtom], limits: Limits, leaf, probe=None) -> TV:
         """The glb of leaf(j) over the refinements j of `atoms` to t and f,
@@ -217,9 +217,9 @@ class PartialInterpretation:
     ) -> Iterator["PartialInterpretation"]:
         """This interpretation with each atom revised to one of `values`,
         every combination in itertools.product order (first atom outermost);
-        u leaves an atom as it is.  Depth first: `cut` sees the refinement
-        of each prefix of `atoms`, the empty one included, and a true
-        answer drops every combination below it.  Callers check caps first."""
+        u leaves an atom as it is.  Depth first: `cut` (`glb`'s probe) sees the
+        refinement of each prefix of `atoms`, the empty one included, and a
+        true answer drops every combination below it.  Callers check caps first."""
         yield from self._refine(atoms, 0, values, cut)
 
     def _refine(self, atoms, depth: int, values: tuple, cut):

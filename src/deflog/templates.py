@@ -199,8 +199,8 @@ def apply_library(
             if _report is not None:
                 _report.problems.append(msg)
             raise NonTotalDefinitionError(msg)
-        for d in defined:
-            out = out.expand(d, wfm.value(d))
+        for d in defined:  # a carrier expand_context built, or checked
+            out = out._expand(d, wfm.value(d))
     return out
 
 

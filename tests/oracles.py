@@ -25,6 +25,15 @@
   residual and walks it again for the atoms it reads.  On formulas with
   no waiting leaf (`has_waiting_leaf`) the interned search of
   `deflog.definitions` must give the same value and visit no more nodes.
+* The `mx` and `stable` searches as first written (`oracle_cut_search`,
+  `oracle_constrained_completions`, `oracle_supported_candidates`):
+  `refinements` with a cut that reads each node's interpretation into the
+  value list and values every opaque leaf and residual there.  The watch
+  list driver of `deflog.definitions` must give the same candidates in
+  order and the same exception, and visit no more nodes.  Prudence with
+  the rule set ground afresh at each candidate (`oracle_fresh_demotion`):
+  the check on one shared grounding must give the same answer or raise
+  the same.
 * Variable binding as first written (`rebuild_expand`, `rebuild_revise`,
   `rebuild_restrict`): copy the assignments into a dict, change it, sort
   the items by name (stable) and construct afresh.  The sort-free
@@ -451,6 +460,75 @@ def oracle_residual_search(e, i, limits=DEFAULT_LIMITS) -> tuple:
     seen, nodes = set(), []
     _search(g, g.ground(e, {}, definitions._compiled(e)), seen, nodes)
     return U if len(seen) > 1 else (F, U, T)[seen.pop()], len(nodes)
+
+
+# ---------------------------------------------------------------------------
+# The mx and stable searches as first written: refinements with a cut that
+# copies each node's interpretation into the value list and values every
+# leaf and residual there
+
+
+def oracle_cut_search(g, i, atoms, grounders, decided) -> tuple:
+    """The refinements of i over `atoms` (t then f), cut where, with the
+    node's values read into g, no opaque leaf raises and decided(values of
+    the residuals the grounders give up to the first that raises) holds;
+    and the number of nodes visited."""
+    nodes, val, residuals = [], g.val, []
+    try:
+        for grounder in grounders:
+            residuals.append(grounder())
+    except DeflogError:
+        pass
+
+    def cut(j) -> bool:
+        nodes.append(j)
+        for sym, (k, index) in g.index.items():
+            val[k:k + len(index)] = map(definitions._code, j.value(sym).values)
+        try:
+            g.value(g.leaf, j)
+        except DeflogError:
+            return False
+        return bool(residuals) and decided(
+            [val[n] if type(n) is int else definitions._value(n, val) for n in residuals])
+
+    return list(i.refinements(atoms, cut=cut)), len(nodes)
+
+
+def oracle_constrained_completions(constraints, i, limits=DEFAULT_LIMITS) -> tuple:
+    """mx's completions as first searched: cut where a constraint is f."""
+    atoms = i.u_atoms(i.predicate_symbols())
+    limits.check("max_unknowns", len(atoms), "{n} unknown atoms exceed cap {cap}")
+    g = definitions._Ground(None, i, limits, symbols={a.predicate for a in atoms})
+    return oracle_cut_search(g, i, atoms, [
+        lambda phi=phi: g.ground(phi, {}, _compiled(phi)) for phi in constraints],
+        lambda values: 0 in values)
+
+
+def oracle_supported_candidates(d, i0, atoms, limits=DEFAULT_LIMITS) -> tuple:
+    """stable's candidates as first searched: cut where an assigned atom's
+    ground rule bodies give the opposite value."""
+    g = definitions._Ground(None, i0, limits, symbols=d.defined_symbols)
+    first = definitions._ATOMS
+    return oracle_cut_search(g, i0, atoms, [
+        lambda a=a: g.rules(d, a.predicate, a.args) for a in atoms], lambda values: any(
+            v != 1 and w == 2 - v for v, w in zip(g.val[first:], values)))
+
+
+def oracle_fresh_demotion(d, i, atoms, limits=DEFAULT_LIMITS):
+    """The least fixpoint prudence check as first written: d ground afresh
+    at i with its t atoms demoted, for every i."""
+    ts = [h for h, a in enumerate(atoms) if i.atom_value(a) is T]
+    if not ts:
+        return None
+    first = definitions._ATOMS
+    g = definitions._Ground(d, i.revise([atoms[h] for h in ts], U), limits)
+    coded = g.val[first:first + len(atoms)]
+    g.derive([h for h, v in enumerate(coded) if v == 1], refresh=False)
+    lfp = {h for h in range(len(atoms)) if g.val[first + h] == 2}
+    if lfp.issuperset(ts) or 2 in g.values([h for h, v in enumerate(coded) if v == 0]):
+        return None
+    return (frozenset(atoms[h] for h in ts if h not in lfp),
+            frozenset(atoms[h] for h in lfp.difference(ts)))
 
 
 # ---------------------------------------------------------------------------

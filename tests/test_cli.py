@@ -19,7 +19,7 @@ from deflog import cli, definitions
 from deflog.cli import _mx_models, main
 from deflog.errors import CapExceeded, EvaluationError, NonTotalDefinitionError
 from deflog.evaluator import KLEENE, SUPERVALUATION, evaluate, evaluate_exact
-from deflog.interpretation import PartialInterpretation, read_structure
+from deflog.interpretation import read_structure
 from deflog.limits import DEFAULT_LIMITS, Limits
 from deflog.parser import Theory, parse_formula, parse_theory
 from deflog.syntax import (
@@ -33,7 +33,8 @@ from gen import (
     P0, P1, PROPS, SO1, SO_HEAD, random_formula, random_interpretation, random_ruleset,
     random_tree,
 )
-from oracles import exact_completions, flat_filter
+from oracles import exact_completions, flat_filter, oracle_constrained_completions
+from test_definitions import driver_searches
 from test_evaluator import node_kinds, random_partial, value_or_error
 
 UPDATE = os.environ.get("DEFLOG_UPDATE_GOLDEN") == "1"
@@ -531,15 +532,15 @@ class TestModelExpansionSearch:
             f"formula {names['uninterpreted']} {{ t(k) }}\nformula z {{ p & ~p }}\n")
         struct = read_structure("domain = {x1}\nk = x1\n", theory.vocabulary)
         struct = struct.restrict([s for s, _ in struct.assignments if s.name != "t"])
-        cuts, completions = [], PartialInterpretation.completions
-        monkeypatch.setattr(PartialInterpretation, "completions",
-                            lambda j, over, limits, cut=None: cuts.append(cut) or completions(
-                                j, over, limits, cut))
+        # the search values each residual it may cut with at the root: none is
+        searches, valued, branch = [], [], definitions._branch
+        monkeypatch.setattr(definitions, "_branch", lambda g, xs, residuals, dead: searches.append(
+            1) or branch(g, xs, residuals, lambda *a: valued.append(a) or dead(*a)))
         message = {"bound": "aggregate bound must be an integer",
                    "uninterpreted": "symbol t not interpreted"}[first]
         with pytest.raises(EvaluationError, match=f"^{message}$"):
             list(_mx_models(theory, struct, DEFAULT_LIMITS))
-        assert cuts == [None]
+        assert searches == [1] and valued == []
 
     def test_constraints_of_every_node_kind_equal_the_flat_filter(self):
         # definitions, let-blocks, sums, second order quantifiers and atoms
@@ -573,6 +574,49 @@ class TestModelExpansionSearch:
         assert seen["same models"] > 100 and seen["same error"] > 10, seen
         assert {"Atom2", "ForallSO", "ExistsSO", "sum", "DefinitionExpr", "Let"} <= kinds
 
+    def test_the_driver_equals_the_cut_search_as_first_written(self, monkeypatch):
+        # the same completions in order, or the same error, on constraints of
+        # every node kind, in no more nodes than the cut search as first written
+        rng, seen, kinds = random.Random(151), collections.Counter(), set()
+        searches = driver_searches(monkeypatch)
+        symbols = (*PROPS, P1, SO1, SO_HEAD)
+        for n in range(200):
+            constraints = [random_tree(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+            if n % 4 == 0:
+                constraints.append(DefinitionExpr(random_ruleset(rng)))
+            struct = random_partial(rng, symbols, rng.choice(((1,), (1, 2))))
+            limits = Limits(max_unknowns=rng.choice((3, 12)))
+            searches.clear()
+            got = value_or_error(lambda: list(
+                definitions.constrained_completions(constraints, struct, limits)))
+            want = value_or_error(lambda: oracle_constrained_completions(constraints, struct, limits))
+            for phi in constraints:
+                kinds |= node_kinds(phi)
+            if want[1] is not None:
+                assert got == want
+                seen["same error"] += 1
+                continue
+            (completions, nodes), visited = want[0], 1 + searches[0][0].assigned
+            assert got == (completions, None)
+            assert visited <= nodes
+            atoms = len(struct.u_atoms(struct.predicate_symbols()))
+            seen["cut"] += nodes < 2 ** (atoms + 1) - 1
+            seen["a completion"] += bool(completions)
+        assert seen["cut"] > 80 and seen["a completion"] > 25 and seen["same error"] > 20, seen
+        assert {"Atom2", "ForallSO", "ExistsSO", "sum", "DefinitionExpr", "Let"} <= kinds
+
+    def test_a_constraint_f_at_the_root_cuts_before_any_branch(self, monkeypatch):
+        # p is t, so p & ~p is f before q or s is assigned: the root is cut,
+        # and no completion reaches the leaves' exact check
+        theory = parse_theory("vocab { p: pred/0; q: pred/0; s: pred/1; }\n"
+                              "formula c { p & ~p }\n")
+        struct = read_structure("domain = {1..3}\np = {(): t}\n", theory.vocabulary)
+        leaves, searches = [], driver_searches(monkeypatch)
+        monkeypatch.setattr(
+            cli, "evaluate_exact", lambda *a: leaves.append(1) or evaluate_exact(*a))
+        assert list(_mx_models(theory, struct, DEFAULT_LIMITS)) == []
+        assert leaves == [] and searches[0][0].assigned == 0
+
     @pytest.mark.parametrize("order", ["ab", "ba"])
     def test_a_cut_leaf_that_raises_decides_nothing(self, order):
         # at s = t the let-block is non-total and z is f: the cut must not
@@ -604,8 +648,8 @@ class TestModelExpansionSearch:
         calls, wfm = [], definitions.well_founded_model
         monkeypatch.setattr(definitions, "well_founded_model",
                             lambda *a, **k: calls.append(1) or wfm(*a, **k))
-        cut = definitions.constraint_cut([*theory.formulas.values()], struct, DEFAULT_LIMITS)
-        completions = struct.completions(struct.predicate_symbols(), DEFAULT_LIMITS, cut)
+        completions = definitions.constrained_completions(
+            [*theory.formulas.values()], struct, DEFAULT_LIMITS)
         assert len(list(completions)) == 3 * 2 ** 4  # a & b cut, then c(1..3) and q
         assert len(calls) == 4
 

@@ -12,14 +12,16 @@ import random
 
 import pytest
 
-from deflog import definitions
+from deflog import definitions, interpretation
 from deflog.cli import _mx_models
 from deflog.definitions import (
     eval_definition, expand_context, greatest_unfounded_set,
     is_partial_stable, is_total, partial_stable_models, stable_models,
     well_founded_model,
 )
-from deflog.errors import CapExceeded, DeflogError, EvaluationError, NonTotalDefinitionError
+from deflog.errors import (
+    CapExceeded, DeflogError, EvaluationError, NonTotalDefinitionError, TypeError_,
+)
 from deflog.evaluator import SUPERVALUATION, EvalContext, evaluate, evaluate_exact
 from deflog.interpretation import PartialInterpretation, read_structure
 from deflog.limits import Limits
@@ -36,8 +38,8 @@ from gen import (
 )
 from oracles import (
     exact_completions, flat_filter, is_closed, is_unfounded, oracle_demotion,
-    oracle_eval_definition, oracle_exact_prudent, oracle_unfounded_set, oracle_wfm_fixpoint,
-    super_oracle,
+    oracle_eval_definition, oracle_exact_prudent, oracle_fresh_demotion,
+    oracle_supported_candidates, oracle_unfounded_set, oracle_wfm_fixpoint, super_oracle,
 )
 from test_evaluator import exact_holds, node_kinds, random_partial, value_or_error
 
@@ -402,6 +404,107 @@ class TestPrudenceAgainstSubsetOracle:
         assert {"Atom1", "Atom2", "Cmp", "Not", "And", "Or", "Implies", "Iff",
                 "ForallFO", "ExistsFO", "ForallSO", "ExistsSO", "card", "sum",
                 "DefinitionExpr", "Let"} <= kinds
+
+
+class _CountedValues(list):
+    """A value list counting each assignment of t or f to a branch index."""
+
+    def __init__(self, val, xs):
+        super().__init__(val)
+        self.xs, self.assigned = set(xs), 0
+
+    def __setitem__(self, k, v):
+        if type(k) is int and k in self.xs and v != 1:
+            self.assigned += 1
+        super().__setitem__(k, v)
+
+
+def driver_searches(monkeypatch) -> list:
+    """Spy on the search driver: per search, its value list, which counts
+    the nodes visited (the root and each assignment), and the refinements
+    it gives, all taken before the caller reads the first."""
+    searches, branch = [], definitions._branch
+
+    def spy(g, xs, residuals, dead):
+        g.val = _CountedValues(g.val, xs)
+        found = list(branch(g, xs, residuals, dead))
+        searches.append((g.val, found))
+        return iter(found)
+
+    monkeypatch.setattr(definitions, "_branch", spy)
+    return searches
+
+
+class TestSearchDriver:
+    """mx and stable search on the ground value list with a watch list per
+    atom; the oracle is the search as first written, `refinements` with a
+    cut that reads each node's interpretation into the value list."""
+
+    def test_stable_candidates_equal_the_cut_search_as_first_written(self, monkeypatch):
+        rng, seen, kinds = random.Random(157), collections.Counter(), set()
+        searches = driver_searches(monkeypatch)
+        for n in range(400):
+            if n % 2:
+                d, limits = random_ruleset(rng, max_rules=6), Limits()
+                o = PartialInterpretation.empty(DOMAIN)
+            else:
+                d = random_tree_rules(rng)
+                limits = Limits(max_unknowns=rng.choice((3, 20)))
+                o = random_partial(rng, [s for s in SYMBOLS if s not in d.defined_symbols], (1,))
+            i0 = expand_context(d, o, limits)
+            atoms = definitions._defined_atoms(d, i0)
+            searches.clear()
+            outcome(lambda: stable_models(d, o, limits))  # its search's candidates, below
+            candidates, nodes = oracle_supported_candidates(d, i0, atoms, limits)
+            (val, found), = searches
+            assert found == candidates, f"{d}"
+            assert 1 + val.assigned <= nodes, f"{d}"
+            seen["cut"] += nodes < 2 ** (len(atoms) + 1) - 1
+            seen["a candidate"] += bool(candidates)
+            for r in d.rules:
+                kinds |= node_kinds(r.body)
+        assert seen["cut"] > 150 and seen["a candidate"] > 300, seen
+        assert {"Atom2", "ForallSO", "ExistsSO", "sum", "DefinitionExpr", "Let"} <= kinds
+
+    def test_prudence_on_one_grounding_equals_grounding_afresh(self):
+        # stable_models checks prudence on one grounding, built at the
+        # first candidate whose grounding succeeds, with each later
+        # candidate's demoted values written in; on every three-valued
+        # interpretation in refinement order, as TestPrudenceAgainstSubsetOracle
+        # draws them, it answers or raises as grounding afresh does
+        rng, seen = random.Random(163), collections.Counter()
+        for n in range(600):
+            if n % 3:
+                d, limits = random_ruleset(rng), Limits()
+                o = PartialInterpretation.empty(DOMAIN)
+            else:
+                d = random_tree_rules(rng)
+                limits = Limits(max_unknowns=rng.choice((3, 20)))
+                o = random_partial(rng, [s for s in SYMBOLS if s not in d.defined_symbols], (1,))
+            i0 = expand_context(d, o, limits)
+            atoms, shared = definitions._defined_atoms(d, i0), []
+            for i in i0.refinements(atoms, (T, U, F)):
+                got = outcome(lambda: definitions._demotion(d, i, atoms, limits, shared))
+                want = outcome(lambda: oracle_fresh_demotion(d, i, atoms, limits))
+                assert got == want, f"{d} {i}"
+                seen["error" if got[1] else "prudent" if got[0] is None else "imprudent"] += 1
+                seen["on the shared grounding"] += len(shared)
+        assert min(seen.values()) > 100, seen
+
+
+def test_expand_context_checks_only_a_given_carrier(monkeypatch):
+    # the full carrier over the domain is well typed as built; a caller's
+    # carrier is checked once, with the message it always had
+    s = Symbol("s", pred(1))
+    d = parse_ruleset("{s(x) <- s(x).}", Vocabulary.of([s]))
+    o = PartialInterpretation.empty(("a",))
+    checked, check = [], interpretation._check_value
+    monkeypatch.setattr(interpretation, "_check_value",
+                        lambda *a: checked.append(a[0]) or check(*a))
+    assert expand_context(d, o).value(s).carrier == (("a",),) and checked == []
+    with pytest.raises(TypeError_, match=r"^s: key \('z',\) not over the domain$"):
+        expand_context(d, o, carriers={s: [("z",)]})
+    assert checked == [s]
 
 
 class TestEvalDefinition:
