@@ -149,16 +149,14 @@ def _echo_struct(i: PartialInterpretation, as_json: bool) -> None:
 
 
 def _echo_models(models, as_json: bool, noun: str) -> None:
-    """Print models as they come, then their count; exit 1 if there are none."""
-    count = 0
-    collected = []
-    for m in models:
-        count += 1
+    """Print (text or None, model) pairs as they come, then their count; exit 1 on none."""
+    count, collected = 0, []
+    for count, (text, m) in enumerate(models, 1):
         if as_json:
             collected.append(_struct_json(m))
         else:
             click.echo(f"model {count}:")
-            click.echo(write_structure(m), nl=False)
+            click.echo(text or write_structure(m), nl=False)
     if as_json:
         _echo_json({"count": count, "models": collected})
     else:
@@ -252,8 +250,8 @@ def stable_cmd(
     """List all stable models of a definition in a context structure."""
     _, rs = _pick("definition", theory.definitions, def_name)
     context = _definition_context(struct, rs)
-    models = sorted(stable_models(rs, context, limits), key=write_structure)
-    _echo_models(models, as_json, "stable model(s)")
+    models = ((write_structure(m), m) for m in stable_models(rs, context, limits))
+    _echo_models(sorted(models, key=lambda tm: tm[0]), as_json, "stable model(s)")
 
 
 def _with_templates(theory: Theory, struct: PartialInterpretation, limits: Limits):
@@ -297,7 +295,7 @@ def mx_cmd(
 ) -> None:
     """Model expansion: stream all exact expansions of a partial structure
     that satisfy every formula and definition of the theory."""
-    _echo_models(_mx_models(theory, struct, limits), as_json, "model(s)")
+    _echo_models(((None, m) for m in _mx_models(theory, struct, limits)), as_json, "model(s)")
 
 
 def _echo_rewrite(payload: dict, lines: list, equivalent, check_equiv: bool,
@@ -321,11 +319,8 @@ def _echo_rewrite(payload: dict, lines: list, equivalent, check_equiv: bool,
 def _expand_equivalent(phi, expanded, lib, limits) -> bool:
     """Exact-model agreement of a formula and its macro expansion at |D| <= 2."""
     template_syms = set(lib.template_symbols())
-    sigma = sorted(
-        {s for s in free_symbols(phi) | free_symbols(expanded)}
-        - template_syms,
-        key=lambda s: s.name,
-    )
+    sigma = sorted((free_symbols(phi) | free_symbols(expanded)) - template_syms,
+                   key=lambda s: s.name)
     for domain in _EQUIV_DOMAINS:
         for base in _exact_interpretations(sigma, domain, limits):
             with_templates = apply_library(base, lib, limits)

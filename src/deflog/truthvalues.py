@@ -26,11 +26,12 @@ from .limits import DEFAULT_LIMITS, Limits
 
 
 class TV(enum.Enum):
-    """A three-valued truth value."""
+    """A three-valued truth value; the members are singletons, hashed by identity."""
 
     TRUE = "t"
     UNKNOWN = "u"
     FALSE = "f"
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return self.value
@@ -87,10 +88,9 @@ def glb_prec(values: Iterable[TV]) -> TV:
     Returns v when every input equals the exact value v, and u otherwise.
     """
     it = iter(values)
-    try:
-        out = next(it)
-    except StopIteration:
-        raise EvaluationError("glb_prec of an empty collection") from None
+    out = next(it, None)
+    if out is None:
+        raise EvaluationError("glb_prec of an empty collection")
     for v in it:
         if v is not out:
             return U
@@ -229,9 +229,8 @@ class PartialSet:
         """All exact refinements; 2^u of them for u unknown elements."""
         unknown = [i for i, v in enumerate(self.values) if v is U]
         limits.check("max_unknowns", len(unknown), "{n} unknown elements exceed cap {cap}")
-        base = list(self.values)
         for choice in itertools.product((T, F), repeat=len(unknown)):
-            vals = list(base)
+            vals = list(self.values)
             for i, v in zip(unknown, choice):
                 vals[i] = v
             yield PartialSet(self.carrier, tuple(vals))
@@ -265,10 +264,6 @@ def approx_quantifier(q: str, s: PartialSet) -> TV:
 _CMP = {"=": lambda a, b: a == b, "<": lambda a, b: a < b, ">": lambda a, b: a > b}
 
 
-def _as_tuple(key) -> tuple:
-    return key if isinstance(key, tuple) else (key,)
-
-
 def approx_aggregate(
     agg: str, cmp: str, s: PartialSet, n: int, limits: Limits = DEFAULT_LIMITS
 ) -> TV:
@@ -297,7 +292,7 @@ def approx_aggregate(
     if agg == "sum":
         weights = []
         for key in s.carrier:
-            first = _as_tuple(key)[0]
+            first = key[0] if isinstance(key, tuple) else key
             if not isinstance(first, int) or isinstance(first, bool):
                 raise EvaluationError(
                     f"sum aggregate needs integer-keyed tuples, got {key!r}"

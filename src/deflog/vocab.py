@@ -3,19 +3,24 @@
 The simple type system distinguishes the domain type, booleans, first
 order predicates of arity n, first order constants (0-ary functions),
 and second order predicates whose argument types are first order
-predicate types or the domain type.
+predicate types or the domain type.  Symbols are interned, held weakly,
+and compare and hash by identity.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import TypeError_
 from .limits import DEFAULT_LIMITS, Limits
+
+_SYMBOLS, _MISS = weakref.WeakValueDictionary(), threading.Lock()  # (name, type, kind) -> Symbol
 
 
 @dataclass(frozen=True)
@@ -64,9 +69,11 @@ def so_pred(*args: Type) -> Type:
     return Type("so-pred", arity=len(args), args=tuple(args))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Symbol:
-    """A named, typed symbol.
+    """A named, typed symbol, interned: Symbol(name, type, kind) returns the
+    one live symbol with that triple, held weakly, so symbols compare and
+    hash by identity, in C, and equal triples give the same symbol.
 
     kind is 'user', 'interpreted' or 'template'; the latter two make up
     the template vocabulary.
@@ -74,13 +81,21 @@ class Symbol:
 
     name: str
     type: Type
-    kind: str = "user"
+    kind: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name, self.type, self.kind)))
+    def __new__(cls, name: str, type: Type, kind: str = "user") -> "Symbol":
+        ref = _SYMBOLS.data.get((name, type, kind))  # a hit takes no lock
+        s = ref and ref()
+        if s is None:
+            with _MISS:  # threads that miss together make one symbol
+                s = _SYMBOLS.get((name, type, kind))
+                if s is None:
+                    s = _SYMBOLS[name, type, kind] = object.__new__(cls)
+                    vars(s).update(name=name, type=type, kind=kind)
+        return s
 
-    def __hash__(self) -> int:  # cached: symbols key every interpretation dict
-        return self._hash
+    def __reduce__(self):  # copy, deepcopy and pickle give the interned symbol
+        return Symbol, (self.name, self.type, self.kind)
 
     def __str__(self) -> str:
         return self.name
@@ -98,22 +113,17 @@ class Vocabulary:
     def __post_init__(self):
         by_name: dict[str, Symbol] = {}
         for s in self.symbols:
-            if s.name in by_name and by_name[s.name] != s:
+            if by_name.setdefault(s.name, s) is not s:
                 raise TypeError_(f"duplicate symbol name {s.name!r}")
-            by_name[s.name] = s
         object.__setattr__(self, "_by_name", by_name)
 
     @staticmethod
     def of(symbols: Iterable[Symbol]) -> "Vocabulary":
-        seen: dict[str, Symbol] = {}
-        for s in symbols:
-            if s.name in seen and seen[s.name] != s:
-                raise TypeError_(f"duplicate symbol name {s.name!r}")
-            seen[s.name] = s
+        seen = Vocabulary(tuple(symbols))._by_name  # raises on a duplicate name
         return Vocabulary(tuple(sorted(seen.values(), key=lambda s: s.name)))
 
     def __contains__(self, sym: Symbol) -> bool:
-        return self._by_name.get(sym.name) == sym
+        return self._by_name.get(sym.name) is sym
 
     def __iter__(self) -> Iterator[Symbol]:
         return iter(self.symbols)

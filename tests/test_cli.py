@@ -9,12 +9,16 @@ import functools
 import itertools
 import json
 import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import deflog
 from deflog import cli, definitions
 from deflog.cli import _mx_models, main
 from deflog.errors import CapExceeded, EvaluationError, NonTotalDefinitionError
@@ -138,6 +142,40 @@ def test_golden_output(golden, argv, code):
     assert first.output == path.read_text()
     if golden.endswith(".json"):
         json.loads(first.output)  # well-formed, stable key order
+
+
+HASH_SEED_ARGVS = [
+    ["stable", "-d", "mutex", d("props.theory"), d("props_unknown.struct")],
+    ["stable", "-d", "loop", d("loop.theory"), d("empty.struct")],
+    ["mx", d("mx.theory"), d("mx_open.struct")],
+    ["apply-lib", "--json", d("eq.theory"), d("eq_ab.struct")],
+    ["apply-lib", "--json", d("game.theory"), d("empty.struct")],
+    ["eval", "-m", "super", d("props.theory"), d("props_unknown.struct")],
+    ["classify", d("tc.theory")],
+]
+
+
+def test_output_does_not_depend_on_hash_values():
+    # symbols and truth values hash by identity and strings by the hash
+    # seed, so sets of them iterate in an order no output may follow; one
+    # process per seed runs every verb, and seeds 0 and 1 happen to order
+    # some small string sets alike, so four seeds are compared
+    src = str(pathlib.Path(deflog.__file__).parents[1])
+    driver = ("import json, sys; from click.testing import CliRunner; from deflog.cli import main; "
+              "print(json.dumps([(r.exit_code, r.output) for r in "
+              "(CliRunner().invoke(main, argv) for argv in json.loads(sys.argv[1]))]))")
+    outputs = []
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", driver, json.dumps(HASH_SEED_ARGVS)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert all(code == 0 and out for code, out in outputs[0]), outputs[0]
+    for other in outputs[1:]:
+        for argv, a, b in zip(HASH_SEED_ARGVS, outputs[0], other):
+            assert a == b, argv
 
 
 class TestExitCodes:
