@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 from .errors import EvaluationError, ParseError, TypeError_
 from .limits import DEFAULT_LIMITS, Limits
-from .parser import _Cursor, _lex_structure, _line_col
+from .parser import _STRUCTURE_SKIP, _Cursor, _lex_structure, _line_col, _offset
 from .truthvalues import F, T, TV, U, PartialSet, canon_order, leq_prec, leq_truth
 from .vocab import DomainAtom, Symbol, Vocabulary, predicate_carrier
 
@@ -312,13 +312,14 @@ class _StructReader(_Cursor):
         self.vocab = vocab
         self.limits = limits
 
-    def where(self, tok: tuple) -> tuple[int, int]:
+    def where(self, pos: int) -> tuple[int, int]:
         # errors name a line only; the end of input has none
-        return (0, 0) if tok[0] == "eof" else (_line_col(self.text, tok[2])[0], 0)
+        return (0, 0) if pos == self.last else (
+            _line_col(self.text, _offset(_STRUCTURE_SKIP, self.text, self.tokens, pos))[0], 0)
 
     def skip_newlines(self):
-        while self.peek()[0] == "newline":
-            self.next()
+        while self.kinds[self.peek()] == "newline":
+            self.pos += 1  # a newline is never the last token
 
     def read_nested(self, pos: int, key: bool) -> tuple:
         """The key (`key`) or element at token `pos`, and the position
@@ -326,7 +327,7 @@ class _StructReader(_Cursor):
         a name or a relation `{...}` of keys, commas between optional.
         The open keys and relations are kept on a stack, each with its
         closing token and its parts so far."""
-        tokens = self.tokens
+        tokens, kinds = self.tokens, self.kinds
         stack: list = []
         while True:
             tok = tokens[pos]
@@ -334,15 +335,15 @@ class _StructReader(_Cursor):
             if key:
                 pos = self.expect_at(pos, "(")
                 stack.append((")", []))
-            elif tok[1] == "{":
+            elif tok == "{":
                 pos += 1
                 stack.append(("}", []))
-            elif tok[0] == "name" or tok[0] == "int" and ".." not in tok[1]:
-                value = int(tok[1]) if tok[0] == "int" else tok[1]
+            elif (kind := kinds[tok]) == "name" or kind == "int" and ".." not in tok:
+                value = tok if kind == "name" else self.int_at(pos)
                 pos += 1
             else:
-                self.fail(f"expected a domain element, got {tok[1]!r}", tok)
-            while value is not None or tokens[pos][1] == stack[-1][0]:
+                self.fail(f"expected a domain element, got {self.shown(pos)!r}", pos)
+            while value is not None or tokens[pos] == stack[-1][0]:
                 if value is None:  # close the innermost key or relation
                     closer, parts = stack.pop()
                     value = tuple(parts) if closer == ")" else frozenset(parts)
@@ -351,40 +352,39 @@ class _StructReader(_Cursor):
                     return value, pos
                 stack[-1][1].append(value)
                 value = None
-                if tokens[pos][1] == ",":
+                if tokens[pos] == ",":
                     pos += 1
             key = stack[-1][0] == "}"
 
     def truth(self, pos: int) -> TV:
-        tok = self.tokens[pos]
-        v = _TRUTH.get(tok[1])
+        v = _TRUTH.get(self.tokens[pos])
         if v is None:
-            self.fail(f"expected t, u or f, got {tok[1]!r}", tok)
+            self.fail(f"expected t, u or f, got {self.shown(pos)!r}", pos)
         return v
 
     def read(self) -> PartialInterpretation:
         domain: list | None = None
         valuation: dict = {}
         self.skip_newlines()
-        while self.peek()[0] != "eof":
-            tok = self.next()
-            kind, name, _ = tok
-            if kind != "name":
-                self.fail(f"expected a symbol name, got {name!r}", tok)
+        while self.pos < self.last:
+            at = self.next()
+            name = self.tokens[at]
+            if self.kinds[name] != "name":
+                self.fail(f"expected a symbol name, got {name!r}", at)
             self.expect("=")
             if name == "domain":
                 if domain is not None:
-                    self.fail("duplicate domain block", tok)
+                    self.fail("duplicate domain block", at)
                 domain = self.read_domain()
             else:
                 sym = self.vocab.get(name)
                 if sym is None:
-                    self.fail(f"symbol {name!r} not in vocabulary", tok)
+                    self.fail(f"symbol {name!r} not in vocabulary", at)
                 if sym in valuation:
-                    self.fail(f"duplicate assignment to {name!r}", tok)
+                    self.fail(f"duplicate assignment to {name!r}", at)
                 if domain is None:
-                    self.fail("domain must be declared first", tok)
-                valuation[sym] = self.read_value(sym, domain, tok)
+                    self.fail("domain must be declared first", at)
+                valuation[sym] = self.read_value(sym, domain, at)
             self.skip_newlines()
         if domain is None:
             raise ParseError("structure has no domain block")
@@ -403,25 +403,26 @@ class _StructReader(_Cursor):
         """The domain's elements, without repeats, in canonical order."""
         self.expect("{")
         out: list = []
-        while not self.at("}"):
-            tok = self.next()
-            kind, text, _ = tok
+        while not self.peek() == "}":
+            at = self.next()
+            text = self.tokens[at]
+            kind = self.kinds[text]
             if kind == "int" and ".." in text:
-                lo, hi = (int(p) for p in text.split(".."))
+                lo, hi = (self.int_at(at, p) for p in text.split(".."))
                 self.limits.check("max_carrier", len(out) + hi - lo + 1,
                                   "domain of {n} elements exceeds cap {cap}")
                 out.extend(range(lo, hi + 1))
             elif kind == "int":
-                out.append(int(text))
+                out.append(self.int_at(at))
             elif kind == "name":
                 out.append(text)
             else:
-                self.fail(f"bad domain element {text!r}", tok)
+                self.fail(f"bad domain element {self.shown(at)!r}", at)
             self.accept(",")
         self.expect("}")
         return sorted(set(out), key=canon_order)
 
-    def read_value(self, sym: Symbol, domain: list, name: tuple):
+    def read_value(self, sym: Symbol, domain: list, name: int):
         if not sym.type.is_predicate:
             value, self.pos = self.read_nested(self.pos, False)
             return value
@@ -430,23 +431,23 @@ class _StructReader(_Cursor):
         entries: dict[tuple, TV] = {}
         default: TV | None = None
         members = set(domain)
-        while tokens[pos][1] != "}":
-            tok = tokens[pos]
-            if tok[1] == "*":
+        while tokens[pos] != "}":
+            start = pos
+            if tokens[pos] == "*":
                 pos = self.expect_at(pos + 1, ":")
                 default = self.truth(pos)
             else:
                 key, pos = self.read_nested(pos, True)
                 for e in key:
                     if not isinstance(e, frozenset) and e not in members:
-                        self.fail(f"{sym.name}: {e} is not a domain element", tok)
+                        self.fail(f"{sym.name}: {e} is not a domain element", start)
                 pos = self.expect_at(pos, ":")
                 v = self.truth(pos)
                 if entries.setdefault(key, v) is not v:
                     self.fail(f"{sym.name}: key {_fmt_key(key)} given both "
-                              f"{entries[key].value} and {v.value}", tok)
+                              f"{entries[key].value} and {v.value}", start)
             pos += 1
-            if tokens[pos][1] == ",":
+            if tokens[pos] == ",":
                 pos += 1
         self.pos = pos + 1
         if default is not None:

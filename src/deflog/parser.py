@@ -33,10 +33,14 @@ definition or let-block in a formula enters `parse_ruleset`, whose rule
 bodies are formulas again.
 
 Theories and structures (`interpretation.read_structure`) share one
-lexer, `_lex`, over one regex per format, and one token cursor,
-`_Cursor`.  Tokens are `(kind, text, offset)` tuples; a `ParseError`
-works out line and column from the offset, with lines as
-`str.splitlines` ends them and `//` commenting out the rest of a line.
+token model and one token cursor, `_Cursor`.  A token is its text: one
+`findall` per text, over a regex that skips space and comments, gives a
+flat `list[str]` ending in the eof token '' (a structure line ends in a
+newline token, its break), and a token's kind is looked up by its text.
+Offsets are worked out only for an error, by walking the skip pattern
+over the tokens before it; a `ParseError` gives line and column, with
+lines as `str.splitlines` ends them and `//` commenting out the rest of
+a line.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .errors import ParseError
 from .syntax import (
@@ -61,119 +64,151 @@ _UNICODE = str.maketrans({
 })
 
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines ends a line
-_BREAK = re.compile(f"\r\n|[{_BREAKS}]")
 _COMMENT = f"//[^{_BREAKS}]*"
 _NAME = r"[A-Za-z_][A-Za-z0-9_']*"
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
-# Space and comments are skipped after each token (and by `_LEAD` before
-# the first), so every match starts on a token, \Z included, and none
-# backtracks.  `neg` is an int unless it follows an int or a name (`x-1`),
-# where its `-` is punctuation.
-_SKIP = rf"(?:\s+|{_COMMENT})*"
-_LEAD = re.compile(_SKIP)
+# A theory match is a token and the space and comments after it (`_SKIP`
+# skips those before the first), so every match starts on a token, the
+# eof's \Z included, and none backtracks.  Punctuation comes first, longest
+# first, but `-` after the ints: `-digits` is one int token here, which
+# `tokenize` splits where it follows a name or an int (`x-1`).
+_SKIP_SOURCE = rf"\s*(?:{_COMMENT}\s*)*"
+_SKIP = re.compile(_SKIP_SOURCE)
 _THEORY = re.compile(
-    rf"(?:(?P<name>{_NAME})|(?P<neg>-\d+)|(?P<int>\d+)|(?P<punct><=>|=>|<-"
-    r"|\?\?|!!|\.\.|[{}()\[\],:;.~&|+/=<>!?#-])|(?P<bad>\S)|(?P<eof>\Z))" + _SKIP
+    rf"(<=>|=>|<-|\?\?|!!|\.\.|[{{}}()\[\],:;.~&|+/=<>!?#]|{_NAME}|-?\d+|-|\S|\Z){_SKIP_SOURCE}"
 )
+_THEORY_KINDS = {"": "eof", **dict.fromkeys(
+    ("<=>", "=>", "<-", "??", "!!", "..", *"{}()[],:;.~&|+/=<>!?#-"), "punct")}
 
 # Structures: `a..b` ranges, their own punctuation, and a newline token
-# ending every line (`_lex_structure` ends the last line with a break).
-# A bad character is reported where the space before it starts, where the
-# structure reader has always reported it.
+# (the break, after any comment) ending every line; `_lex_structure` ends
+# the last line with a break.  The space before a token is skipped in
+# front of it, so a bad character is reported where that space starts,
+# where the structure reader has always reported it.
 _SPACE = f"[^\\S{_BREAKS}]"
+_STRUCTURE_SKIP = re.compile(f"{_SPACE}*(?:{_COMMENT})?")
 _STRUCTURE = re.compile(
-    rf"{_SPACE}*(?:(?P<int>-?\d+\.\.-?\d+|-?\d+)|(?P<name>{_NAME})|(?P<punct>[{{}}(),:=*])"
-    rf"|(?P<newline>)(?:{_COMMENT})?(?:\r\n|[{_BREAKS}]))"
-    rf"|(?P<bad>{_SPACE}*\S)"
+    rf"{_SPACE}*(?:{_COMMENT})?([{{}}(),:=*]|{_NAME}|\r\n|[{_BREAKS}]|-?\d+(?:\.\.-?\d+)?|\S)"
 )
+_STRUCTURE_KINDS = {
+    "": "eof", **dict.fromkeys("{}(),:=*", "punct"),
+    **dict.fromkeys(("\r\n", *_BREAKS), "newline"),
+}
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
-    lines = _BREAK.split(text[:offset])
-    return len(lines), len(lines[-1]) + 1
+    lines = (text[:offset] + ".").splitlines()  # "." keeps a line after a last break
+    return len(lines), len(lines[-1])
 
 
-def _lex(matches: Iterator[re.Match], text: str, bad: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    append = tokens.append
-    for m in matches:
-        kind = m.lastgroup
-        if kind == "neg" and tokens and tokens[-1][0] in ("int", "name"):
-            at = m.start(kind)
-            append(("punct", "-", at))
-            append(("int", m[kind][1:], at + 1))
-        elif kind == "bad":
-            at = m.start(kind)
-            raise ParseError(f"{bad} {text[at]!r}", *_line_col(text, at))
-        else:
-            append(("int" if kind == "neg" else kind, m[kind], m.start(kind)))
+def _offset(skip: re.Pattern, text: str, tokens: list[str], pos: int) -> int:
+    """Where the space before token `pos` starts in `text`: `skip` walked
+    over the space before each token before it."""
+    at = 0
+    for tok in itertools.islice(tokens, pos):
+        at = skip.match(text, at).end() + len(tok)
+    return at
+
+
+def _kinds(tokens: list[str], fixed: dict[str, str]) -> tuple[dict[str, str], int | None]:
+    """Each distinct token's kind (`fixed`, else 'name', 'int', which ends in
+    a digit, or 'bad', a character no other alternative took), and the
+    position of the first bad token."""
+    kinds = {tok: fixed.get(tok) or ("name" if tok[0] in _NAME_START else "int"
+                                     if tok[-1].isdecimal() else "bad") for tok in set(tokens)}
+    bad = [tok for tok, kind in kinds.items() if kind == "bad"]
+    return kinds, min(map(tokens.index, bad)) if bad else None
+
+
+def tokenize(text: str) -> list[str]:
+    """The theory tokens of `text`, its Unicode connectives replaced by
+    ASCII ones, ending in the eof token ''."""
+    text = text.translate(_UNICODE)
+    tokens = _THEORY.findall(text, _SKIP.match(text).end())
+    kinds, bad = _kinds(tokens, _THEORY_KINDS)
+    if bad is not None:
+        at = _SKIP.match(text, _offset(_SKIP, text, tokens, bad)).end()
+        raise ParseError(f"unexpected character {text[at]!r}", *_line_col(text, at))
+    negative = {tok for tok, kind in kinds.items() if kind == "int" and tok[0] == "-"}
+    if negative:  # after a name or an int, `-digits` is `-` and an int (`x-1`)
+        for pos in range(len(tokens) - 1, 0, -1):
+            if tokens[pos] in negative and kinds[tokens[pos - 1]] in ("name", "int"):
+                tokens[pos:pos + 1] = ("-", tokens[pos][1:])
     return tokens
 
 
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    """The theory tokens of `text`, ending in an eof token: `(kind, text,
-    offset)` with kind 'name', 'int', 'punct' or 'eof', and offset into
-    `text` with its Unicode connectives replaced by ASCII ones."""
-    text = text.translate(_UNICODE)
-    return _lex(_THEORY.finditer(text, _LEAD.match(text).end()), text, "unexpected character")
-
-
-def _lex_structure(text: str) -> tuple[str, list[tuple[str, str, int]]]:
-    """`text` with its last line ended, and its structure tokens."""
+def _lex_structure(text: str) -> tuple[str, list[str], dict[str, str]]:
+    """`text` with its last line ended, its structure tokens ending in the
+    eof token '', and their kinds."""
     if text and text[-1] not in _BREAKS:
         text += "\n"
-    tokens = _lex(_STRUCTURE.finditer(text), text, "bad character")
-    tokens.append(("eof", "", len(text)))
-    return text, tokens
+    tokens = _STRUCTURE.findall(text)
+    tokens.append("")
+    kinds, bad = _kinds(tokens, _STRUCTURE_KINDS)
+    if bad is not None:
+        at = _offset(_STRUCTURE_SKIP, text, tokens, bad)
+        raise ParseError(f"bad character {text[at]!r}", *_line_col(text, at))
+    return text, tokens, kinds
 
 
 class _Cursor:
-    """A position in a token list that ends in an eof token, which `next`
-    never moves past.  Subclasses say where a token is for an error
-    (`where`) and how a message names a token without text (`NOTHING`)."""
+    """A position in a token list that ends in the eof token, which `next`
+    never moves past, and the tokens' kinds.  Subclasses say where a token
+    is for an error (`where`) and how a message names a token without text
+    (`NOTHING`)."""
 
     NOTHING: dict[str, str] = {}
 
-    def __init__(self, text: str, tokens: list[tuple[str, str, int]]):
+    def __init__(self, text: str, tokens: list[str], kinds: dict[str, str]):
         self.text = text
         self.tokens = tokens
+        self.kinds = kinds
         self.pos = 0
+        self.last = len(tokens) - 1  # the eof token
 
-    def peek(self) -> tuple[str, str, int]:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
-
-    def at(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok[1] == text and tok[0] != "name"
+    def next(self) -> int:
+        """The cursor's position; it moves on unless it is at the eof."""
+        pos = self.pos
+        if pos < self.last:
+            self.pos = pos + 1
+        return pos
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.pos += 1  # eof has no text, so this is not the last token
+        if self.tokens[self.pos] == text:
+            self.pos += 1  # no caller asks for '', the eof, so this is not the last token
             return True
         return False
 
-    def expect(self, text: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[1] != text:
-            got = tok[1] or self.NOTHING.get(tok[0], tok[0])
-            self.fail(f"expected {text!r}, got {got!r}", tok)
-        return tok
+    def shown(self, pos: int) -> str:
+        """Token `pos` as a message quotes it: a newline shows as ''."""
+        tok = self.tokens[pos]
+        return "" if self.kinds[tok] == "newline" else tok
+
+    def expect(self, text: str) -> None:
+        self.pos = self.expect_at(self.pos, text)
 
     def expect_at(self, pos: int, text: str) -> int:
         """The position after token `pos`, which must be `text`."""
-        if self.tokens[pos][1] != text:
-            self.pos = pos
-            self.expect(text)
+        if self.tokens[pos] != text:
+            kind = self.kinds[self.tokens[pos]]
+            got = self.shown(pos) or self.NOTHING.get(kind, kind)
+            self.fail(f"expected {text!r}, got {got!r}", pos)
         return pos + 1
 
-    def fail(self, message: str, tok: tuple | None = None):
-        raise ParseError(message, *self.where(self.peek() if tok is None else tok))
+    def int_at(self, pos: int, text: str = "") -> int:
+        """Token `pos`, or `text` from it, as an int."""
+        text = text or self.tokens[pos]
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            self.fail(f"integer of {len(text.lstrip('-'))} digits is too long", pos)
+
+    def fail(self, message: str, pos: int | None = None):
+        raise ParseError(message, *self.where(self.pos if pos is None else pos))
 
 
 @dataclass
@@ -200,24 +235,27 @@ class Parser(_Cursor):
     NOTHING = {"eof": "end of input"}
 
     def __init__(self, text: str, vocab: Vocabulary | None = None):
-        super().__init__(text, tokenize(text))
+        tokens = tokenize(text)
+        super().__init__(text, tokens, _kinds(tokens, _THEORY_KINDS)[0])
         self.scope: dict[str, Symbol] = {s.name: s for s in vocab or ()}
 
-    def where(self, tok: tuple) -> tuple[int, int]:
-        if tok[0] == "eof":
+    def where(self, pos: int) -> tuple[int, int]:
+        if pos == self.last:
             return len(self.text.splitlines()) + 1, 1
-        return _line_col(self.text.translate(_UNICODE), tok[2])
+        text = self.text.translate(_UNICODE)
+        return _line_col(text, _SKIP.match(text, _offset(_SKIP, text, self.tokens, pos)).end())
 
-    def expect_name(self) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != "name":
-            self.fail(f"expected a name, got {tok[1]!r}", tok)
-        return tok
+    def expect_name(self) -> int:
+        """The position of the name at the cursor, which moves past it."""
+        pos = self.next()
+        if self.kinds[self.tokens[pos]] != "name":
+            self.fail(f"expected a name, got {self.tokens[pos]!r}", pos)
+        return pos
 
     def parse_args(self, item) -> list:
         """Comma separated `item()`s up to a ')', which is consumed."""
         args = []
-        while not self.at(")"):
+        while not self.peek() == ")":
             args.append(item())
             if not self.accept(","):
                 break
@@ -240,40 +278,42 @@ class Parser(_Cursor):
     # -- types and vocabulary -------------------------------------------
 
     def parse_type(self) -> Type:
-        tok = self.expect_name()
-        if tok[1] == "pred":
+        pos = self.expect_name()
+        tok = self.tokens[pos]
+        if tok == "pred":
             self.expect("/")
-            arity = self.next()
-            if arity[0] != "int":
-                self.fail("expected an arity", arity)
-            if int(arity[1]) < 0:
-                self.fail(f"arity {arity[1]} is negative", arity)
-            return pred(int(arity[1]))
-        if tok[1] == "const":
+            pos = self.next()
+            if self.kinds[self.tokens[pos]] != "int":
+                self.fail("expected an arity", pos)
+            arity = self.int_at(pos)
+            if arity < 0:
+                self.fail(f"arity {self.tokens[pos]} is negative", pos)
+            return pred(arity)
+        if tok == "const":
             return CONST
-        if tok[1] == "domain":
+        if tok == "domain":
             return Type("domain")
-        if tok[1] == "so" or tok[1] == "so_pred":
-            if tok[1] == "so":
+        if tok == "so" or tok == "so_pred":
+            if tok == "so":
                 self.expect("-")
                 inner = self.expect_name()
-                if inner[1] != "pred":
+                if self.tokens[inner] != "pred":
                     self.fail("expected 'pred' after 'so-'", inner)
             self.expect("(")
             return so_pred(*self.parse_args(self.parse_type))
-        self.fail(f"unknown type {tok[1]!r}", tok)
+        self.fail(f"unknown type {tok!r}", pos)
 
     def parse_vocab_block(self) -> Vocabulary:
         self.expect("{")
         symbols = []
-        while not self.at("}"):
-            name = self.expect_name()
+        while not self.peek() == "}":
+            name = self.tokens[self.expect_name()]
             self.expect(":")
             kind = "user"
-            if self.peek()[:2] in (("name", "template"), ("name", "interpreted")):
-                kind = self.next()[1]
+            if self.peek() in ("template", "interpreted"):
+                kind = self.tokens[self.next()]
             t = self.parse_type()
-            symbols.append(Symbol(name[1], t, kind))
+            symbols.append(Symbol(name, t, kind))
             self.accept(";")
         self.expect("}")
         vocab = Vocabulary.of(symbols)
@@ -282,37 +322,37 @@ class Parser(_Cursor):
 
     # -- formulas ---------------------------------------------------------
 
-    def resolve(self, name: tuple) -> Symbol:
-        sym = self.scope.get(name[1])
+    def resolve(self, pos: int) -> Symbol:
+        sym = self.scope.get(self.tokens[pos])
         if sym is None:
-            self.fail(f"unknown symbol {name[1]!r}", name)
+            self.fail(f"unknown symbol {self.tokens[pos]!r}", pos)
         return sym
 
     def read_term(self, pos: int) -> tuple:
         """The term at token `pos`, ints and names joined by + (left
         associative), and the position after it."""
-        tokens = self.tokens
+        tokens, kinds = self.tokens, self.kinds
         left = None
         while True:
-            tok = tokens[pos]
-            if tok[0] == "int":
-                right = IntTerm(int(tok[1]))
-            elif tok[0] == "name":
-                right = SymTerm(self.resolve(tok))
+            kind = kinds[tokens[pos]]
+            if kind == "int":
+                right = IntTerm(self.int_at(pos))
+            elif kind == "name":
+                right = SymTerm(self.resolve(pos))
             else:
-                self.fail(f"expected a term, got {tok[1]!r}", tok)
+                self.fail(f"expected a term, got {tokens[pos]!r}", pos)
             left = right if left is None else AddTerm(left, right)
-            if tokens[pos + 1][1] != "+":
+            if tokens[pos + 1] != "+":
                 return left, pos + 1
             pos += 2
 
     def read_comparison(self, pos: int) -> tuple:
         """The comparison operator at token `pos`, the term after it, and
         the position after that."""
-        tok = self.tokens[pos]
-        if tok[1] not in _COMPARISONS:
-            self.fail("expected a comparison operator (=, <, >)", tok)
-        return (tok[1], *self.read_term(pos + 1))
+        op = self.tokens[pos]
+        if op not in _COMPARISONS:
+            self.fail("expected a comparison operator (=, <, >)", pos)
+        return (op, *self.read_term(pos + 1))
 
     def parse_formula(self):
         """The formula at the cursor, read in one loop (see the module
@@ -320,36 +360,36 @@ class Parser(_Cursor):
         parenthesis, or a quantifier, aggregate or let-block header.  A
         connective then closes the runs that bind tighter than it, and any
         other token closes the runs and then the innermost frame."""
-        tokens, pos = self.tokens, self.pos
+        tokens, kinds, pos = self.tokens, self.kinds, self.pos
         operands: list = []  # the left operands of the runs
         runs: list = []  # [prec, class, count]: binding tighter towards the top
         frames: list = []  # (class, info, saved scope, negations, base of its runs)
         base = 0
         while True:
             negations = 0
-            while tokens[pos][1] == "~":
+            while tokens[pos] == "~":
                 pos += 1
                 negations += 1
-            kind, text, _ = tok = tokens[pos]
+            tok = tokens[pos]
             frame = None
-            if text == "#" or kind == "name" and text == "sum" and tokens[pos + 1][1] == "{":
-                frame = self.aggregate_frame(pos, "card" if text == "#" else "sum")
-            elif kind == "punct" and text in _QUANTIFIERS:
+            if tok == "#" or tok == "sum" and tokens[pos + 1] == "{":
+                frame = self.aggregate_frame(pos, "card" if tok == "#" else "sum")
+            elif tok in _QUANTIFIERS:
                 frame = self.quantifier_frame(pos)
-            elif text == "(":
+            elif tok == "(":
                 frame = (None, None, None, pos + 1)
-            elif text == "{":
+            elif tok == "{":
                 self.pos = pos
                 e = DefinitionExpr(self.parse_ruleset())
                 pos = self.pos
-            elif kind == "name" and text == "let":
+            elif tok == "let":
                 self.pos = pos + 1
                 rs = self.parse_ruleset()
-                tok = self.expect_name()
-                if tok[1] != "in":
-                    self.fail("expected 'in' after a let block", tok)
+                at = self.expect_name()
+                if tokens[at] != "in":
+                    self.fail("expected 'in' after a let block", at)
                 frame = (Let, rs, self.shadow(rs.defined_symbols), self.pos)
-            elif kind == "int" or kind == "name" and tokens[pos + 1][1] in _TERM_ENDS:
+            elif (kind := kinds[tok]) == "int" or kind == "name" and tokens[pos + 1] in _TERM_ENDS:
                 left, pos = self.read_term(pos)
                 op, right, pos = self.read_comparison(pos)
                 e = Cmp(op, left, right)
@@ -357,15 +397,15 @@ class Parser(_Cursor):
                 if kind != "name":
                     self.pos = pos
                     self.expect_name()  # raises
-                sym = self.resolve(tok)
+                sym = self.resolve(pos)
                 args = []
                 pos += 1
-                if tokens[pos][1] == "(":
+                if tokens[pos] == "(":
                     pos += 1
-                    while tokens[pos][1] != ")":
+                    while tokens[pos] != ")":
                         arg, pos = self.read_term(pos)
                         args.append(arg)
-                        if tokens[pos][1] != ",":
+                        if tokens[pos] != ",":
                             break
                         pos += 1
                     pos = self.expect_at(pos, ")")
@@ -378,7 +418,7 @@ class Parser(_Cursor):
             while True:  # e is a unary formula: hand it up
                 for _ in range(negations):
                     e = Not(e)
-                op = _BINARY.get(tokens[pos][1])
+                op = _BINARY.get(tokens[pos])
                 prec = 0 if op is None else op[0]
                 while len(runs) > base and runs[-1][0] > prec:
                     _, cls, n = runs.pop()
@@ -410,13 +450,14 @@ class Parser(_Cursor):
 
     def quantifier_frame(self, pos: int) -> tuple:
         """The frame of the quantifier whose sigil is token `pos`."""
-        so, fo_node, so_node = _QUANTIFIERS[self.tokens[pos][1]]
-        name = self.tokens[pos + 1]
-        if not so and name[0] == "name" and self.tokens[pos + 2][1] == ":":  # !x: or ?x:
-            var = Symbol(name[1], CONST)
+        tokens = self.tokens
+        so, fo_node, so_node = _QUANTIFIERS[tokens[pos]]
+        name = tokens[pos + 1]
+        if not so and self.kinds[name] == "name" and tokens[pos + 2] == ":":  # !x: or ?x:
+            var = Symbol(name, CONST)
             return fo_node, var, self.shadow((var,)), pos + 3
         self.pos = pos + 1
-        name = self.expect_name()
+        self.expect_name()
         var_type = CONST
         if self.accept("["):
             var_type = self.parse_type()
@@ -424,9 +465,9 @@ class Parser(_Cursor):
             if var_type.kind == "pred":
                 so = True
         if so and var_type == CONST:
-            self.fail(f"second order variable {name[1]!r} needs a [pred/n] annotation")
+            self.fail(f"second order variable {name!r} needs a [pred/n] annotation")
         self.expect(":")
-        var = Symbol(name[1], var_type)
+        var = Symbol(name, var_type)
         return so_node if so else fo_node, var, self.shadow((var,)), self.pos
 
     def aggregate_frame(self, pos: int, agg: str) -> tuple:
@@ -435,7 +476,7 @@ class Parser(_Cursor):
         self.expect("{")
         vars_ = []
         while True:
-            vars_.append(Symbol(self.expect_name()[1], CONST))
+            vars_.append(Symbol(self.tokens[self.expect_name()], CONST))
             if not self.accept(","):
                 break
         self.expect(":")
@@ -446,33 +487,33 @@ class Parser(_Cursor):
     def parse_ruleset(self) -> RuleSet:
         self.expect("{")
         rules = []
-        while not self.at("}"):
+        while not self.peek() == "}":
             rules.append(self.parse_rule())
             self.accept(".")
         self.expect("}")
         return RuleSet(tuple(rules))
 
     def parse_rule(self) -> Rule:
-        head_tok = self.expect_name()
-        head = self.resolve(head_tok)
+        head_at = self.expect_name()
+        head = self.resolve(head_at)
         if not head.type.is_predicate:
-            self.fail(f"rule head {head.name!r} is not a predicate", head_tok)
+            self.fail(f"rule head {head.name!r} is not a predicate", head_at)
         raw_args = self.parse_args(self.expect_name) if self.accept("(") else []
         var_types = head_var_types(head)
         if len(raw_args) != len(var_types):
-            self.fail(f"rule head {head.name} expects {len(var_types)} arguments", head_tok)
+            self.fail(f"rule head {head.name} expects {len(var_types)} arguments", head_at)
         head_vars: dict[str, Symbol] = {}  # by name, in order
         equalities: list = []
         fresh_names = (f"hv{n}" for n in itertools.count(1))
-        for tok, t in zip(raw_args, var_types):
-            name = tok[1]
+        for at, t in zip(raw_args, var_types):
+            name = self.tokens[at]
             if name not in self.scope and name not in head_vars:
                 head_vars[name] = Symbol(name, t)
                 continue
             # bound or repeated name: introduce a fresh head variable and
             # constrain it by equality (only possible for domain positions)
             if t != CONST:
-                self.fail(f"second order head argument {name!r} must be a fresh name", tok)
+                self.fail(f"second order head argument {name!r} must be a fresh name", at)
             fresh = Symbol(
                 next(n for n in fresh_names if n not in self.scope and n not in head_vars), CONST
             )
@@ -494,24 +535,25 @@ class Parser(_Cursor):
     # -- theory files --------------------------------------------------------
 
     def parse_theory(self) -> Theory:
-        tok = self.expect_name()
-        if tok[1] != "vocab":
-            self.fail("theory files start with a vocab block", tok)
+        at = self.expect_name()
+        if self.tokens[at] != "vocab":
+            self.fail("theory files start with a vocab block", at)
         vocab = self.parse_vocab_block()
         theory = Theory(vocab)
-        while self.peek()[0] != "eof":
-            kind = self.expect_name()
-            name = self.expect_name()[1]
-            if kind[1] == "formula":
+        while self.pos < self.last:
+            at = self.expect_name()
+            kind = self.tokens[at]
+            name = self.tokens[self.expect_name()]
+            if kind == "formula":
                 self.expect("{")
                 theory.formulas[name] = self.parse_formula()
                 self.expect("}")
-            elif kind[1] == "definition":
+            elif kind == "definition":
                 theory.definitions[name] = self.parse_ruleset()
-            elif kind[1] == "template":
+            elif kind == "template":
                 theory.templates[name] = self.parse_ruleset()
             else:
-                self.fail(f"expected formula, definition or template, got {kind[1]!r}", kind)
+                self.fail(f"expected formula, definition or template, got {kind!r}", at)
         return theory
 
 
@@ -522,8 +564,8 @@ def parse_theory(text: str) -> Theory:
 def _whole(text: str, vocab: Vocabulary, parse):
     p = Parser(text, vocab)
     out = parse(p)
-    if p.peek()[0] != "eof":
-        p.fail(f"trailing input {p.peek()[1]!r}")
+    if p.pos < p.last:
+        p.fail(f"trailing input {p.peek()!r}")
     return out
 
 

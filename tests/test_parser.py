@@ -25,8 +25,11 @@ from hypothesis import strategies as st
 
 from deflog.cli import main
 from deflog.errors import DeflogError, ParseError, TypeError_
-from deflog.interpretation import PartialInterpretation, read_structure, write_structure
-from deflog.parser import Parser, _lex_structure, _line_col, parse_theory, tokenize
+from deflog.interpretation import (
+    PartialInterpretation, _StructReader, read_structure, write_structure,
+)
+from deflog.limits import DEFAULT_LIMITS
+from deflog.parser import Parser, parse_theory, tokenize
 from deflog.syntax import unparse
 from deflog.truthvalues import T, U, PartialSet
 from deflog.vocab import CONST, Symbol, Vocabulary, pred
@@ -44,13 +47,13 @@ SETTINGS = settings(
 # what both alphabets are made of, plus noise: Unicode connectives, line
 # breaks of every kind str.splitlines knows, comments, primes, stray bytes
 NOISE = [
-    " ", "  ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", " ",
-    "\xa0", "//", "// note\n", "$", "@", "'", "é", "\x00", "`", "٣", "\\",
+    " ", "  ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029", "\xa0", "//", "// note\n", "$", "@", "'", "é", "\x00", "`", "٣", "\\",
 ]
 THEORY_FRAGMENTS = NOISE + [
     "vocab", "formula", "definition", "template", "interpreted", "p", "q", "s", "E",
     "x", "x1", "p'", "_a", "sum", "let", "in", "pred", "const", "so", "so_pred", "x-1",
-    "domain", "0", "1", "42", "-", "-1", "{", "}", "(", ")", "[", "]", ",", ":", ";",
+    "1-1", ")-1", "domain", "0", "1", "42", "-", "-1", "{", "}", "(", ")", "[", "]", ",", ":", ";",
     ".", "..", "~", "&", "|", "+", "/", "=", "<", ">", "!", "?", "#", "<=>", "=>",
     "<-", "??", "!!", "¬", "∧", "∨", "⇒", "⇔", "←", "∀", "∃",
 ]
@@ -87,14 +90,16 @@ def outcome(read, *args):
         return (type(exc).__name__, str(exc))
 
 
+# each token's kind, text and position, the position worked out on demand
+# at every index, as an error at that token would
 def theory_tokens(text):
     p = Parser(text)
-    return [(tok[0], tok[1], *p.where(tok)) for tok in p.tokens]
+    return [(p.kinds[tok], tok, *p.where(pos)) for pos, tok in enumerate(p.tokens)]
 
 
 def structure_tokens(text):
-    text, tokens = _lex_structure(text)
-    return [(kind, tok, _line_col(text, at)[0]) for kind, tok, at in tokens[:-1]]
+    r = _StructReader(text, Vocabulary.of([]), DEFAULT_LIMITS)
+    return [(r.kinds[tok], r.shown(pos), r.where(pos)[0]) for pos, tok in enumerate(r.tokens[:-1])]
 
 
 def negative_arity(result) -> bool:
@@ -272,3 +277,36 @@ class TestFuzz:
         assert r.exit_code in (0, 1, 2, 3)
         assert r.exception is None or isinstance(r.exception, SystemExit)
         assert "Traceback" not in r.stderr
+
+
+DIGITS = "7" * 5000  # past int()'s default limit of 4,300 digits
+
+
+class TestHugeIntegers:
+    """An integer literal with more digits than int() converts is a
+    ParseError at its token (exit 2), not a ValueError."""
+
+    def run(self, tmp_path, theory, struct=None):
+        (tmp_path / "t.theory").write_text(theory, encoding="utf-8")
+        args = ["typecheck", str(tmp_path / "t.theory")]
+        if struct is not None:
+            (tmp_path / "s.struct").write_text(struct, encoding="utf-8")
+            args = ["eval", str(tmp_path / "t.theory"), str(tmp_path / "s.struct")]
+        r = CliRunner().invoke(main, args)
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+        return r.stderr.strip()
+
+    def test_theory_literals(self, tmp_path):
+        too_long = "integer of 5000 digits is too long"
+        for formula, at in ((f"p({DIGITS})", "2:15"), (f"1 < {DIGITS}", "2:17"),
+                            (f"p(-{DIGITS})", "2:15")):
+            theory = f"vocab {{ p: pred/1; }}\nformula f {{ {formula} }}\n"
+            assert self.run(tmp_path, theory) == f"error: {at}: {too_long}"
+        assert self.run(tmp_path, f"vocab {{ p: pred/{DIGITS}; }}\n") == f"error: 1:17: {too_long}"
+
+    def test_structure_literals(self, tmp_path):
+        theory = "vocab { p: pred/1; }\n"
+        for struct, line in ((f"domain = {{a, {DIGITS}}}\n", 1), (f"domain = {{1..{DIGITS}}}\n", 1),
+                             (f"domain = {{a}}\n\np = {{({DIGITS}): t, *: f}}\n", 3)):
+            assert self.run(tmp_path, theory, struct) == (
+                f"error: {line}:0: integer of 5000 digits is too long")
