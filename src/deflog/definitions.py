@@ -28,6 +28,15 @@ and Denecker, 2010): a first order quantifier guarded by a parameter atom
 the values where its guard is not f, so a reachability rule on an n-chain
 reads n(n-1) instances of `r(x, z)` rather than n^3.
 
+A rule is lifted (`_plan`, once per rule set) when its body reads no
+defined symbol and its second order head variables only in first order
+atoms under connectives and first order quantifiers: as the paper reads
+an instance of a simple template as its body at the instance's
+arguments, the body is ground once per first order head arguments, the
+variables u symbols over their full carriers, into a residual of their
+atoms and constants, and each head writes its relations into those atoms
+and values it.  So eq's one rule at |D| = 3 is ground once, not 512 times.
+
 The subset condition above stays the definition of prudence, but it is
 checked with one least fixpoint (`_demotion`): the lower stable operator
 of approximation fixpoint theory at the candidate's upper bound, run as
@@ -337,12 +346,33 @@ def _waits(e) -> bool:
         "_waits")
 
 
+_INERT = (Atom1, Cmp, Not, And, Or, Implies, Iff, ForallFO, ExistsFO)
+
+
 def _inert(e) -> bool:
     """Whether e is built of first order atoms, comparisons, connectives
     and FO quantifiers only: ground over bound variables and `whole`
     symbols, it folds to atoms and constants, records nothing and cannot raise."""
-    return fold(e, lambda n, kids: all(kids) and type(n) in (
-        Atom1, Cmp, Not, And, Or, Implies, Iff, ForallFO, ExistsFO), "_inert")
+    return fold(e, lambda n, kids: all(kids) and type(n) in _INERT, "_inert")
+
+
+def _lifted(r, defined: frozenset) -> frozenset | None:
+    """Rule r's second order head variables if r is lifted, else None: its
+    body reads none of the `defined` symbols, and every subformula reading
+    one of those variables is of a kind `_inert` admits."""
+    so = frozenset(v for v in r.head_vars if v.type.kind == "pred")
+    if not so or free_symbols(r.body) & defined or fold(r.body, lambda n, kids: any(kids) or (
+            type(n) not in _INERT and bool(free_symbols(n) & so))):
+        return None
+    return so
+
+
+def _plan(d: RuleSet) -> dict:
+    """Per defined symbol its rules, each with `_lifted`'s answer, kept on d
+    as `_plan`, as its cached properties are: readers look it up there."""
+    plan = {sym: [(r, _lifted(r, d.defined_symbols)) for r in rs] for sym, rs in d.by_head.items()}
+    object.__setattr__(d, "_plan", plan)
+    return plan
 
 
 class _Ground:
@@ -372,6 +402,7 @@ class _Ground:
         self.opaque, self.reads, self.leaf = [], set(), []  # opaque: the heads with leaves
         self.last = {}  # per formula-form leaf slot, its atoms' values and its code there
         self.guards, self.full = {}, {}  # per FO quantifier its guard, per symbol if full
+        self.lifts = {}  # per lifted rule and first order head arguments, its residual
         for h in () if d is None else range(n) if heads is None else heads:
             self.reads, self.leaf = set(), []
             self.node[h] = self.rules(d, *self.keys[h])
@@ -382,8 +413,35 @@ class _Ground:
                 self.opaque.append(h)
 
     def rules(self, d: RuleSet, sym: Symbol, args: tuple):  # atom sym(args)'s bodies, or'd
-        return _connect(_OR, [self.ground(r.body, _head_env(r, args, self.at.domain),
-                                          _compiled(r.body)) for r in d.by_head[sym]])
+        return _connect(_OR, [self.lift(r, so, args) if so else self.ground(
+            r.body, _head_env(r, args, self.at.domain), _compiled(r.body))
+            for r, so in (d.__dict__.get("_plan") or _plan(d))[sym]])
+
+    def lift(self, r, so: frozenset, args: tuple) -> int:
+        """Lifted rule r's body at args, as a code: its body ground once per
+        first order head arguments in formula form, r's second order head
+        variables `so` u symbols over their full carriers (their atoms are
+        the residual's only slots) and recording in this one's context;
+        then each relation's codes written into their slots."""
+        env = dict(zip(r.head_vars, args))
+        fo = {v: x for v, x in env.items() if v not in so}
+        key = (id(r), *fo.values())
+        hit = self.lifts.get(key)
+        if hit is None:
+            at = self.at
+            for v in so:
+                keys = tuple(itertools.product(at.domain, repeat=v.type.arity))
+                at = at._expand(v, PartialSet(keys, (U,) * len(keys)))
+            g = _Ground(None, at, self.ctx.limits, symbols=so)
+            g.ctx = self.ctx
+            root = g.ground(r.body, fo, _compiled(r.body))
+            hit = self.lifts[key] = root, g.val, [
+                (v, g.index[v][0], at.value(v).carrier) for v in so]
+        root, val, slots = hit
+        for v, base, keys in slots:
+            rel = env[v]
+            val[base:base + len(keys)] = [2 if k in rel else 0 for k in keys]
+        return val[root] if type(root) is int else _value(root, val)
 
     def ground(self, e, env: dict, fn):
         live = self.live.get(id(e))  # the defined symbols free in e

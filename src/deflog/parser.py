@@ -121,12 +121,15 @@ def _kinds(tokens: list[str], fixed: dict[str, str]) -> tuple[dict[str, str], in
     return kinds, min(map(tokens.index, bad)) if bad else None
 
 
-def tokenize(text: str) -> list[str]:
+def tokenize(text: str, kinds: dict[str, str] | None = None) -> list[str]:
     """The theory tokens of `text`, its Unicode connectives replaced by
-    ASCII ones, ending in the eof token ''."""
+    ASCII ones, ending in the eof token ''; given a dict `kinds`, each
+    token's kind is put in it."""
     text = text.translate(_UNICODE)
     tokens = _THEORY.findall(text, _SKIP.match(text).end())
-    kinds, bad = _kinds(tokens, _THEORY_KINDS)
+    found, bad = _kinds(tokens, _THEORY_KINDS)
+    kinds = {} if kinds is None else kinds
+    kinds.update(found)
     if bad is not None:
         at = _SKIP.match(text, _offset(_SKIP, text, tokens, bad)).end()
         raise ParseError(f"unexpected character {text[at]!r}", *_line_col(text, at))
@@ -135,6 +138,8 @@ def tokenize(text: str) -> list[str]:
         for pos in range(len(tokens) - 1, 0, -1):
             if tokens[pos] in negative and kinds[tokens[pos - 1]] in ("name", "int"):
                 tokens[pos:pos + 1] = ("-", tokens[pos][1:])
+                kinds[tokens[pos + 1]] = "int"
+        kinds["-"] = "punct"
     return tokens
 
 
@@ -235,8 +240,8 @@ class Parser(_Cursor):
     NOTHING = {"eof": "end of input"}
 
     def __init__(self, text: str, vocab: Vocabulary | None = None):
-        tokens = tokenize(text)
-        super().__init__(text, tokens, _kinds(tokens, _THEORY_KINDS)[0])
+        kinds: dict[str, str] = {}
+        super().__init__(text, tokenize(text, kinds), kinds)
         self.scope: dict[str, Symbol] = {s.name: s for s in vocab or ()}
 
     def where(self, pos: int) -> tuple[int, int]:

@@ -196,7 +196,7 @@ class RuleSet:
     def __hash__(self) -> int:  # cached: rule sets key the WFM memo
         return self._hash
 
-    @property
+    @cached_property
     def defined_symbols(self) -> frozenset:
         return frozenset(r.head for r in self.rules)
 
@@ -214,7 +214,7 @@ class RuleSet:
             out.setdefault(r.head, []).append(r)
         return out
 
-    @property
+    @cached_property
     def free(self) -> frozenset:
         return self.defined_symbols | self.parameters
 

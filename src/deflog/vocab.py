@@ -194,9 +194,11 @@ def predicate_carrier(
     t: Type, domain: Sequence, limits: Limits = DEFAULT_LIMITS
 ) -> list[tuple]:
     """The set of argument tuples (domain atom keys) of a predicate type,
-    at most `limits.max_carrier` of them; canonical if the domain is."""
+    at most `limits.max_carrier` of them and each of at most that many
+    arguments, both checked before any is built; canonical if the domain is."""
     if not t.is_predicate:
         raise TypeError_(f"{t} is not a predicate type")
+    limits.check("max_carrier", t.arity, "tuples of {n} arguments exceed cap {cap}")
     spaces = [domain] * t.arity if t.kind == "pred" else [
         arg_value_space(a, domain, limits) for a in t.args]
     size = math.prod(map(len, spaces))

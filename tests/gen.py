@@ -125,15 +125,21 @@ def random_term(rng: random.Random, fo_vars, consts):
     return AddTerm(t, IntTerm(1)) if rng.random() < 0.25 else t
 
 
-def random_tree(rng: random.Random, depth: int, fo_vars=(), so_vars=(), consts=()):
+def random_tree(rng: random.Random, depth: int, fo_vars=(), so_vars=(), consts=(), rels=()):
     """A random formula over every node kind: first and second order
     atoms, comparisons, the connectives, both kinds of quantifier,
     aggregates, definitions and let-blocks (rules with first or second
     order heads).  Meant for syntactic walkers, not for evaluation.
     With `consts`, unary atoms and comparisons also read those constant
-    symbols, integers and sums (`random_term`), over integer domains."""
+    symbols, integers and sums (`random_term`), over integer domains.
+    With `rels`, first order atoms also read those relation variables, at
+    bound variables or integers."""
     if depth == 0:
         kind = rng.choice(("atom1", "atom2", "cmp"))
+        if rels and kind == "atom1" and rng.random() < 0.6:
+            rel = rng.choice(rels)
+            return Atom1(rel, tuple(SymTerm(rng.choice(fo_vars)) if fo_vars and rng.random() < 0.8
+                                    else IntTerm(rng.randint(1, 3)) for _ in range(rel.type.arity)))
         if consts and kind != "atom2":
             args = [random_term(rng, fo_vars, consts) for _ in range(2)]
             if kind == "cmp":
@@ -150,7 +156,7 @@ def random_tree(rng: random.Random, depth: int, fo_vars=(), so_vars=(), consts=(
         return Cmp(rng.choice("=<>"), left, IntTerm(rng.randint(0, 2)))
 
     def sub(fo=fo_vars, so=so_vars):
-        return random_tree(rng, depth - 1, fo, so, consts)
+        return random_tree(rng, depth - 1, fo, so, consts, rels)
 
     kind = rng.choice(TREE_KINDS)
     if kind == "not":

@@ -34,6 +34,12 @@
   the rule set ground afresh at each candidate (`oracle_fresh_demotion`):
   the check on one shared grounding must give the same answer or raise
   the same.
+* The grounder with every rule body ground afresh at each head
+  (`FreshGround`), second order head variables bound to their relations.
+  A lifted rule of `deflog.definitions`, ground once over those
+  variables and re-valued per relation, must give each head the same
+  residual, recorded atoms and exception, and each rule set the same
+  well-founded model, stable models and unfounded set.
 * Variable binding as first written (`rebuild_expand`, `rebuild_revise`,
   `rebuild_restrict`): copy the assignments into a dict, change it, sort
   the items by name (stable) and construct afresh.  The sort-free
@@ -529,6 +535,17 @@ def oracle_fresh_demotion(d, i, atoms, limits=DEFAULT_LIMITS):
         return None
     return (frozenset(atoms[h] for h in ts if h not in lfp),
             frozenset(atoms[h] for h in lfp.difference(ts)))
+
+
+class FreshGround(definitions._Ground):
+    """`_Ground` whose `rules` grounds every rule body afresh at each head,
+    its second order head variables bound to their relations, as before
+    rules were lifted."""
+
+    def rules(self, d, sym, args):
+        return definitions._connect(definitions._OR, [self.ground(
+            r.body, definitions._head_env(r, args, self.at.domain), _compiled(r.body))
+            for r in d.by_head[sym]])
 
 
 # ---------------------------------------------------------------------------

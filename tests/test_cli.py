@@ -14,6 +14,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -459,6 +460,20 @@ def test_structure_carrier_cap(tmp_path):
     r = CliRunner().invoke(main, [*argv[:1], "--max-carrier", "399", *argv[1:]])
     assert (r.exit_code, r.stderr) == (
         3, "error: carrier of 400 tuples exceeds cap 399 (--max-carrier)\n")
+
+
+def test_tuple_length_cap(tmp_path):
+    # one tuple of 2,000,000 arguments: refused before it is built, though
+    # the carrier over {a} holds one tuple and the structure leaves p out
+    theory = tmp_path / "t.theory"
+    theory.write_text("vocab { p: pred/2000000; }\n")
+    struct = tmp_path / "s.struct"
+    struct.write_text("domain = {a}\n")
+    start = time.perf_counter()
+    r = CliRunner().invoke(main, ["eval", str(theory), str(struct)])
+    assert time.perf_counter() - start < 1
+    assert (r.exit_code, r.stderr) == (
+        3, "error: tuples of 2000000 arguments exceed cap 100000 (--max-carrier)\n")
 
 
 def test_definition_cap_holds_where_the_root_model_decides(tmp_path):

@@ -11,6 +11,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deflog import definitions, interpretation
 from deflog.cli import _mx_models
@@ -30,14 +32,17 @@ from deflog.syntax import (
     And, Atom1, Atom2, ExistsFO, ExistsSO, ForallFO, Not, Or, Rule, RuleSet, SymTerm, unparse,
 )
 from deflog.truthvalues import F, T, U, PartialSet, max_truth
-from deflog.vocab import CONST, DomainAtom, Symbol, Vocabulary, pred, predicate_carrier
+from deflog.vocab import (
+    CONST, DOMAIN as DOMAIN_TYPE, DomainAtom, Symbol, Vocabulary, pred, predicate_carrier, so_pred,
+)
 
+from conftest import DATA
 from gen import (
     CON, EDGE, GUARDED, MARK, P1, PROPS, REACH, SO1, SO_HEAD, SO_WIN, WIN, X, guarded_context,
     guarded_quantifier, random_guarded_rules, random_ruleset, random_tree,
 )
 from oracles import (
-    exact_completions, flat_filter, is_closed, is_unfounded, oracle_demotion,
+    FreshGround, exact_completions, flat_filter, is_closed, is_unfounded, oracle_demotion,
     oracle_eval_definition, oracle_exact_prudent, oracle_fresh_demotion,
     oracle_supported_candidates, oracle_unfounded_set, oracle_wfm_fixpoint, super_oracle,
 )
@@ -716,6 +721,96 @@ class TestDeepBodies:
         d = RuleSet((Rule(p, (), negations), *rs("{q <- q. r <- ~q.}").rules))
         assert d == RuleSet((*rs("{q <- q. r <- ~q.}").rules, Rule(p, (), negations)))
         assert values_of(well_founded_model(d, o)) == "tft"
+
+
+Z0 = Symbol("Z", pred(0))
+SO_AT = Symbol("G", so_pred(DOMAIN_TYPE, pred(1)))  # a first and a second order argument
+SO_PAIR = Symbol("H", so_pred(pred(1), pred(0)))  # two second order arguments
+LIFT_PARAMETERS = (*PROPS, P1, SO1)
+
+
+def random_lifted_rules(rng) -> RuleSet:
+    """Rules with second order head variables, D(Y), G(x0, Y) and H(Y, Z),
+    whose bodies are random trees reading them as first order atoms and
+    reading the parameters; some also read a defined symbol or read Y
+    in a second order atom, which keeps them from being lifted."""
+    def tree(fo=(), rels=(Y,)):
+        return random_tree(rng, rng.randint(0, 2), fo_vars=fo,
+                           so_vars=(Y,) if rng.random() < 0.2 else (), rels=rels)
+
+    rules = [
+        Rule(SO_HEAD, (Y,), tree()),
+        Rule(SO_AT, (X0, Y), tree(fo=(X0,))),
+        Rule(SO_PAIR, (Y, Z0), tree(rels=(Y, Z0))),
+        Rule(SO_HEAD, (Y,), rng.choice((And, Or))(
+            tree(), Not(Atom2(SO_PAIR, (SymTerm(Y), SymTerm(p)))))),
+        Rule(SO_AT, (X0, Y), Or(tree(fo=(X0,)), Atom2(SO_HEAD, (SymTerm(Y),)))),
+    ]
+    return RuleSet(tuple(rng.sample(rules, rng.randint(1, 4))))
+
+
+def heads_and_oracle(d, i, limits):
+    """Each head's residual or exception and the atoms recorded so far,
+    and the memo keys created, lifted against `FreshGround`."""
+    runs = []
+    for grounder in (definitions._Ground, FreshGround):
+        definitions._WFM_CACHE.clear()
+        g, out = grounder(d, i, limits, heads=()), []
+        for sym, args in g.keys:
+            try:
+                out.append((g.rules(d, sym, args), None, set(g.consulted())))
+            except Exception as exc:  # compared, whatever its type
+                out.append((None, (type(exc), str(exc)), set(g.consulted())))
+        runs.append((out, list(definitions._WFM_CACHE)))
+    assert runs[0] == runs[1], f"{d}"
+    return runs[0][0]
+
+
+class TestLiftedRules:
+    """A rule whose second order head variables are read only by first
+    order atoms under connectives and FO quantifiers, and whose body reads
+    no defined symbol, is ground once per first order head arguments and
+    re-valued per relation.  That must change nothing against grounding
+    every head afresh."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_lifted_rules_match_grounding_every_head(self, seed):
+        rng = random.Random(seed)
+        d = random_lifted_rules(rng)
+        domain = rng.choice(((1,), (1, 2), ("a", 2), (1, 2, 3)))
+        present = [s for s in LIFT_PARAMETERS if rng.random() < 0.95]
+        o = random_partial(rng, present, domain)
+        for sym in present[-1:] if rng.random() < 0.3 else ():  # a carrier leaving a tuple out
+            gone = rng.choice(predicate_carrier(sym.type, domain))
+            o = o.expand(sym, PartialSet.from_map(
+                {k: v for k, v in o.value(sym).items() if k != gone}))
+        limits = Limits(max_unknowns=rng.choice((3, 20)), max_defined_atoms=16)
+        try:
+            i0 = expand_context(d, o, limits)
+        except CapExceeded:
+            return
+        heads_and_oracle(d, random_defined_values(rng, d, i0), limits)
+        i = random_defined_values(rng, d, i0)
+        runs = []
+        for grounder in (definitions._Ground, FreshGround):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(definitions, "_Ground", grounder)
+                runs.append([run_fixpoint(run, d.defined_symbols, limits) for run in (
+                    lambda ctx: well_founded_model(d, o, limits, _ctx=ctx),
+                    lambda ctx: stable_models(d, o, limits, _ctx=ctx),
+                    lambda ctx: greatest_unfounded_set(d, i, limits, _ctx=ctx))])
+        assert runs[0] == runs[1], f"{d}"
+
+    def test_the_eq_template_is_ground_once(self):
+        # isEqRelation(F)'s body reads F in first order atoms only: one
+        # grounding serves the 512 relations over three elements
+        d = next(iter(parse_theory((DATA / "eq.theory").read_text()).templates.values()))
+        i0 = expand_context(d, PartialInterpretation.empty(("a", "b", "c")))
+        g = definitions._Ground(d, i0, Limits())
+        assert len(g.keys) == 512 and len(g.lifts) == 1
+        assert g.node == FreshGround(d, i0, Limits()).node
+        assert g.node.count(2) == 5  # the equivalence relations on three elements
 
 
 class TestMemoRecord:

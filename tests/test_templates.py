@@ -416,6 +416,37 @@ class TestTemplify:
         )
 
 
+class TestTemplifyAtThreeElements:
+    """Templified rules have a first order head argument and second order
+    ones: a body reading no templified symbol is ground once per element
+    and re-valued per relation.  Criterion 08 checks the correspondence
+    at |D| <= 2; here every context of unary opens over three elements."""
+
+    VOCAB = Vocabulary.of([Symbol(n, pred(1)) for n in "ABC"])
+    FREE = ["B(x)", "~B(x)", "C(x)", "(!y: B(y) => C(y))", "(?y: B(y) & ~C(x))"]  # read no A
+    POOL = FREE + ["A(x)", "(?y: C(y) & A(y))", "~(?y: B(y) & A(y))"]
+
+    def test_random_definitions_correspond(self):
+        rng, domain = random.Random(211), ("a", "b", "c")
+        checked = lifted = 0
+        for _ in range(12):
+            rules = [f"A(x) <- {rng.choice(('&', '|')).join(rng.sample(pool, 2))}."
+                     for pool in [self.FREE] + [self.POOL] * rng.randint(0, 2)]
+            d = parse_ruleset("{" + " ".join(rules) + "}", self.VOCAB)
+            opens = tuple(sorted(d.parameters, key=lambda s: s.name))
+            dt, mapping = templify(d, opens)
+            lifted += any(so for rs in definitions._plan(dt).values() for _, so in rs)
+            it = well_founded_model(dt, PartialInterpretation.empty(domain))
+            carrier = [(e,) for e in domain]
+            for members in itertools.product(*[list(exact_relations(domain, 1))] * len(opens)):
+                i = well_founded_model(d, PartialInterpretation.make(domain, {
+                    o: exact_set(carrier, m) for o, m in zip(opens, members)}))
+                if i.is_exact:
+                    assert check_correspondence(d, dt, mapping, i, it, opens), f"{d}"
+                    checked += 1
+        assert lifted >= 10 and checked >= 300, (lifted, checked)
+
+
 class TestMacroExpansion:
     def test_simple_template_recognition(self):
         assert is_simple(library(load("eq.theory")).templates[0])
