@@ -28,14 +28,23 @@ and Denecker, 2010): a first order quantifier guarded by a parameter atom
 the values where its guard is not f, so a reachability rule on an n-chain
 reads n(n-1) instances of `r(x, z)` rather than n^3.
 
-A rule is lifted (`_plan`, once per rule set) when its body reads no
-defined symbol and its second order head variables only in first order
-atoms under connectives and first order quantifiers: as the paper reads
-an instance of a simple template as its body at the instance's
-arguments, the body is ground once per first order head arguments, the
-variables u symbols over their full carriers, into a residual of their
-atoms and constants, and each head writes its relations into those atoms
-and values it.  So eq's one rule at |D| = 3 is ground once, not 512 times.
+A rule is lifted (`_plan`, once per rule set) when its body reads its
+second order head variables only in first order atoms under connectives
+and first order quantifiers, and reads defined symbols only in atoms that
+hand those variables on unchanged, as game's `lose(nxt, Move, IsWon)`
+does: as the paper reads an instance of a template as its body at the
+instance's arguments, the body is ground once per first order head
+arguments (`_Lifted`), the variables u symbols over their full carriers,
+into a residual of their atoms, constants and a placeholder per hand-on
+atom.  Each head writes its relations into those atoms, resolves the
+placeholders to its own atoms and simplifies the residual as a fresh
+grounding would build it, valuing whole each part that reads no defined
+symbol.  So eq's one rule at
+|D| = 3 is ground once, not 512 times, and game's two once per position.
+A body of such atoms and connectives alone that reads no parameter is
+ground alike in every context, so its grounding is kept on the rule set
+(`_lifts`) and serves every well-founded model over that domain, until a
+model over another domain replaces them.
 
 The subset condition above stays the definition of prudence, but it is
 checked with one least fixpoint (`_demotion`): the lower stable operator
@@ -75,7 +84,7 @@ from .interpretation import PartialInterpretation
 from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (
     And, Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO, ExistsSO, ForallFO, ForallSO, Iff, Implies,
-    Let, Not, Or, RuleSet, SymTerm, fold, free_symbols,
+    Let, Not, Or, RuleSet, SymTerm, fold, free_symbols, term_symbols,
 )
 from .truthvalues import F, T, TV, U, PartialSet, canon_order, max_truth
 from .vocab import DomainAtom, Symbol, predicate_carrier
@@ -346,7 +355,8 @@ def _waits(e) -> bool:
         "_waits")
 
 
-_INERT = (Atom1, Cmp, Not, And, Or, Implies, Iff, ForallFO, ExistsFO)
+_JOINS = (Not, And, Or, Implies, Iff, ForallFO, ExistsFO)  # the connectives and FO quantifiers
+_INERT = (Atom1, Cmp, *_JOINS)
 
 
 def _inert(e) -> bool:
@@ -356,21 +366,52 @@ def _inert(e) -> bool:
     return fold(e, lambda n, kids: all(kids) and type(n) in _INERT, "_inert")
 
 
-def _lifted(r, defined: frozenset) -> frozenset | None:
-    """Rule r's second order head variables if r is lifted, else None: its
-    body reads none of the `defined` symbols, and every subformula reading
-    one of those variables is of a kind `_inert` admits."""
+_VAL = 3  # (_VAL, node): a lifted residual's part that a fresh grounding values whole
+
+
+def _hands_on(n, so: frozenset, defined: frozenset) -> bool:
+    """Whether n is an atom of a `defined` symbol whose second order
+    arguments are all head variables in `so` and whose first order ones
+    read neither: an atom a lifted rule hands its relations on to."""
+    if type(n) is not Atom2 or n.predicate not in defined:
+        return False
+    kinds = [t.kind for t in n.predicate.type.args]
+    return all(type(a) is SymTerm and a.symbol in so for a, k in zip(n.args, kinds)
+               if k != "domain") and not any(term_symbols(a) & (so | defined)
+                                             for a, k in zip(n.args, kinds) if k == "domain")
+
+
+def _lifted(r, defined: frozenset) -> tuple | None:
+    """Rule r's lifting, (its second order head variables, whether its
+    grounding may be shared), or None: its body reads the `defined` symbols
+    only in `_hands_on` atoms, and every other subformula reading a head
+    variable is of a kind `_inert` admits.  A body built of those kinds and
+    hand-on atoms alone that reads no parameter is ground alike in every
+    context over a domain: it records nothing and raises nothing."""
     so = frozenset(v for v in r.head_vars if v.type.kind == "pred")
-    if not so or free_symbols(r.body) & defined or fold(r.body, lambda n, kids: any(kids) or (
-            type(n) not in _INERT and bool(free_symbols(n) & so))):
+    if not so:
         return None
-    return so
+
+    def kind(n, kids) -> int:  # 0 inert or hand-on, 1 an opaque constant, 2 off the path
+        if _hands_on(n, so, defined):
+            return 0
+        reads, t = free_symbols(n), type(n)
+        if t not in _JOINS and reads & defined or t not in _INERT and reads & so:
+            return 2
+        return max([*kids, int(t not in _INERT)])
+
+    k = fold(r.body, kind)
+    if k == 2:
+        return None
+    return so, not k and not free_symbols(r.body) - set(r.head_vars) - defined
 
 
 def _plan(d: RuleSet) -> dict:
     """Per defined symbol its rules, each with `_lifted`'s answer, kept on d
-    as `_plan`, as its cached properties are: readers look it up there."""
+    as `_plan`, as its cached properties are, beside `_lifts`, (a domain,
+    the shared lifted groundings over it): readers look them up there."""
     plan = {sym: [(r, _lifted(r, d.defined_symbols)) for r in rs] for sym, rs in d.by_head.items()}
+    object.__setattr__(d, "_lifts", ((), {}))
     object.__setattr__(d, "_plan", plan)
     return plan
 
@@ -413,35 +454,61 @@ class _Ground:
                 self.opaque.append(h)
 
     def rules(self, d: RuleSet, sym: Symbol, args: tuple):  # atom sym(args)'s bodies, or'd
-        return _connect(_OR, [self.lift(r, so, args) if so else self.ground(
+        return _connect(_OR, [self.lift(d, r, lift, args) if lift else self.ground(
             r.body, _head_env(r, args, self.at.domain), _compiled(r.body))
-            for r, so in (d.__dict__.get("_plan") or _plan(d))[sym]])
+            for r, lift in (d.__dict__.get("_plan") or _plan(d))[sym]])
 
-    def lift(self, r, so: frozenset, args: tuple) -> int:
-        """Lifted rule r's body at args, as a code: its body ground once per
-        first order head arguments in formula form, r's second order head
-        variables `so` u symbols over their full carriers (their atoms are
-        the residual's only slots) and recording in this one's context;
-        then each relation's codes written into their slots."""
+    def lift(self, d: RuleSet, r, lift: tuple, args: tuple):
+        """Lifted rule r's body at args.  `_Lifted` grounds it once per first
+        order head arguments, recording in this one's context, or, where
+        `lift` says it may be shared, once per those for d, kept in d's
+        `_lifts` for the last domain ground over only: so it holds at most
+        what one grounding of every head over that domain holds, one per
+        (lifted rule, first order head arguments).  Each head writes its
+        relations' codes into the slots the grounding reads, in a value
+        list of this one's own, resolves its placeholders in closure order
+        and simplifies it as a fresh grounding builds it: each part that
+        reads no defined symbol, such as eq's whole body, to a code."""
+        so, shared = lift
         env = dict(zip(r.head_vars, args))
-        fo = {v: x for v, x in env.items() if v not in so}
-        key = (id(r), *fo.values())
+        key = (id(r), *[x for v, x in env.items() if v not in so])
         hit = self.lifts.get(key)
         if hit is None:
-            at = self.at
-            for v in so:
-                keys = tuple(itertools.product(at.domain, repeat=v.type.arity))
-                at = at._expand(v, PartialSet(keys, (U,) * len(keys)))
-            g = _Ground(None, at, self.ctx.limits, symbols=so)
-            g.ctx = self.ctx
-            root = g.ground(r.body, fo, _compiled(r.body))
-            hit = self.lifts[key] = root, g.val, [
-                (v, g.index[v][0], at.value(v).carrier) for v in so]
-        root, val, slots = hit
-        for v, base, keys in slots:
-            rel = env[v]
-            val[base:base + len(keys)] = [2 if k in rel else 0 for k in keys]
-        return val[root] if type(root) is int else _value(root, val)
+            domain, store = d.__dict__["_lifts"]
+            if shared and domain != self.at.domain:
+                store = {}
+                object.__setattr__(d, "_lifts", (self.at.domain, store))
+            hit = store.get(key) if shared else None
+            if hit is None:
+                hit = _Lifted.of(self, d, r, so, _head_env(r, args, self.at.domain))
+                if shared:
+                    store[key] = hit
+            root, val, slots, holes = hit  # the store's value list is only read
+            self.lifts[key] = hit = root, list(val), slots, holes
+        root, val, slots, holes = hit
+        for x, v, k in slots:
+            val[x] = 2 if k in env[v] else 0
+        rels = {v: _true_keys(env[v], v.type.arity, self.at.domain) for v in so} if holes else {}
+        sub = {}
+        for x, p, parts in holes:
+            at = tuple([rels.get(a, a) for a in parts])
+            if at not in self.index[p][1]:  # it raises: name the sets a fresh grounding names
+                at = tuple([_relation_cached(env[a], a.type.arity, self.at.domain).true_keys()
+                            if a in rels else a for a in parts])
+            sub[x] = self.atom(p, at)
+        return _resolved(root, val, sub)
+
+    def atom(self, sym: Symbol, key: tuple):
+        """The node of defined atom sym(key): its index, or in formula form
+        its code if exact; one outside the carrier raises, as `_read` does."""
+        base, index = self.index[sym]
+        k = index.get(key)
+        if k is None:
+            _read(sym, self.at.value(sym), key, self.ctx)
+        if self.fold and self.val[base + k] != 1:
+            return self.val[base + k]
+        self.reads.add(base + k)
+        return base + k
 
     def ground(self, e, env: dict, fn):
         live = self.live.get(id(e))  # the defined symbols free in e
@@ -475,14 +542,7 @@ class _Ground:
         if keys is None:
             return 0
         if len(keys) == 1:
-            base, index = self.index[e.predicate]
-            k = index.get(keys[0])
-            if k is None:  # _read raises the evaluator's out-of-carrier error
-                _read(e.predicate, self.at.value(e.predicate), keys[0], self.ctx)
-            if self.fold and self.val[base + k] != 1:
-                return self.val[base + k]
-            self.reads.add(base + k)
-            return base + k
+            return self.atom(e.predicate, keys[0])
         atoms = () if not self.fold else tuple(  # the u atoms it may read
             x for sym in live for x in range(self.index[sym][0], self.index[sym][0] +
                                              len(self.index[sym][1])) if self.val[x] == 1)
@@ -619,6 +679,89 @@ class _Ground:
             i = i._expand(sym, PartialSet(i.value(sym).carrier, tuple(
                 [(F, U, T)[v] for v in self.val[k:k + len(index)]])))
         return i
+
+
+@functools.lru_cache(maxsize=64)
+def _unknown(arity: int, domain: tuple) -> PartialSet:
+    """Every tuple of `arity` elements of domain, u: a lifted head variable."""
+    keys = tuple(itertools.product(domain, repeat=arity))
+    return PartialSet(keys, (U,) * len(keys))
+
+
+def _true_keys(rel: frozenset, arity: int, domain: tuple) -> frozenset:
+    """rel's tuples over domain, as `_relation_cached(rel, ...).true_keys()`
+    gives them to a fresh grounding, without building that set."""
+    index = _unknown(arity, domain)._index
+    return rel if all(map(index.__contains__, rel)) else frozenset(k for k in index if k in rel)
+
+
+class _Lifted(_Ground):
+    """A lifted rule body ground in formula form over its second order head
+    variables, u symbols over their full carriers whose atoms are slots:
+    each hand-on atom is a placeholder slot, `holes`, and each part that
+    reads no defined symbol, valued whole by a fresh grounding, is kept
+    apart as (_VAL, node).  The first head's placeholders are resolved by
+    `owner` as they are made, so a raise comes where a fresh grounding's does."""
+
+    def __init__(self, owner: _Ground, d: RuleSet, so: frozenset, heads: dict):
+        self.at, self.fold, self.ctx, self.owner = owner.at, True, owner.ctx, owner
+        self.heads, self.hands, self.holes, self.part = heads, d.defined_symbols, [], False
+        self.defined, self.index, self.val, self.reads = so | self.hands, {}, [0, 1, 2], set()
+        self.leaf, self.live, self.last, self.guards, self.full = [], {}, {}, {}, {}
+        for v in sorted(so, key=lambda s: s.name):
+            ps = _unknown(v.type.arity, self.at.domain)
+            self.at = self.at._expand(v, ps)
+            self.index[v] = (len(self.val), ps._index)
+            self.val += [1] * len(ps.carrier)
+
+    @staticmethod
+    def of(owner: _Ground, d: RuleSet, r, so: frozenset, heads: dict) -> tuple:
+        """r's body lifted over `so` at the first order arguments in the
+        head env `heads`: (root, [(slot, variable, key) read], [(slot,
+        symbol, key with the variables in place of their relations)])."""
+        g = _Lifted(owner, d, so, heads)
+        root = g.ground(r.body, {v: x for v, x in heads.items() if v not in so}, _compiled(r.body))
+        slots = [(x, v, g.at.value(v).carrier[x - base]) for x in sorted(g.reads)
+                 for v, (base, index) in g.index.items() if 0 <= x - base < len(index)]
+        return root, g.val, slots, g.holes
+
+    def ground(self, e, env: dict, fn):
+        if self.part:
+            return super().ground(e, env, fn)
+        live = self.live.get(id(e))
+        if live is None:
+            live = self.live[id(e)] = free_symbols(e) & self.defined
+        if live.isdisjoint(self.hands):  # a fresh grounding values it whole
+            self.part = True
+            n = super().ground(e, env, fn)
+            self.part = False
+            return (_VAL, n) if type(n) is tuple else n
+        if type(e) is not Atom2 or e.predicate not in self.hands:
+            return super().ground(e, env, fn)
+        keys = fn.keys(self.at, {**self.heads, **env}, self.ctx)  # hand-on: the first head's key
+        if keys is None:
+            return 0
+        self.owner.atom(e.predicate, keys[0])
+        self.holes.append((len(self.val), e.predicate, tuple(
+            a.symbol if t.kind != "domain" else k
+            for a, t, k in zip(e.args, e.predicate.type.args, keys[0]))))
+        self.val.append(1)
+        return len(self.val) - 1
+
+
+def _resolved(n, val: list, sub: dict):
+    """Lifted residual n with its slots at their codes in val and its
+    placeholders at their nodes in `sub`, simplified as a fresh grounding
+    builds it: a part (_VAL, m) is m's code."""
+    if type(n) is int:
+        return sub[n] if n in sub else val[n]
+    op, x = n
+    if op == _VAL:
+        return _value(x, val)
+    if op == _NOT:
+        return _negate(_resolved(x, val, sub))
+    return _connect(op, [(sub[k] if k in sub else val[k]) if type(k) is int
+                         else _resolved(k, val, sub) for k in x])
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def _atom2(e, kids):
             if sym is None:
                 raise EvaluationError("predicate argument must be a symbol")
             ps = env[sym] if sym in env else i.value(sym)
-            if U not in ps.values:
+            if ps.is_exact:
                 choices.append((ps.true_keys(),))
                 continue
             ctx.record.update(DomainAtom(sym, key) for key in ps.keys_with(U))

@@ -204,8 +204,10 @@ class PartialSet:
         return PartialSet(self.carrier, tuple(vals))
 
     @property
-    def is_exact(self) -> bool:
-        return U not in self.values
+    def is_exact(self) -> bool:  # cached on first use, as the hash
+        if "_exact" not in self.__dict__:
+            object.__setattr__(self, "_exact", U not in self.values)
+        return self._exact
 
     def keys_with(self, v: TV) -> tuple:
         return tuple(k for k, w in self.items() if w is v)

@@ -121,6 +121,7 @@ CASES = [
     ("validate-eq.txt", ["validate-lib", d("eq.theory")], 0),
     ("validate-game.txt", ["validate-lib", d("game.theory")], 0),
     ("apply-eq.txt", ["apply-lib", d("eq.theory"), d("eq_ab.struct")], 0),
+    ("apply-game.txt", ["apply-lib", d("game.theory"), d("ab.struct")], 0),
     (
         "apply-eq.json",
         ["apply-lib", "--json", d("eq.theory"), d("eq_ab.struct")],

@@ -29,8 +29,10 @@ from deflog.interpretation import PartialInterpretation, read_structure
 from deflog.limits import Limits
 from deflog.parser import Theory, parse_ruleset, parse_theory
 from deflog.syntax import (
-    And, Atom1, Atom2, ExistsFO, ExistsSO, ForallFO, Not, Or, Rule, RuleSet, SymTerm, unparse,
+    AddTerm, And, Atom1, Atom2, ExistsFO, ExistsSO, ForallFO, Implies, IntTerm, Not, Or, Rule,
+    RuleSet, SymTerm, free_symbols, unparse,
 )
+from deflog.templates import Template, TemplateLibrary, apply_library
 from deflog.truthvalues import F, T, U, PartialSet, max_truth
 from deflog.vocab import (
     CONST, DOMAIN as DOMAIN_TYPE, DomainAtom, Symbol, Vocabulary, pred, predicate_carrier, so_pred,
@@ -724,6 +726,7 @@ class TestDeepBodies:
 
 
 Z0 = Symbol("Z", pred(0))
+X1 = Symbol("x1", CONST)
 SO_AT = Symbol("G", so_pred(DOMAIN_TYPE, pred(1)))  # a first and a second order argument
 SO_PAIR = Symbol("H", so_pred(pred(1), pred(0)))  # two second order arguments
 LIFT_PARAMETERS = (*PROPS, P1, SO1)
@@ -732,75 +735,191 @@ LIFT_PARAMETERS = (*PROPS, P1, SO1)
 def random_lifted_rules(rng) -> RuleSet:
     """Rules with second order head variables, D(Y), G(x0, Y) and H(Y, Z),
     whose bodies are random trees reading them as first order atoms and
-    reading the parameters; some also read a defined symbol or read Y
-    in a second order atom, which keeps them from being lifted."""
+    reading the parameters.  Some hand Y on to a defined atom, D(Y) or
+    G(t, Y) at a head or quantified variable x, x + 1 or an integer t,
+    before or after a tree, so D and G may be mutually recursive and an
+    atom may fall outside the domain; some also read a defined symbol
+    otherwise or read Y in a second order atom, which keeps them from
+    being lifted."""
     def tree(fo=(), rels=(Y,)):
         return random_tree(rng, rng.randint(0, 2), fo_vars=fo,
                            so_vars=(Y,) if rng.random() < 0.2 else (), rels=rels)
 
+    def g_at(x):
+        return Atom2(SO_AT, (rng.choice((SymTerm(x), SymTerm(x), AddTerm(SymTerm(x), IntTerm(1)),
+                                         IntTerm(rng.randint(1, 3)))), SymTerm(Y)))
+
+    d_at_y = Atom2(SO_HEAD, (SymTerm(Y),))
     rules = [
         Rule(SO_HEAD, (Y,), tree()),
         Rule(SO_AT, (X0, Y), tree(fo=(X0,))),
         Rule(SO_PAIR, (Y, Z0), tree(rels=(Y, Z0))),
         Rule(SO_HEAD, (Y,), rng.choice((And, Or))(
             tree(), Not(Atom2(SO_PAIR, (SymTerm(Y), SymTerm(p)))))),
-        Rule(SO_AT, (X0, Y), Or(tree(fo=(X0,)), Atom2(SO_HEAD, (SymTerm(Y),)))),
+        Rule(SO_AT, (X0, Y), Or(tree(fo=(X0,)), d_at_y)),
+        Rule(SO_HEAD, (Y,), ExistsFO(X0, And(tree(fo=(X0,)), g_at(X0)))),
+        Rule(SO_AT, (X0, Y), ForallFO(X1, rng.choice((Implies, Or))(
+            tree(fo=(X0, X1)), rng.choice((g_at(X1), Not(g_at(X1))))))),
+        Rule(SO_AT, (X0, Y), rng.choice((And, Or))(rng.choice((d_at_y, g_at(X0))), tree(fo=(X0,)))),
     ]
     return RuleSet(tuple(rng.sample(rules, rng.randint(1, 4))))
 
 
 def heads_and_oracle(d, i, limits):
-    """Each head's residual or exception and the atoms recorded so far,
-    and the memo keys created, lifted against `FreshGround`."""
+    """Each defined atom's residual or exception and the atoms recorded so
+    far, ground in rule form and then in formula form (which folds exact
+    atoms), and the memo keys created, lifted against `FreshGround`."""
     runs = []
     for grounder in (definitions._Ground, FreshGround):
         definitions._WFM_CACHE.clear()
-        g, out = grounder(d, i, limits, heads=()), []
-        for sym, args in g.keys:
-            try:
-                out.append((g.rules(d, sym, args), None, set(g.consulted())))
-            except Exception as exc:  # compared, whatever its type
-                out.append((None, (type(exc), str(exc)), set(g.consulted())))
+        out = []
+        for g in (grounder(d, i, limits, heads=()),
+                  grounder(None, i, limits, symbols=d.defined_symbols)):
+            for a in definitions._defined_atoms(d, i):
+                try:
+                    out.append((g.rules(d, a.predicate, a.args), None, set(g.consulted())))
+                except Exception as exc:  # compared, whatever its type
+                    out.append((None, (type(exc), str(exc)), set(g.consulted())))
         runs.append((out, list(definitions._WFM_CACHE)))
     assert runs[0] == runs[1], f"{d}"
     return runs[0][0]
 
 
+def lifted_and_oracle(rng) -> tuple:
+    """A random rule set of `random_lifted_rules` in a random context,
+    some parameter's or defined symbol's carrier leaving a tuple out:
+    `heads_and_oracle` at random defined values, then the well-founded
+    model, the stable models and an unfounded set, each against the same
+    run grounding every head afresh.  Returns the rule set and
+    heads_and_oracle's answer."""
+    d = random_lifted_rules(rng)
+    domain = rng.choice(((1,), (1, 2), ("a", 2), (1, 2, 3)))
+    present = [s for s in LIFT_PARAMETERS if rng.random() < 0.95]
+    o = random_partial(rng, present, domain)
+    for sym in present[-1:] if rng.random() < 0.3 else ():  # a carrier leaving a tuple out
+        gone = rng.choice(predicate_carrier(sym.type, domain))
+        o = o.expand(sym, PartialSet.from_map(
+            {k: v for k, v in o.value(sym).items() if k != gone}))
+    carriers = None
+    if rng.random() < 0.3:  # a defined one: reading a tuple left out raises
+        sym = rng.choice(sorted(d.defined_symbols, key=lambda s: s.name))
+        keys = predicate_carrier(sym.type, domain)
+        carriers = {sym: rng.sample(keys, len(keys) - rng.randint(1, 2))}
+    limits = Limits(max_unknowns=rng.choice((3, 20)), max_defined_atoms=16)
+    try:
+        i0 = expand_context(d, o, limits, carriers)
+    except CapExceeded:
+        return d, []
+    heads = heads_and_oracle(d, random_defined_values(rng, d, i0), limits)
+    i = random_defined_values(rng, d, i0)
+    runs = []
+    for grounder in (definitions._Ground, FreshGround):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(definitions, "_Ground", grounder)
+            runs.append([run_fixpoint(run, d.defined_symbols, limits) for run in (
+                lambda ctx: well_founded_model(d, o, limits, carriers, _ctx=ctx),
+                lambda ctx: stable_models(d, o, limits, carriers, _ctx=ctx),
+                lambda ctx: greatest_unfounded_set(d, i, limits, _ctx=ctx))])
+    assert runs[0] == runs[1], f"{d}"
+    return d, heads
+
+
 class TestLiftedRules:
     """A rule whose second order head variables are read only by first
-    order atoms under connectives and FO quantifiers, and whose body reads
-    no defined symbol, is ground once per first order head arguments and
-    re-valued per relation.  That must change nothing against grounding
-    every head afresh."""
+    order atoms under connectives and FO quantifiers, and handed on
+    unchanged to defined atoms, and whose body reads defined symbols only
+    in those, is ground once per first order head arguments and re-valued
+    per relation.  That must change nothing against grounding every head
+    afresh."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_lifted_rules_match_grounding_every_head(self, seed):
-        rng = random.Random(seed)
-        d = random_lifted_rules(rng)
-        domain = rng.choice(((1,), (1, 2), ("a", 2), (1, 2, 3)))
-        present = [s for s in LIFT_PARAMETERS if rng.random() < 0.95]
-        o = random_partial(rng, present, domain)
-        for sym in present[-1:] if rng.random() < 0.3 else ():  # a carrier leaving a tuple out
-            gone = rng.choice(predicate_carrier(sym.type, domain))
-            o = o.expand(sym, PartialSet.from_map(
-                {k: v for k, v in o.value(sym).items() if k != gone}))
-        limits = Limits(max_unknowns=rng.choice((3, 20)), max_defined_atoms=16)
-        try:
-            i0 = expand_context(d, o, limits)
-        except CapExceeded:
-            return
-        heads_and_oracle(d, random_defined_values(rng, d, i0), limits)
-        i = random_defined_values(rng, d, i0)
-        runs = []
-        for grounder in (definitions._Ground, FreshGround):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(definitions, "_Ground", grounder)
-                runs.append([run_fixpoint(run, d.defined_symbols, limits) for run in (
-                    lambda ctx: well_founded_model(d, o, limits, _ctx=ctx),
-                    lambda ctx: stable_models(d, o, limits, _ctx=ctx),
-                    lambda ctx: greatest_unfounded_set(d, i, limits, _ctx=ctx))])
-        assert runs[0] == runs[1], f"{d}"
+        lifted_and_oracle(random.Random(seed))
+
+    def test_hand_on_rules_match_grounding_every_head(self):
+        # the cases the placeholders meet: hand-on rules lifted, each
+        # placeholder resolved to an atom or, in formula form, a constant,
+        # and a tuple left out of a defined carrier raising
+        rng = random.Random(223)
+        handing = atoms = folded = raised = 0
+        for _ in range(400):
+            d, heads = lifted_and_oracle(rng)
+            handing += any(lift and free_symbols(r.body) & d.defined_symbols
+                           for rs in definitions._plan(d).values() for r, lift in rs)
+            for node, error, _ in heads:
+                atoms += type(node) is tuple or type(node) is int and node >= definitions._ATOMS
+                folded += node in (0, 2)
+                raised += bool(error) and any(
+                    error[1].startswith(f"domain atom {s.name}(") for s in d.defined_symbols)
+        assert handing > 150 and atoms > 1000 and folded > 2500 and raised > 60, (
+            handing, atoms, folded, raised)
+
+    def test_a_part_reading_no_defined_symbol_is_valued_whole(self):
+        # G(x0, Y) <- (p | (q & Y(x0))) & G(x0, Y): where p and q are u and
+        # Y(x0) is t, a fresh grounding values the part before the hand-on
+        # atom whole, one u beside G's atom, not the u | u it simplifies to
+        g_at = Atom2(SO_AT, (SymTerm(X0), SymTerm(Y)))
+        d = RuleSet((Rule(SO_AT, (X0, Y), And(Or(Atom1(p, ()), And(
+            Atom1(q, ()), Atom1(Y, (SymTerm(X0),)))), g_at)),))
+        o = PartialInterpretation.make((1, 2), {s: PartialSet.from_map({(): U}) for s in (p, q)})
+        heads = heads_and_oracle(d, expand_context(d, o), Limits())
+        assert (definitions._AND, [1, definitions._ATOMS]) in [node for node, _, _ in heads]
+
+    def test_a_hand_on_atom_outside_the_domain_leaves_no_placeholder(self):
+        # G(x0, Y) <- (p | Y(x0)) & (G(x0 + 1, Y) | q): at x0 = 3 the
+        # hand-on atom is f, so the grounding there has no placeholder and
+        # is valued whole, parts that read no defined symbol included
+        g_next = Atom2(SO_AT, (AddTerm(SymTerm(X0), IntTerm(1)), SymTerm(Y)))
+        d = RuleSet((Rule(SO_AT, (X0, Y), And(Or(Atom1(p, ()), Atom1(Y, (SymTerm(X0),))),
+                                              Or(g_next, Atom1(q, ())))),))
+        o = PartialInterpretation.make((1, 2, 3), {s: PartialSet.from_map({(): U}) for s in (p, q)})
+        heads = heads_and_oracle(d, expand_context(d, o), Limits())
+        assert [error for _, error, _ in heads] == [None] * len(heads) == [None] * 2 * 3 * 8
+        assert not definitions._lifted(d.rules[0], d.defined_symbols)[1]  # it reads p and q
+
+    def test_placeholders_are_resolved_in_closure_order(self):
+        # D(Y) <- ?x0: G(x0, Y) & Y(x0), G's carrier lacking G(1, R) and
+        # G(2, R): D(R) raises at G(1, R), the first its grounding reads,
+        # though the grounding it shares was made at another relation
+        g_at, y_at = Atom2(SO_AT, (SymTerm(X0), SymTerm(Y))), Atom1(Y, (SymTerm(X0),))
+        d = RuleSet((Rule(SO_HEAD, (Y,), ExistsFO(X0, And(g_at, y_at))),
+                     Rule(SO_AT, (X0, Y), y_at)))
+        rel = frozenset({(1,)})
+        i0 = expand_context(d, PartialInterpretation.empty((1, 2)), carriers={SO_AT: [
+            k for k in predicate_carrier(SO_AT.type, (1, 2)) if k[1] != rel]})
+        errors = [error[1] for _, error, _ in heads_and_oracle(d, i0, Limits()) if error]
+        assert len(errors) == 2 and all(e.startswith(f"domain atom G{(1, rel)!r}") for e in errors)
+
+    def test_a_raise_names_a_relation_as_a_fresh_grounding_does(self):
+        # D(Y) <- ?x0: G(x0, Y) & Y(x0), G's carrier lacking G(1, R) and
+        # G(12, R) for R = {(1,), (12,)}: equal sets may list their tuples in
+        # another order, and D(R) names R as the set a fresh grounding reads
+        g_at, y_at = Atom2(SO_AT, (SymTerm(X0), SymTerm(Y))), Atom1(Y, (SymTerm(X0),))
+        d = RuleSet((Rule(SO_HEAD, (Y,), ExistsFO(X0, And(g_at, y_at))),
+                     Rule(SO_AT, (X0, Y), y_at)))
+        domain = (1, 12)
+        rel = max((k for k, in predicate_carrier(SO_HEAD.type, domain)), key=len)  # D(R)'s own R
+        named = frozenset(reversed(list(rel)))
+        assert named == rel and list(named) != list(rel)  # (1,) and (12,) share a hash slot
+        definitions._relation_cached.cache_clear()
+        definitions._relation_cached(named, 1, domain)  # the set every fresh read of R names
+        i0 = expand_context(d, PartialInterpretation.empty(domain), carriers={SO_AT: [
+            k for k in predicate_carrier(SO_AT.type, domain) if k[1] != rel]})
+        errors = [error[1] for _, error, _ in heads_and_oracle(d, i0, Limits()) if error]
+        assert len(errors) == 2 and all(repr(named) in e for e in errors)
+
+    def test_relations_reaching_outside_the_domain_hand_on_their_tuples_in_it(self):
+        # a carrier may list relations over elements outside the domain: a
+        # head hands on, as a fresh grounding does, only their tuples in it
+        th = parse_theory((DATA / "game.theory").read_text())
+        d, (win, lose) = next(iter(th.templates.values())), map(th.vocabulary.get, ("win", "lose"))
+        wide, narrow = frozenset({("a", "z"), ("a", "b"), ("z", "a")}), frozenset({("a", "b")})
+        carriers = {s: [(n, m, w) for n in "ab" for m, w in ((wide, frozenset({("z",)})),
+                                                              (narrow, frozenset()))]
+                    for s in (win, lose)}
+        i0 = expand_context(d, PartialInterpretation.empty(("a", "b")), carriers=carriers)
+        assert [error for _, error, _ in heads_and_oracle(d, i0, Limits())] == [None] * 16
 
     def test_the_eq_template_is_ground_once(self):
         # isEqRelation(F)'s body reads F in first order atoms only: one
@@ -811,6 +930,40 @@ class TestLiftedRules:
         assert len(g.keys) == 512 and len(g.lifts) == 1
         assert g.node == FreshGround(d, i0, Limits()).node
         assert g.node.count(2) == 5  # the equivalence relations on three elements
+
+    def test_the_game_template_is_ground_once_per_position(self):
+        # win and lose hand Move and IsWon on unchanged: each rule is ground
+        # once per cur, kept on the rule set, and two apply_library calls
+        # with other carriers answer from those groundings, until a domain
+        # replaces them
+        th = parse_theory((DATA / "game.theory").read_text())
+        d = next(iter(th.templates.values()))
+        i0 = expand_context(d, PartialInterpretation.empty(("a", "b")))
+        g = definitions._Ground(d, i0, Limits())
+        assert len(g.keys) == 2 * 2 * 16 * 4 and len(g.lifts) == 4 == len(d._lifts[1])
+        assert g.node == FreshGround(d, i0, Limits()).node
+        kept = [list(val) for _, val, _, _ in d._lifts[1].values()]  # each head writes a copy
+        lib = TemplateLibrary(tuple(Template(n, rs) for n, rs in th.templates.items()))
+        win, lose = th.vocabulary.get("win"), th.vocabulary.get("lose")
+        built = []
+        for moves, won in (({("a", "b")}, set()), ({("a", "b"), ("b", "a")}, {("b",)})):
+            key = (frozenset(moves), frozenset(won))
+            carriers = {s: [(n, *key) for n in ("a", "b")] for s in (win, lose)}
+            answers = []
+            for grounder in (definitions._Ground, FreshGround):
+                definitions._WFM_CACHE.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(definitions, "_Ground", grounder)
+                    mp.setattr(definitions._Lifted, "of", staticmethod(
+                        lambda *args, of=definitions._Lifted.of: built.append(args) or of(*args)))
+                    out = apply_library(PartialInterpretation.empty(("a", "b")), lib,
+                                        so_instances=carriers)
+                answers.append([out.value(s) for s in (win, lose)])
+            assert answers[0] == answers[1]
+        assert not built and kept == [list(val) for _, val, _, _ in d._lifts[1].values()]
+        # a grounding over another domain keeps only that domain's
+        definitions._Ground(d, expand_context(d, PartialInterpretation.empty(("a",))), Limits())
+        assert d._lifts[0] == ("a",) and len(d._lifts[1]) == 2
 
 
 class TestMemoRecord:

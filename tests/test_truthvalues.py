@@ -140,6 +140,21 @@ class TestPartialSet:
         assert s.keys_with(U) == (1, 2)
         assert exact_set([1, 2], [2]).is_exact
 
+    def test_cached_exactness_agrees_with_the_scan(self):
+        # is_exact is cached on first use; every way of building a set
+        # gives the flag the values say, read once and again
+        built = []
+        for values in itertools.product(THREE, repeat=3):
+            s = PartialSet.from_map(dict(zip((3, 1, 2), values)))
+            assert s.is_exact is (U not in values)  # cached before the sets built from it
+            built += [s, *s.completions(), PartialSet.constant([1, 2], values[0])]
+            for key, v in itertools.product((1, 2, 3), THREE):
+                built.append(s.with_values({key: v}))
+                built.append(built[-1].with_values({key: T}))
+        for s in built:
+            assert s.is_exact is s.is_exact is (U not in s.values), s
+        assert {s.is_exact for s in built} == {True, False}
+
     def test_with_values_rejects_foreign_keys(self):
         s = PartialSet.constant([1], U)
         with pytest.raises(EvaluationError):
