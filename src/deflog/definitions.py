@@ -53,21 +53,26 @@ derivation rounds on the rule set ground with the t atoms demoted to u,
 once per `stable_models` call, each candidate's values written into it.
 
 A rule set used as a formula is the glb over the exact completions of
-the unknown atoms it reads, searched depth first.  The well-founded model
-is precision-monotone in its context, so the three-valued one at a node
-holds below it and may already decide the subtree (`_agreement`).
+the unknown atoms it reads.  The well-founded model is precision-monotone
+in its context, so the three-valued one at a node holds below it and may
+already decide the subtree (`_agreement`).
 
 Searches ground their formulas once with `_Ground` in its formula form,
 whose one leaf rule serves them all: a card aggregate is valued at every
 node, any other opaque leaf waits, u, until the atoms it reads are all
-assigned.  Supervaluation searches the residual interned in a unique
-table (`_residual_glb`): equal sub-residuals are one node, and one with
-no opaque leaf is searched once, as its values are the same anywhere.
-`mx` (`constrained_completions`) and `stable_models` branch on the value
-list (`_branch`): an assignment re-values only the leaves and residuals on
-its atom's watch list (MiniSat's watched literals, Eén and Sörensson
-2003), and only a candidate is built as an interpretation.  The rule form
-serves the fixpoints, prudence and the atoms a rule set as formula reads.
+assigned.  Supervaluation, let-blocks over u parameters and rule sets as
+formulas share one search on a residual interned in a unique table
+(`_glb`): equal sub-residuals are one node, and one with no opaque leaf
+is searched once, as its values are the same anywhere.  Supervaluation
+searches its formula's residual (`_residual_glb`); a let-block or a rule
+set is one opaque leaf on the atoms to complete (`_leaf_glb`), the rule
+set's valued at every node by its model there, until one decides.  `mx`
+(`constrained_completions`), `stable_models` and `partial_stable_models`
+(with u as a third value) branch on the value list (`_branch`): an
+assignment re-values only the leaves and residuals on its atom's watch
+list (MiniSat's watched literals, Eén and Sörensson 2003), and only a
+candidate is built as an interpretation.  The rule form serves the
+fixpoints, prudence and the atoms a rule set as formula reads.
 """
 
 from __future__ import annotations
@@ -88,10 +93,6 @@ from .syntax import (
 )
 from .truthvalues import F, T, TV, U, PartialSet, canon_order, max_truth
 from .vocab import DomainAtom, Symbol, predicate_carrier
-
-
-def _atom_key(a: DomainAtom):
-    return (a.predicate.name, canon_order(a.args))
 
 
 def _defined_atoms(d: RuleSet, i: PartialInterpretation) -> list[DomainAtom]:
@@ -265,7 +266,9 @@ def partial_stable_models(
     """All partial stable interpretations expanding context o, by 3^n search."""
     i0 = expand_context(d, o, limits, carriers)
     atoms = _capped_atoms(d, i0, limits)
-    return [cand for cand in i0.refinements(atoms, (T, U, F))
+    g = _Ground(None, i0, limits, symbols=d.defined_symbols)  # t, u and f per atom, no cut
+    xs = [_ATOMS + h for h in range(len(atoms))]
+    return [cand for cand in _branch(g, xs, (), None, (2, 1, 0))
             if is_partial_stable(d, cand, limits, _ctx=_ctx).is_partial_stable]
 
 
@@ -309,8 +312,8 @@ _AND, _OR, _NOT = range(3)
 _ATOMS = 3  # value index of the first defined atom
 
 
-def _code(v: TV) -> int:
-    return 2 if v is T else 0 if v is F else 1
+_TVS = (F, U, T)  # by code
+_code = {F: 0, U: 1, T: 2}.__getitem__  # a truth value's code
 
 
 def _value(n, val: list) -> int:
@@ -436,9 +439,9 @@ class _Ground:
         for h in sorted(self.defined, key=lambda s: s.name):
             ps = at.value(h)
             self.index[h] = (len(self.val), ps._index)
-            self.keys += [(h, key) for key in ps.carrier]
-            self.val += [_code(v) for v in ps.values]
-        n = len(self.keys)  # per head its node and leaves, per atom its readers
+            self.keys += [(h, key) for key in ps.carrier] if d is not None else ()
+            self.val += map(_code, ps.values)
+        n = len(self.keys)  # per head its node and leaves, per atom its readers: rule form only
         self.node, self.leaves, self.deps = [0] * n, [()] * n, [[] for _ in range(n)]
         self.opaque, self.reads, self.leaf = [], set(), []  # opaque: the heads with leaves
         self.last = {}  # per formula-form leaf slot, its atoms' values and its code there
@@ -489,13 +492,7 @@ class _Ground:
         for x, v, k in slots:
             val[x] = 2 if k in env[v] else 0
         rels = {v: _true_keys(env[v], v.type.arity, self.at.domain) for v in so} if holes else {}
-        sub = {}
-        for x, p, parts in holes:
-            at = tuple([rels.get(a, a) for a in parts])
-            if at not in self.index[p][1]:  # it raises: name the sets a fresh grounding names
-                at = tuple([_relation_cached(env[a], a.type.arity, self.at.domain).true_keys()
-                            if a in rels else a for a in parts])
-            sub[x] = self.atom(p, at)
+        sub = {x: self.atom(p, tuple([rels.get(a, a) for a in parts])) for x, p, parts in holes}
         return _resolved(root, val, sub)
 
     def atom(self, sym: Symbol, key: tuple):
@@ -674,10 +671,12 @@ class _Ground:
         return tuple(a for a in self.ctx.record if a.predicate not in self.defined)
 
     def interpretation(self) -> PartialInterpretation:
+        """`at` with val's values: a symbol they leave as it was keeps its set."""
         i = self.at
         for sym, (k, index) in self.index.items():
-            i = i._expand(sym, PartialSet(i.value(sym).carrier, tuple(
-                [(F, U, T)[v] for v in self.val[k:k + len(index)]])))
+            ps, values = i.value(sym), tuple(map(_TVS.__getitem__, self.val[k:k + len(index)]))
+            if values != ps.values:
+                i = i._expand(sym, PartialSet(ps.carrier, values))
         return i
 
 
@@ -852,6 +851,8 @@ def _search(r: _Residual, n, seen: set) -> None:
         xs = [a for slot, *_, atoms in g.leaf if reads & r.bit[slot]
               for a in atoms if g.val[a] == 1]
         low = reads & (r.leafy - 1)
+        if not xs and not low:  # n reads only leaves u with their atoms all assigned
+            return seen.add(1)
         x = min(xs + [r.order[(low & -low).bit_length() - 1]]) if low else min(xs)
     elif n in r.done:
         return seen.add(r.done[n])
@@ -865,23 +866,43 @@ def _search(r: _Residual, n, seen: set) -> None:
         r.done[n] = next(iter(seen))
 
 
+def _glb(g: _Ground, root) -> TV:
+    """The glb of residual `root` of g's formula form over the refinements it searches."""
+    r, seen = _Residual(g), set()
+    _search(r, r.intern(root, {}), seen)
+    return U if len(seen) > 1 else _TVS[seen.pop()]
+
+
 def _residual_glb(e, i: PartialInterpretation, atoms: list, limits: Limits) -> TV:
     """The glb of e over the refinements of its u atoms `atoms`."""
     limits.check("max_unknowns", len(atoms), "{n} unknown atoms exceed cap {cap}")
-    g, seen = _Ground(None, i, limits, symbols={a.predicate for a in atoms}), set()
-    root = g.ground(e, {}, _compiled(e))
-    r = _Residual(g)
-    _search(r, r.intern(root, {}), seen)
-    return U if len(seen) > 1 else (F, U, T)[seen.pop()]
+    g = _Ground(None, i, limits, symbols={a.predicate for a in atoms})
+    return _glb(g, g.ground(e, {}, _compiled(e)))
 
 
-def _branch(g: _Ground, xs: list, residuals: Iterable, dead) -> Iterator[PartialInterpretation]:
-    """The refinements of g.at setting each value index in xs to t then f,
-    depth first, first outermost, less those below a node (the root too)
-    where no leaf of g raises and dead(k, value) holds for a residual k
-    ((node, atoms it reads besides its own and its leaves'), up to the first
-    that raises).  An assignment re-values the leaves, then the residuals,
-    on its atom's watch list, and again when it is undone."""
+def _leaf_glb(i: PartialInterpretation, atoms: list, limits: Limits, exact, probe=None) -> TV:
+    """The glb of exact(j) over the refinements j of `atoms` to t then f,
+    in value list order, searched as one opaque leaf on them: at a node
+    where one is unassigned the leaf is probe(j), an exact value holding
+    below it, or, with no probe, it waits."""
+    limits.check("max_unknowns", len(atoms), "{n} unknown atoms exceed cap {cap}")
+    g = _Ground(None, i, limits, symbols={a.predicate for a in atoms})
+    xs, val = [g.index[a.predicate][0] + g.index[a.predicate][1][a.args] for a in atoms], g.val
+    g.leaf.append((len(val), lambda j, env, ctx: probe(j) if 1 in map(val.__getitem__, xs)
+                   else exact(j), {}, probe is None, xs))
+    val.append(1)
+    return _glb(g, len(val) - 1)
+
+
+def _branch(g: _Ground, xs: list, residuals: Iterable, dead,
+            codes: tuple = (2, 0)) -> Iterator[PartialInterpretation]:
+    """The refinements of g.at setting each value index in xs to each of
+    `codes` (t then f by default), depth first, first outermost, less those
+    below a node (the root too) where no leaf of g raises and dead(k, value)
+    holds for a residual k ((node, atoms it reads besides its own and its
+    leaves'), up to the first that raises).  An assignment re-values the
+    leaves, then the residuals, on its atom's watch list, and again when it
+    is undone."""
     val, nodes = g.val, []
     try:
         for n, extra in residuals:
@@ -917,8 +938,8 @@ def _branch(g: _Ground, xs: list, residuals: Iterable, dead) -> Iterator[Partial
             yield g.interpretation()
             return
         x = xs[depth]
-        for val[x] in (2, 0, 1):  # back at u, the watchers take their values above again
-            if not revalue(*watch[x]) and val[x] != 1:
+        for k, val[x] in enumerate((*codes, 1)):  # back at u, the watchers take their values above
+            if not revalue(*watch[x]) and k < len(codes):
                 yield from search(depth + 1)
 
     if not revalue(leaves, range(len(nodes))):
@@ -926,8 +947,8 @@ def _branch(g: _Ground, xs: list, residuals: Iterable, dead) -> Iterator[Partial
 
 
 def constrained_completions(constraints: list, i: PartialInterpretation, limits: Limits):
-    """i's completions in `completions` order, less those below a node where
-    a constraint's residual is f; the cap is checked before any grounding."""
+    """i's completions in itertools.product order, less those below a node
+    where a constraint's residual is f; the cap is checked before any grounding."""
     atoms = i.u_atoms(i.predicate_symbols())
     limits.check("max_unknowns", len(atoms), "{n} unknown atoms exceed cap {cap}")
     g = _Ground(None, i, limits, symbols={a.predicate for a in atoms})
@@ -1046,7 +1067,7 @@ def eval_definition(
         _agreement(d, i, limits, root)  # records the parameter atoms read
     except DeflogError:  # from a later round: grounding alone reads as much
         root.record.update(_Ground(d, i.revise(atoms, U), limits).consulted())
-    unknown = sorted(root.record.union(a for a in atoms if i.atom_value(a) is U), key=_atom_key)
+    unknown = [*root.record, *(a for a in atoms if i.atom_value(a) is U)]
     if not unknown:
         return exact(i)
     ctx.record.update(unknown)
@@ -1057,4 +1078,4 @@ def eval_definition(
         except DeflogError:
             return U
 
-    return i.glb(unknown, limits, exact, probe if sem == "w" else None)
+    return _leaf_glb(i, unknown, limits, exact, probe if sem == "w" else None)

@@ -24,6 +24,9 @@ Two modes:
   quantifier, a sum, a definition or a let-block waits until every atom
   it reads is assigned and is then valued exactly.
 
+In both modes a definition or let-block over u atoms takes its glb on
+that residual search too, as one opaque leaf on the atoms to complete.
+
 Both satisfy locality, exactness on exact interpretations, and
 precision monotonicity; supervaluation is at least as precise as
 kleene.
@@ -44,8 +47,8 @@ from .syntax import (
     RuleSet, SymTerm, fold, free_symbols,
 )
 from .truthvalues import (
-    F, T, TV, U, PartialSet, approx_aggregate, conj, disj, glb_prec, iff, implies,
-    max_truth, min_truth, neg,
+    F, T, TV, U, PartialSet, approx_aggregate, canon_order, conj, disj, glb_prec, iff,
+    implies, max_truth, min_truth, neg,
 )
 from .vocab import DomainAtom, Symbol, arg_value_space
 
@@ -81,10 +84,18 @@ def _term(t, raw: bool = False):
     return add
 
 
+def _shown(key: tuple) -> str:
+    """repr(key), each relation in it with its tuples in canon_order rather
+    than in the hash order of a frozenset's own repr."""
+    parts = [repr(k) if type(k) is not frozenset or not k else
+             "frozenset({" + ", ".join(map(repr, sorted(k, key=canon_order))) + "})" for k in key]
+    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+
+
 def _read(sym: Symbol, ps: PartialSet, key: tuple, ctx: EvalContext) -> TV:
     k = ps._index.get(key)
     if k is None:
-        raise EvaluationError(f"domain atom {sym.name}{key!r} outside the populated carrier")
+        raise EvaluationError(f"domain atom {sym.name}{_shown(key)} outside the populated carrier")
     v = ps.values[k]
     if v is U:
         ctx.record.add(DomainAtom(sym, key))
@@ -281,7 +292,8 @@ def _let_value(e: Let, i: PartialInterpretation, ctx: EvalContext) -> TV:
     for p in par_preds:
         for key in i.value(p).keys_with(U):
             ctx.record.add(DomainAtom(p, key))
-    return i.glb(i.u_atoms(par_preds), ctx.limits, lambda j: _let_value(e, j, ctx))
+    return definitions._leaf_glb(i, i.u_atoms(par_preds), ctx.limits,
+                                 lambda j: _let_value(e, j, ctx))
 
 
 def evaluate(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import EvaluationError, ParseError, TypeError_
 from .limits import DEFAULT_LIMITS, Limits
@@ -183,57 +183,6 @@ class PartialInterpretation:
             for key in self.value(p).keys_with(U):
                 out.append(DomainAtom(p, key))
         return out
-
-    def completions(
-        self, over: Iterable[Symbol], limits: Limits = DEFAULT_LIMITS
-    ) -> Iterator["PartialInterpretation"]:
-        """All interpretations exact on `over`, refining this one, identical
-        elsewhere: 2^u for u unknown atoms over those symbols, in `refinements` order."""
-        unknown = self.u_atoms(over)
-        limits.check("max_unknowns", len(unknown), "{n} unknown atoms exceed cap {cap}")
-        yield from self.refinements(unknown)
-
-    def glb(self, atoms: list[DomainAtom], limits: Limits, leaf, probe=None) -> TV:
-        """The glb of leaf(j) over the refinements j of `atoms` to t and f,
-        depth first.  An exact probe(j) is the value of all below j, which
-        is cut; once t and f are both seen the glb is u and all is cut."""
-        limits.check("max_unknowns", len(atoms), "{n} unknown atoms exceed cap {cap}")
-        seen: set = set()  # values of the subtrees decided so far
-
-        def decided(j: PartialInterpretation) -> bool:
-            if len(seen) > 1:
-                return True
-            v = probe(j) if probe else U
-            if v is not U:
-                seen.add(v)
-            return v is not U
-
-        for j in self.refinements(atoms, cut=decided):
-            seen.add(leaf(j))
-        return U if len(seen) > 1 else seen.pop()
-
-    def refinements(
-        self, atoms: list[DomainAtom], values: tuple = (T, F), cut=None
-    ) -> Iterator["PartialInterpretation"]:
-        """This interpretation with each atom revised to one of `values`,
-        every combination in itertools.product order (first atom outermost);
-        u leaves an atom as it is.  Depth first: `cut` (`glb`'s probe) sees the
-        refinement of each prefix of `atoms`, the empty one included, and a
-        true answer drops every combination below it.  Callers check caps first."""
-        yield from self._refine(atoms, 0, values, cut)
-
-    def _refine(self, atoms, depth: int, values: tuple, cut):
-        if cut is not None and cut(self):
-            return
-        if depth == len(atoms):
-            yield self
-            return
-        sym, key = atoms[depth].predicate, atoms[depth].args
-        for v in values:
-            j = self if v is U else self._expand(
-                sym, self._by_symbol[sym].with_values({key: v})
-            )
-            yield from j._refine(atoms, depth + 1, values, cut)
 
 
 # ---------------------------------------------------------------------------

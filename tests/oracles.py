@@ -1,5 +1,15 @@
 """Reference implementations kept only as test oracles.
 
+* The refinement search as first written (`refinements`, `completions`,
+  `glb`): an interpretation revised one atom at a time, depth first, first
+  atom outermost, with a cut asked at every node, the root and the leaves
+  included.  `deflog` searches instead on a ground value list: a rule set
+  or let-block over u atoms is one opaque leaf of the supervaluation's
+  residual search, and partial stable candidates come from the `mx` and
+  `stable` driver with the codes t, u and f.  Both must give the same
+  value, exception, recorded atoms and candidates in order, and probe
+  the same nodes.  `oracle_partial_stable_models` is the 3^n loop over
+  those refinements.
 * The fragment classifier as first written: `desugar` rewrites |, =>,
   <=> and first order forall into ~, & and exists, then three mutually
   recursive predicates decide membership of FO(ID*), ESO(ID*) and
@@ -11,7 +21,7 @@
 * A classical two-valued evaluator for the generator fragment
   (`classical_eval`) and the supervaluation as a plain loop over every
   completion (`super_oracle`), sharing nothing with the pruned
-  depth-first search of `PartialInterpretation.refinements`.
+  depth-first search of `refinements`.
 * A flat filter (`flat_filter`): every candidate in order, kept where it
   passes, for `mx` and `stable_models` without their cuts.
 * The supervaluation as a flat search (`flat_supervaluation`): the
@@ -107,13 +117,82 @@ from deflog.syntax import (
     free_symbols, head_var_types,
 )
 from deflog.truthvalues import (
-    F, T, TV, U, PartialSet, approx_aggregate, conj, disj, glb_prec, iff,
+    F, T, TV, U, PartialSet, approx_aggregate, canon_order, conj, disj, glb_prec, iff,
     implies, neg,
 )
 from deflog.vocab import (
     CONST, DomainAtom, Symbol, Type, Vocabulary, arg_value_space, pred, predicate_carrier,
     so_pred,
 )
+
+# ---------------------------------------------------------------------------
+# The refinement search as first written: an interpretation revised one atom
+# at a time, depth first, with a cut asked at every node
+
+
+def completions(i, over, limits=DEFAULT_LIMITS):
+    """All interpretations exact on `over`, refining i, identical elsewhere:
+    2^u for u unknown atoms over those symbols, in `refinements` order."""
+    unknown = i.u_atoms(over)
+    limits.check("max_unknowns", len(unknown), "{n} unknown atoms exceed cap {cap}")
+    yield from refinements(i, unknown)
+
+
+def glb(i, atoms, limits, leaf, probe=None) -> TV:
+    """The glb of leaf(j) over the refinements j of `atoms` to t and f,
+    depth first.  An exact probe(j) is the value of all below j, which is
+    cut; once t and f are both seen the glb is u and all is cut."""
+    limits.check("max_unknowns", len(atoms), "{n} unknown atoms exceed cap {cap}")
+    seen: set = set()  # values of the subtrees decided so far
+
+    def decided(j) -> bool:
+        if len(seen) > 1:
+            return True
+        v = probe(j) if probe else U
+        if v is not U:
+            seen.add(v)
+        return v is not U
+
+    for j in refinements(i, atoms, cut=decided):
+        seen.add(leaf(j))
+    return U if len(seen) > 1 else seen.pop()
+
+
+def refinements(i, atoms, values=(T, F), cut=None):
+    """i with each atom revised to one of `values`, every combination in
+    itertools.product order (first atom outermost); u leaves an atom as it
+    is.  Depth first: `cut` sees the refinement of each prefix of `atoms`,
+    the empty one included, and a true answer drops every combination
+    below it.  Callers check caps first."""
+    yield from _refine(i, atoms, 0, values, cut)
+
+
+def _refine(i, atoms, depth, values, cut):
+    if cut is not None and cut(i):
+        return
+    if depth == len(atoms):
+        yield i
+        return
+    sym, key = atoms[depth].predicate, atoms[depth].args
+    for v in values:
+        j = i if v is U else i._expand(sym, i.value(sym).with_values({key: v}))
+        yield from _refine(j, atoms, depth + 1, values, cut)
+
+
+def atom_key(a):
+    """The order of atoms by symbol name, then arguments in canonical order."""
+    return (a.predicate.name, canon_order(a.args))
+
+
+def oracle_partial_stable_models(d, o, limits=DEFAULT_LIMITS, carriers=None) -> list:
+    """The partial stable interpretations expanding context o, in the order
+    of the 3^n refinements of its defined atoms to t, u and f."""
+    i0 = definitions.expand_context(d, o, limits, carriers)
+    atoms = definitions._defined_atoms(d, i0)
+    limits.check("max_defined_atoms", len(atoms), "{n} defined atoms exceed cap {cap}")
+    return [j for j in refinements(i0, atoms, (T, U, F))
+            if definitions.is_partial_stable(d, j, limits).is_partial_stable]
+
 
 # ---------------------------------------------------------------------------
 # Fragment classification by desugaring
@@ -350,7 +429,7 @@ def flat_supervaluation(e, i, ctx) -> TV:
     completions of its u atoms, depth first until t and f are both seen."""
     unknown = i.u_atoms(s for s in free_symbols(e) if s.type.is_predicate)
     fn = _compiled(e)
-    return i.glb(unknown, ctx.limits, lambda j: fn(j, {}, ctx))
+    return glb(i, unknown, ctx.limits, lambda j: fn(j, {}, ctx))
 
 
 def flat_filter(candidates, passes) -> tuple:
@@ -497,7 +576,7 @@ def oracle_cut_search(g, i, atoms, grounders, decided) -> tuple:
         return bool(residuals) and decided(
             [val[n] if type(n) is int else definitions._value(n, val) for n in residuals])
 
-    return list(i.refinements(atoms, cut=cut)), len(nodes)
+    return list(refinements(i, atoms, cut=cut)), len(nodes)
 
 
 def oracle_constrained_completions(constraints, i, limits=DEFAULT_LIMITS) -> tuple:
@@ -677,11 +756,21 @@ def _term_value(t, i, raw: bool = False):
     return v if raw or v in i.domain else None
 
 
+class _Sorted(frozenset):
+    """A relation whose repr lists its tuples in canonical order."""
+
+    def __repr__(self) -> str:
+        if not self:
+            return "frozenset()"
+        return "frozenset({%s})" % ", ".join(repr(k) for k in sorted(self, key=oracle_canon_order))
+
+
 def _lookup(sym, key: tuple, i, ctx) -> TV:
     ps = i.value(sym)
     if key not in ps:
+        shown = tuple(_Sorted(k) if isinstance(k, frozenset) else k for k in key)
         raise EvaluationError(
-            f"domain atom {sym.name}{key!r} outside the populated carrier"
+            f"domain atom {sym.name}{shown!r} outside the populated carrier"
         )
     v = ps.value(key)
     if v is U:
@@ -791,7 +880,7 @@ def _let_value(e, i, ctx) -> TV:
         for key in i.value(p).keys_with(U):
             ctx.record.add(DomainAtom(p, key))
     return glb_prec(
-        _let_value(e, j, ctx) for j in i.completions(par_preds, ctx.limits)
+        _let_value(e, j, ctx) for j in completions(i, par_preds, ctx.limits)
     )
 
 
@@ -804,7 +893,7 @@ def _let_value(e, i, ctx) -> TV:
 def is_unfounded(d, i, u_set, limits=DEFAULT_LIMITS, _ctx=None) -> bool:
     """u_set is a u-set whose bodies are all f once the set is assumed f."""
     ctx = _ctx or EvalContext(limits=limits)
-    atoms = sorted(set(u_set), key=definitions._atom_key)
+    atoms = sorted(set(u_set), key=atom_key)
     for a in atoms:
         if a.predicate not in d.defined_symbols:
             raise EvaluationError(f"{a.predicate.name} is not defined by the rule set")
@@ -848,7 +937,7 @@ def oracle_wfm_fixpoint(d, i0, atoms, limits, ctx):
             continue
         gus = oracle_unfounded_set(d, i, limits, _ctx=ctx)
         if gus:
-            i = i.revise(sorted(gus, key=definitions._atom_key), F)
+            i = i.revise(sorted(gus, key=atom_key), F)
             continue
         return i
 
@@ -928,7 +1017,7 @@ def relevant_u_atoms(d, i, limits):
     atoms = definitions._defined_atoms(d, i)
     consulted = set(definitions._Ground(d, i.revise(atoms, U), limits).consulted())
     consulted.update(a for a in atoms if i.atom_value(a) is U)
-    return sorted(consulted, key=definitions._atom_key)
+    return sorted(consulted, key=atom_key)
 
 
 def oracle_exact_check(d, i, sem, limits, ctx) -> TV:
@@ -960,7 +1049,7 @@ def oracle_eval_definition(d, i, sem="w", limits=DEFAULT_LIMITS, _ctx=None) -> T
         raise CapExceeded(f"{len(unknown)} unknown atoms exceed cap {limits.max_unknowns} "
                           "(--max-completions)")
     results = []
-    for j in i.refinements(unknown):
+    for j in refinements(i, unknown):
         results.append(oracle_exact_check(d, j, sem, limits, ctx))
         if results[-1] is not results[0]:
             return U

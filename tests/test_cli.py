@@ -157,11 +157,17 @@ HASH_SEED_ARGVS = [
 ]
 
 
-def test_output_does_not_depend_on_hash_values():
+def test_output_does_not_depend_on_hash_values(tmp_path):
     # symbols and truth values hash by identity and strings by the hash
     # seed, so sets of them iterate in an order no output may follow; one
     # process per seed runs every verb, and seeds 0 and 1 happen to order
-    # some small string sets alike, so four seeds are compared
+    # some small string sets alike, so four seeds are compared.  The last
+    # input reads S at a relation outside its carrier: the error names it
+    (tmp_path / "so.theory").write_text("vocab { S: so-pred(pred/1); P: pred/1; }\n"
+                                        "formula f { S(P) }\n")
+    (tmp_path / "so.struct").write_text("domain = {a, b, c}\nP = {(a): t, (b): t, (c): t}\n"
+                                        "S = {({(a)}): t}\n")
+    argvs = HASH_SEED_ARGVS + [["eval", str(tmp_path / "so.theory"), str(tmp_path / "so.struct")]]
     src = str(pathlib.Path(deflog.__file__).parents[1])
     driver = ("import json, sys; from click.testing import CliRunner; from deflog.cli import main; "
               "print(json.dumps([(r.exit_code, r.output) for r in "
@@ -170,13 +176,15 @@ def test_output_does_not_depend_on_hash_values():
     for seed in ("0", "1", "2", "3"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", driver, json.dumps(HASH_SEED_ARGVS)],
+        proc = subprocess.run([sys.executable, "-c", driver, json.dumps(argvs)],
                               env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         outputs.append(json.loads(proc.stdout))
-    assert all(code == 0 and out for code, out in outputs[0]), outputs[0]
+    assert all(code == 0 and out for code, out in outputs[0][:-1]), outputs[0]
+    assert outputs[0][-1] == [2, "error: domain atom S(frozenset({('a',), ('b',), ('c',)}),) "
+                                 "outside the populated carrier\n"]
     for other in outputs[1:]:
-        for argv, a, b in zip(HASH_SEED_ARGVS, outputs[0], other):
+        for argv, a, b in zip(argvs, outputs[0], other):
             assert a == b, argv
 
 

@@ -27,7 +27,7 @@ from deflog.errors import (
 from deflog.evaluator import SUPERVALUATION, EvalContext, evaluate, evaluate_exact
 from deflog.interpretation import PartialInterpretation, read_structure
 from deflog.limits import Limits
-from deflog.parser import Theory, parse_ruleset, parse_theory
+from deflog.parser import Theory, parse_formula, parse_ruleset, parse_theory
 from deflog.syntax import (
     AddTerm, And, Atom1, Atom2, ExistsFO, ExistsSO, ForallFO, Implies, IntTerm, Not, Or, Rule,
     RuleSet, SymTerm, free_symbols, unparse,
@@ -44,11 +44,14 @@ from gen import (
     guarded_quantifier, random_guarded_rules, random_ruleset, random_tree,
 )
 from oracles import (
-    FreshGround, exact_completions, flat_filter, is_closed, is_unfounded, oracle_demotion,
-    oracle_eval_definition, oracle_exact_prudent, oracle_fresh_demotion,
-    oracle_supported_candidates, oracle_unfounded_set, oracle_wfm_fixpoint, super_oracle,
+    FreshGround, atom_key, exact_completions, flat_filter, glb, is_closed, is_unfounded,
+    oracle_demotion, oracle_eval_definition, oracle_exact_prudent, oracle_fresh_demotion,
+    oracle_partial_stable_models, oracle_supported_candidates, oracle_unfounded_set,
+    oracle_wfm_fixpoint, refinements, super_oracle,
 )
-from test_evaluator import exact_holds, node_kinds, random_partial, value_or_error
+from test_evaluator import (
+    compiled_and_walker, exact_holds, node_kinds, random_partial, value_or_error,
+)
 
 p, q, r = PROPS
 VOCAB = Vocabulary.of(PROPS)
@@ -195,6 +198,26 @@ class TestAgainstStableOperatorOracle:
             }
             assert got == expected, f"{d}"
 
+    def test_partial_stable_models_in_refinement_order(self):
+        # partial_stable_models branches on the value list with the codes
+        # t, u and f; the oracle is the 3^n refinement loop: the same models
+        # in the same order, or the same exception, the atom cap's included
+        rng, seen = random.Random(43), collections.Counter()
+        for n in range(self.N):
+            limits = Limits(max_defined_atoms=rng.choice((2, 6)))
+            if n % 3:
+                d, o = random_ruleset(rng), PartialInterpretation.empty(DOMAIN)
+            else:
+                d = random_tree_rules(rng)
+                o = random_partial(rng, [s for s in SYMBOLS if s not in d.defined_symbols], (1,))
+                limits = Limits(max_defined_atoms=limits.max_defined_atoms,
+                                max_unknowns=rng.choice((1, 20)))
+            got = outcome(lambda: partial_stable_models(d, o, limits))
+            assert got == outcome(lambda: oracle_partial_stable_models(d, o, limits)), f"{d}"
+            seen["cap" if got[1] and "defined atoms exceed" in got[1][1] else "error" if got[1]
+                 else "several models" if len(got[0]) > 1 else "at most one model"] += 1
+        assert seen["cap"] > 20 and min(seen.values()) > 5 and len(seen) == 4, seen
+
     def test_wfm_both_methods_match_alternating_fixpoint(self):
         rng = random.Random(29)
         o = PartialInterpretation.empty(DOMAIN)
@@ -261,7 +284,7 @@ class TestSupportednessCut:
             got = outcome(lambda: stable_models(d, o, limits))
             i0 = expand_context(d, o, limits)
             atoms, ctx = definitions._defined_atoms(d, i0), EvalContext(limits=limits)
-            want, errors, accepted = flat_filter(i0.refinements(atoms), lambda j: all(
+            want, errors, accepted = flat_filter(refinements(i0, atoms), lambda j: all(
                 j.atom_value(a) is max_truth(definitions._body_values(d, a, j, ctx), empty=F)
                 for a in atoms) and definitions._demotion(d, j, atoms, limits) is None)
             for r in d.rules:
@@ -387,7 +410,7 @@ class TestPrudenceAgainstSubsetOracle:
         for _ in range(1500):
             d = random_ruleset(rng)
             i0 = expand_context(d, o)
-            for i in i0.refinements(definitions._defined_atoms(d, i0), (T, U, F)):
+            for i in refinements(i0, definitions._defined_atoms(d, i0), (T, U, F)):
                 verdict = demotion_and_oracle(d, i)
                 seen[verdict] += 1
                 assert is_partial_stable(d, i).prudent is (verdict == "prudent")
@@ -403,7 +426,7 @@ class TestPrudenceAgainstSubsetOracle:
             present = [s for s in SYMBOLS if s not in d.defined_symbols]
             limits = Limits(max_unknowns=rng.choice((3, 20)))
             i0 = expand_context(d, random_partial(rng, present, (1,)), limits)
-            for i in i0.refinements(definitions._defined_atoms(d, i0), (T, U, F)):
+            for i in refinements(i0, definitions._defined_atoms(d, i0), (T, U, F)):
                 seen[demotion_and_oracle(d, i, limits)] += 1
             for r in d.rules:
                 kinds |= node_kinds(r.body)
@@ -490,7 +513,7 @@ class TestSearchDriver:
                 o = random_partial(rng, [s for s in SYMBOLS if s not in d.defined_symbols], (1,))
             i0 = expand_context(d, o, limits)
             atoms, shared = definitions._defined_atoms(d, i0), []
-            for i in i0.refinements(atoms, (T, U, F)):
+            for i in refinements(i0, atoms, (T, U, F)):
                 got = outcome(lambda: definitions._demotion(d, i, atoms, limits, shared))
                 want = outcome(lambda: oracle_fresh_demotion(d, i, atoms, limits))
                 assert got == want, f"{d} {i}"
@@ -1197,6 +1220,51 @@ class TestPrunedDefinitionSearch:
             well_founded_model(d, context({b: U, c: U}))
         # c = t makes w t, c = f makes it f
         assert pruned_and_oracle(d, context({b: U, c: U, q: F, w: T}))[:2] == (U, None)
+
+    def test_the_model_is_probed_where_the_refinement_search_probed_it(self, monkeypatch):
+        # the search is one opaque leaf on the unknown atoms, searched as
+        # supervaluation's residual is; the refinement search it replaced,
+        # the oracles' glb with the same probe, must ask the model at the
+        # same nodes in the same order (that search asks a second time at a
+        # completion its probe leaves u) and give the same outcome; it took
+        # the atoms by name and key, the order of the value list
+        probed, agreement, search = [], definitions._agreement, definitions._leaf_glb
+        monkeypatch.setattr(definitions, "_agreement",
+                            lambda d, j, *a: probed.append(j) or agreement(d, j, *a))
+
+        def run(leaf_glb, d, i, sem, limits):
+            monkeypatch.setattr(definitions, "_leaf_glb", leaf_glb)
+            definitions._WFM_CACHE.clear()
+            probed.clear()
+            got = definition_run(eval_definition, d, i, sem, limits)
+            return got, [j for k, j in enumerate(probed) if not k or j != probed[k - 1]]
+
+        rng, seen = random.Random(73), collections.Counter()
+        for n in range(1500):
+            d = random_parameter_ruleset(rng)
+            i = random_partial(rng, PROPS, DOMAIN, p_unknown=0.6)
+            sem, limits = "st" if n % 5 == 1 else "w", Limits(max_unknowns=rng.choice((2, 20)))
+            got, nodes = run(search, d, i, sem, limits)
+            want, old_nodes = run(lambda i, atoms, limits, exact, probe=None: glb(
+                i, sorted(atoms, key=atom_key), limits, exact, probe), d, i, sem, limits)
+            definitions._WFM_CACHE.clear()
+            flat = definition_run(oracle_eval_definition, d, i, sem, limits)
+            assert got == want == flat and nodes == old_nodes, f"{d} {i}"
+            seen[sem, "error" if got[1] else got[0]] += 1
+            seen["probes"] += len(nodes)
+        assert min(seen[sem, v] for sem in ("w", "st") for v in (T, U, F)) > 10, seen
+        assert seen["w", "error"] > 10 and seen["probes"] > 3000, seen
+
+    @pytest.mark.parametrize("body,value", [
+        ("r", U), ("q & r", U), ("q | r", U), ("(q & ~r) | (~q & r)", U), ("q | ~q | r", T)])
+    def test_a_let_body_may_read_u_atoms_besides_its_parameters(self, body, value):
+        # the let-block is a leaf on p's atoms; at each completion of p its
+        # body may still read r at u, and the search takes that u as the
+        # value of its subtree, as the glb over every completion does
+        e = parse_formula(f"let {{q <- p.}} in {body}", VOCAB)
+        for vp, vr in itertools.product("tuf", repeat=2):
+            compiled_and_walker(e, ctx(p=vp, r=vr))
+        assert compiled_and_walker(e, ctx(p="u", r="u"))[0] is value
 
     def test_the_cap_holds_where_the_root_model_decides(self):
         # q is unfounded at every completion of p and r, but both are read

@@ -34,9 +34,10 @@ from gen import (
     P0, P1, PROPS, Q0, R0, SO1, SO_HEAD, random_formula, random_interpretation,
     random_tree,
 )
+import oracles
 from oracles import (
-    bind_head, classical_eval, exact_completions, flat_supervaluation, has_waiting_leaf,
-    oracle_kv, oracle_residual_search, super_oracle,
+    bind_head, classical_eval, completions, exact_completions, flat_supervaluation, glb,
+    has_waiting_leaf, oracle_kv, oracle_residual_search, super_oracle,
 )
 
 SAMPLES = 500
@@ -83,7 +84,7 @@ class TestAxioms:
             e = random_formula(rng, rng.randint(0, 3))
             i = random_interpretation(rng, domain=("a", "b"))
             # force an exact interpretation
-            i = next(i.completions(i.predicate_symbols()))
+            i = next(completions(i, i.predicate_symbols()))
             expected = T if classical_eval(e, i) else F
             assert evaluate(e, i, KLEENE) is expected
             assert evaluate(e, i, SUPERVALUATION) is expected
@@ -334,8 +335,8 @@ class TestResidualSearch:
     """A formula is ground once at the root and its residual is searched,
     interned, branching only on atoms the residual still reads; on formulas
     with no waiting leaf the oracles are the flat loop over every
-    completion, the probe search it replaced (`PartialInterpretation.glb`
-    with a Kleene probe) and, for the node count, the residual search as
+    completion, the probe search it replaced (the oracles' `glb` with a
+    Kleene probe) and, for the node count, the residual search as
     first written."""
 
     def cases(self, n, seed):
@@ -402,10 +403,9 @@ class TestResidualSearch:
 
     def test_never_more_nodes_than_the_probe_search(self, monkeypatch):
         searched, probed = [], []
-        search, refine = definitions._search, PartialInterpretation._refine
+        search, refine = definitions._search, oracles._refine
         monkeypatch.setattr(definitions, "_search", lambda *a: searched.append(1) or search(*a))
-        monkeypatch.setattr(PartialInterpretation, "_refine",
-                            lambda j, *a: probed.append(1) or refine(j, *a))
+        monkeypatch.setattr(oracles, "_refine", lambda *a: probed.append(1) or refine(*a))
         totals = [0, 0]
         for e, i in self.cases(400, 99):
             searched.clear()
@@ -415,7 +415,7 @@ class TestResidualSearch:
             probed.clear()
             unknown = i.u_atoms(s for s in free_symbols(e) if s.type.is_predicate)
             kleene = functools.partial(evaluate, e, mode=KLEENE)
-            assert i.glb(unknown, Limits(), kleene, kleene) is value
+            assert glb(i, unknown, Limits(), kleene, kleene) is value
             assert len(searched) <= len(probed), unparse(e)
             totals = [totals[0] + len(searched), totals[1] + len(probed)]
         assert totals[0] < totals[1], totals

@@ -14,7 +14,8 @@ from deflog.truthvalues import F, T, U, PartialSet, exact_set
 from deflog.vocab import CONST, DOMAIN, DomainAtom, Symbol, Vocabulary, pred, so_pred
 
 from oracles import (
-    expand_unknown, oracle_read_structure, rebuild_expand, rebuild_restrict, rebuild_revise,
+    completions, expand_unknown, oracle_read_structure, rebuild_expand, rebuild_restrict,
+    rebuild_revise, refinements,
 )
 
 P = Symbol("P", pred(1))
@@ -94,15 +95,14 @@ class TestAlgebra:
 
     def test_completions_enumerate_exact_refinements(self):
         i = expand_unknown(PartialInterpretation.empty(("a", "b")), [P])
-        comps = list(i.completions([P]))
+        comps = list(completions(i, [P]))
         assert len(comps) == 4
         assert all(m.exact_on([P]) for m in comps)
         assert all(i.leq_prec(m) for m in comps)
         with pytest.raises(CapExceeded):
-            list(
-                expand_unknown(PartialInterpretation.empty(tuple(range(5))), [P])
-                .completions([P], Limits(max_unknowns=4))
-            )
+            list(completions(
+                expand_unknown(PartialInterpretation.empty(tuple(range(5))), [P]), [P],
+                Limits(max_unknowns=4)))
 
     def test_refinements_search_depth_first_and_cut_subtrees(self):
         i = expand_unknown(PartialInterpretation.empty(("a", "b", "c")), [P])
@@ -113,8 +113,8 @@ class TestAlgebra:
             seen.append(j.value(P).values)
             return j.value(P).values[:2] == (T, T)  # drop a and b both true
 
-        got = [j.value(P).values for j in i.refinements(atoms, (T, U, F), cut)]
-        product = [j.value(P).values for j in i.refinements(atoms, (T, U, F))]
+        got = [j.value(P).values for j in refinements(i, atoms, (T, U, F), cut)]
+        product = [j.value(P).values for j in refinements(i, atoms, (T, U, F))]
         assert got == [v for v in product if v[:2] != (T, T)]
         # the root, the prefixes and the leaves, but nothing below a cut
         assert len(seen) == 1 + 3 + 9 + 27 - 3
