@@ -30,7 +30,7 @@ from .limits import CAP_FLAGS, DEFAULT_LIMITS, Limits
 from .parser import Theory, parse_theory
 from .syntax import DefinitionExpr, classify, free_symbols, typecheck, unparse
 from .templates import (
-    Template, TemplateLibrary, _exact_interpretations, apply_library,
+    Template, TemplateLibrary, _sigma_bases, apply_library,
     eliminate_so, macro_expand, sigma_equivalent, validate_library,
 )
 from .truthvalues import T
@@ -279,14 +279,10 @@ def _mx_models(theory: Theory, struct: PartialInterpretation, limits: Limits):
         ),
         key=lambda s: s.name,
     )
-    # a residual f refutes a subtree; no grounding while constants are unassigned
-    for base in constrained_completions([] if consts else constraints, struct, limits):
-        stack = [base]
-        for c in consts:
-            stack = [j.expand(c, d) for j in stack for d in base.domain]
-        for j in stack:
-            if all(evaluate_exact(phi, j, limits) is T for phi in constraints):
-                yield j
+    # a residual f refutes a subtree, unless a constant is unassigned
+    for j in constrained_completions(constraints, struct, limits, consts):
+        if all(evaluate_exact(phi, j, limits) is T for phi in constraints):
+            yield j
 
 
 @_verb("mx", structure=True)
@@ -317,12 +313,13 @@ def _echo_rewrite(payload: dict, lines: list, equivalent, check_equiv: bool,
 
 
 def _expand_equivalent(phi, expanded, lib, limits) -> bool:
-    """Exact-model agreement of a formula and its macro expansion at |D| <= 2."""
+    """Exact-model agreement of a formula and its macro expansion at |D| <= 2,
+    on the interpretations of their other symbols as `mx` enumerates them."""
     template_syms = set(lib.template_symbols())
     sigma = sorted((free_symbols(phi) | free_symbols(expanded)) - template_syms,
                    key=lambda s: s.name)
     for domain in _EQUIV_DOMAINS:
-        for base in _exact_interpretations(sigma, domain, limits):
+        for base in _sigma_bases(sigma, domain, limits):
             with_templates = apply_library(base, lib, limits)
             lhs = evaluate_exact(phi, with_templates, limits)
             rhs = evaluate_exact(expanded, base, limits)

@@ -946,9 +946,11 @@ def _branch(g: _Ground, xs: list, residuals: Iterable, dead,
         yield from search(0)
 
 
-def constrained_completions(constraints: list, i: PartialInterpretation, limits: Limits):
-    """i's completions in itertools.product order, less those below a node
-    where a constraint's residual is f; the cap is checked before any grounding."""
+def constrained_completions(constraints: list, i: PartialInterpretation, limits: Limits, consts=()):
+    """i's completions in itertools.product order, each with every value of
+    `consts`, the first outermost, less those below a node where a constraint's
+    residual is f; none is ground while a constant is unset, and the cap is
+    checked before any grounding."""
     atoms = i.u_atoms(i.predicate_symbols())
     limits.check("max_unknowns", len(atoms), "{n} unknown atoms exceed cap {cap}")
     g = _Ground(None, i, limits, symbols={a.predicate for a in atoms})
@@ -957,8 +959,10 @@ def constrained_completions(constraints: list, i: PartialInterpretation, limits:
         for phi in constraints:
             n = g.ground(phi, {}, _compiled(phi))
             yield from ((k, ()) for k in (n[1] if type(n) is tuple and n[0] == _AND else (n,)))
-    return _branch(g, [g.index[a.predicate][0] + g.index[a.predicate][1][a.args] for a in atoms],
-                   conjuncts(), lambda k, w: w == 0)
+    xs = [g.index[a.predicate][0] + g.index[a.predicate][1][a.args] for a in atoms]
+    return (functools.reduce(lambda k, cd: k.expand(*cd), zip(consts, values), j)
+            for j in _branch(g, xs, () if consts else conjuncts(), lambda k, w: w == 0)
+            for values in itertools.product(i.domain, repeat=len(consts)))
 
 
 def _residual_wfm(d: RuleSet, i0: PartialInterpretation, limits: Limits) -> tuple:

@@ -11,18 +11,21 @@ The module also houses the rewriting toolbox: templification (turning a
 user definition with open first order predicate symbols into a
 template), macro expansion of simple non-recursive template libraries,
 and elimination of existential second order quantifiers by switching
-them past first order universals and skolemizing.
+them past first order universals and skolemizing.  Rewrites are checked
+by Σ-equivalence on the shared searches: the exact Σ-interpretations come
+from `mx`'s (`definitions.constrained_completions`), and a formula is
+expandable on one iff, for some value of its extra constants, its
+supervaluation with its extra predicate symbols u is not f.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import definitions
 from .errors import CapExceeded, EvaluationError, NonTotalDefinitionError, TypeError_
-from .evaluator import evaluate_exact
+from .evaluator import SUPERVALUATION, evaluate
 from .interpretation import PartialInterpretation
 from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (
@@ -30,7 +33,7 @@ from .syntax import (
     ForallFO, ForallSO, Iff, Implies, Let, NameGen, Not, Or, Rule, RuleSet,
     SymTerm, classify, FRAGMENT_FO, fold, free_symbols, rebuild, substitute,
 )
-from .truthvalues import T, exact_set
+from .truthvalues import F, U, PartialSet
 from .vocab import DOMAIN, Symbol, pred, predicate_carrier, so_pred
 
 @dataclass(frozen=True)
@@ -454,45 +457,36 @@ def eliminate_so(phi) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Σ-equivalence by model enumeration
+# Σ-equivalence on the completion and supervaluation searches
 
 
-def _exact_interpretations(
-    symbols: Sequence[Symbol], domain: Sequence, limits: Limits
-):
-    """All exact interpretations of `symbols` over `domain`."""
-    symbols = sorted(set(symbols), key=lambda s: s.name)
-    spaces = []
+def _all_u(i: PartialInterpretation, symbols, limits: Limits) -> PartialInterpretation:
+    """i expanded with each of `symbols` but the constants u over its whole carrier."""
     for s in symbols:
-        if s.type.kind == "const":
-            spaces.append(list(domain))
-        elif s.type.is_predicate:
-            carrier = predicate_carrier(s.type, domain, limits)
-            limits.check("max_unknowns", len(carrier), "{n} atoms of {name} exceed cap {cap}",
-                         name=s.name)
-            spaces.append(
-                [exact_set(carrier, members)
-                 for r in range(len(carrier) + 1)
-                 for members in itertools.combinations(carrier, r)]
-            )
-        else:
-            raise TypeError_(f"cannot enumerate values of {s.name}: {s.type}")
-    for combo in itertools.product(*spaces):
-        yield PartialInterpretation.make(domain, dict(zip(symbols, combo)))
+        if s.type.kind != "const":  # predicate_carrier refuses any other type
+            keys = tuple(predicate_carrier(s.type, i.domain, limits))
+            i = i._expand(s, PartialSet(keys, (U,) * len(keys)))
+    return i
+
+
+def _consts(symbols) -> list:
+    return sorted({s for s in symbols if s.type.kind == "const"}, key=lambda s: s.name)
+
+
+def _sigma_bases(sigma: Sequence[Symbol], domain: Sequence, limits: Limits):
+    """All exact interpretations of `sigma` over `domain`, as `mx` enumerates
+    them: atoms t then f, constants innermost; the cap counts every atom."""
+    i = _all_u(PartialInterpretation.empty(domain), sigma, limits)
+    return definitions.constrained_completions([], i, limits, _consts(sigma))
 
 
 def _expandable(phi, base: PartialInterpretation, limits: Limits) -> bool:
-    extra = sorted(
-        (s for s in free_symbols(phi) if not base.interprets(s)),
-        key=lambda s: s.name,
-    )
-    for ext in _exact_interpretations(extra, base.domain, limits):
-        j = base
-        for s in extra:
-            j = j.expand(s, ext.value(s))
-        if evaluate_exact(phi, j, limits) is T:
-            return True
-    return False
+    """Whether some exact value of phi's symbols outside base makes it t: on
+    an exact base, for some value of those constants, the supervaluation
+    with those predicate symbols u is not f."""
+    extra = [s for s in free_symbols(phi) if not base.interprets(s)]
+    return any(evaluate(phi, _all_u(j, extra, limits), SUPERVALUATION, limits) is not F
+               for j in definitions.constrained_completions([], base, limits, _consts(extra)))
 
 
 def sigma_equivalent(
@@ -504,7 +498,7 @@ def sigma_equivalent(
 ) -> bool:
     """Same Σ-restricted model class: every exact Σ-interpretation over
     the domain is expandable to a model of phi1 iff of phi2."""
-    for base in _exact_interpretations(sigma, domain, limits):
+    for base in _sigma_bases(sigma, domain, limits):
         if _expandable(phi1, base, limits) != _expandable(phi2, base, limits):
             return False
     return True

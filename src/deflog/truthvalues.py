@@ -8,9 +8,10 @@ The value space is THREE = {t, u, f} with two partial orders:
 Exact values are t and f.  A two-valued boolean function F is lifted to
 partial inputs by its *ultimate approximation*: the greatest lower bound
 under <=p of F over all exact completions of the input.  The Kleene
-connectives, the three-valued quantifiers and the three-valued aggregate
-tests below all coincide with that construction; tests check this
-against an independent brute-force oracle (`tests/oracles.py`).
+connectives, Min and Max in the truth order (the three-valued
+quantifiers) and the three-valued aggregate tests below all coincide
+with that construction; tests check this against an independent
+brute-force oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -238,29 +239,8 @@ class PartialSet:
             yield PartialSet(self.carrier, tuple(vals))
 
 
-def exact_set(carrier: Iterable[Hashable], members: Iterable[Hashable]) -> PartialSet:
-    member_set = set(members)
-    return PartialSet.from_map(
-        {k: TV.of(k in member_set) for k in carrier}
-    )
-
-
 # ---------------------------------------------------------------------------
-# Quantifiers and aggregates
-
-
-def approx_quantifier(q: str, s: PartialSet) -> TV:
-    """Three-valued universal/existential over the range of s.
-
-    Coincides with the ultimate approximation of the classical
-    quantifier; empty carriers are vacuously t for "forall" and f for
-    "exists".
-    """
-    if q == "forall":
-        return min_truth(s.values, empty=T)
-    if q == "exists":
-        return max_truth(s.values, empty=F)
-    raise EvaluationError(f"unknown quantifier {q!r}")
+# Aggregates
 
 
 _CMP = {"=": lambda a, b: a == b, "<": lambda a, b: a < b, ">": lambda a, b: a > b}

@@ -55,6 +55,17 @@
   the items by name (stable) and construct afresh.  The sort-free
   `PartialInterpretation._expand`, `revise` and `restrict` must give the
   very same `assignments` tuple.
+* Σ-equivalence by model enumeration as first written
+  (`oracle_exact_interpretations`, `oracle_expandable`,
+  `oracle_sigma_equivalent`): a product of every subset of each
+  symbol's carrier, capped per symbol, and every exact value of the
+  extra symbols tried in turn with the classical evaluator.
+  `deflog.templates` takes its Σ bases from the `mx` search and decides
+  expandability by one supervaluation per value of the extra
+  constants; both must give the same verdict, or raise alike, except
+  where a raise falls on a completion the other search does not reach.
+  `exact_set` and `approx_quantifier` (a quantifier as Min or Max over a
+  partial set) also live here, used only by tests.
 * The truth order by rank table (`rank_min_truth`, `rank_max_truth`,
   `rank_leq_truth`), as `truthvalues` first computed it.
 * The Kleene evaluator as first written (`oracle_kv`): an `isinstance`
@@ -104,9 +115,9 @@ from typing import Callable, Sequence
 
 from deflog import definitions
 from deflog.errors import (
-    CapExceeded, DeflogError, EvaluationError, NonTotalDefinitionError, ParseError,
+    CapExceeded, DeflogError, EvaluationError, NonTotalDefinitionError, ParseError, TypeError_,
 )
-from deflog.evaluator import EvalContext, _compiled
+from deflog.evaluator import EvalContext, _compiled, evaluate_exact
 from deflog.interpretation import PartialInterpretation, _fmt_key
 from deflog.limits import DEFAULT_LIMITS, Limits
 from deflog.parser import Theory
@@ -118,7 +129,7 @@ from deflog.syntax import (
 )
 from deflog.truthvalues import (
     F, T, TV, U, PartialSet, approx_aggregate, canon_order, conj, disj, glb_prec, iff,
-    implies, neg,
+    implies, max_truth, min_truth, neg,
 )
 from deflog.vocab import (
     CONST, DomainAtom, Symbol, Type, Vocabulary, arg_value_space, pred, predicate_carrier,
@@ -688,6 +699,68 @@ def oracle_relations(domain, arity):
     tuples = list(itertools.product(domain, repeat=arity))
     return [frozenset(itertools.compress(tuples, mask))
             for mask in itertools.product((0, 1), repeat=len(tuples))]
+
+
+# ---------------------------------------------------------------------------
+# Exact sets, the quantifiers on a partial set, and Σ-equivalence by model
+# enumeration, as first written
+
+
+def exact_set(carrier, members) -> PartialSet:
+    """The exact set over carrier whose t keys are `members`."""
+    member_set = set(members)
+    return PartialSet.from_map({k: TV.of(k in member_set) for k in carrier})
+
+
+def approx_quantifier(q: str, s: PartialSet) -> TV:
+    """Three-valued universal/existential over the range of s, as Min/Max in
+    the truth order; an empty carrier is t for "forall" and f for "exists"."""
+    if q == "forall":
+        return min_truth(s.values, empty=T)
+    if q == "exists":
+        return max_truth(s.values, empty=F)
+    raise EvaluationError(f"unknown quantifier {q!r}")
+
+
+def oracle_exact_interpretations(symbols, domain, limits=DEFAULT_LIMITS):
+    """All exact interpretations of `symbols` over `domain`: a product, by
+    name, of every subset of each predicate's carrier in size order (the cap
+    per symbol) and every element for a constant."""
+    symbols = sorted(set(symbols), key=lambda s: s.name)
+    spaces = []
+    for s in symbols:
+        if s.type.kind == "const":
+            spaces.append(list(domain))
+        elif s.type.is_predicate:
+            carrier = predicate_carrier(s.type, domain, limits)
+            limits.check("max_unknowns", len(carrier), "{n} atoms of {name} exceed cap {cap}",
+                         name=s.name)
+            spaces.append([exact_set(carrier, members) for r in range(len(carrier) + 1)
+                           for members in itertools.combinations(carrier, r)])
+        else:
+            raise TypeError_(f"cannot enumerate values of {s.name}: {s.type}")
+    for combo in itertools.product(*spaces):
+        yield PartialInterpretation.make(domain, dict(zip(symbols, combo)))
+
+
+def oracle_expandable(phi, base, limits=DEFAULT_LIMITS) -> bool:
+    """Whether some exact value of phi's symbols outside base makes it t,
+    each tried with the classical evaluator."""
+    extra = sorted((s for s in free_symbols(phi) if not base.interprets(s)),
+                   key=lambda s: s.name)
+    for ext in oracle_exact_interpretations(extra, base.domain, limits):
+        j = base
+        for s in extra:
+            j = j.expand(s, ext.value(s))
+        if evaluate_exact(phi, j, limits) is T:
+            return True
+    return False
+
+
+def oracle_sigma_equivalent(phi1, phi2, sigma, domain, limits=DEFAULT_LIMITS) -> bool:
+    """Every exact Σ-interpretation is expandable to a model of phi1 iff of phi2."""
+    return all(oracle_expandable(phi1, base, limits) == oracle_expandable(phi2, base, limits)
+               for base in oracle_exact_interpretations(sigma, domain, limits))
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,16 @@ from deflog.templates import (
     sigma_equivalent, templify,
 )
 from deflog.truthvalues import (
-    F, T, TV, U, PartialSet, approx_aggregate, approx_quantifier, conj, disj,
-    exact_set, iff, implies, leq_prec, neg,
+    F, T, TV, U, PartialSet, approx_aggregate, conj, disj, iff, implies, leq_prec,
+    neg,
 )
 from deflog.vocab import Symbol, Vocabulary, pred
 
 from conftest import GOLDEN
 from gen import PROPS, random_formula, random_interpretation, random_ruleset
-from oracles import classical_eval, completions, super_oracle
+from oracles import (
+    approx_quantifier, classical_eval, completions, exact_set, super_oracle,
+)
 from test_cli import CASES as CLI_CASES
 from test_definitions import as_interpretation, gamma, oracle_wfm
 from test_templates import (

@@ -10,12 +10,12 @@ from deflog.interpretation import (
     PartialInterpretation, read_structure, write_structure,
 )
 from deflog.limits import Limits
-from deflog.truthvalues import F, T, U, PartialSet, exact_set
+from deflog.truthvalues import F, T, U, PartialSet
 from deflog.vocab import CONST, DOMAIN, DomainAtom, Symbol, Vocabulary, pred, so_pred
 
 from oracles import (
-    completions, expand_unknown, oracle_read_structure, rebuild_expand, rebuild_restrict,
-    rebuild_revise, refinements,
+    completions, exact_set, expand_unknown, oracle_read_structure, rebuild_expand,
+    rebuild_restrict, rebuild_revise, refinements,
 )
 
 P = Symbol("P", pred(1))

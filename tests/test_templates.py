@@ -7,6 +7,7 @@ enumeration for rewrites."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -14,22 +15,26 @@ from click.testing import CliRunner
 from deflog import definitions
 from deflog.cli import main
 from deflog.definitions import well_founded_model
-from deflog.errors import EvaluationError, TypeError_
+from deflog.errors import CapExceeded, DeflogError, EvaluationError, TypeError_
 from deflog.evaluator import evaluate_exact
 from deflog.interpretation import PartialInterpretation
 from deflog.limits import DEFAULT_LIMITS
 from deflog.parser import parse_formula, parse_ruleset, parse_theory
-from deflog.syntax import FRAGMENT_FO, classify, free_symbols, unparse
+from deflog.syntax import FRAGMENT_FO, ExistsSO, ForallFO, classify, free_symbols, unparse
 from deflog.templates import (
-    Template, TemplateLibrary, _stratify, apply_library, check_correspondence,
-    eliminate_so, is_simple, macro_expand, sigma_equivalent, templify,
-    validate_library,
+    Template, TemplateLibrary, _expandable, _sigma_bases, _stratify, apply_library,
+    check_correspondence, eliminate_so, is_simple, macro_expand, sigma_equivalent,
+    templify, validate_library,
 )
-from deflog.truthvalues import T, exact_set
-from deflog.vocab import CONST, Symbol, Vocabulary, pred
+from deflog.truthvalues import T
+from deflog.vocab import CONST, Symbol, Vocabulary, pred, predicate_carrier
 
 from conftest import DATA
-from oracles import expand_unknown
+from gen import random_tree
+from oracles import (
+    exact_set, expand_unknown, oracle_exact_interpretations, oracle_expandable,
+    oracle_sigma_equivalent,
+)
 
 
 def load(name):
@@ -602,3 +607,112 @@ class TestSigmaEquivalence:
         a = parse_formula("?x: R(x) & P(x, x)", self.VOCAB)
         b = parse_formula("?x: R(x)", self.VOCAB)
         assert sigma_equivalent(a, b, [r], ("a", "b"))
+
+
+class TestSigmaEquivalenceOnTheSearch:
+    """Σ bases from the `mx` search and expandability as one supervaluation,
+    against the enumeration of every exact value (`oracle_sigma_equivalent`)."""
+
+    P, Q = Symbol("P", pred(2)), Symbol("Q", pred(2))
+    VOCAB = Vocabulary.of([P, Q, Symbol("R", pred(1)), Symbol("T", pred(2)),
+                           Symbol("Z", pred(1))])
+    SWITCHED = load("eso.theory").formulas["switched"]
+
+    @pytest.mark.parametrize("domain", [("a",), ("a", "b"), ("a", "b", "c")])
+    def test_switched_against_its_rewrite_and_two_broken_ones(self, domain):
+        matrix, _ = eliminate_so(self.SWITCHED)
+        sigma = [self.P]
+        assert sigma_equivalent(self.SWITCHED, matrix, sigma, domain)
+        dropped = parse_formula("!x: T(x, x)", self.VOCAB)  # the second conjunct dropped
+        assert not sigma_equivalent(self.SWITCHED, dropped, sigma, domain)
+        swapped = parse_formula("!x: Z(x) & (!y: Z(y) => P(x, y))", self.VOCAB)  # ∃S∀x
+        assert sigma_equivalent(self.SWITCHED, swapped, sigma, domain) is (len(domain) == 1)
+
+    def test_the_cap_counts_every_atom_of_sigma(self):
+        a = parse_formula("?x: P(x, x)", self.VOCAB)
+        b = parse_formula("?x: Q(x, x)", self.VOCAB)
+        limits = DEFAULT_LIMITS.with_(max_unknowns=5)
+        with pytest.raises(CapExceeded, match=r"^8 unknown atoms exceed cap 5 \(--max-completions\)$"):
+            sigma_equivalent(a, b, [self.P, self.Q], ("a", "b"), limits)
+        # the enumeration capped each symbol alone, 4 atoms, and went through 2^8 bases
+        assert not oracle_sigma_equivalent(a, b, [self.P, self.Q], ("a", "b"), limits)
+
+    def test_bases_are_the_exact_interpretations_t_before_f(self):
+        c = Symbol("c", CONST)
+        sigma = [self.VOCAB.get("R"), c, self.P]
+        bases = [
+            tuple((s.name, getattr(v, "values", v)) for s, v in j.assignments)
+            for j in _sigma_bases(sigma, ("a", "b"), DEFAULT_LIMITS)]
+        want = [tuple((s.name, getattr(v, "values", v)) for s, v in j.assignments)
+                for j in oracle_exact_interpretations(sigma, ("a", "b"))]
+        assert len(bases) == len(want) == 2 ** 6 * 2 and set(bases) == set(want)
+        assert bases[:2] == [(("P", (T,) * 4), ("R", (T, T)), ("c", d)) for d in "ab"]
+
+    @staticmethod
+    def outcome(f):
+        try:
+            return f()
+        except DeflogError as exc:
+            return type(exc)
+
+    def compare(self, new, old, counts: Counter) -> None:
+        """Equal verdicts where both answer, equal classes where both raise;
+        a raise on one side only counts, as the two searches visit
+        completions in different orders and stop at different ones."""
+        new, old = self.outcome(new), self.outcome(old)
+        if type(new) is bool and type(old) is bool:
+            assert new is old
+            counts[new] += 1
+        elif type(new) is bool or type(old) is bool:
+            counts["one side raises"] += 1
+        else:
+            assert new is old
+            counts["both raise"] += 1
+
+    DOMAINS = ((1,), (1, 2))
+    MAX_ATOMS = 10  # Σ and extra atoms together, so the oracle's 2^n loops stay small
+
+    @staticmethod
+    def atoms(symbols, domain) -> int:
+        return sum(len(predicate_carrier(s.type, domain)) for s in symbols if s.type.is_predicate)
+
+    def test_eso_rewrites_match_the_enumeration(self):
+        s, x = Symbol("S", pred(1)), Symbol("x", CONST)
+        counts = Counter()
+        for seed in range(100):
+            rng = random.Random(seed)
+            fo = (x,) if rng.random() < 0.5 else ()
+            phi = ExistsSO(s, random_tree(rng, 2, fo_vars=fo, so_vars=(s,), rels=(s,)))
+            phi = ForallFO(x, phi) if fo else phi
+            try:
+                matrix, _ = eliminate_so(phi)
+            except EvaluationError:  # not in ESO(ID*): a positive universal, say
+                continue
+            sigma = sorted(free_symbols(phi), key=lambda sym: sym.name)
+            for domain in self.DOMAINS:
+                if self.atoms(free_symbols(matrix) | set(sigma), domain) <= self.MAX_ATOMS:
+                    self.compare(lambda: sigma_equivalent(phi, matrix, sigma, domain),
+                                 lambda: oracle_sigma_equivalent(phi, matrix, sigma, domain),
+                                 counts)
+        assert counts[True] >= 100 and counts[False] >= 1, counts
+        assert counts["one side raises"] + counts["both raise"] <= 5, counts
+
+    def test_extra_symbols_and_a_constant_match_the_enumeration(self):
+        c = Symbol("c", CONST)
+        counts, drawn = Counter(), Counter()
+        for seed in range(100):
+            rng = random.Random(seed)
+            phi = random_tree(rng, 2, consts=(c,))
+            free = sorted((sym for sym in free_symbols(phi) if sym.type.is_predicate),
+                          key=lambda sym: sym.name)
+            sigma = [sym for sym in free if rng.random() < 0.5]  # the rest are extra
+            drawn["constant"] += c in free_symbols(phi)
+            drawn["extra predicate"] += len(sigma) < len(free)
+            for domain in self.DOMAINS:
+                if self.atoms(free, domain) <= self.MAX_ATOMS:
+                    for base in oracle_exact_interpretations(sigma, domain):
+                        self.compare(lambda: _expandable(phi, base, DEFAULT_LIMITS),
+                                     lambda: oracle_expandable(phi, base), counts)
+        assert drawn["constant"] >= 40 and drawn["extra predicate"] >= 40, drawn
+        assert counts[True] >= 500 and counts[False] >= 300, counts
+        assert counts["one side raises"] + counts["both raise"] <= 5, counts

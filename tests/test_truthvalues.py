@@ -11,14 +11,13 @@ import pytest
 from deflog.errors import CapExceeded, EvaluationError
 from deflog.limits import Limits
 from deflog.truthvalues import (
-    F, T, TV, U, PartialSet, approx_aggregate, approx_quantifier,
-    canon_order, conj, disj, exact_set, glb_prec, iff, implies, leq_prec,
-    leq_truth, max_truth, min_truth, neg,
+    F, T, TV, U, PartialSet, approx_aggregate, canon_order, conj, disj,
+    glb_prec, iff, implies, leq_prec, leq_truth, max_truth, min_truth, neg,
 )
 
 from oracles import (
-    BoolFn, kleene_connective, rank_leq_truth, rank_max_truth, rank_min_truth,
-    ultimate_approx,
+    BoolFn, approx_quantifier, exact_set, kleene_connective, rank_leq_truth, rank_max_truth,
+    rank_min_truth, ultimate_approx,
 )
 
 THREE = (T, U, F)
