@@ -9,13 +9,16 @@ byte-order mark, parses them, and passes the verb body `theory`,
 `struct` and one `limits`.  It maps every error to an exit code: 0
 success, 1 semantic "no model / not total / check failed", 2 input
 error, 3 resource cap exhausted.  Output is deterministic: atoms and
-names are sorted before printing, and JSON output uses stable key order.
+names are sorted before printing.  Every `--json` verb writes through
+one writer, `_json_text`, whose bytes are json.dumps(payload,
+sort_keys=True, indent=2)'s.
 """
 
 from __future__ import annotations
 
-import json
 import sys
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _json_str
 
 import click
 
@@ -23,7 +26,7 @@ from .definitions import constrained_completions, stable_models, well_founded_mo
 from .errors import CapExceeded, DeflogError, NonTotalDefinitionError
 from .evaluator import KLEENE, SUPERVALUATION, evaluate, evaluate_exact
 from .interpretation import (
-    PartialInterpretation, _fmt_elem, _key_formatter, read_structure,
+    _TV_TEXT, PartialInterpretation, _fmt_elem, _key_texts, read_structure,
     write_structure,
 )
 from .limits import CAP_FLAGS, DEFAULT_LIMITS, Limits
@@ -128,17 +131,58 @@ def _pick(kind: str, table: dict, name: str | None):
 
 def _struct_json(i: PartialInterpretation) -> dict:
     symbols: dict = {}
-    fmt_key = _key_formatter()
     for sym, value in i.assignments:
         if sym.type.is_predicate:
-            symbols[sym.name] = {fmt_key(k): v.value for k, v in value.items()}
+            symbols[sym.name] = dict(zip(_key_texts(sym, value.carrier),
+                                         map(_TV_TEXT.__getitem__, value.values)))
         else:
             symbols[sym.name] = _fmt_elem(value)
-    return {"domain": [_fmt_elem(e) for e in i.domain], "symbols": symbols}
+    return {"domain": list(map(_fmt_elem, i.domain)), "symbols": symbols}
+
+
+def _json_items(values, inner: str) -> list:
+    """_json_text of each value: one C pass when all are str, for
+    encode_basestring_ascii raises TypeError at any other value."""
+    try:
+        return list(map(_json_str, values))
+    except TypeError:
+        return [_json_text(v, inner) for v in values]
+
+
+def _json_text(o, pad: str = "") -> str:
+    """json.dumps(o, sort_keys=True, indent=2) for dicts with str keys,
+    lists, tuples, str, int, bool and None.  json.dumps encodes in pure
+    Python whenever indent is set, some frames per entry; here an entry
+    of str costs a few C calls."""
+    if isinstance(o, str):
+        return _json_str(o)
+    inner = pad + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        keys = sorted(o)
+        texts = _json_items(list(map(o.__getitem__, keys)), inner)
+        # one join of (separator, key, ": ", value) runs; the first
+        # separator's comma is dropped
+        sep = ",\n" + inner
+        body = "".join(chain.from_iterable(
+            zip(repeat(sep), map(_json_str, keys), repeat(": "), texts)))
+        return "{" + body[1:] + "\n" + pad + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[\n" + inner + (",\n" + inner).join(_json_items(o, inner)) + "\n" + pad + "]"
+    if o is None:
+        return "null"
+    if o is True or o is False:
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"{type(o).__name__} is not JSON serializable here")
 
 
 def _echo_json(payload) -> None:
-    click.echo(json.dumps(payload, sort_keys=True, indent=2))
+    click.echo(_json_text(payload))
 
 
 def _echo_struct(i: PartialInterpretation, as_json: bool) -> None:

@@ -231,14 +231,17 @@ def is_partial_stable(
     i: PartialInterpretation,
     limits: Limits = DEFAULT_LIMITS,
     _ctx: EvalContext | None = None,
+    _shared: list | None = None,
 ) -> StableReport:
+    """The supported, prudent and brave tests of i.  Calls on refinements of
+    one context may pass one list `_shared`, as _demotion takes it."""
     ctx = _ctx or EvalContext(limits=limits)
     atoms = _defined_atoms(d, i)
 
     unsupported = tuple(
         a for a in atoms if i.atom_value(a) is not max_truth(_body_values(d, a, i, ctx), empty=F)
     )
-    demotion = _demotion(d, i, atoms, ctx.limits)
+    demotion = _demotion(d, i, atoms, ctx.limits, _shared)
     gus = greatest_unfounded_set(d, i, limits, _ctx=ctx)
     return StableReport(
         interpretation=i,
@@ -267,9 +270,9 @@ def partial_stable_models(
     i0 = expand_context(d, o, limits, carriers)
     atoms = _capped_atoms(d, i0, limits)
     g = _Ground(None, i0, limits, symbols=d.defined_symbols)  # t, u and f per atom, no cut
-    xs = [_ATOMS + h for h in range(len(atoms))]
+    xs, shared = [_ATOMS + h for h in range(len(atoms))], []
     return [cand for cand in _branch(g, xs, (), None, (2, 1, 0))
-            if is_partial_stable(d, cand, limits, _ctx=_ctx).is_partial_stable]
+            if is_partial_stable(d, cand, limits, _ctx=_ctx, _shared=shared).is_partial_stable]
 
 
 def stable_models(

@@ -216,28 +216,34 @@ def _key_formatter():
         texts[e] if e in texts else texts.setdefault(e, _fmt_elem(e)) for e in key) + ")"
 
 
-_DEFAULT_ORDER = {F: 0, U: 1, T: 2}
+def _key_texts(sym: Symbol, carrier: tuple) -> list[str]:
+    """_fmt_key of every key of `sym`'s carrier, in carrier order.  A first
+    order key holds only names and ints, whose text is str's, so one %
+    format per arity makes it; a second order key keeps _key_formatter's
+    canonical relation text."""
+    if sym.type.kind == "pred":
+        return list(map(("(" + ", ".join(("%s",) * sym.type.arity) + ")").__mod__, carrier))
+    return list(map(_key_formatter(), carrier))
+
+
+_TV_TEXT = {T: "t", U: "u", F: "f"}
 
 
 def write_structure(i: PartialInterpretation) -> str:
-    fmt_key = _key_formatter()
-    lines = ["domain = {" + ", ".join(_fmt_elem(e) for e in i.domain) + "}"]
+    lines = ["domain = {" + ", ".join(map(_fmt_elem, i.domain)) + "}"]
     for sym, value in i.assignments:
         if not sym.type.is_predicate:
             lines.append(f"{sym.name} = {_fmt_elem(value)}")
             continue
-        counts = {F: 0, U: 0, T: 0}
-        for v in value.values:
-            counts[v] += 1
-        default = max(counts, key=lambda v: (counts[v], -_DEFAULT_ORDER[v]))
-        entries = [
-            f"{fmt_key(k)}: {v.value}" for k, v in value.items() if v is not default
-        ]
+        texts, values = _key_texts(sym, value.carrier), value.values
         if sym.type.kind == "pred":
-            entries.append(f"*: {default.value}")
+            # the most frequent value is `*`'s, f before u before t on a tie
+            default = max((F, U, T), key=values.count)
+            entries = [f"{t}: {_TV_TEXT[v]}" for t, v in zip(texts, values) if v is not default]
+            entries.append(f"*: {_TV_TEXT[default]}")
         else:
             # second order carriers are explicit: list every entry
-            entries = [f"{fmt_key(k)}: {v.value}" for k, v in value.items()]
+            entries = [f"{t}: {_TV_TEXT[v]}" for t, v in zip(texts, values)]
         lines.append(f"{sym.name} = {{" + ", ".join(entries) + "}")
     return "\n".join(lines) + "\n"
 

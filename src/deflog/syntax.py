@@ -188,9 +188,12 @@ class RuleSet:
     rules: tuple  # tuple[Rule, ...]
 
     def __post_init__(self):
-        # a rule set is a set: canonicalize order, drop duplicates
-        unique = tuple(dict.fromkeys(self.rules))
-        object.__setattr__(self, "rules", tuple(sorted(unique, key=repr)))
+        # a rule set is a set: canonicalize order, drop duplicates; a lone
+        # rule is in order without its repr
+        rules = tuple(self.rules)
+        if len(rules) > 1:
+            rules = tuple(sorted(dict.fromkeys(rules), key=repr))
+        object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_hash", hash(self.rules))
 
     def __hash__(self) -> int:  # cached: rule sets key the WFM memo

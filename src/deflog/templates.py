@@ -420,7 +420,14 @@ def _hoist(e, gen: NameGen):
         # switching rule: each P jumps the universal by gaining an
         # argument position for the quantified variable
         switched = {p: gen.fresh(Symbol(p.name, pred(p.type.arity + 1))) for p in vars_}
-        return list(switched.values()), ForallFO(e.var, _switch_var(matrix, switched, e.var))
+        matrix = _switch_var(matrix, switched, e.var)
+        # only an atom's predicate switches: where P is read otherwise, say
+        # as a second order atom's argument, no first order P' replaces it
+        stuck = [p.name for p in vars_ if p in free_symbols(matrix)]
+        if stuck:
+            raise EvaluationError(f"cannot switch second order variable {stuck[0]} past "
+                                  f"!{e.var.name}: it occurs other than as a predicate")
+        return list(switched.values()), ForallFO(e.var, matrix)
     if isinstance(e, (Not, Aggregate)) and fold(e.body, _so_inside):
         raise EvaluationError(
             "second order quantifier under negation is not in ESO(ID*)" if type(e) is Not

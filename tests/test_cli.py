@@ -18,6 +18,8 @@ import time
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deflog
 from deflog import cli, definitions
@@ -127,6 +129,11 @@ CASES = [
         ["apply-lib", "--json", d("eq.theory"), d("eq_ab.struct")],
         0,
     ),
+    (
+        "wfm-reach.json",
+        ["wfm", "--json", "-d", "reach", d("reach.theory"), d("reach.struct")],
+        0,
+    ),
 ]
 
 
@@ -152,6 +159,7 @@ HASH_SEED_ARGVS = [
     ["mx", d("mx.theory"), d("mx_open.struct")],
     ["apply-lib", "--json", d("eq.theory"), d("eq_ab.struct")],
     ["apply-lib", "--json", d("game.theory"), d("empty.struct")],
+    ["wfm", "--json", d("reach.theory"), d("reach.struct")],
     ["eval", "-m", "super", d("props.theory"), d("props_unknown.struct")],
     ["classify", d("tc.theory")],
 ]
@@ -186,6 +194,21 @@ def test_output_does_not_depend_on_hash_values(tmp_path):
     for other in outputs[1:]:
         for argv, a, b in zip(argvs, outputs[0], other):
             assert a == b, argv
+
+
+_JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\n\t\x00\x1f\x7fé€\U0001f600\ud800')))
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _JSON_TEXT),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=3).map(tuple),
+                           st.dictionaries(_JSON_TEXT, kids, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_JSON)
+def test_json_writer_is_json_dumps(payload):
+    # every --json verb writes through _json_text, byte for byte json.dumps's
+    assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
 class TestExitCodes:
@@ -245,6 +268,17 @@ class TestExitCodes:
             "mx", "--max-completions", "2", d("mx.theory"), d("mx_open.struct")
         )
         assert r.exit_code == 3
+
+    def test_eliminate_so_refuses_a_variable_it_cannot_switch(self, tmp_path):
+        # S is an argument of E under !x: no first order S_1 can take its
+        # place there, so the rewrite is refused, not printed with S free
+        theory = tmp_path / "t.theory"
+        theory.write_text("vocab { E: so-pred(pred/1); }\n"
+                          "formula f { !x: ?? S[pred/1]: ~(S(x) <=> E(S)) }\n")
+        r = self.run("eliminate-so", str(theory))
+        assert (r.exit_code, r.exception.code) == (2, 2)
+        assert r.stderr == ("error: cannot switch second order variable S past !x: "
+                            "it occurs other than as a predicate\n")
 
     def test_no_stable_model_exit(self):
         r = self.run("stable", "-d", "paradox", d("props.theory"), d("empty.struct"))

@@ -218,6 +218,18 @@ class TestAgainstStableOperatorOracle:
                  else "several models" if len(got[0]) > 1 else "at most one model"] += 1
         assert seen["cap"] > 20 and min(seen.values()) > 5 and len(seen) == 4, seen
 
+    def test_partial_stable_models_share_one_demotion_grounding(self, monkeypatch):
+        # every candidate's prudence test reads the one grounding the first
+        # candidate with a t atom built, as stable_models' does
+        vocab = Vocabulary.of(Symbol(n, pred(0)) for n in ("x", "y", "c0", "c1", "c2"))
+        d = parse_ruleset("{x <- ~y. y <- ~x. c0 <- c0. c1 <- c1. c2 <- c2.}", vocab)
+        lists, demotion = [], definitions._demotion
+        monkeypatch.setattr(definitions, "_demotion",
+                            lambda *a: lists.append(a[4]) or demotion(*a))
+        models = partial_stable_models(d, PartialInterpretation.empty(("a",)))
+        assert len(models) == 3 and len(lists) > 20
+        assert all(shared is lists[0] for shared in lists) and len(lists[0]) == 1
+
     def test_wfm_both_methods_match_alternating_fixpoint(self):
         rng = random.Random(29)
         o = PartialInterpretation.empty(DOMAIN)

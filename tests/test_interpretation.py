@@ -7,11 +7,13 @@ import pytest
 
 from deflog.errors import CapExceeded, EvaluationError, ParseError, TypeError_
 from deflog.interpretation import (
-    PartialInterpretation, read_structure, write_structure,
+    PartialInterpretation, _fmt_key, _key_texts, read_structure, write_structure,
 )
 from deflog.limits import Limits
-from deflog.truthvalues import F, T, U, PartialSet
-from deflog.vocab import CONST, DOMAIN, DomainAtom, Symbol, Vocabulary, pred, so_pred
+from deflog.truthvalues import F, T, U, PartialSet, canon_order
+from deflog.vocab import (
+    CONST, DOMAIN, DomainAtom, Symbol, Vocabulary, pred, predicate_carrier, so_pred,
+)
 
 from oracles import (
     completions, exact_set, expand_unknown, oracle_read_structure, rebuild_expand,
@@ -289,6 +291,39 @@ class TestStructureFormat:
         if "9" not in value:  # a key given the same value twice has that value
             same = read_structure(f"domain = {{a, b}}\nP = {value.replace('f', 't')}\n", VOCAB)
             assert same.value(P).value(("a",)) is T
+
+
+class TestKeyTexts:
+    """_key_texts gives every key's _fmt_key text in one pass."""
+
+    ELEMENTS = ("a", "b'", "x_1''", "Z", 0, 7, -3, 12, -40)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_first_order_carriers(self, seed):
+        rng = random.Random(seed)
+        domain = sorted(rng.sample(self.ELEMENTS, rng.randint(1, 5)), key=canon_order)
+        for arity in range(4):
+            carrier = predicate_carrier(pred(arity), domain)
+            rng.shuffle(carrier)  # texts follow the carrier, in any order
+            assert _key_texts(Symbol("R", pred(arity)), tuple(carrier)) == list(map(_fmt_key, carrier))
+
+    @pytest.mark.parametrize("t", [so_pred(pred(1)), so_pred(DOMAIN, pred(2)),
+                                   so_pred(pred(0), DOMAIN), so_pred(DOMAIN)])
+    def test_second_order_carriers(self, t):
+        for domain in (("a",), (-1, "a"), (2, "b'")):
+            carrier = tuple(predicate_carrier(t, domain))
+            assert _key_texts(Symbol("S", t), carrier) == list(map(_fmt_key, carrier))
+
+    @pytest.mark.parametrize("values, star", [
+        ((T, F, U, T, F, U), "f"), ((T, U, U, T), "u"), ((T, T, U), "t"), ((U, F, F, U), "f"),
+    ])
+    def test_default_is_the_most_frequent_value_f_before_u_before_t(self, values, star):
+        domain = tuple(f"e{k}" for k in range(len(values)))
+        i = PartialInterpretation.make(domain, {P: PartialSet.from_map(
+            {(e,): v for e, v in zip(domain, values)})})
+        line = write_structure(i).splitlines()[1]
+        assert line.endswith(f"*: {star}}}")
+        assert read_structure(write_structure(i), VOCAB).value(P) == i.value(P)
 
 
 class TestReaderOrder:

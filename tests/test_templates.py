@@ -20,7 +20,7 @@ from deflog.evaluator import evaluate_exact
 from deflog.interpretation import PartialInterpretation
 from deflog.limits import DEFAULT_LIMITS
 from deflog.parser import parse_formula, parse_ruleset, parse_theory
-from deflog.syntax import FRAGMENT_FO, ExistsSO, ForallFO, classify, free_symbols, unparse
+from deflog.syntax import FRAGMENT_FO, ExistsSO, ForallFO, Not, classify, free_symbols, unparse
 from deflog.templates import (
     Template, TemplateLibrary, _expandable, _sigma_bases, _stratify, apply_library,
     check_correspondence, eliminate_so, is_simple, macro_expand, sigma_equivalent,
@@ -677,8 +677,10 @@ class TestSigmaEquivalenceOnTheSearch:
         return sum(len(predicate_carrier(s.type, domain)) for s in symbols if s.type.is_predicate)
 
     def test_eso_rewrites_match_the_enumeration(self):
+        # every rewrite eliminate_so gives is Σ-equivalent; its negation, a
+        # wrong rewrite, keeps the differential seeing both verdicts
         s, x = Symbol("S", pred(1)), Symbol("x", CONST)
-        counts = Counter()
+        counts, wrong = Counter(), Counter()
         for seed in range(100):
             rng = random.Random(seed)
             fo = (x,) if rng.random() < 0.5 else ()
@@ -691,10 +693,12 @@ class TestSigmaEquivalenceOnTheSearch:
             sigma = sorted(free_symbols(phi), key=lambda sym: sym.name)
             for domain in self.DOMAINS:
                 if self.atoms(free_symbols(matrix) | set(sigma), domain) <= self.MAX_ATOMS:
-                    self.compare(lambda: sigma_equivalent(phi, matrix, sigma, domain),
-                                 lambda: oracle_sigma_equivalent(phi, matrix, sigma, domain),
-                                 counts)
-        assert counts[True] >= 100 and counts[False] >= 1, counts
+                    for rewrite, seen in ((matrix, counts), (Not(matrix), wrong)):
+                        self.compare(lambda: sigma_equivalent(phi, rewrite, sigma, domain),
+                                     lambda: oracle_sigma_equivalent(phi, rewrite, sigma, domain),
+                                     seen)
+        assert counts[True] >= 100 and counts[False] == 0, counts
+        assert wrong[False] >= 20, wrong
         assert counts["one side raises"] + counts["both raise"] <= 5, counts
 
     def test_extra_symbols_and_a_constant_match_the_enumeration(self):
