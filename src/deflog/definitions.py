@@ -39,18 +39,19 @@ into a residual of their atoms, constants and a placeholder per hand-on
 atom.  Each head writes its relations into those atoms, resolves the
 placeholders to its own atoms and simplifies the residual as a fresh
 grounding would build it, valuing whole each part that reads no defined
-symbol.  So eq's one rule at
-|D| = 3 is ground once, not 512 times, and game's two once per position.
+symbol.  So eq's one rule at |D| = 3 is ground once, not 512 times, and
+game's two once per position.
 A body of such atoms and connectives alone that reads no parameter is
 ground alike in every context, so its grounding is kept on the rule set
 (`_lifts`) and serves every well-founded model over that domain, until a
 model over another domain replaces them.
 
 The subset condition above stays the definition of prudence, but it is
-checked with one least fixpoint (`_demotion`): the lower stable operator
-of approximation fixpoint theory at the candidate's upper bound, run as
-derivation rounds on the rule set ground with the t atoms demoted to u,
-once per `stable_models` call, each candidate's values written into it.
+checked with one least fixpoint (`_Ground.demotion`): the lower stable
+operator of approximation fixpoint theory at the candidate's upper bound,
+run as derivation rounds on the rule set ground with the t atoms demoted
+to u.  The three conditions share one grounding per search, or per
+`is_partial_stable` call, each test writing its values into it.
 
 A rule set used as a formula is the glb over the exact completions of
 the unknown atoms it reads.  The well-founded model is precision-monotone
@@ -71,8 +72,10 @@ set's valued at every node by its model there, until one decides.  `mx`
 (with u as a third value) branch on the value list (`_branch`): an
 assignment re-values only the leaves and residuals on its atom's watch
 list (MiniSat's watched literals, Eén and Sörensson 2003), and only a
-candidate is built as an interpretation.  The rule form serves the
-fixpoints, prudence and the atoms a rule set as formula reads.
+candidate is built as an interpretation; the model searches start at the
+well-founded model, the ≤p-least partial stable one, and the atom cap
+counts the atoms it leaves u (`_models`).  The rule form serves the
+fixpoints, the three conditions and the atoms a rule set as formula reads.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ from .syntax import (
     And, Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO, ExistsSO, ForallFO, ForallSO, Iff, Implies,
     Let, Not, Or, RuleSet, SymTerm, fold, free_symbols, term_symbols,
 )
-from .truthvalues import F, T, TV, U, PartialSet, canon_order, max_truth
+from .truthvalues import F, T, TV, U, PartialSet, canon_order
 from .vocab import DomainAtom, Symbol, predicate_carrier
 
 
@@ -101,25 +104,10 @@ def _defined_atoms(d: RuleSet, i: PartialInterpretation) -> list[DomainAtom]:
             for key in i.value(h).carrier]
 
 
-def _capped_atoms(d: RuleSet, i0: PartialInterpretation, limits: Limits) -> list[DomainAtom]:
-    """The defined atoms to branch on, at most `limits.max_defined_atoms`."""
-    atoms = _defined_atoms(d, i0)
-    limits.check("max_defined_atoms", len(atoms), "{n} defined atoms exceed cap {cap}")
-    return atoms
-
-
 def _head_env(r, args: tuple, domain: tuple) -> dict:
     """The rule's head variables bound to a defined atom's arguments."""
     return {var: _relation_cached(val, var.type.arity, domain)
             if isinstance(val, frozenset) else val for var, val in zip(r.head_vars, args)}
-
-
-def _body_values(
-    d: RuleSet, atom: DomainAtom, i: PartialInterpretation, ctx: EvalContext
-) -> list[TV]:
-    """atom's rule bodies, valued with its arguments bound to the head variables."""
-    return [_compiled(r.body)(i, _head_env(r, atom.args, i.domain) if r.head_vars else {}, ctx)
-            for r in d.by_head[atom.predicate]]  # most rules bind no variable
 
 
 def expand_context(
@@ -190,73 +178,50 @@ class StableReport:
     def is_partial_stable(self) -> bool:
         return self.supported and self.prudent and self.brave
 
-    @property
-    def is_stable_exact(self) -> bool:
-        return self.is_partial_stable and all(
-            self.interpretation.value(h).is_exact for h in self.defined_symbols
-        )
-
-
-def _demotion(d: RuleSet, i: PartialInterpretation, atoms: list, limits: Limits, shared=None):
-    """The maximal demotion witness (t \\ lfp, u ∩ lfp) defeating i's
-    prudence, or None: lfp is the least fixpoint of derivation rounds on d
-    ground at i with its t atoms demoted to u, valuing only the u atoms.
-    Bodies are ≤p-monotone, so every closed demotion keeps lfp t: none
-    exists if lfp holds every t atom or an f atom's body is t at lfp.  The
-    grounding reads no defined atom's value: a list `shared` keeps the first
-    that succeeds, and later calls write i's demoted values into it and
-    value its leaves in slot order, which raises as grounding afresh would."""
-    ts = [h for h, a in enumerate(atoms) if i.atom_value(a) is T]
-    if not ts:
-        return None
-    if shared:
-        g = shared[0]
-        g.val[_ATOMS:_ATOMS + len(atoms)] = [min(_code(i.atom_value(a)), 1) for a in atoms]
-        g.value([leaf for h in g.opaque for leaf in g.leaves[h]])
-    else:
-        g = _Ground(d, i.revise([atoms[h] for h in ts], U), limits)
-        if shared is not None:
-            shared.append(g)
-    coded = g.val[_ATOMS:_ATOMS + len(atoms)]
-    g.derive([h for h, v in enumerate(coded) if v == 1], refresh=False)
-    lfp = {h for h in range(len(atoms)) if g.val[_ATOMS + h] == 2}
-    if lfp.issuperset(ts) or 2 in g.values([h for h, v in enumerate(coded) if v == 0]):
-        return None
-    return (frozenset(atoms[h] for h in ts if h not in lfp),
-            frozenset(atoms[h] for h in lfp.difference(ts)))
-
 
 def is_partial_stable(
     d: RuleSet,
     i: PartialInterpretation,
     limits: Limits = DEFAULT_LIMITS,
     _ctx: EvalContext | None = None,
-    _shared: list | None = None,
 ) -> StableReport:
-    """The supported, prudent and brave tests of i.  Calls on refinements of
-    one context may pass one list `_shared`, as _demotion takes it."""
+    """The supported, prudent and brave tests of i, on one grounding."""
     ctx = _ctx or EvalContext(limits=limits)
-    atoms = _defined_atoms(d, i)
-
-    unsupported = tuple(
-        a for a in atoms if i.atom_value(a) is not max_truth(_body_values(d, a, i, ctx), empty=F)
-    )
-    demotion = _demotion(d, i, atoms, ctx.limits, _shared)
-    gus = greatest_unfounded_set(d, i, limits, _ctx=ctx)
+    atoms, g = _defined_atoms(d, i), _Ground(d, i, ctx.limits, heads=())
+    unsupported, demotion, gus = g.conditions(i)
+    ctx.record.update(g.consulted())
     return StableReport(
-        interpretation=i,
-        defined_symbols=tuple(sorted(d.defined_symbols, key=lambda s: s.name)),
-        supported=not unsupported,
-        prudent=demotion is None,
-        brave=not gus,
-        unsupported_atoms=unsupported,
-        demotion_witness=demotion,
-        unfounded_witness=gus or None,
-    )
+        i, tuple(g.index), supported=not unsupported, prudent=demotion is None, brave=not gus,
+        unsupported_atoms=tuple(atoms[h] for h in unsupported),
+        demotion_witness=demotion and tuple(frozenset(atoms[h] for h in hs) for hs in demotion),
+        unfounded_witness=frozenset(atoms[h] for h in gus) or None)
 
 
 # ---------------------------------------------------------------------------
 # Model enumeration
+
+
+def _models(d: RuleSet, o: PartialInterpretation, limits: Limits, carriers, ctx, exact: bool):
+    """The partial stable interpretations expanding o, exact ones if `exact`,
+    in `_branch` order.  Each is ≥p the well-founded model: the search starts
+    there, or at all u if it raises.  If `exact`, an assigned atom whose ground
+    bodies give the opposite value stays unsupported below the node."""
+    try:
+        i0 = well_founded_model(d, o, limits, carriers, _ctx=ctx)
+    except DeflogError:
+        i0 = expand_context(d, o, limits, carriers)
+    atoms = _defined_atoms(d, i0)
+    hs = [_ATOMS + h for h, a in enumerate(atoms) if i0.atom_value(a) is U]
+    limits.check("max_defined_atoms", len(hs), "{n} defined atoms exceed cap {cap}")
+    g = _Ground(None, i0, limits, symbols=d.defined_symbols)  # the search
+    c = _Ground(d, i0, ctx.limits, heads=())  # the three conditions
+    residuals = ((g.rules(d, a.predicate, a.args), (_ATOMS + h,))
+                 for h, a in enumerate(atoms)) if exact else ()
+    out = [cand for cand in _branch(g, hs, residuals, lambda h, w: g.val[_ATOMS + h] == 2 - w != 1,
+                                    (2, 0) if exact else (2, 1, 0))
+           if (c.stable(cand) if exact else not any(c.conditions(cand)))]
+    ctx.record.update(c.consulted())
+    return out
 
 
 def partial_stable_models(
@@ -266,13 +231,8 @@ def partial_stable_models(
     carriers: Optional[Mapping[Symbol, Iterable[tuple]]] = None,
     _ctx: EvalContext | None = None,
 ) -> list[PartialInterpretation]:
-    """All partial stable interpretations expanding context o, by 3^n search."""
-    i0 = expand_context(d, o, limits, carriers)
-    atoms = _capped_atoms(d, i0, limits)
-    g = _Ground(None, i0, limits, symbols=d.defined_symbols)  # t, u and f per atom, no cut
-    xs, shared = [_ATOMS + h for h in range(len(atoms))], []
-    return [cand for cand in _branch(g, xs, (), None, (2, 1, 0))
-            if is_partial_stable(d, cand, limits, _ctx=_ctx, _shared=shared).is_partial_stable]
+    """All partial stable interpretations expanding context o."""
+    return _models(d, o, limits, carriers, _ctx or EvalContext(limits=limits), exact=False)
 
 
 def stable_models(
@@ -282,27 +242,8 @@ def stable_models(
     carriers: Optional[Mapping[Symbol, Iterable[tuple]]] = None,
     _ctx: EvalContext | None = None,
 ) -> list[PartialInterpretation]:
-    """Exact partial stable interpretations, via the simplified exact test.
-
-    For exact candidates braveness is vacuous and prudence reduces to:
-    no non-empty t-set T with the T-demoted interpretation closed.
-    """
-    ctx = _ctx or EvalContext(limits=limits)
-    i0 = expand_context(d, o, limits, carriers)
-    atoms = _capped_atoms(d, i0, limits)
-
-    # an assigned atom whose ground rule bodies already give the opposite
-    # value stays unsupported below the node; prudence reads one grounding
-    g, out, shared = _Ground(None, i0, limits, symbols=d.defined_symbols), [], []
-    for cand in _branch(g, [_ATOMS + h for h in range(len(atoms))], (
-            (g.rules(d, a.predicate, a.args), (_ATOMS + h,)) for h, a in enumerate(atoms)),
-            lambda h, w: g.val[_ATOMS + h] == 2 - w != 1):
-        if any(cand.atom_value(a) is not max_truth(_body_values(d, a, cand, ctx), empty=F)
-               for a in atoms):
-            continue
-        if _demotion(d, cand, atoms, ctx.limits, shared) is None:
-            out.append(cand)
-    return out
+    """Exact partial stable interpretations expanding context o."""
+    return _models(d, o, limits, carriers, _ctx or EvalContext(limits=limits), exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +391,21 @@ class _Ground:
         self.last = {}  # per formula-form leaf slot, its atoms' values and its code there
         self.guards, self.full = {}, {}  # per FO quantifier its guard, per symbol if full
         self.lifts = {}  # per lifted rule and first order head arguments, its residual
-        for h in () if d is None else range(n) if heads is None else heads:
+        self.d, self.done = d, 0  # done: how many heads are ground
+        if d is not None:
+            self.grow(range(n) if heads is None else heads)
+
+    def grow(self, hs) -> None:
+        """Ground the rules for the heads hs at `at`, in order."""
+        for h in hs:
             self.reads, self.leaf = set(), []
-            self.node[h] = self.rules(d, *self.keys[h])
+            self.node[h] = self.rules(self.d, *self.keys[h])
             for x in self.reads:
                 self.deps[x - _ATOMS].append(h)
             if self.leaf:
                 self.leaves[h] = self.leaf
                 self.opaque.append(h)
+            self.done += 1
 
     def rules(self, d: RuleSet, sym: Symbol, args: tuple):  # atom sym(args)'s bodies, or'd
         return _connect(_OR, [self.lift(d, r, lift, args) if lift else self.ground(
@@ -668,6 +616,58 @@ class _Ground:
                 val[_ATOMS + h] = 1
             hs = [h for h in self.touched(drop) if h in kept] if drop else []
         return sorted(kept)
+
+    # The three conditions on refinements of `at`, ground with heads=(): only
+    # leaves read defined atoms, so a test writes its codes in and values the
+    # leaves it reads there, in slot order, raising as grounding afresh would.
+
+    def codes(self, i: PartialInterpretation) -> list:
+        return [c for sym in self.index for c in map(_code, i.value(sym).values)]
+
+    def bodies(self, codes: list, j: PartialInterpretation | None = None) -> Iterator[int]:
+        """Write codes into val, then yield in order each head's value at j
+        (codes' interpretation by default), ground there if not yet: so a test
+        that stops early raises as valuing the bodies it reached there does."""
+        self.val[_ATOMS:_ATOMS + len(codes)] = codes
+        for h in range(len(codes)):
+            if h == self.done:
+                self.at = j = j or self.interpretation()
+                self.grow((h,))
+            elif self.leaves[h]:
+                j = self.value(self.leaves[h], j)
+            yield self.values((h,), refresh=False)[0]
+
+    def demotion(self, codes: list) -> tuple | None:
+        """The maximal demotion witness (t \\ lfp, u ∩ lfp) defeating the
+        prudence of codes, as heads, or None: lfp is the least fixpoint of
+        derivation rounds with the t atoms demoted to u.  Bodies are
+        ≤p-monotone, so every closed demotion keeps lfp t: none exists if
+        lfp holds every t atom or an f atom's body is t at lfp."""
+        ts = [h for h, c in enumerate(codes) if c == 2]
+        if not ts:
+            return None
+        for _ in self.bodies([min(c, 1) for c in codes]):
+            pass
+        self.derive([h for h, c in enumerate(codes) if c], refresh=False)
+        lfp = {h for h in range(len(codes)) if self.val[_ATOMS + h] == 2}
+        if lfp.issuperset(ts) or 2 in self.values([h for h, c in enumerate(codes) if c == 0]):
+            return None
+        return [h for h in ts if h not in lfp], sorted(lfp.difference(ts))
+
+    def conditions(self, i: PartialInterpretation) -> tuple:
+        """i's unsupported heads, demotion witness and greatest unfounded set,
+        each test run in turn, so that each raises what it would."""
+        codes = self.codes(i)
+        unsupported = [h for h, v in enumerate(self.bodies(codes, i)) if v != codes[h]]
+        demotion = self.demotion(codes)
+        self.val[_ATOMS:_ATOMS + len(codes)] = codes
+        return unsupported, demotion, self.unfounded([h for h, c in enumerate(codes) if c == 1])
+
+    def stable(self, i: PartialInterpretation) -> bool:
+        """Whether exact i is supported, tested up to the first atom that is
+        not, and prudent: for exact i braveness is vacuous."""
+        codes = self.codes(i)
+        return all(map(operator.eq, self.bodies(codes, i), codes)) and self.demotion(codes) is None
 
     def consulted(self) -> tuple:
         """The u-valued parameter atoms read, as a tuple: memo entries share ()."""

@@ -12,7 +12,8 @@ from .errors import CapExceeded
 
 # the command line flag that raises each cap: flag, Limits field, help
 CAP_FLAGS = (
-    ("--max-atoms", "max_defined_atoms", "Cap on defined atoms in model enumerations."),
+    ("--max-atoms", "max_defined_atoms",
+     "Cap on defined atoms the well-founded model leaves unknown in model enumerations."),
     ("--max-completions", "max_unknowns",
      "Cap n on unknown atoms completed at once (2^n completions)."),
     ("--max-carrier", "max_carrier", "Cap on tuples in one predicate carrier and domain elements."),
@@ -24,7 +25,7 @@ _FLAG = {field: flag for flag, field, _ in CAP_FLAGS}
 class Limits:
     # max number of unknown atoms completed at once (2^n completions)
     max_unknowns: int = 20
-    # max defined domain atoms for 3^n partial-stable enumeration
+    # max defined atoms a model search branches on: those the WFM leaves u
     max_defined_atoms: int = 12
     # max |D|^n for a first order predicate used as a second order
     # argument value (2^(|D|^n) exact relations get enumerated)

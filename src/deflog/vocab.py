@@ -134,9 +134,6 @@ class Vocabulary:
     def get(self, name: str) -> Symbol | None:
         return self._by_name.get(name)
 
-    def issubset(self, other: "Vocabulary") -> bool:
-        return all(s in other for s in self.symbols)
-
     def union(self, other: "Vocabulary") -> "Vocabulary":
         return Vocabulary.of(self.symbols + other.symbols)
 

@@ -8,8 +8,17 @@
   residual search, and partial stable candidates come from the `mx` and
   `stable` driver with the codes t, u and f.  Both must give the same
   value, exception, recorded atoms and candidates in order, and probe
-  the same nodes.  `oracle_partial_stable_models` is the 3^n loop over
-  those refinements.
+  the same nodes.
+* The stable and partial stable model searches over every defined atom
+  (`oracle_stable_models`, `oracle_partial_stable_models`, the 3^n loop
+  over `refinements`), the atom cap counting them all, each candidate
+  checked by valuing every rule body (`body_values`), prudence on a fresh
+  grounding and the unfounded-set oracle (`oracle_partial_stable_check`).
+  `deflog.definitions` searches above the well-founded model only, which
+  every partial stable model refines, and checks the three conditions on
+  one grounding per search: the same models in order, or the same
+  exception, unless the oracle hits the atom cap or raises at a candidate
+  the well-founded model excludes.
 * The fragment classifier as first written: `desugar` rewrites |, =>,
   <=> and first order forall into ~, & and exists, then three mutually
   recursive predicates decide membership of FO(ID*), ESO(ID*) and
@@ -195,14 +204,54 @@ def atom_key(a):
     return (a.predicate.name, canon_order(a.args))
 
 
-def oracle_partial_stable_models(d, o, limits=DEFAULT_LIMITS, carriers=None) -> list:
+def body_values(d, atom, i, ctx) -> list:
+    """atom's rule bodies, valued with its arguments bound to the head variables."""
+    return [_compiled(r.body)(i, definitions._head_env(r, atom.args, i.domain) if r.head_vars
+                              else {}, ctx) for r in d.by_head[atom.predicate]]
+
+
+def oracle_partial_stable_check(d, i, limits=DEFAULT_LIMITS) -> bool:
+    """The three conditions as the all-atom searches checked them: support
+    by valuing every rule body, prudence on d ground afresh with the t atoms
+    demoted, braveness by the unfounded-set oracle; each runs, in that
+    order, so that each raises what it would."""
+    ctx, atoms = EvalContext(limits=limits), definitions._defined_atoms(d, i)
+    supported = all([i.atom_value(a) is max_truth(body_values(d, a, i, ctx), empty=F)
+                     for a in atoms])
+    prudent = oracle_fresh_demotion(d, i, atoms, limits) is None
+    return not oracle_unfounded_set(d, i, limits, _ctx=ctx) and prudent and supported
+
+
+def oracle_partial_stable_models(d, o, limits=DEFAULT_LIMITS, carriers=None, among=None) -> list:
     """The partial stable interpretations expanding context o, in the order
-    of the 3^n refinements of its defined atoms to t, u and f."""
+    of the 3^n refinements of all its defined atoms to t, u and f, the
+    atom cap counting them all; only those among(j) holds for are checked."""
     i0 = definitions.expand_context(d, o, limits, carriers)
     atoms = definitions._defined_atoms(d, i0)
     limits.check("max_defined_atoms", len(atoms), "{n} defined atoms exceed cap {cap}")
     return [j for j in refinements(i0, atoms, (T, U, F))
-            if definitions.is_partial_stable(d, j, limits).is_partial_stable]
+            if (among is None or among(j)) and oracle_partial_stable_check(d, j, limits)]
+
+
+def oracle_stable_models(d, o, limits=DEFAULT_LIMITS, carriers=None, among=None) -> list:
+    """The stable models expanding context o as the all-atom search found
+    them: `_branch` refines every defined atom to t then f, the atom cap
+    counting them all, cut where an assigned atom's ground rule bodies give
+    the opposite value; a candidate among(j) holds for is a model if every
+    atom, checked in order up to the first that fails, has its bodies' Max,
+    and demoting its t atoms on a fresh grounding finds no closed set."""
+    i0 = definitions.expand_context(d, o, limits, carriers)
+    atoms = definitions._defined_atoms(d, i0)
+    limits.check("max_defined_atoms", len(atoms), "{n} defined atoms exceed cap {cap}")
+    ctx, first = EvalContext(limits=limits), definitions._ATOMS
+    g = definitions._Ground(None, i0, limits, symbols=d.defined_symbols)
+    return [j for j in definitions._branch(
+        g, [first + h for h in range(len(atoms))], (
+            (g.rules(d, a.predicate, a.args), (first + h,)) for h, a in enumerate(atoms)),
+        lambda h, w: g.val[first + h] == 2 - w != 1)
+        if (among is None or among(j))
+        and all(j.atom_value(a) is max_truth(body_values(d, a, j, ctx), empty=F) for a in atoms)
+        and oracle_fresh_demotion(d, j, atoms, limits) is None]
 
 
 # ---------------------------------------------------------------------------
@@ -601,11 +650,12 @@ def oracle_constrained_completions(constraints, i, limits=DEFAULT_LIMITS) -> tup
 
 
 def oracle_supported_candidates(d, i0, atoms, limits=DEFAULT_LIMITS) -> tuple:
-    """stable's candidates as first searched: cut where an assigned atom's
-    ground rule bodies give the opposite value."""
+    """stable's candidates as first searched, over the u atoms of i0 in
+    `atoms` (every defined atom): cut where an assigned atom's ground rule
+    bodies give the opposite value."""
     g = definitions._Ground(None, i0, limits, symbols=d.defined_symbols)
     first = definitions._ATOMS
-    return oracle_cut_search(g, i0, atoms, [
+    return oracle_cut_search(g, i0, [a for a in atoms if i0.atom_value(a) is U], [
         lambda a=a: g.rules(d, a.predicate, a.args) for a in atoms], lambda values: any(
             v != 1 and w == 2 - v for v, w in zip(g.val[first:], values)))
 
@@ -974,7 +1024,7 @@ def is_unfounded(d, i, u_set, limits=DEFAULT_LIMITS, _ctx=None) -> bool:
             return False
     j = i.revise(atoms, F)
     return all(
-        all(v is F for v in definitions._body_values(d, a, j, ctx)) for a in atoms
+        all(v is F for v in body_values(d, a, j, ctx)) for a in atoms
     )
 
 
@@ -987,7 +1037,7 @@ def oracle_unfounded_set(d, i, limits=DEFAULT_LIMITS, _ctx=None) -> frozenset:
         kept = [
             a
             for a in candidates
-            if all(v is F for v in definitions._body_values(d, a, j, ctx))
+            if all(v is F for v in body_values(d, a, j, ctx))
         ]
         if len(kept) == len(candidates):
             break
@@ -1003,7 +1053,7 @@ def oracle_wfm_fixpoint(d, i0, atoms, limits, ctx):
         derived = [
             a
             for a in atoms
-            if i.atom_value(a) is U and T in definitions._body_values(d, a, i, ctx)
+            if i.atom_value(a) is U and T in body_values(d, a, i, ctx)
         ]
         if derived:
             i = i.revise(derived, T)
@@ -1027,7 +1077,7 @@ def is_closed(d, i, limits=DEFAULT_LIMITS) -> bool:
     ctx = EvalContext(limits=limits)
     for atom in definitions._defined_atoms(d, i):
         head_value = i.atom_value(atom)
-        for v in definitions._body_values(d, atom, i, ctx):
+        for v in body_values(d, atom, i, ctx):
             if v is T and head_value is not T:
                 return False
     return True
@@ -1066,7 +1116,7 @@ def oracle_is_partial_stable(d, i, limits=DEFAULT_LIMITS, _ctx=None) -> bool:
     checked, in that order, so that each raises what it would."""
     ctx = _ctx or EvalContext(limits=limits)
     supported = all([
-        i.atom_value(a) is rank_max_truth(definitions._body_values(d, a, i, ctx), empty=F)
+        i.atom_value(a) is rank_max_truth(body_values(d, a, i, ctx), empty=F)
         for a in definitions._defined_atoms(d, i)])
     prudent = oracle_demotion(d, i, limits) is None
     brave = not oracle_unfounded_set(d, i, limits, _ctx=ctx)

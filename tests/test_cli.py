@@ -284,6 +284,17 @@ class TestExitCodes:
         r = self.run("stable", "-d", "paradox", d("props.theory"), d("empty.struct"))
         assert r.exit_code == 1
 
+    def test_stable_cap_counts_the_atoms_the_wfm_leaves_unknown(self, tmp_path):
+        # 16 defined atoms, of which the well-founded model leaves x and y u:
+        # the default cap of 12 holds, as it did not over all 16
+        cs = [f"c{k}" for k in range(14)]
+        (tmp_path / "choice.theory").write_text(
+            "vocab { x: pred/0; y: pred/0; " + " ".join(f"{c}: pred/0;" for c in cs)
+            + " }\ndefinition d { x <- ~y. y <- ~x. " + " ".join(f"{c} <- {c}." for c in cs)
+            + " }\n")
+        r = self.run("stable", str(tmp_path / "choice.theory"), d("empty.struct"))
+        assert r.exit_code == 0 and r.output.endswith("2 stable model(s)\n")
+
 
     @pytest.mark.parametrize("argv", [
         ["eval", "-m", "super", "--max-completions", "-1", d("props.theory"),
@@ -308,7 +319,8 @@ class TestExitCodes:
 
 
 _CAP_HELP = {
-    "--max-atoms": "Cap on defined atoms in model enumerations.",
+    "--max-atoms":
+        "Cap on defined atoms the well-founded model leaves unknown in model enumerations.",
     "--max-completions": "Cap n on unknown atoms completed at once (2^n completions).",
     "--max-carrier": "Cap on tuples in one predicate carrier and domain elements.",
 }

@@ -44,10 +44,11 @@ from gen import (
     guarded_quantifier, random_guarded_rules, random_ruleset, random_tree,
 )
 from oracles import (
-    FreshGround, atom_key, exact_completions, flat_filter, glb, is_closed, is_unfounded,
-    oracle_demotion, oracle_eval_definition, oracle_exact_prudent, oracle_fresh_demotion,
-    oracle_partial_stable_models, oracle_supported_candidates, oracle_unfounded_set,
-    oracle_wfm_fixpoint, refinements, super_oracle,
+    FreshGround, atom_key, body_values, exact_completions, flat_filter, glb, is_closed,
+    is_unfounded, oracle_demotion, oracle_eval_definition, oracle_exact_prudent,
+    oracle_fresh_demotion, oracle_partial_stable_models, oracle_stable_models,
+    oracle_supported_candidates, oracle_unfounded_set, oracle_wfm_fixpoint, refinements,
+    super_oracle,
 )
 from test_evaluator import (
     compiled_and_walker, exact_holds, node_kinds, random_partial, value_or_error,
@@ -199,9 +200,10 @@ class TestAgainstStableOperatorOracle:
             assert got == expected, f"{d}"
 
     def test_partial_stable_models_in_refinement_order(self):
-        # partial_stable_models branches on the value list with the codes
-        # t, u and f; the oracle is the 3^n refinement loop: the same models
-        # in the same order, or the same exception, the atom cap's included
+        # partial_stable_models branches above the well-founded model with
+        # the codes t, u and f; the oracle is the 3^n refinement loop over
+        # every defined atom: the same models in the same order, or the same
+        # exception, but for the differences `search_and_oracle` names
         rng, seen = random.Random(43), collections.Counter()
         for n in range(self.N):
             limits = Limits(max_defined_atoms=rng.choice((2, 6)))
@@ -212,23 +214,31 @@ class TestAgainstStableOperatorOracle:
                 o = random_partial(rng, [s for s in SYMBOLS if s not in d.defined_symbols], (1,))
                 limits = Limits(max_defined_atoms=limits.max_defined_atoms,
                                 max_unknowns=rng.choice((1, 20)))
-            got = outcome(lambda: partial_stable_models(d, o, limits))
-            assert got == outcome(lambda: oracle_partial_stable_models(d, o, limits)), f"{d}"
-            seen["cap" if got[1] and "defined atoms exceed" in got[1][1] else "error" if got[1]
-                 else "several models" if len(got[0]) > 1 else "at most one model"] += 1
-        assert seen["cap"] > 20 and min(seen.values()) > 5 and len(seen) == 4, seen
+            seen[search_and_oracle(d, o, limits, exact=False)] += 1
+        assert seen["the oracle hits the atom cap"] > 20 and seen["same error"] > 5, seen
+        assert seen["several models"] > 5 and seen["at most one model"] > 5, seen
 
-    def test_partial_stable_models_share_one_demotion_grounding(self, monkeypatch):
-        # every candidate's prudence test reads the one grounding the first
-        # candidate with a t atom built, as stable_models' does
-        vocab = Vocabulary.of(Symbol(n, pred(0)) for n in ("x", "y", "c0", "c1", "c2"))
-        d = parse_ruleset("{x <- ~y. y <- ~x. c0 <- c0. c1 <- c1. c2 <- c2.}", vocab)
-        lists, demotion = [], definitions._demotion
-        monkeypatch.setattr(definitions, "_demotion",
-                            lambda *a: lists.append(a[4]) or demotion(*a))
-        models = partial_stable_models(d, PartialInterpretation.empty(("a",)))
-        assert len(models) == 3 and len(lists) > 20
-        assert all(shared is lists[0] for shared in lists) and len(lists[0]) == 1
+    def test_partial_stable_models_search_above_the_wfm_on_one_grounding(self, monkeypatch):
+        # x and y are all the well-founded model leaves u: 3^2 candidates,
+        # not 3^7, each checked on the one grounding of the search
+        vocab = Vocabulary.of(Symbol(n, pred(0)) for n in ("x", "y", "c0", "c1", "c2", "c3", "c4"))
+        d = parse_ruleset("{x <- ~y. y <- ~x. c0 <- c0. c1 <- c1. c2 <- c2. c3 <- c3. c4 <- c4.}",
+                          vocab)
+        o = PartialInterpretation.empty(("a",))
+        searches, builds, ground = driver_searches(monkeypatch), [], definitions._Ground
+        monkeypatch.setattr(definitions, "_Ground", lambda *a, **kw: builds.append(a[0]) or ground(
+            *a, **kw))
+        definitions._WFM_CACHE.clear()
+        models = partial_stable_models(d, o)
+        assert ["".join(str(m.value(s).value(())) for s in (vocab.get("x"), vocab.get("y")))
+                for m in models] == ["tf", "uu", "ft"]
+        (_, found), = searches
+        assert len(found) == 9
+        assert builds == [d, None, d]  # the model, the search, the three conditions
+        builds.clear()
+        assert partial_stable_models(d, o) == models and builds == [None, d]  # the model memoised
+        monkeypatch.undo()
+        assert models == oracle_partial_stable_models(d, o)
 
     def test_wfm_both_methods_match_alternating_fixpoint(self):
         rng = random.Random(29)
@@ -270,6 +280,42 @@ class TestAgainstStableOperatorOracle:
             else:
                 assert wfm not in models
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_models_match_the_all_atom_searches(self, exact):
+        # both searches branch on the atoms the well-founded model leaves
+        # u; the oracles search over every defined atom
+        rng, seen = random.Random(47), collections.Counter()
+        for n in range(2 * self.N):
+            limits = Limits(max_defined_atoms=rng.choice((2, 6)))
+            if n % 2:
+                d, o = random_ruleset(rng), PartialInterpretation.empty(DOMAIN)
+            else:
+                d = random_tree_rules(rng)
+                o = random_partial(rng, [s for s in SYMBOLS if s not in d.defined_symbols], (1,))
+                limits = limits.with_(max_unknowns=rng.choice((3, 20)))
+            seen[search_and_oracle(d, o, limits, exact)] += 1
+        assert seen["the oracle hits the atom cap"] > 20 and seen["same error"] > 5, seen
+        assert seen["several models"] > 2 and seen["at most one model"] > 100, seen
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_every_model_refines_the_wfm(self, rng, tree):
+        # the premise of the search: where the well-founded model answers,
+        # every model the all-atom oracles give is ≥p it
+        if tree:
+            d = random_tree_rules(rng)
+            o = random_partial(rng, [s for s in SYMBOLS if s not in d.defined_symbols], (1,))
+            limits = Limits(max_unknowns=rng.choice((3, 20)))
+        else:
+            d, o, limits = random_ruleset(rng), PartialInterpretation.empty(DOMAIN), Limits()
+        try:
+            wfm = well_founded_model(d, o, limits)
+        except DeflogError:
+            return
+        for oracle in (oracle_stable_models, oracle_partial_stable_models):
+            models = outcome(lambda: oracle(d, o, limits))[0] or ()
+            assert all(wfm.leq_prec(m) for m in models), f"{d}"
+
 
 class TestSupportednessCut:
     def test_cut_leaves_body_errors_to_the_candidates(self):
@@ -297,8 +343,8 @@ class TestSupportednessCut:
             i0 = expand_context(d, o, limits)
             atoms, ctx = definitions._defined_atoms(d, i0), EvalContext(limits=limits)
             want, errors, accepted = flat_filter(refinements(i0, atoms), lambda j: all(
-                j.atom_value(a) is max_truth(definitions._body_values(d, a, j, ctx), empty=F)
-                for a in atoms) and definitions._demotion(d, j, atoms, limits) is None)
+                j.atom_value(a) is max_truth(body_values(d, a, j, ctx), empty=F)
+                for a in atoms) and oracle_fresh_demotion(d, j, atoms, limits) is None)
             for r in d.rules:
                 kinds |= node_kinds(r.body)
             if got == want:
@@ -319,6 +365,17 @@ class TestSupportednessCut:
         o = PartialInterpretation.empty(("x1",))
         with pytest.raises(NonTotalDefinitionError):
             stable_models(d, o)
+
+    def test_a_candidate_the_wfm_excludes_is_not_checked(self):
+        # the model is a = b = c = t, z = f, where the let-block is total;
+        # at b = f, c = t it is not, and the all-atom oracles raise there
+        vocab = Vocabulary.of([Symbol(n, pred(0)) for n in "abckz"])
+        d = parse_ruleset("{a <- let {k <- ~k & ~b & c.} in c. b <- ~z. c <- ~z. z <- z.}", vocab)
+        o = PartialInterpretation.empty(("x1",))
+        for exact in (True, False):
+            kind = search_and_oracle(d, o, Limits(), exact)
+            assert kind == "the oracle raised at a candidate the WFM excludes"
+        assert stable_models(d, o) == partial_stable_models(d, o) == [well_founded_model(d, o)]
 
 
 class TestMonotoneRuleSets:
@@ -360,7 +417,7 @@ class TestStableReport:
         d = rs("{p <- ~q. q <- ~p.}")
         report = is_partial_stable(d, ctx(p="t", q="f"))
         assert report.supported and report.prudent and report.brave
-        assert report.is_partial_stable and report.is_stable_exact
+        assert report.is_partial_stable and report.interpretation.is_exact
 
     def test_report_on_unsupported_interpretation(self):
         d = rs("{p <- ~q. q <- ~p.}")
@@ -383,6 +440,44 @@ def outcome(run):
         return None, (type(exc), str(exc))
 
 
+def demotion(g, i):
+    """The demotion witness of i on g, a rule form ground for the three
+    conditions, as atoms."""
+    atoms, witness = definitions._defined_atoms(g.d, i), g.demotion(g.codes(i))
+    return witness and tuple(frozenset(atoms[h] for h in hs) for hs in witness)
+
+
+def search_and_oracle(d, o, limits, exact: bool) -> str:
+    """stable_models (exact) or partial_stable_models against its all-atom
+    oracle: the same models in order, or the same exception type and
+    message.  Two differences are allowed, each named in the answer: the
+    oracle hits the atom cap, which counts every defined atom, and the
+    search answers as the oracle does with the cap raised; or the oracle
+    raised at a candidate the well-founded model excludes, and gives the
+    search's answer where it checks only those ≥p the model."""
+    search, oracle = ((stable_models, oracle_stable_models) if exact
+                      else (partial_stable_models, oracle_partial_stable_models))
+    got = outcome(lambda: search(d, o, limits))
+    want = outcome(lambda: oracle(d, o, limits))
+    if got == want:
+        return ("same error" if got[1] else "several models" if len(got[0]) > 1
+                else "at most one model")
+    wfm = well_founded_model(d, o, limits)  # a model that raises decides nothing
+    kind = "the oracle raised at a candidate the WFM excludes"
+    if "defined atoms exceed" in want[1][1]:
+        # the search's cap counts the atoms the model leaves u, if it hits it
+        n, cap = len(wfm.u_atoms(d.defined_symbols)), limits.max_defined_atoms
+        assert got[1] in (None, (CapExceeded, f"{n} defined atoms exceed cap {cap} (--max-atoms)")
+                          ), f"{d} {got} {want}"
+        kind, limits = "the oracle hits the atom cap", limits.with_(max_defined_atoms=20)
+        got, want = outcome(lambda: search(d, o, limits)), outcome(lambda: oracle(d, o, limits))
+        if got == want:
+            return kind
+    assert got[1] is None and want[1] is not None, f"{d} {got} {want}"
+    assert outcome(lambda: oracle(d, o, limits, among=wfm.leq_prec)) == got, f"{d}"
+    return kind
+
+
 def demotion_and_oracle(d, i, limits=Limits()) -> str:
     """The least-fixpoint prudence check against the subset loop on i: the
     same verdict, and a witness (T, U) with T non-empty whose application
@@ -391,12 +486,12 @@ def demotion_and_oracle(d, i, limits=Limits()) -> str:
     at i with all t atoms demoted, which the loop may never reach: where
     the two raise differently, the check raises what that valuation does."""
     atoms = definitions._defined_atoms(d, i)
-    got = outcome(lambda: definitions._demotion(d, i, atoms, limits))
+    got = outcome(lambda: demotion(definitions._Ground(d, i, limits, heads=()), i))
     want = outcome(lambda: oracle_demotion(d, i, limits))
     if got[1] != want[1]:
         demoted = i.revise([a for a in atoms if i.atom_value(a) is T], U)
         ctx = EvalContext(limits=limits)
-        valued = outcome(lambda: [definitions._body_values(d, a, demoted, ctx) for a in atoms])
+        valued = outcome(lambda: [body_values(d, a, demoted, ctx) for a in atoms])
         assert got[1] is not None and got[1] == valued[1], f"{d} {i}"
         return "the check raises" if want[1] is None else "both raise, differently"
     if got[1]:
@@ -467,9 +562,9 @@ def driver_searches(monkeypatch) -> list:
     it gives, all taken before the caller reads the first."""
     searches, branch = [], definitions._branch
 
-    def spy(g, xs, residuals, dead):
+    def spy(g, xs, residuals, dead, codes=(2, 0)):
         g.val = _CountedValues(g.val, xs)
-        found = list(branch(g, xs, residuals, dead))
+        found = list(branch(g, xs, residuals, dead, codes))
         searches.append((g.val, found))
         return iter(found)
 
@@ -493,7 +588,10 @@ class TestSearchDriver:
                 d = random_tree_rules(rng)
                 limits = Limits(max_unknowns=rng.choice((3, 20)))
                 o = random_partial(rng, [s for s in SYMBOLS if s not in d.defined_symbols], (1,))
-            i0 = expand_context(d, o, limits)
+            try:  # the search starts at the well-founded model, where it answers
+                i0 = well_founded_model(d, o, limits)
+            except DeflogError:
+                i0 = expand_context(d, o, limits)
             atoms = definitions._defined_atoms(d, i0)
             searches.clear()
             outcome(lambda: stable_models(d, o, limits))  # its search's candidates, below
@@ -501,11 +599,11 @@ class TestSearchDriver:
             (val, found), = searches
             assert found == candidates, f"{d}"
             assert 1 + val.assigned <= nodes, f"{d}"
-            seen["cut"] += nodes < 2 ** (len(atoms) + 1) - 1
+            seen["cut"] += nodes < 2 ** (len(i0.u_atoms(d.defined_symbols)) + 1) - 1
             seen["a candidate"] += bool(candidates)
             for r in d.rules:
                 kinds |= node_kinds(r.body)
-        assert seen["cut"] > 150 and seen["a candidate"] > 300, seen
+        assert seen["cut"] > 50 and seen["a candidate"] > 300, seen  # the model decides most
         assert {"Atom2", "ForallSO", "ExistsSO", "sum", "DefinitionExpr", "Let"} <= kinds
 
     def test_prudence_on_one_grounding_equals_grounding_afresh(self):
@@ -524,13 +622,14 @@ class TestSearchDriver:
                 limits = Limits(max_unknowns=rng.choice((3, 20)))
                 o = random_partial(rng, [s for s in SYMBOLS if s not in d.defined_symbols], (1,))
             i0 = expand_context(d, o, limits)
-            atoms, shared = definitions._defined_atoms(d, i0), []
+            atoms = definitions._defined_atoms(d, i0)
+            shared = definitions._Ground(d, i0, limits, heads=())
             for i in refinements(i0, atoms, (T, U, F)):
-                got = outcome(lambda: definitions._demotion(d, i, atoms, limits, shared))
+                got = outcome(lambda: demotion(shared, i))
                 want = outcome(lambda: oracle_fresh_demotion(d, i, atoms, limits))
                 assert got == want, f"{d} {i}"
                 seen["error" if got[1] else "prudent" if got[0] is None else "imprudent"] += 1
-                seen["on the shared grounding"] += len(shared)
+                seen["on the shared grounding"] += shared.done == len(atoms)
         assert min(seen.values()) > 100, seen
 
 

@@ -36,8 +36,8 @@ from gen import (
 )
 import oracles
 from oracles import (
-    bind_head, classical_eval, completions, exact_completions, flat_supervaluation, glb,
-    has_waiting_leaf, oracle_kv, oracle_residual_search, super_oracle,
+    bind_head, body_values, classical_eval, completions, exact_completions, flat_supervaluation,
+    glb, has_waiting_leaf, oracle_kv, oracle_residual_search, super_oracle,
 )
 
 SAMPLES = 500
@@ -623,7 +623,7 @@ def compiled_and_walker(e, i, limits=Limits()):
 
 
 def bodies_and_walker(d, atom, i, limits=Limits()):
-    got = outcome(lambda ctx: definitions._body_values(d, atom, i, ctx), limits)
+    got = outcome(lambda ctx: body_values(d, atom, i, ctx), limits)
     want = outcome(lambda ctx: [
         oracle_kv(r.body, bind_head(r, atom.args, i), ctx)
         for r in d.rules if r.head == atom.predicate

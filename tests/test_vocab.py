@@ -115,7 +115,7 @@ class TestVocabulary:
         v = Vocabulary.of([p, q])
         assert v.get("p") == p and v.get("r") is None
         assert p in v and Symbol("p", pred(2)) not in v
-        assert Vocabulary.of([p]).issubset(v)
+        assert all(s in v for s in Vocabulary.of([p]))
         assert set(v.union(Vocabulary.of([Symbol("r", CONST)]))) == {p, q, Symbol("r", CONST)}
         assert set(v.without([p])) == {q}
 
