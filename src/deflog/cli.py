@@ -11,7 +11,10 @@ success, 1 semantic "no model / not total / check failed", 2 input
 error, 3 resource cap exhausted.  Output is deterministic: atoms and
 names are sorted before printing.  Every `--json` verb writes through
 one writer, `_json_text`, whose bytes are json.dumps(payload,
-sort_keys=True, indent=2)'s.
+sort_keys=True, indent=2)'s.  `expand` and `eliminate-so` check their
+rewrites under `--check-equiv` through one helper, `_equivalent`:
+`templates.sigma_equivalent` at every domain of `_EQUIV_DOMAINS`, with
+the theory's templates pinned for a macro expansion.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from .limits import CAP_FLAGS, DEFAULT_LIMITS, Limits
 from .parser import Theory, parse_theory
 from .syntax import DefinitionExpr, classify, free_symbols, typecheck, unparse
 from .templates import (
-    Template, TemplateLibrary, _sigma_bases, apply_library,
-    eliminate_so, macro_expand, sigma_equivalent, validate_library,
+    Template, TemplateLibrary, apply_library, eliminate_so, macro_expand, sigma_equivalent,
+    validate_library,
 )
 from .truthvalues import T
 
@@ -356,20 +359,12 @@ def _echo_rewrite(payload: dict, lines: list, equivalent, check_equiv: bool,
         sys.exit(EXIT_NO_MODEL)
 
 
-def _expand_equivalent(phi, expanded, lib, limits) -> bool:
-    """Exact-model agreement of a formula and its macro expansion at |D| <= 2,
-    on the interpretations of their other symbols as `mx` enumerates them."""
-    template_syms = set(lib.template_symbols())
-    sigma = sorted((free_symbols(phi) | free_symbols(expanded)) - template_syms,
-                   key=lambda s: s.name)
-    for domain in _EQUIV_DOMAINS:
-        for base in _sigma_bases(sigma, domain, limits):
-            with_templates = apply_library(base, lib, limits)
-            lhs = evaluate_exact(phi, with_templates, limits)
-            rhs = evaluate_exact(expanded, base, limits)
-            if lhs is not rhs:
-                return False
-    return True
+def _equivalent(phi, rewritten, sigma, limits: Limits, lib=None) -> bool:
+    """The --check-equiv verdict: Σ-equivalence of a formula and its rewrite
+    at every domain of _EQUIV_DOMAINS, with lib's templates pinned."""
+    sigma = sorted(sigma, key=lambda s: s.name)
+    return all(sigma_equivalent(phi, rewritten, sigma, domain, limits, lib)
+               for domain in _EQUIV_DOMAINS)
 
 
 @_verb("expand")
@@ -388,7 +383,9 @@ def expand_cmd(
     expanded = macro_expand(phi, lib, limits)
     _echo_rewrite(
         {"formula": name, "expanded": unparse(expanded)}, [unparse(expanded)],
-        lambda: _expand_equivalent(phi, expanded, lib, limits), check_equiv, as_json)
+        lambda: _equivalent(phi, expanded, (free_symbols(phi) | free_symbols(expanded))
+                            - set(lib.template_symbols()), limits, lib),
+        check_equiv, as_json)
 
 
 @_verb("eliminate-so")
@@ -404,7 +401,6 @@ def eliminate_so_cmd(
     over fresh free predicate symbols."""
     name, phi = _pick("formula", theory.formulas, formula_name)
     matrix, skolems = eliminate_so(phi)
-    sigma = sorted(free_symbols(phi), key=lambda s: s.name)
     skolem_rows = [(s.name, str(s.type)) for s in skolems]
     _echo_rewrite(
         {
@@ -413,9 +409,7 @@ def eliminate_so_cmd(
             "skolems": [{"name": n, "type": t} for n, t in skolem_rows],
         },
         [*(f"skolem {n}: {t}" for n, t in skolem_rows), unparse(matrix)],
-        lambda: all(sigma_equivalent(phi, matrix, sigma, domain, limits)
-                    for domain in _EQUIV_DOMAINS),
-        check_equiv, as_json)
+        lambda: _equivalent(phi, matrix, free_symbols(phi), limits), check_equiv, as_json)
 
 
 @_verb("validate-lib")

@@ -11,11 +11,13 @@ The module also houses the rewriting toolbox: templification (turning a
 user definition with open first order predicate symbols into a
 template), macro expansion of simple non-recursive template libraries,
 and elimination of existential second order quantifiers by switching
-them past first order universals and skolemizing.  Rewrites are checked
-by Σ-equivalence on the shared searches: the exact Σ-interpretations come
-from `mx`'s (`definitions.constrained_completions`), and a formula is
-expandable on one iff, for some value of its extra constants, its
-supervaluation with its extra predicate symbols u is not f.
+them past first order universals and skolemizing.  Both rewrites are
+checked by one Σ-equivalence test, `sigma_equivalent`: the exact
+Σ-interpretations come from `mx`'s (`definitions.constrained_completions`),
+a library's templates pinned on each, and a formula is expandable on one
+iff it is t there, where the base interprets all its symbols, else iff,
+for some value of its extra constants, its supervaluation with its extra
+predicate symbols u is not f.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import definitions
 from .errors import CapExceeded, EvaluationError, NonTotalDefinitionError, TypeError_
-from .evaluator import SUPERVALUATION, evaluate
+from .evaluator import SUPERVALUATION, evaluate, evaluate_exact
 from .interpretation import PartialInterpretation
 from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (
@@ -33,7 +35,7 @@ from .syntax import (
     ForallFO, ForallSO, Iff, Implies, Let, NameGen, Not, Or, Rule, RuleSet,
     SymTerm, classify, FRAGMENT_FO, fold, free_symbols, rebuild, substitute,
 )
-from .truthvalues import F, U, PartialSet
+from .truthvalues import F, T, U, PartialSet
 from .vocab import DOMAIN, Symbol, pred, predicate_carrier, so_pred
 
 @dataclass(frozen=True)
@@ -61,12 +63,6 @@ class TemplateLibrary:
         for t in self.templates:
             out |= t.defined
         return sorted(out, key=lambda s: s.name)
-
-    def defining(self, sym: Symbol) -> Template | None:
-        for t in self.templates:
-            if sym in t.defined:
-                return t
-        return None
 
 
 @dataclass
@@ -149,17 +145,11 @@ def validate_library(
 
     for domain in test_domains:
         try:
-            expanded = apply_library(
-                PartialInterpretation.empty(domain), lib, limits,
-                so_instances=so_instances, _report=report,
-            )
+            apply_library(PartialInterpretation.empty(domain), lib, limits, so_instances)
         except CapExceeded:
             report.skipped_contexts += 1
-            continue
         except NonTotalDefinitionError as exc:
             report.problems.append(f"|D|={len(tuple(domain))}: {exc}")
-            continue
-        del expanded
     return report
 
 
@@ -168,7 +158,6 @@ def apply_library(
     lib: TemplateLibrary,
     limits: Limits = DEFAULT_LIMITS,
     so_instances: Optional[Mapping[Symbol, Iterable[tuple]]] = None,
-    _report: LibraryReport | None = None,
 ) -> PartialInterpretation:
     """The unique exact expansion of i with every template symbol's value.
 
@@ -198,10 +187,7 @@ def apply_library(
         wfm = definitions.well_founded_model(t.ruleset, context, limits, carriers)
         defined = sorted(t.defined, key=lambda s: s.name)
         if not all(wfm.value(d).is_exact for d in defined):
-            msg = f"template {t.name!r} is not total on this domain"
-            if _report is not None:
-                _report.problems.append(msg)
-            raise NonTotalDefinitionError(msg)
+            raise NonTotalDefinitionError(f"template {t.name!r} is not total on this domain")
         for d in defined:  # a carrier expand_context built, or checked
             out = out._expand(d, wfm.value(d))
     return out
@@ -295,14 +281,23 @@ def check_correspondence(
 # Simple templates as macros
 
 
+def _calls_as_atoms(e, kids):
+    """Under fold, e with each atom of a template symbol made a 0-ary atom."""
+    if type(e) is Atom2 and e.predicate.kind == "template":
+        return Atom1(e.predicate, ())
+    return rebuild(e, kids)
+
+
 def is_simple(t: Template) -> bool:
-    """One rule, second order head, FO(ID*) body."""
+    """One rule, second order head, FO(ID*) body.  An atom of a template
+    symbol counts as first order: in a library of simple templates it
+    expands to an FO(ID*) formula, by induction on the stratification."""
     if len(t.ruleset.rules) != 1:
         return False
     rule = t.ruleset.rules[0]
     if rule.head.type.kind != "so-pred":
         return False
-    return classify(rule.body) == FRAGMENT_FO
+    return classify(fold(rule.body, _calls_as_atoms)) == FRAGMENT_FO
 
 
 def macro_expand(phi, lib: TemplateLibrary, limits: Limits = DEFAULT_LIMITS):
@@ -489,9 +484,12 @@ def _sigma_bases(sigma: Sequence[Symbol], domain: Sequence, limits: Limits):
 
 def _expandable(phi, base: PartialInterpretation, limits: Limits) -> bool:
     """Whether some exact value of phi's symbols outside base makes it t: on
-    an exact base, for some value of those constants, the supervaluation
-    with those predicate symbols u is not f."""
+    an exact base, phi's exact value if base interprets all its symbols,
+    else whether, for some value of those constants, the supervaluation with
+    those predicate symbols u is not f."""
     extra = [s for s in free_symbols(phi) if not base.interprets(s)]
+    if not extra:
+        return evaluate_exact(phi, base, limits) is T
     return any(evaluate(phi, _all_u(j, extra, limits), SUPERVALUATION, limits) is not F
                for j in definitions.constrained_completions([], base, limits, _consts(extra)))
 
@@ -502,10 +500,14 @@ def sigma_equivalent(
     sigma: Sequence[Symbol],
     domain: Sequence,
     limits: Limits = DEFAULT_LIMITS,
+    lib: TemplateLibrary | None = None,
 ) -> bool:
     """Same Σ-restricted model class: every exact Σ-interpretation over
-    the domain is expandable to a model of phi1 iff of phi2."""
+    the domain, with lib's template symbols pinned to their values (sigma
+    then names none of them), is expandable to a model of phi1 iff of phi2."""
     for base in _sigma_bases(sigma, domain, limits):
+        if lib is not None:
+            base = apply_library(base, lib, limits)
         if _expandable(phi1, base, limits) != _expandable(phi2, base, limits):
             return False
     return True

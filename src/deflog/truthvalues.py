@@ -243,51 +243,54 @@ class PartialSet:
 # Aggregates
 
 
-_CMP = {"=": lambda a, b: a == b, "<": lambda a, b: a < b, ">": lambda a, b: a > b}
-
-
-def approx_aggregate(
-    agg: str, cmp: str, s: PartialSet, n: int, limits: Limits = DEFAULT_LIMITS
-) -> TV:
+def approx_aggregate(agg: str, cmp: str, s: PartialSet, n: int,
+                     limits: Limits = DEFAULT_LIMITS) -> TV:
     """Ultimate approximation of the test  agg(S) cmp n  over completions of s.
 
     agg is "card" or "sum"; for "sum" the first component of every
-    carrier key must be an integer.
+    carrier key must be an integer.  The achievable totals lie in [lo, hi]
+    and reach both ends, which decides < and > and whether = can fail.
+    Whether a sum can equal n is subset sum: `_sum_reaches` caps its work.
     """
-    if cmp not in _CMP:
+    if cmp not in ("=", "<", ">"):
         raise EvaluationError(f"unknown comparison {cmp!r}")
-    test = _CMP[cmp]
     if agg == "card":
-        # interval shortcut: achievable cardinalities are exactly [lo, hi]
-        lo = sum(1 for v in s.values if v is T)
-        hi = lo + sum(1 for v in s.values if v is U)
-        if cmp == "=":
-            can_true = lo <= n <= hi
-            can_false = not (lo == hi == n)
-        elif cmp == "<":
-            can_true, can_false = lo < n, hi >= n
-        else:
-            can_true, can_false = hi > n, lo <= n
-        if can_true and can_false:
-            return U
-        return TV.of(can_true)
-    if agg == "sum":
+        weights = (1,) * len(s.values)
+    elif agg == "sum":
         weights = []
         for key in s.carrier:
             first = key[0] if isinstance(key, tuple) else key
             if not isinstance(first, int) or isinstance(first, bool):
-                raise EvaluationError(
-                    f"sum aggregate needs integer-keyed tuples, got {key!r}"
-                )
+                raise EvaluationError(f"sum aggregate needs integer-keyed tuples, got {key!r}")
             weights.append(first)
-        base = sum(w for w, v in zip(weights, s.values) if v is T)
-        unknown = [w for w, v in zip(weights, s.values) if v is U]
-        limits.check("max_unknowns", len(unknown), "{n} unknown elements exceed cap {cap}")
-        outcomes = set()
-        for picks in itertools.product((0, 1), repeat=len(unknown)):
-            total = base + sum(w for w, p in zip(unknown, picks) if p)
-            outcomes.add(test(total, n))
-            if len(outcomes) == 2:
-                return U
-        return TV.of(outcomes == {True})
-    raise EvaluationError(f"unknown aggregate {agg!r}")
+    else:
+        raise EvaluationError(f"unknown aggregate {agg!r}")
+    base = sum(w for w, v in zip(weights, s.values) if v is T)
+    unknown = [w for w, v in zip(weights, s.values) if v is U]
+    lo = base + sum(w for w in unknown if w < 0)
+    hi = base + sum(w for w in unknown if w > 0)
+    if cmp == "<":
+        can_true, can_false = lo < n, hi >= n
+    elif cmp == ">":
+        can_true, can_false = hi > n, lo <= n
+    else:
+        # with every weight 1 (card) each total in [lo, hi] is achievable
+        can_true = lo <= n <= hi and (agg == "card" or _sum_reaches(base, unknown, n, limits))
+        can_false = not lo == hi == n
+    return U if can_true and can_false else TV.of(can_true)
+
+
+def _sum_reaches(base: int, unknown: list, n: int, limits: Limits) -> bool:
+    """Whether base plus some of the unknown weights totals n: the set of
+    achievable totals, one weight at a time, until it holds n.  A step
+    builds at most twice the set; the cap bounds the sum of those sizes by
+    2^max_unknowns, the completions it lets a completion loop visit."""
+    totals, work = {base}, 0
+    for w in unknown:
+        if n in totals:
+            return True
+        work += 2 * len(totals)
+        limits.check("max_unknowns", (work - 1).bit_length(),
+                     "sum aggregate: {work} totals built exceed cap 2^{cap}", work=work)
+        totals |= {t + w for t in totals}
+    return n in totals

@@ -11,9 +11,9 @@ import random
 
 from deflog.interpretation import PartialInterpretation
 from deflog.syntax import (
-    AddTerm, Aggregate, And, Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO, ExistsSO,
-    ForallFO, ForallSO, Iff, Implies, IntTerm, Let, Not, Or, Rule, RuleSet,
-    SymTerm,
+    FRAGMENT_FO, AddTerm, Aggregate, And, Atom1, Atom2, Cmp, DefinitionExpr, ExistsFO,
+    ExistsSO, ForallFO, ForallSO, Iff, Implies, IntTerm, Let, Not, Or, Rule, RuleSet,
+    SymTerm, classify, free_symbols,
 )
 from deflog.truthvalues import F, T, U, PartialSet
 from deflog.vocab import CONST, Symbol, pred, predicate_carrier, so_pred
@@ -186,6 +186,82 @@ def random_tree(rng: random.Random, depth: int, fo_vars=(), so_vars=(), consts=(
             rules.append(Rule(rng.choice(PROPS), (), sub()))
     rs = RuleSet(tuple(rules))
     return DefinitionExpr(rs) if kind == "definition" else Let(rs, sub())
+
+
+# random template libraries: templates t0, t1, ... defining T0, T1, ... over
+# relations of these types, and the Σ symbols formulas apply them to
+LIB_ARG_TYPES = (pred(0), pred(1))
+LIB_SIGMA = (Symbol("A", pred(1)), Symbol("B", pred(1)), Symbol("K", pred(0)))
+
+
+def _head_vars(rng: random.Random, types=()) -> tuple:
+    """`types`' variables, and at times one more: at least one."""
+    types = [*types, *(rng.choice(LIB_ARG_TYPES) for _ in range(rng.randint(not types, 1)))]
+    return tuple(Symbol(f"F{k}", ty) for k, ty in enumerate(types))
+
+
+def _call(rng: random.Random, head: Symbol, symbols):
+    """head applied to a random one of `symbols` of each argument type."""
+    return Atom2(head, tuple(SymTerm(rng.choice([sym for sym in symbols if sym.type == ty]))
+                             for ty in head.type.args))
+
+
+def _body(rng: random.Random, head_vars: tuple, first_order: bool = True):
+    """A `random_tree` that reads some head variables and no other symbol,
+    in FO(ID*) or, with first_order false, outside it."""
+    while True:
+        body = random_tree(rng, rng.randint(0, 2), rels=head_vars)
+        free = free_symbols(body)
+        if (classify(body) == FRAGMENT_FO) is first_order and free and free <= set(head_vars):
+            return body
+
+
+def random_library(rng: random.Random, flaw: str | None = None):
+    """A random stratified library of one to three simple templates, each
+    one rule T_k(F̄) <- body with a `random_tree` FO body over F̄; a
+    template at times also calls a lower one at some of F̄, so its
+    expansion nests.  Returns the library's templates as (name, rule set)
+    pairs.  With `flaw`, one template is made recursive ("recursive": it
+    calls itself, or a lower template calls it back) or not simple
+    ("non-simple": a second rule, or a body outside FO(ID*))."""
+    heads, rules = [], []
+    for k in range(rng.randint(1, 3)):
+        lower = rng.choice(heads) if heads and rng.random() < 0.7 else None
+        head_vars = _head_vars(rng, lower.type.args if lower else ())
+        head = Symbol(f"T{k}", so_pred(*(v.type for v in head_vars)), "template")
+        body = _body(rng, head_vars)
+        if lower:
+            call = _call(rng, lower, head_vars)
+            body = rng.choice((And, Or))(body, Not(call) if rng.random() < 0.3 else call)
+        heads.append(head)
+        rules.append([Rule(head, head_vars, body)])
+    if flaw is not None:
+        k = rng.randrange(len(rules))
+        (rule,) = rules[k]
+        if flaw == "recursive":  # T_k calls itself, or T_j and T_k call each other
+            j = rng.randrange(k + 1)
+            for a, b in ((k, j), (j, k)):
+                (r,) = rules[a]
+                call = _call(rng, heads[b], r.head_vars + LIB_SIGMA)
+                rules[a] = [Rule(r.head, r.head_vars, Or(r.body, call))]
+        elif rng.random() < 0.5:
+            rules[k].append(Rule(rule.head, rule.head_vars, Not(rule.body)))
+        else:
+            rules[k] = [Rule(rule.head, rule.head_vars, _body(rng, rule.head_vars, False))]
+    return [(f"t{k}", RuleSet(tuple(rs))) for k, rs in enumerate(rules)]
+
+
+def random_template_formula(rng: random.Random, heads, depth: int):
+    """A random boolean combination of the template symbols `heads` applied
+    to the Σ symbols LIB_SIGMA, and at times the atom K."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.15:
+            return Atom1(LIB_SIGMA[2], ())
+        return _call(rng, rng.choice(heads), LIB_SIGMA)
+    kind = rng.choice((Not, And, Or, Implies, Iff))
+    if kind is Not:
+        return Not(random_template_formula(rng, heads, depth - 1))
+    return kind(*(random_template_formula(rng, heads, depth - 1) for _ in range(2)))
 
 
 # guarded rules: a first order quantifier whose body holds a parameter atom

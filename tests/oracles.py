@@ -75,6 +75,17 @@
   where a raise falls on a completion the other search does not reach.
   `exact_set` and `approx_quantifier` (a quantifier as Min or Max over a
   partial set) also live here, used only by tests.
+  `expand --check-equiv`'s own loop (`oracle_expand_equivalent`): the
+  formula's exact value with the library's templates against its
+  expansion's, on every Σ base.  `sigma_equivalent` with the library
+  pinned must give the same verdict.
+* A sum aggregate over every subset of its u elements
+  (`oracle_sum_aggregate`), the 2^u loop under the `max_unknowns` cap
+  that `truthvalues.approx_aggregate` ran.  That now decides < and > from
+  the least and greatest totals, and = by building the set of achievable
+  totals one u weight at a time under a cap on the totals built (subset
+  sum is NP-complete); it must give the same value and the same error
+  on a non-integer key.
 * The truth order by rank table (`rank_min_truth`, `rank_max_truth`,
   `rank_leq_truth`), as `truthvalues` first computed it.
 * The Kleene evaluator as first written (`oracle_kv`): an `isinstance`
@@ -136,6 +147,7 @@ from deflog.syntax import (
     ForallSO, Iff, Implies, IntTerm, Let, Not, Or, Rule, RuleSet, SymTerm,
     free_symbols, head_var_types,
 )
+from deflog.templates import apply_library
 from deflog.truthvalues import (
     F, T, TV, U, PartialSet, approx_aggregate, canon_order, conj, disj, glb_prec, iff,
     implies, max_truth, min_truth, neg,
@@ -772,6 +784,29 @@ def approx_quantifier(q: str, s: PartialSet) -> TV:
     raise EvaluationError(f"unknown quantifier {q!r}")
 
 
+_SUM_TESTS = {"=": lambda a, b: a == b, "<": lambda a, b: a < b, ">": lambda a, b: a > b}
+
+
+def oracle_sum_aggregate(cmp: str, s: PartialSet, n: int, limits: Limits = DEFAULT_LIMITS) -> TV:
+    """sum(S) cmp n over every subset of s's u elements, 2^u of them (the cap
+    counts u), stopping once the test has come out both ways."""
+    test, weights = _SUM_TESTS[cmp], []
+    for key in s.carrier:
+        first = key[0] if isinstance(key, tuple) else key
+        if not isinstance(first, int) or isinstance(first, bool):
+            raise EvaluationError(f"sum aggregate needs integer-keyed tuples, got {key!r}")
+        weights.append(first)
+    base = sum(w for w, v in zip(weights, s.values) if v is T)
+    unknown = [w for w, v in zip(weights, s.values) if v is U]
+    limits.check("max_unknowns", len(unknown), "{n} unknown elements exceed cap {cap}")
+    outcomes = set()
+    for picks in itertools.product((0, 1), repeat=len(unknown)):
+        outcomes.add(test(base + sum(w for w, p in zip(unknown, picks) if p), n))
+        if len(outcomes) == 2:
+            return U
+    return TV.of(outcomes == {True})
+
+
 def oracle_exact_interpretations(symbols, domain, limits=DEFAULT_LIMITS):
     """All exact interpretations of `symbols` over `domain`: a product, by
     name, of every subset of each predicate's carrier in size order (the cap
@@ -811,6 +846,21 @@ def oracle_sigma_equivalent(phi1, phi2, sigma, domain, limits=DEFAULT_LIMITS) ->
     """Every exact Σ-interpretation is expandable to a model of phi1 iff of phi2."""
     return all(oracle_expandable(phi1, base, limits) == oracle_expandable(phi2, base, limits)
                for base in oracle_exact_interpretations(sigma, domain, limits))
+
+
+def oracle_expand_equivalent(phi, expanded, lib, domain, limits=DEFAULT_LIMITS) -> bool:
+    """A formula and its macro expansion take the same exact value on every
+    exact interpretation of their other symbols, phi's with the library's
+    template values: `expand --check-equiv`'s own loop, as first written."""
+    template_syms = set(lib.template_symbols())
+    sigma = sorted((free_symbols(phi) | free_symbols(expanded)) - template_syms,
+                   key=lambda s: s.name)
+    for base in oracle_exact_interpretations(sigma, domain, limits):
+        with_templates = apply_library(base, lib, limits)
+        lhs = evaluate_exact(phi, with_templates, limits)
+        if lhs is not evaluate_exact(expanded, base, limits):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

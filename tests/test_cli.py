@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deflog
-from deflog import cli, definitions
+from deflog import cli, definitions, evaluator
 from deflog.cli import _mx_models, main
 from deflog.errors import CapExceeded, EvaluationError, NonTotalDefinitionError
 from deflog.evaluator import KLEENE, SUPERVALUATION, evaluate, evaluate_exact
@@ -32,7 +32,7 @@ from deflog.parser import Theory, parse_formula, parse_theory
 from deflog.syntax import (
     Aggregate, Atom1, DefinitionExpr, IntTerm, Or, SymTerm, classify, free_symbols, unparse,
 )
-from deflog.truthvalues import F, T
+from deflog.truthvalues import F, T, U
 from deflog.vocab import CONST, Symbol, Vocabulary, pred
 
 from conftest import DATA, GOLDEN
@@ -547,6 +547,42 @@ def test_definition_cap_holds_where_the_root_model_decides(tmp_path):
     assert r.stderr == "error: 2 unknown atoms exceed cap 1 (--max-completions)\n"
 
 
+def test_sum_over_many_unknowns_answers(tmp_path):
+    # 24 unknown summands: the achievable totals are 0..300, so 150 is
+    # possible and not certain; the totals are a set built one weight at a
+    # time, far under the cap, not the 2^24 subsets
+    theory, struct = tmp_path / "t.theory", tmp_path / "s.struct"
+    theory.write_text("vocab { s: pred/1; }\nformula half { sum{x : s(x)} = 150 }\n")
+    struct.write_text("domain = {1..24}\n")
+    r = CliRunner().invoke(main, ["eval", str(theory), str(struct)])
+    assert (r.exit_code, r.output) == (0, "half: u\n")
+
+
+def test_sum_equality_over_many_totals_hits_the_cap(tmp_path):
+    # 30 even powers of two: 7 lies between the least and greatest totals
+    # but no subset reaches it, and there are 2^30 totals to rule out
+    theory, struct = tmp_path / "t.theory", tmp_path / "s.struct"
+    theory.write_text("vocab { s: pred/1; }\nformula odd { sum{x : s(x)} = 7 }\n")
+    struct.write_text("domain = {%s}\n" % ", ".join(str(2 ** k) for k in range(1, 31)))
+    r = CliRunner().invoke(main, ["eval", "--max-completions", "12", str(theory), str(struct)])
+    assert r.exit_code == 3
+    assert r.output == "error: sum aggregate: 8190 totals built exceed cap 2^12 (--max-completions)\n"
+
+
+def test_validate_lib_reports_a_non_total_template_once_per_domain(tmp_path):
+    theory = tmp_path / "t.theory"
+    theory.write_text("vocab { bad: template so-pred(pred/1); } "
+                      "template t { bad(P) <- ~bad(P). }\n")
+    problems = [f"|D|={n}: template 't' is not total on this domain" for n in (0, 2)]
+    r = CliRunner().invoke(main, ["validate-lib", str(theory)])
+    assert (r.exit_code, r.output) == (
+        1, "order: t\n" + "".join(f"problem: {p}\n" for p in problems) + "not ok\n")
+    r = CliRunner().invoke(main, ["validate-lib", "--json", str(theory)])
+    assert r.exit_code == 1
+    assert json.loads(r.output) == {
+        "ok": False, "order": ["t"], "problems": problems, "skipped_contexts": 0}
+
+
 class TestModelExpansionSearch:
     """mx prunes where a constraint is f under Kleene; the oracle filters
     every completion (and every constant choice) in a flat loop."""
@@ -784,9 +820,9 @@ class TestModelExpansionSearch:
         struct = read_structure("domain = {x1}\nk = x1\n", theory.vocabulary)
         assert list(_mx_models(theory, struct, DEFAULT_LIMITS)) == []
 
-    def test_sum_constraint_is_only_checked_at_the_leaves(self):
+    def test_sum_constraint_is_only_checked_at_the_leaves(self, monkeypatch):
         # 6 unknown atoms but 9 unknown aggregate entries: a Kleene probe
-        # would exceed cap 8, the leaves do not
+        # values the sum over u entries, the leaves only over exact ones
         vocab = Vocabulary.of([P0, P1, self.T1])
         theory = Theory(vocab, {
             "big": parse_formula("sum{x, y: s(x) & t(y)} > 8", vocab),
@@ -794,8 +830,12 @@ class TestModelExpansionSearch:
         })
         struct = read_structure("domain = {1..3}\np = {(): f}\n", vocab)
         limits = Limits(max_unknowns=8)
-        with pytest.raises(CapExceeded):
-            evaluate(theory.formulas["big"], struct, KLEENE, limits)
+        assert evaluate(theory.formulas["big"], struct, KLEENE, limits) is U
+        unknown_entries = []
+        aggregate = evaluator.approx_aggregate
+        monkeypatch.setattr(evaluator, "approx_aggregate", lambda agg, cmp, s, *rest: (
+            unknown_entries.append(U in s.values) or aggregate(agg, cmp, s, *rest)))
         got = list(_mx_models(theory, struct, limits))
         assert got == self.oracle(theory, struct)
         assert len(got) == 11
+        assert unknown_entries and not any(unknown_entries)

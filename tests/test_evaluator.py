@@ -284,31 +284,41 @@ class TestPrunedSupervaluation:
         with pytest.raises(CapExceeded, match=r"^3 unknown atoms exceed cap 2 \(--max-completions\)$"):
             evaluate(e, i, SUPERVALUATION, Limits(max_unknowns=2))
 
-    def test_sum_aggregate_is_only_evaluated_at_the_leaves(self):
-        # 6 unknown atoms, but 9 unknown entries in the aggregate set:
-        # the Kleene value raises at cap 8 where every completion is fine
+    @staticmethod
+    def aggregate_sets(monkeypatch) -> list:
+        """Whether each set an aggregate is valued on from now on holds a u."""
+        seen, aggregate = [], evaluator.approx_aggregate
+        monkeypatch.setattr(evaluator, "approx_aggregate", lambda agg, cmp, s, *rest: (
+            seen.append(U in s.values) or aggregate(agg, cmp, s, *rest)))
+        return seen
+
+    def test_sum_aggregate_is_only_evaluated_at_the_leaves(self, monkeypatch):
+        # 6 unknown atoms, but 9 unknown entries in the aggregate set: the
+        # Kleene value reads them all, the search only exact ones
         t1 = Symbol("t", pred(1))
         vocab = Vocabulary.of([P0, P1, t1])
         i = read_structure("domain = {1..3}\np = {(): u}\n", vocab)
         i = i.revise(i.u_atoms([P0]), T)
         e = parse_formula("p & (sum{x, y: s(x) & t(y)} > 3)", vocab)
         limits = Limits(max_unknowns=8)
-        with pytest.raises(CapExceeded):
-            evaluate(e, i, KLEENE, limits)
+        assert evaluate(e, i, KLEENE, limits) is U
         want = super_oracle(e, i, exact_holds)
         assert want is U
+        seen = self.aggregate_sets(monkeypatch)
         assert evaluate(e, i, SUPERVALUATION, limits) is want
+        assert seen and not any(seen)
 
-    def test_a_card_over_a_sum_waits_too(self):
+    def test_a_card_over_a_sum_waits_too(self, monkeypatch):
         # valued at a node, the card would value the sum's 9 unknown entries
         t1 = Symbol("t", pred(1))
         vocab = Vocabulary.of([P0, P1, t1])
         i = read_structure("domain = {1..3}\np = {(): t}\n", vocab)
         e = parse_formula("p & #{z: sum{x, y: s(x) & t(y)} > z} > 1", vocab)
         limits = Limits(max_unknowns=8)
-        with pytest.raises(CapExceeded):
-            evaluate(e, i, KLEENE, limits)
+        assert evaluate(e, i, KLEENE, limits) is U
+        seen = self.aggregate_sets(monkeypatch)
         assert evaluate(e, i, SUPERVALUATION, limits) is super_oracle(e, i, exact_holds) is U
+        assert seen and not any(seen)
 
     def test_definition_is_only_evaluated_at_the_leaves(self):
         vocab = Vocabulary.of([P0, P1])

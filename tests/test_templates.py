@@ -7,6 +7,7 @@ enumeration for rewrites."""
 
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -30,10 +31,10 @@ from deflog.truthvalues import T
 from deflog.vocab import CONST, Symbol, Vocabulary, pred, predicate_carrier
 
 from conftest import DATA
-from gen import random_tree
+from gen import random_library, random_template_formula, random_tree
 from oracles import (
     exact_set, expand_unknown, oracle_exact_interpretations, oracle_expandable,
-    oracle_sigma_equivalent,
+    oracle_expand_equivalent, oracle_sigma_equivalent,
 )
 
 
@@ -585,6 +586,28 @@ class TestEliminateSO:
             eliminate_so(self.parse("!! S[pred/1]: ?x: S(x)"))
 
 
+def outcome(f):
+    try:
+        return f()
+    except DeflogError as exc:
+        return type(exc)
+
+
+def compare(new, old, counts: Counter) -> None:
+    """Equal verdicts where both answer, equal classes where both raise;
+    a raise on one side only counts, as the two searches visit
+    completions in different orders and stop at different ones."""
+    new, old = outcome(new), outcome(old)
+    if type(new) is bool and type(old) is bool:
+        assert new is old
+        counts[new] += 1
+    elif type(new) is bool or type(old) is bool:
+        counts["one side raises"] += 1
+    else:
+        assert new is old
+        counts["both raise"] += 1
+
+
 class TestSigmaEquivalence:
     VOCAB = Vocabulary.of([Symbol("P", pred(2)), Symbol("R", pred(1))])
 
@@ -648,27 +671,6 @@ class TestSigmaEquivalenceOnTheSearch:
         assert len(bases) == len(want) == 2 ** 6 * 2 and set(bases) == set(want)
         assert bases[:2] == [(("P", (T,) * 4), ("R", (T, T)), ("c", d)) for d in "ab"]
 
-    @staticmethod
-    def outcome(f):
-        try:
-            return f()
-        except DeflogError as exc:
-            return type(exc)
-
-    def compare(self, new, old, counts: Counter) -> None:
-        """Equal verdicts where both answer, equal classes where both raise;
-        a raise on one side only counts, as the two searches visit
-        completions in different orders and stop at different ones."""
-        new, old = self.outcome(new), self.outcome(old)
-        if type(new) is bool and type(old) is bool:
-            assert new is old
-            counts[new] += 1
-        elif type(new) is bool or type(old) is bool:
-            counts["one side raises"] += 1
-        else:
-            assert new is old
-            counts["both raise"] += 1
-
     DOMAINS = ((1,), (1, 2))
     MAX_ATOMS = 10  # Σ and extra atoms together, so the oracle's 2^n loops stay small
 
@@ -694,7 +696,7 @@ class TestSigmaEquivalenceOnTheSearch:
             for domain in self.DOMAINS:
                 if self.atoms(free_symbols(matrix) | set(sigma), domain) <= self.MAX_ATOMS:
                     for rewrite, seen in ((matrix, counts), (Not(matrix), wrong)):
-                        self.compare(lambda: sigma_equivalent(phi, rewrite, sigma, domain),
+                        compare(lambda: sigma_equivalent(phi, rewrite, sigma, domain),
                                      lambda: oracle_sigma_equivalent(phi, rewrite, sigma, domain),
                                      seen)
         assert counts[True] >= 100 and counts[False] == 0, counts
@@ -715,8 +717,72 @@ class TestSigmaEquivalenceOnTheSearch:
             for domain in self.DOMAINS:
                 if self.atoms(free, domain) <= self.MAX_ATOMS:
                     for base in oracle_exact_interpretations(sigma, domain):
-                        self.compare(lambda: _expandable(phi, base, DEFAULT_LIMITS),
+                        compare(lambda: _expandable(phi, base, DEFAULT_LIMITS),
                                      lambda: oracle_expandable(phi, base), counts)
         assert drawn["constant"] >= 40 and drawn["extra predicate"] >= 40, drawn
         assert counts[True] >= 500 and counts[False] >= 300, counts
         assert counts["one side raises"] + counts["both raise"] <= 5, counts
+
+
+class TestMacroTheorem:
+    """The paper's theorem as a property: on a library of simple,
+    non-recursive templates, a formula is Σ-equivalent to its macro
+    expansion, with the templates pinned to their well-founded values.
+    `sigma_equivalent` with the library must agree with
+    `expand --check-equiv`'s first loop (`oracle_expand_equivalent`)."""
+
+    DOMAINS = ((1,), (1, 2))
+
+    @staticmethod
+    def check(phi, lib, counts: Counter, wrong: Counter) -> None:
+        expanded = macro_expand(phi, lib)
+        assert not free_symbols(expanded) & set(lib.template_symbols())
+        sigma = sorted((free_symbols(phi) | free_symbols(expanded))
+                       - set(lib.template_symbols()), key=lambda sym: sym.name)
+        for domain in TestMacroTheorem.DOMAINS:
+            # the negated expansion is a wrong rewrite on every base
+            for rewrite, seen in ((expanded, counts), (Not(expanded), wrong)):
+                compare(lambda: sigma_equivalent(phi, rewrite, sigma, domain, lib=lib),
+                        lambda: oracle_expand_equivalent(phi, rewrite, lib, domain), seen)
+
+    def test_random_libraries_expand_to_sigma_equivalent_formulas(self):
+        counts, wrong, drawn = Counter(), Counter(), Counter()
+        for seed in range(150):
+            rng = random.Random(seed)
+            lib = TemplateLibrary(tuple(Template(n, rs) for n, rs in random_library(rng)))
+            heads = lib.template_symbols()
+            drawn["templates"] += len(heads)
+            drawn["calls"] += sum(any(sym in heads for sym in t.parameters)
+                                  for t in lib.templates)
+            for _ in range(3):
+                self.check(random_template_formula(rng, heads, 2), lib, counts, wrong)
+        assert drawn["templates"] >= 250 and drawn["calls"] >= 60, drawn
+        assert counts[True] >= 800 and counts[False] == 0, counts
+        assert wrong[False] >= 800 and wrong[True] == 0, wrong
+        assert counts["one side raises"] + counts["both raise"] <= 5, counts
+
+    def test_eq_fixture_agrees_with_the_first_loop(self):
+        th = load("eq.theory")
+        lib, vocab = library(th), th.vocabulary
+        counts, wrong = Counter(), Counter()
+        texts = ["isEqRelation(P)", "isEqRelation(P) & isEqRelation(Q)",
+                 "isEqRelation(P) | ~isEqRelation(Q)", "isEqRelation(Q) <=> (?x: P(x, x))"]
+        for text in texts:
+            self.check(parse_formula(text, vocab), lib, counts, wrong)
+        assert counts == {True: 8} and wrong == {False: 8}, (counts, wrong)
+
+    @pytest.mark.parametrize("flaw", ["recursive", "non-simple"])
+    def test_recursive_or_non_simple_libraries_are_refused(self, flaw):
+        reasons = Counter()
+        for seed in range(150):
+            rng = random.Random(seed)
+            lib = TemplateLibrary(tuple(Template(n, rs) for n, rs in random_library(rng, flaw)))
+            phi = random_template_formula(rng, lib.template_symbols(), 2)
+            with pytest.raises(EvaluationError) as refusal:
+                macro_expand(phi, lib)
+            reasons[re.sub(r"'.*'|: .*", "", str(refusal.value))] += 1
+        if flaw == "recursive":
+            assert reasons["template  is recursive"] >= 50, reasons
+            assert reasons["stratification cycle among templates"] >= 10, reasons
+        else:
+            assert reasons == {"template  is not simple": 150}, reasons

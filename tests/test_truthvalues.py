@@ -7,6 +7,8 @@ completions."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deflog.errors import CapExceeded, EvaluationError
 from deflog.limits import Limits
@@ -16,8 +18,8 @@ from deflog.truthvalues import (
 )
 
 from oracles import (
-    BoolFn, approx_quantifier, exact_set, kleene_connective, rank_leq_truth, rank_max_truth,
-    rank_min_truth, ultimate_approx,
+    BoolFn, approx_quantifier, exact_set, kleene_connective, oracle_sum_aggregate,
+    rank_leq_truth, rank_max_truth, rank_min_truth, ultimate_approx,
 )
 
 THREE = (T, U, F)
@@ -280,6 +282,55 @@ class TestAggregates:
             for n in range(-3, 5):
                 assert approx_aggregate("sum", cmp, s, n) is \
                     aggregate_oracle("sum", cmp, s, n), (cmp, values, n)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(entries=st.lists(st.tuples(st.integers(-6, 6), st.sampled_from(THREE)), max_size=10),
+           n=st.integers(-20, 20), cmp=st.sampled_from("=<>"),
+           cap=st.sampled_from((0, 2, 4, 20)))
+    def test_sum_matches_the_subset_loop(self, entries, n, cmp, cap):
+        # negative, zero and repeated weights: a key's second component
+        # keeps repeated weights apart; under a small cap only =, which
+        # asks which totals are reachable, may raise
+        s = PartialSet(tuple((w, k) for k, (w, _) in enumerate(entries)),
+                       tuple(v for _, v in entries))
+        try:
+            got = approx_aggregate("sum", cmp, s, n, Limits(max_unknowns=cap))
+        except CapExceeded:
+            assert cmp == "=" and cap < 20
+            return
+        assert got is oracle_sum_aggregate(cmp, s, n)
+
+    @pytest.mark.parametrize("key", [("a",), (True,), (1.5,), "a"])
+    def test_sum_refuses_a_non_integer_key_as_the_subset_loop_does(self, key):
+        s = PartialSet(((1,), key), (U, T))
+        with pytest.raises(EvaluationError, match="sum aggregate needs integer-keyed") as new:
+            approx_aggregate("sum", "=", s, 0)
+        with pytest.raises(EvaluationError) as old:
+            oracle_sum_aggregate("=", s, 0)
+        assert str(new.value) == str(old.value)
+
+    def test_sum_with_few_totals_answers_past_the_subset_cap(self):
+        # 24 u weights are past the subset loop's cap; the totals are 0..300
+        s = PartialSet(tuple((w,) for w in range(1, 25)), (U,) * 24)
+        with pytest.raises(CapExceeded):
+            oracle_sum_aggregate("=", s, 150)
+        assert approx_aggregate("sum", "=", s, 150) is U
+        assert approx_aggregate("sum", ">", s, -1) is T
+        assert approx_aggregate("sum", "<", s, 0) is F
+
+    def test_sum_equality_caps_the_totals_it_builds(self):
+        # 30 powers of two give 2^30 totals: = is subset sum, so it is capped,
+        # while < and > read the interval [0, 2^31 - 2] and take no cap
+        s = PartialSet(tuple((2 ** k,) for k in range(1, 31)), (U,) * 30)
+        limits = Limits(max_unknowns=8)
+        with pytest.raises(CapExceeded, match=r"^sum aggregate: \d+ totals built exceed "
+                                              r"cap 2\^8 \(--max-completions\)$"):
+            approx_aggregate("sum", "=", s, 7, limits)
+        assert approx_aggregate("sum", "<", s, 7, limits) is U
+        assert approx_aggregate("sum", ">", s, -1, limits) is T
+        assert approx_aggregate("sum", "=", s, -1, limits) is F
+        # the search stops once it reaches n: 6 is reached at the second weight
+        assert approx_aggregate("sum", "=", s, 6, limits) is U
 
     def test_sum_requires_integer_first_components(self):
         s = PartialSet.from_map({("a",): T})
