@@ -20,7 +20,7 @@ from .limits import DEFAULT_LIMITS, Limits
 from .parser import Theory, parse_formula, parse_ruleset, parse_theory
 from .syntax import (
     FRAGMENT_ASO, FRAGMENT_ESO, FRAGMENT_FO, FRAGMENT_SO, Rule, RuleSet,
-    classify, free_symbols, typecheck, unparse, unparse_ruleset,
+    classify, free_symbols, typecheck, unparse,
 )
 from .templates import (
     LibraryReport, Template, TemplateLibrary, apply_library,
@@ -49,6 +49,5 @@ __all__ = [
     "parse_formula", "parse_ruleset", "parse_theory",
     "partial_stable_models", "pred", "read_structure", "sigma_equivalent",
     "so_pred", "stable_models", "templify", "typecheck", "unparse",
-    "unparse_ruleset", "validate_library", "well_founded_model",
-    "write_structure",
+    "validate_library", "well_founded_model", "write_structure",
 ]

@@ -380,7 +380,7 @@ def expand_cmd(
     templates as a library of simple templates."""
     name, phi = _pick("formula", theory.formulas, formula_name)
     lib = _library(theory)
-    expanded = macro_expand(phi, lib, limits)
+    expanded = macro_expand(phi, lib)
     _echo_rewrite(
         {"formula": name, "expanded": unparse(expanded)}, [unparse(expanded)],
         lambda: _equivalent(phi, expanded, (free_symbols(phi) | free_symbols(expanded))

@@ -34,13 +34,13 @@ and first order quantifiers, and reads defined symbols only in atoms that
 hand those variables on unchanged, as game's `lose(nxt, Move, IsWon)`
 does: as the paper reads an instance of a template as its body at the
 instance's arguments, the body is ground once per first order head
-arguments (`_Lifted`), the variables u symbols over their full carriers,
-into a residual of their atoms, constants and a placeholder per hand-on
-atom.  Each head writes its relations into those atoms, resolves the
-placeholders to its own atoms and simplifies the residual as a fresh
-grounding would build it, valuing whole each part that reads no defined
-symbol.  So eq's one rule at |D| = 3 is ground once, not 512 times, and
-game's two once per position.
+arguments (`_Lifted`, a formula-form `_Ground` over the variables, u
+symbols over their full carriers), into a residual of their atoms,
+constants and a placeholder per hand-on atom.  Each head writes its
+relations into those atoms, resolves the placeholders to its own atoms
+and simplifies the residual as a fresh grounding would build it, valuing
+whole each part that reads no defined symbol.  So eq's one rule at
+|D| = 3 is ground once, not 512 times, and game's two once per position.
 A body of such atoms and connectives alone that reads no parameter is
 ground alike in every context, so its grounding is kept on the rule set
 (`_lifts`) and serves every well-founded model over that domain, until a
@@ -53,10 +53,11 @@ run as derivation rounds on the rule set ground with the t atoms demoted
 to u.  The three conditions share one grounding per search, or per
 `is_partial_stable` call, each test writing its values into it.
 
-A rule set used as a formula is the glb over the exact completions of
-the unknown atoms it reads.  The well-founded model is precision-monotone
-in its context, so the three-valued one at a node holds below it and may
-already decide the subtree (`_agreement`).
+A rule set used as a formula is t where it is exactly its well-founded
+model, and the glb of that over the exact completions of the unknown atoms
+it reads.  The model is precision-monotone in its context, so the one at a
+node holds below it and may decide the subtree (`_agreement`).  Caps are
+read only as `ctx.limits`, ctx being `_ctx` or made of `limits`.
 
 Searches ground their formulas once with `_Ground` in its formula form,
 whose one leaf rule serves them all: a card aggregate is valued at every
@@ -201,19 +202,19 @@ def is_partial_stable(
 # Model enumeration
 
 
-def _models(d: RuleSet, o: PartialInterpretation, limits: Limits, carriers, ctx, exact: bool):
+def _models(d: RuleSet, o: PartialInterpretation, carriers, ctx: EvalContext, exact: bool):
     """The partial stable interpretations expanding o, exact ones if `exact`,
     in `_branch` order.  Each is ≥p the well-founded model: the search starts
     there, or at all u if it raises.  If `exact`, an assigned atom whose ground
     bodies give the opposite value stays unsupported below the node."""
     try:
-        i0 = well_founded_model(d, o, limits, carriers, _ctx=ctx)
+        i0 = well_founded_model(d, o, ctx.limits, carriers, _ctx=ctx)
     except DeflogError:
-        i0 = expand_context(d, o, limits, carriers)
+        i0 = expand_context(d, o, ctx.limits, carriers)
     atoms = _defined_atoms(d, i0)
     hs = [_ATOMS + h for h, a in enumerate(atoms) if i0.atom_value(a) is U]
-    limits.check("max_defined_atoms", len(hs), "{n} defined atoms exceed cap {cap}")
-    g = _Ground(None, i0, limits, symbols=d.defined_symbols)  # the search
+    ctx.limits.check("max_defined_atoms", len(hs), "{n} defined atoms exceed cap {cap}")
+    g = _Ground(None, i0, ctx.limits, symbols=d.defined_symbols)  # the search
     c = _Ground(d, i0, ctx.limits, heads=())  # the three conditions
     residuals = ((g.rules(d, a.predicate, a.args), (_ATOMS + h,))
                  for h, a in enumerate(atoms)) if exact else ()
@@ -232,7 +233,7 @@ def partial_stable_models(
     _ctx: EvalContext | None = None,
 ) -> list[PartialInterpretation]:
     """All partial stable interpretations expanding context o."""
-    return _models(d, o, limits, carriers, _ctx or EvalContext(limits=limits), exact=False)
+    return _models(d, o, carriers, _ctx or EvalContext(limits=limits), exact=False)
 
 
 def stable_models(
@@ -243,7 +244,7 @@ def stable_models(
     _ctx: EvalContext | None = None,
 ) -> list[PartialInterpretation]:
     """Exact partial stable interpretations expanding context o."""
-    return _models(d, o, limits, carriers, _ctx or EvalContext(limits=limits), exact=True)
+    return _models(d, o, carriers, _ctx or EvalContext(limits=limits), exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -706,15 +707,12 @@ class _Lifted(_Ground):
     `owner` as they are made, so a raise comes where a fresh grounding's does."""
 
     def __init__(self, owner: _Ground, d: RuleSet, so: frozenset, heads: dict):
-        self.at, self.fold, self.ctx, self.owner = owner.at, True, owner.ctx, owner
-        self.heads, self.hands, self.holes, self.part = heads, d.defined_symbols, [], False
-        self.defined, self.index, self.val, self.reads = so | self.hands, {}, [0, 1, 2], set()
-        self.leaf, self.live, self.last, self.guards, self.full = [], {}, {}, {}, {}
+        at = owner.at
         for v in sorted(so, key=lambda s: s.name):
-            ps = _unknown(v.type.arity, self.at.domain)
-            self.at = self.at._expand(v, ps)
-            self.index[v] = (len(self.val), ps._index)
-            self.val += [1] * len(ps.carrier)
+            at = at._expand(v, _unknown(v.type.arity, at.domain))
+        _Ground.__init__(self, None, at, owner.ctx.limits, symbols=so)
+        self.ctx, self.owner, self.defined = owner.ctx, owner, so | d.defined_symbols
+        self.heads, self.hands, self.holes, self.part = heads, d.defined_symbols, [], False
 
     @staticmethod
     def of(owner: _Ground, d: RuleSet, r, so: frozenset, heads: dict) -> tuple:
@@ -1007,10 +1005,10 @@ def well_founded_model(
     carrier_key = None if carriers is None else tuple(
         sorted(((s, tuple(getattr(c, "carrier", c))) for s, c in carriers.items()),
                key=lambda kv: kv[0].name))
-    key = (d, o.domain, o.assignments, carrier_key, limits)
+    key = (d, o.domain, o.assignments, carrier_key, ctx.limits)
     hit = _WFM_CACHE.get(key)
     if hit is None:
-        hit = _residual_wfm(d, expand_context(d, o, limits, carriers), ctx.limits)
+        hit = _residual_wfm(d, expand_context(d, o, ctx.limits, carriers), ctx.limits)
         if len(_WFM_CACHE) >= _WFM_CACHE_MAX:
             del _WFM_CACHE[next(iter(_WFM_CACHE))]
         _WFM_CACHE[key] = hit
@@ -1033,11 +1031,11 @@ def is_total(
 # Rule sets as formulas
 
 
-def _agreement(d: RuleSet, j: PartialInterpretation, limits: Limits, ctx: EvalContext) -> TV:
+def _agreement(d: RuleSet, j: PartialInterpretation, ctx: EvalContext) -> TV:
     """t if j's defined atoms are all exact and the same in d's well-founded
     model at j's context and carriers, f if one exact in both differs, else u."""
     carriers = {h: j.value(h) for h in d.defined_symbols}
-    wfm = well_founded_model(d, parameter_context(d, j), limits, carriers, _ctx=ctx)
+    wfm = well_founded_model(d, parameter_context(d, j), ctx.limits, carriers, _ctx=ctx)
     pairs = {p for h, ps in carriers.items() for p in zip(wfm.value(h).values, ps.values)}
     return F if pairs & {(T, F), (F, T)} else T if pairs <= {(T, T), (F, F)} else U
 
@@ -1045,35 +1043,29 @@ def _agreement(d: RuleSet, j: PartialInterpretation, limits: Limits, ctx: EvalCo
 def eval_definition(
     d: RuleSet,
     i: PartialInterpretation,
-    sem: str = "w",
     limits: Limits = DEFAULT_LIMITS,
     _ctx: EvalContext | None = None,
 ) -> TV:
     """Truth value of a rule set used as a formula.
 
     On interpretations exact over the rule set's free predicate
-    symbols: t iff i is an exact well-founded ("w") respectively stable
-    ("st") interpretation of d.  Otherwise the ultimate approximation:
-    glb over the exact completions of i's unknown defined atoms and the
-    u-valued parameter atoms d's well-founded model at i reads, for "w"
-    cut wherever the model decides a subtree.
+    symbols: t iff i is the exact well-founded model of d in its context.
+    Otherwise the ultimate approximation: glb over the exact completions
+    of i's unknown defined atoms and the u-valued parameter atoms d's
+    well-founded model at i reads, cut wherever the model decides a subtree.
     """
     ctx = _ctx or EvalContext(limits=limits)
 
     def exact(j: PartialInterpretation) -> TV:  # j exact over d's free predicates
-        if sem == "w":
-            return TV.of(_agreement(d, j, limits, ctx) is T)
-        if sem == "st":
-            return TV.of(is_partial_stable(d, j, limits, _ctx=ctx).is_partial_stable)
-        raise EvaluationError(f"unknown rule-set semantics {sem!r}")
+        return TV.of(_agreement(d, j, ctx) is T)
 
     if not i.u_atoms(s for s in d.free if s.type.is_predicate):
         return exact(i)
-    atoms, root = _defined_atoms(d, i), EvalContext(limits=limits)
+    atoms, root = _defined_atoms(d, i), EvalContext(limits=ctx.limits)
     try:
-        _agreement(d, i, limits, root)  # records the parameter atoms read
+        _agreement(d, i, root)  # records the parameter atoms read
     except DeflogError:  # from a later round: grounding alone reads as much
-        root.record.update(_Ground(d, i.revise(atoms, U), limits).consulted())
+        root.record.update(_Ground(d, i.revise(atoms, U), ctx.limits).consulted())
     unknown = [*root.record, *(a for a in atoms if i.atom_value(a) is U)]
     if not unknown:
         return exact(i)
@@ -1081,8 +1073,8 @@ def eval_definition(
 
     def probe(j: PartialInterpretation) -> TV:  # a model that raises decides nothing
         try:
-            return _agreement(d, j, limits, EvalContext(limits=limits))
+            return _agreement(d, j, EvalContext(limits=ctx.limits))
         except DeflogError:
             return U
 
-    return _leaf_glb(i, unknown, limits, exact, probe if sem == "w" else None)
+    return _leaf_glb(i, unknown, ctx.limits, exact, probe)

@@ -114,8 +114,19 @@ def _relation_cached(rel: frozenset, arity: int, domain: tuple) -> PartialSet:
     return ps
 
 
+def _ill_typed(message: str):
+    """An ill-typed atom's closure, `keys` too: it raises when valued, in its turn."""
+    def fail(*_):
+        raise EvaluationError(message)
+
+    fail.keys = fail
+    return fail
+
+
 def _atom1(e, kids):
     p, args = e.predicate, [_term(a) for a in e.args]
+    if not p.type.is_predicate:
+        return _ill_typed(f"{p.name} of type {p.type} used as a predicate")
     # bound-variable arguments are read from env in one pass, others as terms
     syms = tuple(a.symbol if type(a) is SymTerm else None for a in e.args)
 
@@ -138,9 +149,12 @@ def _atom1(e, kids):
 
 def _atom2(e, kids):
     p = e.predicate
-    # per argument: a domain term, or the symbol of a predicate argument
-    parts = [(_term(a), None) if at.kind == "domain"
-             else (None, a.symbol if type(a) is SymTerm else None)
+    # per argument: a domain term, or the symbol of a predicate argument, or
+    # a message if it is not a symbol of the argument's type
+    parts = [(_term(a), None) if at.kind == "domain" else (None, a.symbol)
+             if type(a) is SymTerm and a.symbol.type == at else (None, (
+                 f"{p.name}: expected {at}, got {a.symbol.name} of type {a.symbol.type}"
+                 if type(a) is SymTerm else "predicate argument must be a symbol"))
              for a, at in zip(e.args, p.type.args)]
 
     def keys(i, env, ctx):  # the keys to read, or None outside the domain
@@ -152,8 +166,8 @@ def _atom2(e, kids):
                     return None
                 choices.append((v,))
                 continue
-            if sym is None:
-                raise EvaluationError("predicate argument must be a symbol")
+            if type(sym) is str:
+                raise EvaluationError(sym)
             ps = env[sym] if sym in env else i.value(sym)
             if ps.is_exact:
                 choices.append((ps.true_keys(),))
@@ -250,7 +264,7 @@ def _definition(e, kids):
             i = i._expand(var, v)
         if type(e) is Let:
             return _let_value(e, i, ctx)
-        return definitions.eval_definition(e.ruleset, i, "w", ctx.limits, _ctx=ctx)
+        return definitions.eval_definition(e.ruleset, i, ctx.limits, _ctx=ctx)
 
     return definition
 

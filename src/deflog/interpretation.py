@@ -78,10 +78,6 @@ class PartialInterpretation:
 
     # -- lookup ------------------------------------------------------------
 
-    @property
-    def vocabulary(self) -> Vocabulary:
-        return Vocabulary.of(s for s, _ in self.assignments)
-
     def interprets(self, sym: Symbol) -> bool:
         return sym in self._by_symbol
 

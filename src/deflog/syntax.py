@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
 
+from .errors import TypeError_
 from .vocab import CONST, DOMAIN, Symbol, Type
 
 # ---------------------------------------------------------------------------
@@ -466,9 +467,7 @@ def head_var_types(head: Symbol) -> list[Type]:
     """The types rule head variables take, per the head's predicate type."""
     if head.type.kind == "pred":
         return [CONST] * head.type.arity
-    if head.type.kind == "so-pred":
-        return [CONST if a.kind == "domain" else a for a in head.type.args]
-    return []
+    return [CONST if a.kind == "domain" else a for a in head.type.args]  # none if not so-pred
 
 
 def _check_ruleset(rs: RuleSet, scope: dict, errors: list) -> None:
@@ -547,7 +546,10 @@ def _subst_pred(p: Symbol, mapping: dict) -> Symbol:
     if isinstance(repl, SymTerm):
         repl = repl.symbol
     if not isinstance(repl, Symbol):
-        raise TypeError(f"cannot substitute term {repl!r} in predicate position")
+        raise TypeError_(f"cannot substitute term {unparse_term(repl)} for {p.name}")
+    if repl.type != p.type:
+        raise TypeError_(f"cannot substitute {repl.name} of type {repl.type} "
+                         f"for {p.name} of type {p.type}")
     return repl
 
 
@@ -587,10 +589,9 @@ def substitute(e, mapping: dict, gen: NameGen | None = None):
         gen = NameGen({s.name for s in free_symbols(e) | _mapping_symbols(mapping)})
     if not mapping:
         return e
-    if isinstance(e, (Atom1, Atom2)):  # Atom2 once its predicate is second order
-        p = _subst_pred(e.predicate, mapping)
-        atom_cls = Atom2 if isinstance(e, Atom2) or p.type.kind == "so-pred" else Atom1
-        return atom_cls(p, tuple(_subst_term(a, mapping) for a in e.args))
+    if isinstance(e, (Atom1, Atom2)):
+        return type(e)(_subst_pred(e.predicate, mapping),
+                       tuple(_subst_term(a, mapping) for a in e.args))
     if isinstance(e, Cmp):
         return Cmp(e.op, _subst_term(e.left, mapping), _subst_term(e.right, mapping))
     if isinstance(e, _QUANTIFIERS):
@@ -615,10 +616,8 @@ def substitute(e, mapping: dict, gen: NameGen | None = None):
     return rebuild(e, [substitute(k, mapping, gen) for k in children(e)])
 
 
-def subst_ruleset(rs: RuleSet, mapping: dict, gen: NameGen | None = None) -> RuleSet:
+def subst_ruleset(rs: RuleSet, mapping: dict, gen: NameGen) -> RuleSet:
     """Substitute parameters of a rule set (defined symbols via mapping too)."""
-    if gen is None:
-        gen = NameGen({s.name for s in rs.free | _mapping_symbols(mapping)})
     rules = []
     for r in rs.rules:
         head = _subst_pred(r.head, mapping)
@@ -746,7 +745,3 @@ def _ruleset_text(rs: RuleSet, bodies) -> str:
 def unparse(e) -> str:
     """Canonical ASCII form; parse(unparse(e)) reproduces e."""
     return fold(DefinitionExpr(e) if isinstance(e, RuleSet) else e, _text)
-
-
-def unparse_ruleset(rs: RuleSet) -> str:
-    return unparse(rs)

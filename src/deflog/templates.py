@@ -3,15 +3,16 @@
 A template defines template symbols in terms of interpreted and
 template symbols only, making it a domain-independent building block.
 Libraries of templates are validated (unique definitions, vocabulary
-purity, stratification, paradox-freeness on test domains) and applied
+purity, stratification, paradox-freeness on `_TEST_DOMAINS`) and applied
 to interpretations stratum by stratum, each template symbol receiving
 the well-founded value of its definition.
 
 The module also houses the rewriting toolbox: templification (turning a
 user definition with open first order predicate symbols into a
-template), macro expansion of simple non-recursive template libraries,
-and elimination of existential second order quantifiers by switching
-them past first order universals and skolemizing.  Both rewrites are
+template), macro expansion of simple non-recursive template libraries
+(refusing an argument of the wrong type), and elimination of existential
+second order quantifiers by switching them past first order universals
+and skolemizing (refusing one left anywhere, rule bodies too).  Both are
 checked by one Σ-equivalence test, `sigma_equivalent`: the exact
 Σ-interpretations come from `mx`'s (`definitions.constrained_completions`),
 a library's templates pinned on each, and a formula is expandable on one
@@ -116,12 +117,10 @@ def _stratify(lib: TemplateLibrary) -> tuple[list[Template], list[str]]:
     return order, problems
 
 
-def validate_library(
-    lib: TemplateLibrary,
-    test_domains: Sequence[Sequence] = ((), ("a", "b")),
-    limits: Limits = DEFAULT_LIMITS,
-    so_instances: Optional[Mapping[Symbol, Iterable[tuple]]] = None,
-) -> LibraryReport:
+_TEST_DOMAINS = ((), ("a", "b"))  # the domains validate_library applies a library over
+
+
+def validate_library(lib: TemplateLibrary, limits: Limits = DEFAULT_LIMITS) -> LibraryReport:
     """Check unique definitions, vocabulary purity, stratification, and
     paradox-freeness of every template on every test domain."""
     report = LibraryReport()
@@ -143,13 +142,13 @@ def validate_library(
     if report.problems:
         return report
 
-    for domain in test_domains:
+    for domain in _TEST_DOMAINS:
         try:
-            apply_library(PartialInterpretation.empty(domain), lib, limits, so_instances)
+            apply_library(PartialInterpretation.empty(domain), lib, limits)
         except CapExceeded:
             report.skipped_contexts += 1
         except NonTotalDefinitionError as exc:
-            report.problems.append(f"|D|={len(tuple(domain))}: {exc}")
+            report.problems.append(f"|D|={len(domain)}: {exc}")
     return report
 
 
@@ -300,7 +299,7 @@ def is_simple(t: Template) -> bool:
     return classify(fold(rule.body, _calls_as_atoms)) == FRAGMENT_FO
 
 
-def macro_expand(phi, lib: TemplateLibrary, limits: Limits = DEFAULT_LIMITS):
+def macro_expand(phi, lib: TemplateLibrary):
     """Substitute template atoms by their defining bodies until none remain.
 
     Requires a library of non-recursive simple templates; termination
@@ -327,9 +326,7 @@ def macro_expand(phi, lib: TemplateLibrary, limits: Limits = DEFAULT_LIMITS):
     def expand(e, kids):
         if isinstance(e, Atom2) and e.predicate in rules:
             rule = rules[e.predicate]
-            mapping = {var: arg.symbol if isinstance(arg, SymTerm) and var.type.kind == "pred"
-                       else arg for var, arg in zip(rule.head_vars, e.args)}
-            return fold(substitute(rule.body, mapping, gen), expand)
+            return fold(substitute(rule.body, dict(zip(rule.head_vars, e.args)), gen), expand)
         return rebuild(e, kids)
 
     return fold(phi, expand)
@@ -371,9 +368,7 @@ def _nnf(e, positive: bool = True):
         raise EvaluationError("universal second order quantifier is not in ESO(ID*)")
     if t is ExistsSO or t is ForallSO:
         return ExistsSO(e.var, _nnf(e.body, positive))
-    if t is Let:  # the defined symbols stay fixed; negation moves into the body
-        return Let(e.ruleset, _nnf(e.body, positive))
-    raise TypeError_(f"not an expression: {e!r}")
+    return Let(e.ruleset, _nnf(e.body, positive))  # a let-block, the one kind left: rules stay
 
 
 def _switch_var(e, switched: dict, x: Symbol):
@@ -427,9 +422,7 @@ def _hoist(e, gen: NameGen):
         raise EvaluationError(
             "second order quantifier under negation is not in ESO(ID*)" if type(e) is Not
             else "cannot hoist a second order quantifier out of an aggregate")
-    if isinstance(e, (Atom1, Atom2, Cmp, DefinitionExpr, Not, Aggregate)):
-        return [], e
-    raise TypeError_(f"not an expression: {e!r}")
+    return [], e  # an atom, comparison, definition, negation or aggregate: _nnf left no other
 
 
 def _so_inside(e, kids) -> bool:
@@ -453,7 +446,7 @@ def eliminate_so(phi) -> tuple:
     e = _nnf(fold(phi, _connectives))
     gen = NameGen({s.name for s in free_symbols(phi)})
     vars_, matrix = _hoist(e, gen)
-    if fold(matrix, _so_inside):
+    if fold(matrix, lambda n, kids: type(n) in (ExistsSO, ForallSO) or any(kids)):
         raise EvaluationError("residual second order quantifier after hoisting")
     return matrix, tuple(vars_)
 

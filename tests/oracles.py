@@ -104,14 +104,13 @@
   u-set to promote, in subset order, checking closure by re-evaluating
   every rule body; the exact form demotes t-sets only.  The one least
   fixpoint of `deflog.definitions` must give the same verdict and a
-  witness that closes.  `oracle_is_partial_stable` joins it with
-  supportedness and the unfounded-set oracle.
+  witness that closes.
 * A rule set used as a formula as first valued (`oracle_eval_definition`,
   `relevant_u_atoms`): a flat loop over every exact completion of the
   atoms a grounding at the all-u state consults, each checked against
-  its own well-founded model or by the partial stable test, glb of the
-  results.  `deflog.definitions.eval_definition` prunes that search with
-  the three-valued well-founded model and must give the same value,
+  its own well-founded model, glb of the results.
+  `deflog.definitions.eval_definition` prunes that search with the
+  three-valued well-founded model and must give the same value,
   exception and recorded atoms.
 * The theory and structure readers as first written (`oracle_tokenize`,
   `OracleParser`, `oracle_tokenize_structure`, `OracleStructReader`): a
@@ -1029,7 +1028,7 @@ def oracle_kv(e, i, ctx) -> TV:
             e.agg, e.cmp, PartialSet.from_map(entries), bound, ctx.limits
         )
     if isinstance(e, DefinitionExpr):
-        return definitions.eval_definition(e.ruleset, i, "w", ctx.limits, _ctx=ctx)
+        return definitions.eval_definition(e.ruleset, i, ctx.limits, _ctx=ctx)
     if isinstance(e, Let):
         return _let_value(e, i, ctx)
     raise EvaluationError(f"not an expression: {e!r}")
@@ -1161,18 +1160,6 @@ def oracle_exact_prudent(d, i, limits=DEFAULT_LIMITS) -> bool:
                    for t_sub in _subsets(t_atoms))
 
 
-def oracle_is_partial_stable(d, i, limits=DEFAULT_LIMITS, _ctx=None) -> bool:
-    """Supported, prudent by the subset loop and brave; all three are
-    checked, in that order, so that each raises what it would."""
-    ctx = _ctx or EvalContext(limits=limits)
-    supported = all([
-        i.atom_value(a) is rank_max_truth(body_values(d, a, i, ctx), empty=F)
-        for a in definitions._defined_atoms(d, i)])
-    prudent = oracle_demotion(d, i, limits) is None
-    brave = not oracle_unfounded_set(d, i, limits, _ctx=ctx)
-    return supported and prudent and brave
-
-
 # ---------------------------------------------------------------------------
 # A rule set as a formula, as first valued: the glb over every exact
 # completion of the relevant unknown atoms, in a flat loop
@@ -1193,21 +1180,17 @@ def relevant_u_atoms(d, i, limits):
     return sorted(consulted, key=atom_key)
 
 
-def oracle_exact_check(d, i, sem, limits, ctx) -> TV:
+def oracle_exact_check(d, i, limits, ctx) -> TV:
     """Two-valued membership test on an interpretation exact over d's
-    free predicate symbols."""
+    free predicate symbols: i is d's well-founded model in its context."""
     defined = sorted(d.defined_symbols, key=lambda s: s.name)
     carriers = {h: i.value(h).carrier for h in defined}
-    if sem == "w":
-        context = definitions.parameter_context(d, i)
-        wfm = definitions.well_founded_model(d, context, limits, carriers, _ctx=ctx)
-        return TV.of(all(wfm.value(h) == i.value(h) for h in defined))
-    if sem == "st":
-        return TV.of(oracle_is_partial_stable(d, i, limits, _ctx=ctx))
-    raise EvaluationError(f"unknown rule-set semantics {sem!r}")
+    context = definitions.parameter_context(d, i)
+    wfm = definitions.well_founded_model(d, context, limits, carriers, _ctx=ctx)
+    return TV.of(all(wfm.value(h) == i.value(h) for h in defined))
 
 
-def oracle_eval_definition(d, i, sem="w", limits=DEFAULT_LIMITS, _ctx=None) -> TV:
+def oracle_eval_definition(d, i, limits=DEFAULT_LIMITS, _ctx=None) -> TV:
     """Truth value of a rule set used as a formula: the exact check on
     interpretations exact over its free predicate symbols, else the glb
     over every exact completion of the relevant unknown atoms, u at the
@@ -1216,14 +1199,14 @@ def oracle_eval_definition(d, i, sem="w", limits=DEFAULT_LIMITS, _ctx=None) -> T
     preds = sorted((s for s in d.free if s.type.is_predicate), key=lambda s: s.name)
     unknown = relevant_u_atoms(d, i, limits) if i.u_atoms(preds) else []
     if not unknown:
-        return oracle_exact_check(d, i, sem, limits, ctx)
+        return oracle_exact_check(d, i, limits, ctx)
     ctx.record.update(unknown)
     if len(unknown) > limits.max_unknowns:
         raise CapExceeded(f"{len(unknown)} unknown atoms exceed cap {limits.max_unknowns} "
                           "(--max-completions)")
     results = []
     for j in refinements(i, unknown):
-        results.append(oracle_exact_check(d, j, sem, limits, ctx))
+        results.append(oracle_exact_check(d, j, limits, ctx))
         if results[-1] is not results[0]:
             return U
     return glb_prec(results)

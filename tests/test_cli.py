@@ -55,6 +55,8 @@ def d(name: str) -> str:
 CASES = [
     ("typecheck-props.txt", ["typecheck", d("props.theory")], 0),
     ("typecheck-props.json", ["typecheck", "--json", d("props.theory")], 0),
+    ("typecheck-illtyped.txt", ["typecheck", d("illtyped.theory")], 2),
+    ("typecheck-illtyped.json", ["typecheck", "--json", d("illtyped.theory")], 2),
     ("classify-props.txt", ["classify", d("props.theory")], 0),
     ("classify-eso.txt", ["classify", d("eso.theory")], 0),
     ("classify-tc.txt", ["classify", d("tc.theory")], 0),
@@ -211,6 +213,11 @@ def test_json_writer_is_json_dumps(payload):
     assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
+def test_json_writer_refuses_what_no_verb_writes():
+    with pytest.raises(TypeError, match="^float is not JSON serializable here$"):
+        cli._json_text([1.5])
+
+
 class TestExitCodes:
     def run(self, *argv):
         return CliRunner().invoke(main, list(argv))
@@ -279,6 +286,52 @@ class TestExitCodes:
         assert (r.exit_code, r.exception.code) == (2, 2)
         assert r.stderr == ("error: cannot switch second order variable S past !x: "
                             "it occurs other than as a predicate\n")
+
+    @pytest.mark.parametrize("verb", [["eval"], ["eval", "-m", "super"], ["mx"]],
+                             ids=["kleene", "super", "mx"])
+    @pytest.mark.parametrize("vocab, formula, message", [
+        ("a: const;", "a(a)", "a of type const used as a predicate"),
+        ("a: const; E: so-pred(pred/1);", "E(a)", "E: expected pred/1, got a of type const"),
+        ("a: const; E: so-pred(pred/1);", "E(1)", "predicate argument must be a symbol"),
+    ], ids=["const-atom", "const-argument", "int-argument"])
+    def test_a_symbol_of_the_wrong_kind_in_a_predicate_position(
+            self, tmp_path, verb, vocab, formula, message):
+        # typecheck reports each; valuing one raises an input error, not a traceback
+        theory, struct = tmp_path / "t.theory", tmp_path / "s.struct"
+        theory.write_text(f"vocab {{ {vocab} }}\nformula f {{ {formula} }}\n")
+        struct.write_text("domain = {a, b}\na = a\n")
+        assert self.run("typecheck", str(theory)).exit_code == 2
+        r = self.run(*verb, str(theory), str(struct))
+        assert (r.exit_code, r.exception.code, r.stderr) == (2, 2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("check", [[], ["--check-equiv"]], ids=["plain", "check-equiv"])
+    @pytest.mark.parametrize("argument, message", [
+        ("a", "cannot substitute a of type const for R of type pred/1"),
+        ("1", "cannot substitute term 1 for R"),
+        ("Q", "cannot substitute Q of type pred/2 for R of type pred/1"),
+    ])
+    def test_expand_refuses_an_ill_typed_template_argument(self, tmp_path, check, argument,
+                                                           message):
+        theory = tmp_path / "t.theory"
+        theory.write_text("vocab { a: const; Q: pred/2; inc: template so-pred(pred/1, domain); }\n"
+                          "template ti { inc(R, x) <- R(x). }\n"
+                          f"formula f {{ inc({argument}, a) }}\n")
+        assert self.run("typecheck", str(theory)).exit_code == 2
+        r = self.run("expand", *check, str(theory))
+        assert (r.exit_code, r.exception.code, r.stderr) == (2, 2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("check", [[], ["--check-equiv"]], ids=["plain", "check-equiv"])
+    @pytest.mark.parametrize("formula", ["{p <- ?? S[pred/1]: S(a).}",
+                                         "let {p <- ?? S[pred/1]: S(a).} in p"],
+                             ids=["definition", "let"])
+    def test_eliminate_so_refuses_a_quantifier_in_a_rule_body(self, tmp_path, check, formula):
+        # no hoisting reaches into a rule body, so no first order rewrite exists
+        theory = tmp_path / "t.theory"
+        theory.write_text(f"vocab {{ a: const; p: pred/0; }}\nformula f {{ {formula} }}\n")
+        assert self.run("classify", str(theory)).output == "formula f: SO(ID*)-only\n"
+        r = self.run("eliminate-so", *check, str(theory))
+        assert (r.exit_code, r.exception.code, r.stderr) == (
+            2, 2, "error: residual second order quantifier after hoisting\n")
 
     def test_no_stable_model_exit(self):
         r = self.run("stable", "-d", "paradox", d("props.theory"), d("empty.struct"))
@@ -581,6 +634,97 @@ def test_validate_lib_reports_a_non_total_template_once_per_domain(tmp_path):
     assert r.exit_code == 1
     assert json.loads(r.output) == {
         "ok": False, "order": ["t"], "problems": problems, "skipped_contexts": 0}
+
+
+class TestVerbPaths:
+    """Output paths of the verbs that no golden file pins."""
+
+    def run(self, *argv):
+        return CliRunner().invoke(main, list(argv))
+
+    def theory(self, tmp_path, text: str) -> str:
+        path = tmp_path / "t.theory"
+        path.write_text(text)
+        return str(path)
+
+    def test_classify_json(self):
+        r = self.run("classify", "--json", d("eso.theory"))
+        assert (r.exit_code, json.loads(r.output)) == (
+            0, {"formula cover": "ESO(ID*)", "formula switched": "ESO(ID*)"})
+
+    def test_expand_json(self):
+        r = self.run("expand", "--json", "--check-equiv", "-f", "both", d("eq.theory"))
+        text = self.run("expand", "-f", "both", "--check-equiv", d("eq.theory")).output
+        assert r.exit_code == 0
+        assert json.loads(r.output) == {"formula": "both", "expanded": text.splitlines()[0],
+                                        "equiv": "pass"}
+
+    def test_eliminate_so_json(self):
+        r = self.run("eliminate-so", "--json", "-f", "cover", d("eso.theory"))
+        assert (r.exit_code, json.loads(r.output)) == (0, {
+            "formula": "cover", "rewritten": "((!x: (S(x) | R(x))) & ?x: S(x))",
+            "skolems": [{"name": "S", "type": "pred/1"}]})
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_a_failing_check_exits_1(self, monkeypatch, json_flag):
+        # no input is known to fail the check, so the check is made to fail
+        monkeypatch.setattr(cli, "sigma_equivalent", lambda *args: False)
+        r = self.run("expand", *json_flag, "--check-equiv", "-f", "both", d("eq.theory"))
+        assert r.exit_code == 1
+        if json_flag:
+            assert json.loads(r.output)["equiv"] == "fail"
+        else:
+            assert r.output.endswith("\nequiv: fail\n")
+
+    def test_mx_pins_the_templates(self, tmp_path):
+        struct = tmp_path / "a.struct"
+        struct.write_text("domain = {a}\n")
+        r = self.run("mx", d("eq.theory"), str(struct))
+        assert (r.exit_code, r.output) == (0, "model 1:\ndomain = {a}\nP = {*: t}\nQ = {*: t}\n"
+                                              "isEqRelation = {({}): f, ({(a, a)}): t}\n"
+                                              "1 model(s)\n")
+        # Q is not reflexive, so isEqRelation(Q) is f under the template's value
+        r = self.run("mx", d("eq.theory"), d("eq_ab.struct"))
+        assert (r.exit_code, r.output) == (1, "0 model(s)\n")
+
+    @pytest.mark.parametrize("verb", ["wfm", "stable"])
+    def test_a_structure_that_lacks_a_parameter(self, verb):
+        r = self.run(verb, "-d", "reach", d("reach.theory"), d("empty.struct"))
+        assert (r.exit_code, r.stderr) == (
+            2, "error: structure does not interpret parameter(s) start\n")
+
+    @pytest.mark.parametrize("verb", ["wfm", "stable"])
+    def test_a_theory_with_no_definition(self, verb):
+        r = self.run(verb, d("eso.theory"), d("empty.struct"))
+        assert (r.exit_code, r.stderr) == (2, "error: theory contains no definition\n")
+
+    def test_a_let_block_with_no_exact_model(self, tmp_path):
+        theory = self.theory(tmp_path, "vocab { p: pred/0; q: pred/0; }\n"
+                                       "formula f { let {p <- ~p.} in q }\n")
+        r = self.run("eval", theory, d("empty.struct"))
+        assert (r.exit_code, r.stderr) == (
+            1, "error: let-bound definition has no exact well-founded model\n")
+
+    def test_validate_lib_counts_the_skipped_contexts(self, tmp_path):
+        # pred/4 over two elements passes the second order argument cap
+        theory = self.theory(tmp_path, "vocab { T: template so-pred(pred/4); }\n"
+                                       "template t { T(R) <- ?x: R(x, x, x, x). }\n")
+        r = self.run("validate-lib", theory)
+        assert (r.exit_code, r.output) == (0, "order: t\nskipped contexts: 1\nok\n")
+
+    @pytest.mark.parametrize("text, expanded", [
+        # substitution into a definition literal
+        ("vocab { Q: pred/2; cl: template so-pred(pred/2); T: pred/2; }\n"
+         "template c { cl(E) <- {T(x, y) <- E(x, y).}. }\nformula f { cl(Q) }\n",
+         "{T(x, y) <- Q(x, y).}"),
+        # substitution of a + term for a first order head variable
+        ("vocab { P: pred/1; inc: template so-pred(pred/1, domain); }\n"
+         "template ti { inc(R, x) <- R(x) | R(x + 1). }\nformula f { ?x: inc(P, x + 1) }\n",
+         "?x: (P(x + 1) | P(x + 1 + 1))"),
+    ], ids=["definition", "sum-term"])
+    def test_expand_substitutes_into_every_node(self, tmp_path, text, expanded):
+        r = self.run("expand", "--check-equiv", self.theory(tmp_path, text))
+        assert (r.exit_code, r.output) == (0, f"{expanded}\nequiv: pass\n")
 
 
 class TestModelExpansionSearch:

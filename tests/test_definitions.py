@@ -633,6 +633,11 @@ class TestSearchDriver:
         assert min(seen.values()) > 100, seen
 
 
+def test_expand_context_refuses_a_context_interpreting_a_defined_symbol():
+    with pytest.raises(EvaluationError, match="^context already interprets defined p$"):
+        expand_context(rs("{p <- q.}"), ctx(p="t", q="t"))
+
+
 def test_expand_context_checks_only_a_given_carrier(monkeypatch):
     # the full carrier over the domain is well typed as built; a caller's
     # carrier is checked once, with the message it always had
@@ -650,22 +655,15 @@ def test_expand_context_checks_only_a_given_carrier(monkeypatch):
 
 class TestEvalDefinition:
     def test_stable_and_wellfounded_readings(self):
+        # p = t, q = f is a stable model but not the well-founded one
         d = rs("{p <- ~q. q <- ~p.}")
-        assert eval_definition(d, ctx(p="t", q="f"), "st") is T
-        assert eval_definition(d, ctx(p="t", q="f"), "w") is F  # WFM is uu
-        assert eval_definition(d, ctx(p="u", q="u"), "w") is F
-        # p=t, q unknown: stable for q=f, not for q=t
-        assert eval_definition(d, ctx(p="t", q="u"), "st") is U
+        assert eval_definition(d, ctx(p="t", q="f")) is F  # WFM is uu
+        assert eval_definition(d, ctx(p="u", q="u")) is F
 
     def test_wellfounded_reading_accepts_only_the_wfm(self):
         d = rs("{p <- p.}")
-        assert eval_definition(d, ctx(p="f"), "w") is T
-        assert eval_definition(d, ctx(p="t"), "w") is F
-
-    def test_unknown_semantics_tag_rejected(self):
-        d = rs("{p <- p.}")
-        with pytest.raises(EvaluationError):
-            eval_definition(d, ctx(p="f"), "classical")
+        assert eval_definition(d, ctx(p="f")) is T
+        assert eval_definition(d, ctx(p="t")) is F
 
 
 class TestMemo:
@@ -1228,25 +1226,25 @@ class TestGuardedGrounding:
         assert r.is_exact
 
 
-def definition_run(value_of, d, i, sem, limits):
-    """value_of(d, i, sem, limits, _ctx=...) on a fresh context: its value
+def definition_run(value_of, d, i, limits):
+    """value_of(d, i, limits, _ctx=...) on a fresh context: its value
     or exception type and message, and the atoms it recorded."""
     ctx = EvalContext(limits=limits)
     try:
-        return value_of(d, i, sem, limits, _ctx=ctx), None, ctx.record
+        return value_of(d, i, limits, _ctx=ctx), None, ctx.record
     except Exception as exc:  # compared, whatever its type
         return None, (type(exc), str(exc)), ctx.record
 
 
-def pruned_and_oracle(d, i, sem="w", limits=Limits()):
+def pruned_and_oracle(d, i, limits=Limits()):
     """The pruned search against the flat loop over every completion, on
     a cold memo and again on the memo both left behind."""
     definitions._WFM_CACHE.clear()
-    cold = definition_run(eval_definition, d, i, sem, limits)
+    cold = definition_run(eval_definition, d, i, limits)
     definitions._WFM_CACHE.clear()
-    want = definition_run(oracle_eval_definition, d, i, sem, limits)
+    want = definition_run(oracle_eval_definition, d, i, limits)
     assert cold == want, f"{d} {i}"
-    assert definition_run(eval_definition, d, i, sem, limits) == want, f"warm {d} {i}"
+    assert definition_run(eval_definition, d, i, limits) == want, f"warm {d} {i}"
     return want
 
 
@@ -1270,32 +1268,16 @@ class TestPrunedDefinitionSearch:
             if n % 5:
                 d = random_parameter_ruleset(rng)
                 i = random_partial(rng, PROPS, DOMAIN, p_unknown=0.5)
-                sem = "st" if n % 5 == 1 else "w"
                 limits = Limits(max_unknowns=rng.choice((2, 20)))
             else:
                 d = random_tree_rules(rng)
                 i = random_partial(rng, SYMBOLS, rng.choice(((1,), (1, 2), ("a", 2))))
-                sem, limits = "w", Limits(max_unknowns=rng.choice((3, 5)))
-            value, error, _ = pruned_and_oracle(d, i, sem, limits)
-            outcomes.add((sem, value))
+                limits = Limits(max_unknowns=rng.choice((3, 5)))
+            value, error, _ = pruned_and_oracle(d, i, limits)
+            outcomes.add(value)
             errors.add(error and error[0])
-        assert {(sem, v) for sem in ("w", "st") for v in (T, U, F)} <= outcomes
+        assert {T, U, F} <= outcomes
         assert {None, EvaluationError, CapExceeded} <= errors
-
-    def test_stable_semantics_checks_every_completion(self, monkeypatch):
-        # the model decides both completions of r, but "st" takes no cut:
-        # the partial stable test runs on each, cold and warm
-        d, i = rs("{p <- r.}"), ctx(p="t", r="u")
-        checked = []
-
-        def check(d, j, *args, **kw):
-            checked.append(values_of(j, (p, r)))
-            return is_partial_stable(d, j, *args, **kw)
-
-        monkeypatch.setattr(definitions, "is_partial_stable", check)
-        assert pruned_and_oracle(d, i, "st")[0] is U
-        assert checked == ["tt", "tf"] * 2
-        assert pruned_and_oracle(d, i, "w")[0] is U
 
     def test_the_search_stops_at_the_first_disagreement(self, monkeypatch):
         # a = t makes q t, a = f and b = t make it f: below a = f, b = f
@@ -1343,28 +1325,28 @@ class TestPrunedDefinitionSearch:
         monkeypatch.setattr(definitions, "_agreement",
                             lambda d, j, *a: probed.append(j) or agreement(d, j, *a))
 
-        def run(leaf_glb, d, i, sem, limits):
+        def run(leaf_glb, d, i, limits):
             monkeypatch.setattr(definitions, "_leaf_glb", leaf_glb)
             definitions._WFM_CACHE.clear()
             probed.clear()
-            got = definition_run(eval_definition, d, i, sem, limits)
+            got = definition_run(eval_definition, d, i, limits)
             return got, [j for k, j in enumerate(probed) if not k or j != probed[k - 1]]
 
         rng, seen = random.Random(73), collections.Counter()
-        for n in range(1500):
+        for _ in range(1500):
             d = random_parameter_ruleset(rng)
             i = random_partial(rng, PROPS, DOMAIN, p_unknown=0.6)
-            sem, limits = "st" if n % 5 == 1 else "w", Limits(max_unknowns=rng.choice((2, 20)))
-            got, nodes = run(search, d, i, sem, limits)
+            limits = Limits(max_unknowns=rng.choice((2, 20)))
+            got, nodes = run(search, d, i, limits)
             want, old_nodes = run(lambda i, atoms, limits, exact, probe=None: glb(
-                i, sorted(atoms, key=atom_key), limits, exact, probe), d, i, sem, limits)
+                i, sorted(atoms, key=atom_key), limits, exact, probe), d, i, limits)
             definitions._WFM_CACHE.clear()
-            flat = definition_run(oracle_eval_definition, d, i, sem, limits)
+            flat = definition_run(oracle_eval_definition, d, i, limits)
             assert got == want == flat and nodes == old_nodes, f"{d} {i}"
-            seen[sem, "error" if got[1] else got[0]] += 1
+            seen["error" if got[1] else got[0]] += 1
             seen["probes"] += len(nodes)
-        assert min(seen[sem, v] for sem in ("w", "st") for v in (T, U, F)) > 10, seen
-        assert seen["w", "error"] > 10 and seen["probes"] > 3000, seen
+        assert min(seen[v] for v in (T, U, F)) > 10, seen
+        assert seen["error"] > 10 and seen["probes"] > 3000, seen
 
     @pytest.mark.parametrize("body,value", [
         ("r", U), ("q & r", U), ("q | r", U), ("(q & ~r) | (~q & r)", U), ("q | ~q | r", T)])
@@ -1381,7 +1363,7 @@ class TestPrunedDefinitionSearch:
         # q is unfounded at every completion of p and r, but both are read
         d, i = rs("{q <- q & p & r.}"), ctx(p="u", q="t", r="u")
         assert eval_definition(d, i) is F
-        _, error, record = pruned_and_oracle(d, i, "w", Limits(max_unknowns=1))
+        _, error, record = pruned_and_oracle(d, i, Limits(max_unknowns=1))
         assert error == (CapExceeded, "2 unknown atoms exceed cap 1 (--max-completions)")
         assert record == {DomainAtom(p, ()), DomainAtom(r, ())}
 

@@ -193,6 +193,11 @@ class TestConstructs:
         with pytest.raises(EvaluationError):
             evaluate(parse("p"), i, "classical")
 
+    def test_a_rule_set_is_valued_as_a_definition(self):
+        i = struct("domain = {a}\np = {(): t}\n")
+        d = parse("{p <- p.}").ruleset
+        assert evaluate(d, i) is evaluate(DefinitionExpr(d), i) is F  # p's WFM value is f
+
 
 class TestSecondOrderAtoms:
     def test_partial_so_argument_takes_glb_over_completions(self):

@@ -54,6 +54,26 @@ class TestConstruction:
         with pytest.raises(TypeError_):
             interp(P=PartialSet.constant([("a", "b")], T))
 
+    @pytest.mark.parametrize("sym, value, message", [
+        (Symbol("d", DOMAIN), "a", "symbol d of type domain cannot be interpreted directly"),
+        (P, "a", "predicate P needs a PartialSet value"),
+        (SO, PartialSet.constant([("z", frozenset())], T), "SO: 'z' not a domain element"),
+        (SO, PartialSet.constant([("a", "b")], T),
+         "SO: second order argument 'b' is not an exact relation"),
+    ], ids=["domain-symbol", "not-a-set", "so-element", "so-relation"])
+    def test_values_of_the_wrong_kind_are_refused(self, sym, value, message):
+        with pytest.raises(TypeError_) as exc:
+            PartialInterpretation.make(("a", "b"), {sym: value})
+        assert str(exc.value) == message
+
+    def test_orders_compare_like_interpretations_only(self):
+        f, t = interp(P=PartialSet.constant([("a",), ("b",)], F)), interp(
+            P=PartialSet.constant([("a",), ("b",)], T))
+        assert f.leq_truth(t) and not t.leq_truth(f)
+        assert not f.leq_prec(PartialInterpretation.make(("a",), {}))  # another domain
+        assert not f.leq_prec(interp())  # other symbols
+        assert not interp(c="a").leq_prec(interp(c="b")) and interp(c="a").leq_prec(interp(c="a"))
+
     def test_second_order_keys_mix_elements_and_relations(self):
         value = PartialSet.constant([("a", frozenset({("b",)}))], T)
         i = interp(SO=value)

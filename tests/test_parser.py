@@ -19,6 +19,7 @@ Two differences are allowed, each skipped by name where it shows:
 import random
 import re
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,7 @@ from deflog.interpretation import (
     PartialInterpretation, _StructReader, read_structure, write_structure,
 )
 from deflog.limits import DEFAULT_LIMITS
-from deflog.parser import Parser, parse_theory, tokenize
+from deflog.parser import Parser, parse_formula, parse_theory, tokenize
 from deflog.syntax import unparse
 from deflog.truthvalues import T, U, PartialSet
 from deflog.vocab import CONST, Symbol, Vocabulary, pred
@@ -310,3 +311,24 @@ class TestHugeIntegers:
                              (f"domain = {{a}}\n\np = {{({DIGITS}): t, *: f}}\n", 3)):
             assert self.run(tmp_path, theory, struct) == (
                 f"error: {line}:0: integer of 5000 digits is too long")
+
+
+class TestMessages:
+    HEAD = "vocab { a: const; p: pred/1; q: pred/0; }\n"
+
+    @pytest.mark.parametrize("item, message", [
+        ("formula f { 1 & q }", "2:15: expected a comparison operator (=, <, >)"),
+        ("formula f { let {q <- p(a).} q }", "2:30: expected 'in' after a let block"),
+        ("definition d { a <- q. }", "2:16: rule head 'a' is not a predicate"),
+        ("definition d { p <- q. }", "2:16: rule head p expects 1 arguments"),
+    ], ids=["comparison", "let-in", "head-kind", "head-arguments"])
+    def test_theory_item(self, item, message):
+        with pytest.raises(ParseError) as exc:
+            parse_theory(self.HEAD + item)
+        assert str(exc.value) == message
+
+    def test_trailing_input(self):
+        vocab = Vocabulary.of([Symbol("q", pred(0))])
+        with pytest.raises(ParseError) as exc:
+            parse_formula("q q", vocab)
+        assert str(exc.value) == "1:3: trailing input 'q'"

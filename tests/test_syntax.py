@@ -14,9 +14,10 @@ from deflog.interpretation import read_structure
 from deflog.limits import Limits
 from deflog.parser import parse_formula, parse_ruleset, parse_theory
 from deflog.syntax import (
-    FRAGMENT_ASO, FRAGMENT_ESO, FRAGMENT_FO, FRAGMENT_SO, And, Atom1, ExistsFO, ExistsSO,
-    Expr, ForallFO, ForallSO, IntTerm, Let, NameGen, Not, Or, Rule, RuleSet, children,
-    classify, fold, free_symbols, substitute, typecheck, unparse,
+    FRAGMENT_ASO, FRAGMENT_ESO, FRAGMENT_FO, FRAGMENT_SO, AddTerm, Aggregate, And, Atom1,
+    Atom2, DefinitionExpr, ExistsFO, ExistsSO, Expr, ForallFO, ForallSO, IntTerm, Let,
+    NameGen, Not, Or, Rule, RuleSet, SymTerm, children, classify, fold, free_symbols,
+    substitute, typecheck, unparse,
 )
 from deflog.vocab import CONST, Symbol, Vocabulary, pred, so_pred
 
@@ -167,6 +168,29 @@ class TestTypecheck:
         errs = typecheck(Atom1(ghost, ()), VOCAB)
         assert errs
 
+    # what the parser refuses or never builds, so that no theory file states it
+    X, x, q = Symbol("X", pred(1)), Symbol("x", CONST), Atom1(q0, ())
+
+    @pytest.mark.parametrize("e, diagnostics", [
+        (Atom1(Symbol("ghost", pred(2)), (SymTerm(Symbol("d", CONST)), AddTerm(
+            SymTerm(x), IntTerm(1)))),
+         ["symbol ghost not in scope", "symbol d not in scope", "symbol x not in scope"]),
+        (RuleSet((Rule(cc, (), q),)), ["rule head c is not a predicate"]),
+        (DefinitionExpr(RuleSet((Rule(r1, (), q), Rule(p2, (x, X), Atom1(X, (SymTerm(x),)))))),
+         ["head variable X of p has type pred/1, expected const",
+          "rule for r has 0 head variables, expected 1"]),
+        ("q", ["not an expression: 'q'"]),
+        (And(q, "q", Atom1(cc, ())),
+         ["not an expression: 'q'", "c used as a first order predicate but has type const"]),
+        (Atom2(r1, (SymTerm(cc),)), ["r used as a second order predicate but has type pred/1"]),
+        (Atom2(SO2, (SymTerm(Symbol("G", pred(2))),)), ["symbol G not in scope"]),
+        (Aggregate("card", "=", (X,), Atom1(X, (SymTerm(cc),)), IntTerm(1)),
+         ["aggregate variable X must be domain-valued"]),
+    ], ids=["out-of-scope", "head-not-a-predicate", "head-variables", "non-expression",
+            "in-order", "atom2-over-pred", "argument-out-of-scope", "aggregate-variable"])
+    def test_what_no_file_states(self, e, diagnostics):
+        assert typecheck(e, VOCAB) == diagnostics
+
 
 class TestClassify:
     def test_fragments(self):
@@ -204,6 +228,13 @@ _SCOPES = (ForallFO, ExistsFO, ForallSO, ExistsSO, Let)
 
 
 class TestRuns:
+    def test_a_run_and_the_walkers_refuse_what_is_not_an_expression(self):
+        with pytest.raises(TypeError, match="^And needs two operands$"):
+            And(Atom1(q0, ()))
+        for walk in (children, lambda e: fold(e, lambda n, kids: n)):
+            with pytest.raises(TypeError, match="^not an expression: 'q'$"):
+                walk("q")
+
     def test_a_left_nested_chain_is_its_flat_run(self):
         # a run of & or | has one representation, whatever built it, and
         # prints as the left-nested chain the parser reads back
@@ -346,6 +377,10 @@ class TestSubstitution:
         out = substitute(e, {r1: s1})
         assert out.predicate == s1
 
+    def test_a_shadowed_mapping_leaves_the_body_as_it_is(self):
+        e = parse("?c: r(c)")
+        assert substitute(e, {e.var: Symbol("d", CONST)}).body is e.body
+
     def test_let_binder_is_renamed_apart(self):
         ell, kay, d = Symbol("L", pred(0)), Symbol("K", pred(0)), Symbol("d", CONST)
         vocab = Vocabulary.of([*VOCAB, ell, kay, d])
@@ -375,3 +410,4 @@ class TestFreeSymbols:
         rs = parse_ruleset("{q <- r(c).}", VOCAB)
         assert {s.name for s in rs.defined_symbols} == {"q"}
         assert {s.name for s in rs.parameters} == {"r", "c"}
+        assert free_symbols(rs) == free_symbols(DefinitionExpr(rs)) == {q0, r1, cc}

@@ -21,14 +21,17 @@ from deflog.evaluator import evaluate_exact
 from deflog.interpretation import PartialInterpretation
 from deflog.limits import DEFAULT_LIMITS
 from deflog.parser import parse_formula, parse_ruleset, parse_theory
-from deflog.syntax import FRAGMENT_FO, ExistsSO, ForallFO, Not, classify, free_symbols, unparse
+from deflog.syntax import (
+    FRAGMENT_FO, Atom1, ExistsSO, ForallFO, Not, Rule, RuleSet, SymTerm, classify, free_symbols,
+    unparse,
+)
 from deflog.templates import (
     Template, TemplateLibrary, _expandable, _sigma_bases, _stratify, apply_library,
     check_correspondence, eliminate_so, is_simple, macro_expand, sigma_equivalent,
     templify, validate_library,
 )
 from deflog.truthvalues import T
-from deflog.vocab import CONST, Symbol, Vocabulary, pred, predicate_carrier
+from deflog.vocab import CONST, Symbol, Vocabulary, pred, predicate_carrier, so_pred
 
 from conftest import DATA
 from gen import random_library, random_template_formula, random_tree
@@ -165,6 +168,20 @@ class TestValidation:
     def test_self_recursion_within_a_template_is_allowed(self):
         report = validate_library(library(load("game.theory")))
         assert report.ok
+
+    def test_a_parameter_outside_the_template_vocabulary_is_reported(self):
+        b, t = Symbol("B", pred(1)), Symbol("T", so_pred(pred(1)), "template")
+        lib = TemplateLibrary((Template("t", parse_ruleset(
+            "{T(R) <- ?x: R(x) & B(x).}", Vocabulary.of([b, t]))),))
+        assert validate_library(lib).problems == [
+            "t: parameter B is outside the template vocabulary"]
+
+    def test_apply_library_refuses_a_cycle(self):
+        th = parse_theory("vocab { A: template so-pred(); B: template so-pred(); }\n"
+                          "template one { A <- ~B. } template two { B <- ~A. }")
+        with pytest.raises(EvaluationError, match="^stratification cycle among templates: "
+                                                  "one, two$"):
+            apply_library(PartialInterpretation.empty(("a",)), library(th))
 
 
 class TestApplyLibrary:
@@ -364,6 +381,30 @@ class TestTemplify:
         with pytest.raises(TypeError_):
             templify(d, (self.VOCAB.get("B"),))
 
+    def test_a_second_order_defined_symbol_keeps_its_arguments(self):
+        b, s = Symbol("B", pred(1)), Symbol("S", so_pred(pred(1)))
+        d = parse_ruleset("{S(R) <- ?x: R(x) & B(x).}", Vocabulary.of([b, s]))
+        dt, mapping = templify(d, (b,))
+        assert unparse(dt) == "{S'(R, B) <- ?x: (R(x) & B(x)).}"
+        assert mapping[s].type == so_pred(pred(1), pred(1))
+
+    def test_what_cannot_be_templified(self):
+        b, c = Symbol("B", pred(1)), Symbol("c", CONST)
+        s, t = Symbol("S", so_pred(pred(1))), Symbol("T", so_pred(pred(1)), "template")
+        vocab = Vocabulary.of([b, s, t])
+        cases = [
+            (parse_ruleset("{S(R) <- ?x: R(x) & B(x).}", vocab), (s,),
+             "open symbol S must be a first order predicate, has so-pred(pred/1)"),
+            (parse_ruleset("{T(R) <- ?x: R(x) & B(x).}", vocab), (b,),
+             "T is already a template symbol"),
+            (RuleSet((Rule(c, (), Atom1(b, (SymTerm(c),))),)), (b,),
+             "cannot templify non-predicate c"),
+        ]
+        for d, opens, message in cases:
+            with pytest.raises(TypeError_) as exc:
+                templify(d, opens)
+            assert str(exc.value) == message
+
     def test_correspondence_on_concrete_contexts(self):
         d = parse_ruleset(self.RULESET, self.VOCAB)
         dt, mapping = templify(d, self.opens())
@@ -457,6 +498,8 @@ class TestMacroExpansion:
     def test_simple_template_recognition(self):
         assert is_simple(library(load("eq.theory")).templates[0])
         assert not is_simple(library(load("game.theory")).templates[0])
+        b = Symbol("B", pred(1))  # a first order head
+        assert not is_simple(Template("fo", parse_ruleset("{B(x) <- x = x.}", Vocabulary.of([b]))))
 
     def test_expansion_removes_template_symbols(self):
         th = load("eq.theory")

@@ -115,6 +115,9 @@ class TestConnectives:
             expected = classical(self.CLASSICAL[c], list(args))
             assert fn(*args) is expected, f"{c}{args}"
 
+    def test_values_print_as_their_letters(self):
+        assert [repr(v) for v in (T, U, F)] == ["t", "u", "f"]
+
     def test_kleene_connective_dispatch(self):
         assert kleene_connective("&", (T, U)) is U
         assert kleene_connective("~", (F,)) is T
@@ -130,6 +133,15 @@ class TestConnectives:
 
 
 class TestPartialSet:
+    def test_carrier_and_values_must_match(self):
+        with pytest.raises(EvaluationError, match="^carrier/value length mismatch$"):
+            PartialSet((("a",),), ())
+        with pytest.raises(EvaluationError, match=r"^key \('b',\) not in carrier$"):
+            PartialSet((("a",),), (T,)).value(("b",))
+
+    def test_booleans_order_as_the_integers_they_are(self):
+        assert canon_order(True) == canon_order(1) and canon_order(False) < canon_order(True)
+
     def test_from_map_sorts_carrier(self):
         s = PartialSet.from_map({("b",): T, ("a",): F})
         assert s.carrier == (("a",), ("b",))

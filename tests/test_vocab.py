@@ -33,6 +33,13 @@ class TestTypes:
     def test_rendering(self):
         assert str(pred(3)) == "pred/3"
         assert str(so_pred(pred(1), DOMAIN)) == "so-pred(pred/1, domain)"
+        assert str(Symbol("p", pred(1))) == "p"
+
+    def test_value_spaces_of_other_types_are_refused(self):
+        with pytest.raises(TypeError_, match=r"^type so-pred\(pred/1\) has no enumerable "):
+            arg_value_space(so_pred(pred(1)), ("a",))
+        with pytest.raises(TypeError_, match="^const is not a predicate type$"):
+            predicate_carrier(CONST, ("a",))
 
     def test_types_hash_and_compare_structurally(self):
         assert pred(1) == pred(1) and hash(pred(1)) == hash(pred(1))
